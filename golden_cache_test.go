@@ -2,13 +2,11 @@ package netrs
 
 // Golden guarantees of the cache tier. Landing the ToR caches touched the
 // packet format (Key/Write fields), the workload (the gated write-coin
-// stream), and both engines' dispatch paths — so the first test pins that
+// stream), and the runner's dispatch paths — so the test below pins that
 // a config without a cache budget reproduces every pre-existing golden
 // digest bit for bit, and that a zero-budget NetRS+Cache IS NetRS-ToR.
-// The second pins the sharded engine's contract for the new schemes: any
-// shard count reproduces the sequential runner exactly, cache counters
-// included — invalidations crossing partitions through the exchange must
-// not reorder relative to the lookahead window.
+// TestGoldenShardDigest's cache rows pin the same schemes across shard
+// counts, cache counters included.
 
 import "testing"
 
@@ -49,53 +47,4 @@ func TestCacheDisabledIsBitIdentical(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestCacheShardedMatchesSequential(t *testing.T) {
-	seeds := []uint64{1, 2, 3}
-	for _, scheme := range []Scheme{SchemeNetCache, SchemeNetRSCache} {
-		scheme := scheme
-		t.Run(scheme.String(), func(t *testing.T) {
-			t.Parallel()
-			cfg := goldenConfig(scheme)
-			cfg.WriteFraction = 0.05
-			cfg.CacheBytes = 64 << 10
-			cfg.CacheAdmitAfter = 1
-			var want uint64
-			var wantRuns []Result
-			for _, shards := range []int{1, 2, 4} {
-				c := cfg
-				c.Shards = shards
-				results, merged, err := RunRepeatedWith(c, seeds, RunOptions{Parallelism: 1})
-				if err != nil {
-					t.Fatalf("shards %d: %v", shards, err)
-				}
-				got := resultDigest(results, merged)
-				if shards == 1 {
-					want, wantRuns = got, results
-					for i, res := range results {
-						if res.CacheHits == 0 || res.CacheInvalidations == 0 {
-							t.Fatalf("seed %d: cache inactive (%d hits, %d invalidations); the equivalence would be vacuous",
-								seeds[i], res.CacheHits, res.CacheInvalidations)
-						}
-					}
-					continue
-				}
-				if got != want {
-					t.Errorf("shards %d: digest = %#016x, want sequential %#016x", shards, got, want)
-				}
-				for i, res := range results {
-					seq := wantRuns[i]
-					if res.CacheHits != seq.CacheHits || res.CacheMisses != seq.CacheMisses ||
-						res.CacheAdmissions != seq.CacheAdmissions || res.CacheEvictions != seq.CacheEvictions ||
-						res.CacheInvalidations != seq.CacheInvalidations {
-						t.Errorf("shards %d seed %d: cache counters %+v diverge from sequential %+v",
-							shards, seeds[i],
-							[5]uint64{res.CacheHits, res.CacheMisses, res.CacheAdmissions, res.CacheEvictions, res.CacheInvalidations},
-							[5]uint64{seq.CacheHits, seq.CacheMisses, seq.CacheAdmissions, seq.CacheEvictions, seq.CacheInvalidations})
-					}
-				}
-			}
-		})
-	}
 }

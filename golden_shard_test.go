@@ -1,37 +1,80 @@
 package netrs
 
-// Golden digests across shard counts. The sharded engine's contract is
-// that partitioning is logical (fixed by the topology) and the shard count
-// only sets the worker pool — so every shard count must reproduce the
-// sequential runner's results bit for bit. Shards=1 IS the sequential
-// runner (Run dispatches to the legacy path), so passing here means the
-// pod-parallel execution matches the pinned pre-refactor digests exactly.
+// Golden digests across shard counts. One runner executes every run over P
+// partitions: P = 1 when Shards ≤ 1, a single plain engine whose event
+// order is the one the pinned digests were taken from, and the topology's
+// pod partitions otherwise, where the shard count only sizes the worker
+// pool. Every row must reproduce its reference at shards 1, 2, and 4: the
+// pinned pre-refactor digest for the paper's schemes, the shards-1 run for
+// the cache schemes (whose cache counters must match too — invalidations
+// crossing partitions through the exchange must not reorder against the
+// lookahead window). P > 1 can still order an exact-instant tie between
+// two partitions differently from P = 1 (bench/README.md, defect 3); these
+// configurations have none.
 
 import "testing"
 
-// shardableSchemes are the schemes the sharded runner supports (CliRS-R95's
-// cross-partition duplicate bookkeeping keeps it sequential-only).
-var shardableSchemes = []Scheme{SchemeCliRS, SchemeNetRSToR, SchemeNetRSILP}
-
 func TestGoldenShardDigest(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
-	for _, scheme := range shardableSchemes {
-		scheme := scheme
-		t.Run(scheme.String(), func(t *testing.T) {
+	// CliRS-R95 is not shardable: see TestShardedConfigValidation.
+	rows := []struct {
+		scheme Scheme
+		// cache runs the scheme with 5% writes and a 64 KiB ToR cache, and
+		// checks the shards-1 run actually hits and invalidates, or the
+		// equivalence would be vacuous.
+		cache bool
+	}{
+		{scheme: SchemeCliRS},
+		{scheme: SchemeNetRSToR},
+		{scheme: SchemeNetRSILP},
+		{scheme: SchemeNetCache, cache: true},
+		{scheme: SchemeNetRSCache, cache: true},
+	}
+	for _, row := range rows {
+		t.Run(row.scheme.String(), func(t *testing.T) {
 			t.Parallel()
-			want := goldenDigests[scheme.String()]
+			cfg := goldenConfig(row.scheme)
+			if row.cache {
+				cfg.WriteFraction = 0.05
+				cfg.CacheBytes = 64 << 10
+				cfg.CacheAdmitAfter = 1
+			}
+			want := goldenDigests[row.scheme.String()]
+			var ref []Result
 			for _, shards := range []int{1, 2, 4} {
-				cfg := goldenConfig(scheme)
 				cfg.Shards = shards
 				results, merged, err := RunRepeatedWith(cfg, seeds, RunOptions{Parallelism: 1})
 				if err != nil {
 					t.Fatalf("shards %d: %v", shards, err)
 				}
 				got := resultDigest(results, merged)
+				if ref == nil {
+					ref = results
+					if row.cache {
+						want = got
+						for i, res := range results {
+							if res.CacheHits == 0 || res.CacheInvalidations == 0 {
+								t.Fatalf("seed %d: cache inactive (%d hits, %d invalidations); the equivalence would be vacuous",
+									seeds[i], res.CacheHits, res.CacheInvalidations)
+							}
+						}
+					}
+				}
 				if got != want {
 					t.Errorf("shards %d: digest = %#016x, want %#016x", shards, got, want)
+				}
+				for i, res := range results {
+					if have, base := cacheCounters(res), cacheCounters(ref[i]); have != base {
+						t.Errorf("shards %d seed %d: cache counters %v, want the shards-1 run's %v",
+							shards, seeds[i], have, base)
+					}
 				}
 			}
 		})
 	}
+}
+
+// cacheCounters lists a result's cache counters for comparison.
+func cacheCounters(r Result) [5]uint64 {
+	return [5]uint64{r.CacheHits, r.CacheMisses, r.CacheAdmissions, r.CacheEvictions, r.CacheInvalidations}
 }

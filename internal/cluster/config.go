@@ -233,7 +233,7 @@ type Config struct {
 	ControllerInterval sim.Time
 
 	// KeepLatencyTrace records every measured request's latency in
-	// Result.TraceMs (emission order), for external analysis.
+	// Result.TraceMs (completion order), for external analysis.
 	KeepLatencyTrace bool
 
 	// StatsSampleCap bounds the latency recorder's memory: the run keeps
@@ -259,17 +259,20 @@ type Config struct {
 	// internal/scenario for the JSON schema behind `netrs-sim -scenario`.
 	Scenario scenario.Scenario
 
-	// Shards, when above one, runs the experiment on the pod-parallel
-	// sharded engine: the fat-tree's pods (plus one control partition for
-	// the core switches and the controller) become conservative-PDES
-	// partitions synchronized by the inter-switch link latency, and up to
-	// Shards worker goroutines execute partition windows concurrently.
-	// The partition structure is fixed by the topology, so any Shards
-	// value above one produces the identical event order — the worker
-	// count changes wall time only. Zero or one keeps today's sequential
-	// single-engine path, bit for bit. Sharded runs support the CliRS,
-	// NetRS-ToR, and NetRS-ILP schemes (with epochs and demand shifts);
-	// the remaining single-engine-only features are rejected by validate.
+	// Shards, when above one, runs the experiment over the fat-tree's pod
+	// partitions (plus one control partition for the core switches and the
+	// controller): conservative-PDES partitions synchronized by the
+	// inter-switch link latency, with up to Shards worker goroutines
+	// executing partition windows concurrently. The partition structure is
+	// fixed by the topology, so every Shards value above one produces the
+	// same event order — the worker count changes wall time only. Zero or
+	// one runs the same runner on a single partition: one plain engine with
+	// no barriers, in the event order the golden digests pin. The two agree
+	// except where events of different partitions tie at the exact same
+	// nanosecond, which partitions may order differently (DESIGN.md §11).
+	// Above one, every scheme but CliRS-R95 runs (with epochs, demand
+	// shifts, and shard-safe scenarios); validate rejects the features that
+	// need a single partition.
 	Shards int
 }
 
@@ -280,8 +283,8 @@ func (c Config) IsCacheScheme() bool {
 }
 
 // EffectiveShards is the normalized Shards knob: zero (unset) and one
-// both mean the sequential single-engine path, so every dispatch site —
-// the runner selection here, the trial-worker division in the facade —
+// both mean a single partition on one engine, so every dispatch site —
+// the runner's partition count, the trial-worker division in the facade —
 // asks this one method instead of re-deciding what "unset" means.
 func (c Config) EffectiveShards() int {
 	if c.Shards <= 1 {
@@ -405,10 +408,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("scenario workload shaping needs the synthetic source, not trace replay: %w", ErrInvalidParam)
 	}
 	if c.EffectiveShards() > 1 {
-		// The sharded runner reproduces the sequential event order exactly
-		// for the supported feature set; features whose bookkeeping is
-		// inherently cross-partition-sequential stay on the single-engine
-		// path.
+		// Features whose bookkeeping needs the run-wide order of a single
+		// partition stay at Shards ≤ 1.
 		switch {
 		case c.Scheme == SchemeCliRSR95:
 			return fmt.Errorf("shards: scheme %s needs the single-engine runner: %w", c.Scheme, ErrInvalidParam)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -123,8 +124,8 @@ type EpochRecord struct {
 // client is one end-host issuing requests. Under CliRS it is a full
 // RSNode; under NetRS it only ranks replicas to provide the DRS backup.
 type client struct {
-	idx  int
 	host topo.NodeID
+	part int // the host's partition
 	sel  selection.Selector
 	p95  *stats.P2Quantile
 }
@@ -144,9 +145,10 @@ type pending struct {
 	// packetIDs lists the in-flight packets (primary plus duplicates) so
 	// cancellation can reach the losers.
 	packetIDs []uint64
-	// refs counts live packetCtx records pointing at this pending. Only
-	// the sharded runner maintains it, to recycle the record once the
-	// last context dies; the sequential runner leaves it zero.
+	// refs counts what may still reach this record: live packetCtx
+	// records, an armed CliRS-R95 timer, and the handler working on it.
+	// The record returns to its partition's free list when the count
+	// drops to zero.
 	refs int
 }
 
@@ -159,10 +161,111 @@ type packetCtx struct {
 	sentAt sim.Time
 }
 
-// runner holds one experiment's live state.
+// timedRequest is one pre-generated workload arrival.
+type timedRequest struct {
+	at  sim.Time
+	req workload.Request
+}
+
+// shardState is one partition's slice of the per-request state. Each
+// instance is touched only by its own partition's events, so at P > 1
+// workers never contend; at P = 1 there is exactly one.
+type shardState struct {
+	part int
+	eng  *sim.Engine
+
+	pendings map[uint64]*packetCtx
+	rec      *stats.Recorder
+
+	arrived, completed             int
+	firstDone, lastDone            sim.Time
+	degraded, redundant, cancelled uint64
+
+	// ctxFree recycles packetCtx records: a context is dead once its pid
+	// has left pendings, which only happens after its launch event has
+	// fired, so the steady-state request flow allocates no new ones.
+	ctxFree []*packetCtx
+	// pendFree recycles pending records whose refs dropped to zero.
+	pendFree []*pending
+
+	// launchFn is the shared handler for rate-control-delayed CliRS sends
+	// in this partition (closure-free scheduling; the packetCtx is the
+	// argument).
+	launchFn sim.ArgHandler
+}
+
+// newCtx takes a packetCtx off the partition's free list, or allocates
+// one when the list is dry, and initializes it to v.
+func (st *shardState) newCtx(v packetCtx) *packetCtx {
+	if n := len(st.ctxFree); n > 0 {
+		ctx := st.ctxFree[n-1]
+		st.ctxFree = st.ctxFree[:n-1]
+		*ctx = v
+		return ctx
+	}
+	ctx := new(packetCtx)
+	*ctx = v
+	return ctx
+}
+
+// freeCtx returns a dead context to the free list, zeroed so a stale
+// reader trips over zero values instead of a previous request's state.
+func (st *shardState) freeCtx(ctx *packetCtx) {
+	*ctx = packetCtx{}
+	st.ctxFree = append(st.ctxFree, ctx)
+}
+
+// newPending takes a pending off the partition's free list, or allocates
+// one when the list is dry, and initializes it to v with one reference:
+// the caller's. The recycled record keeps its packetIDs capacity so
+// re-registration never grows a slab.
+func (st *shardState) newPending(v pending) *pending {
+	var p *pending
+	if n := len(st.pendFree); n > 0 {
+		p = st.pendFree[n-1]
+		st.pendFree = st.pendFree[:n-1]
+		v.packetIDs = p.packetIDs
+	} else {
+		p = new(pending)
+	}
+	*p = v
+	p.refs = 1
+	return p
+}
+
+// release drops one reference to p, recycling the record with the last.
+// The zeroed record keeps its packetIDs slab; stale readers see zero
+// values, not old state.
+func (st *shardState) release(p *pending) {
+	p.refs--
+	if p.refs > 0 {
+		return
+	}
+	ids := p.packetIDs[:0]
+	*p = pending{}
+	p.packetIDs = ids
+	st.pendFree = append(st.pendFree, p)
+}
+
+// drop retires a context whose packet will never be answered.
+func (st *shardState) drop(ctx *packetCtx) {
+	delete(st.pendings, ctx.pid)
+	p := ctx.p
+	st.freeCtx(ctx)
+	st.release(p)
+}
+
+// runner holds one experiment's live state over P partitions: P = 1 when
+// Shards ≤ 1, where everything runs on one plain sim.Engine with no
+// ShardSet, barriers, or exchange, and the topology's pod partitions (plus
+// the control partition) otherwise — DESIGN.md §11. Per-request state lives
+// in the partitions; everything else exists once.
 type runner struct {
 	cfg Config
+	// eng is the control engine: the only engine at P = 1, the control
+	// partition's at P > 1. set is nil exactly at P = 1.
 	eng *sim.Engine
+	set *sim.ShardSet
 	ft  *topo.Topology
 	net *fabric.Network
 	ctl *fabric.Controller
@@ -172,20 +275,21 @@ type runner struct {
 	serverHostOf []topo.NodeID
 
 	clients []*client
+	parts   []*shardState
 	source  *workload.Source
 	replay  *workload.TraceSource
 
-	rec      *stats.Recorder
-	pendings map[uint64]*packetCtx
-	tickets  map[uint64]kv.Ticket
-	nextPID  uint64
+	// tickets holds the server queue entries of CliRS-R95 packets for
+	// cross-server cancellation, and is nil unless that is enabled. Only
+	// R95 sends duplicates, and R95 runs at P = 1, so no two partitions
+	// share it.
+	tickets map[uint64]kv.Ticket
+	nextPID uint64
 
 	total, warmup int
-	completed     int
-
-	redundant         uint64
-	degradedResponses uint64
-	cancelled         uint64
+	// deployAt is the completion count that deploys the ILP plan (0:
+	// never); stopAt the one that ends the run (total, except in a pilot).
+	deployAt, stopAt int
 
 	plan    placement.Plan
 	hasPlan bool
@@ -195,42 +299,35 @@ type runner struct {
 	// unless a cache scheme runs with a positive budget.
 	invalidationToRs []topo.NodeID
 
+	// The fault injector, the timeline, and the latency trace run at P = 1
+	// only (validate refuses them at P > 1), so they live here rather than
+	// in the partitions.
 	injector     *faults.Injector
 	timeline     *stats.Timeline
+	trace        []float64
 	errs         []string
 	failedRSNode uint16
-	trace        []float64
 	rate         float64 // offered load (req/s), synthetic or trace-derived
 
-	queueCV    stats.Welford // samples of cross-server queue-length CV
-	samplerRef sim.EventRef
+	queueCV stats.Welford // samples of cross-server queue-length CV
+	epochs  []EpochRecord
+	// timers are the periodic engine events finish cancels (P = 1).
+	timers []sim.EventRef
 
-	epochRef sim.EventRef
-	epochs   []EpochRecord
-
-	// launchPickFn is the shared handler for rate-control-delayed CliRS
-	// sends (closure-free scheduling; the packetCtx is the argument).
-	launchPickFn sim.ArgHandler
-
-	// redundantFn is the shared handler for CliRS-R95 duplicate timers
-	// (the pending request is the argument).
+	// arriveFn delivers a pre-generated arrival (P > 1; the argument is a
+	// *timedRequest), redundantFn fires a CliRS-R95 duplicate timer (the
+	// argument is the pending request).
+	arriveFn    sim.ArgHandler
 	redundantFn sim.ArgHandler
-
-	// Pilot mode (sharded NetRS-ILP runs only): stop after pilotStop
-	// completions, recording the instants of the first and pilotStop-th —
-	// the completion-count triggers the windowed engine replays as
-	// absolute-time globals. Zero disables pilot mode entirely.
-	pilotStop        int
-	pilotT1, pilotTm sim.Time
 
 	netrs bool
 }
 
 // Run executes one experiment and returns its results.
 //
-// Run is safe for concurrent use: every call builds its own engine, RNG
+// Run is safe for concurrent use: every call builds its own engines, RNG
 // streams (all derived from cfg.Seed), topology, servers, selectors, and
-// recorder, and the packages it draws on keep no package-level mutable
+// recorders, and the packages it draws on keep no package-level mutable
 // state (their only globals are immutable sentinel errors). Concurrent
 // runs therefore produce exactly the results sequential runs would —
 // the property the parallel sweep executor depends on.
@@ -238,32 +335,35 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	if cfg.EffectiveShards() > 1 {
-		return runSharded(cfg)
-	}
-	r := &runner{
-		cfg:      cfg,
-		eng:      sim.NewEngine(),
-		pendings: make(map[uint64]*packetCtx),
-		tickets:  make(map[uint64]kv.Ticket),
-		netrs:    cfg.Scheme == SchemeNetRSToR || cfg.Scheme == SchemeNetRSILP || cfg.Scheme == SchemeNetRSCache,
-	}
-	r.launchPickFn = func(arg any) { r.launchPick(arg.(*packetCtx)) }
-	r.redundantFn = func(arg any) { r.fireRedundant(arg.(*pending)) }
+	r := &runner{cfg: cfg}
 	if err := r.setup(); err != nil {
 		return Result{}, err
 	}
-	return r.execute()
+	if err := r.start(); err != nil {
+		return Result{}, err
+	}
+	if err := r.drive(); err != nil {
+		return Result{}, err
+	}
+	return r.result()
 }
 
 func (r *runner) setup() error {
 	cfg := r.cfg
+	// Stream derivation never draws from the root, so every component sees
+	// the same generator whatever the construction order.
 	root := sim.NewRNG(cfg.Seed)
+	r.netrs = cfg.Scheme == SchemeNetRSToR || cfg.Scheme == SchemeNetRSILP || cfg.Scheme == SchemeNetRSCache
+	if cfg.CancelDuplicates && cfg.Scheme == SchemeCliRSR95 {
+		r.tickets = make(map[uint64]kv.Ticket)
+	}
+	r.arriveFn = func(arg any) { r.onArrival(arg.(*timedRequest).req) }
+	r.redundantFn = func(arg any) { r.fireRedundant(arg.(*pending)) }
 
-	// Topology and ring may be preset by a sharded run's pilot: both are
-	// read-only after construction and deterministic in cfg, so sharing
-	// them skips rebuilding the largest construction-time structures
-	// without any observable difference.
+	// Topology and ring may be preset by a pilot: both are read-only after
+	// construction and deterministic in cfg, so sharing them skips
+	// rebuilding the largest construction-time structures without any
+	// observable difference.
 	var err error
 	if r.ft == nil {
 		if r.ft, err = topo.NewFatTree(cfg.FatTreeK); err != nil {
@@ -283,21 +383,6 @@ func (r *runner) setup() error {
 	}
 	if r.ring.Groups() >= 1<<24 {
 		return fmt.Errorf("%d replica groups exceed the 24-bit RGID space: %w", r.ring.Groups(), ErrInvalidParam)
-	}
-
-	// Replica servers.
-	serverCfg := kv.ServerConfig{
-		Parallelism:         cfg.Parallelism,
-		MeanServiceTime:     cfg.MeanServiceTime,
-		FluctuationInterval: cfg.FluctuationInterval,
-		FluctuationRange:    cfg.FluctuationRange,
-	}
-	for i := 0; i < cfg.Servers; i++ {
-		srv, err := kv.NewServer(i, r.eng, serverCfg, root.Stream(uint64(10+i)))
-		if err != nil {
-			return err
-		}
-		r.servers = append(r.servers, srv)
 	}
 
 	// Workload rate, needed both for the source and to size the C3 rate
@@ -342,9 +427,45 @@ func (r *runner) setup() error {
 
 	// The in-network layer. CliRS runs over the same fabric with inert
 	// operators (its packets are non-NetRS and are simply forwarded).
+	// Every node schedules on its partition's engine: the one engine at
+	// P = 1, its pod's (or the control partition's) at P > 1.
 	factory := r.operatorSelectorFactory(root, rate)
-	if r.net, err = fabric.NewNetwork(r.eng, r.ft, cfg.Fabric, factory); err != nil {
+	var engs []*sim.Engine
+	if shards := cfg.EffectiveShards(); shards > 1 {
+		if r.set, err = sim.NewShardSet(r.ft.PodPartitions(), shards, cfg.Fabric.LinkLatency); err != nil {
+			return err
+		}
+		for p := 0; p < r.set.Partitions(); p++ {
+			engs = append(engs, r.set.Engine(p))
+		}
+		r.net, err = fabric.NewShardedNetwork(r.set, r.ft, cfg.Fabric, factory)
+	} else {
+		engs = []*sim.Engine{sim.NewEngine()}
+		r.net, err = fabric.NewNetwork(engs[0], r.ft, cfg.Fabric, factory)
+	}
+	if err != nil {
 		return err
+	}
+	r.eng = r.net.Engine()
+	for p, eng := range engs {
+		st := &shardState{part: p, eng: eng, pendings: make(map[uint64]*packetCtx)}
+		st.launchFn = func(arg any) { r.launchPick(st, arg.(*packetCtx)) }
+		r.parts = append(r.parts, st)
+	}
+
+	// Replica servers, each on its host's partition engine.
+	serverCfg := kv.ServerConfig{
+		Parallelism:         cfg.Parallelism,
+		MeanServiceTime:     cfg.MeanServiceTime,
+		FluctuationInterval: cfg.FluctuationInterval,
+		FluctuationRange:    cfg.FluctuationRange,
+	}
+	for i, host := range r.serverHostOf {
+		srv, err := kv.NewServer(i, r.net.EngineOf(host), serverCfg, root.Stream(uint64(10+i)))
+		if err != nil {
+			return err
+		}
+		r.servers = append(r.servers, srv)
 	}
 
 	// Scenario statics (heterogeneous server classes, persistently slow
@@ -359,9 +480,9 @@ func (r *runner) setup() error {
 			return err
 		}
 	}
-	for i, host := range deployment.ClientHosts {
-		c := &client{idx: i, host: host}
-		if c.sel, err = r.clientSelector(root.Stream(uint64(100000 + i))); err != nil {
+	for _, host := range deployment.ClientHosts {
+		c := &client{host: host, part: r.net.PartitionOf(host)}
+		if c.sel, err = r.clientSelector(r.parts[c.part].eng); err != nil {
 			return err
 		}
 		if cfg.Scheme == SchemeCliRSR95 {
@@ -375,7 +496,7 @@ func (r *runner) setup() error {
 		}
 	}
 
-	// Workload: either the synthetic open-loop source or a trace replay.
+	// Workload: either a trace replay or the synthetic open-loop source.
 	if len(traceEntries) > 0 {
 		r.total = len(traceEntries)
 		r.warmup = int(cfg.WarmupFraction * float64(r.total))
@@ -400,14 +521,27 @@ func (r *runner) setup() error {
 			Modulation:    cfg.Scenario.RateModulation(),
 			Spike:         cfg.Scenario.KeySpike(),
 		}
-		if r.source, err = workload.NewSource(srcCfg, r.eng, root.Stream(3), r.onArrival); err != nil {
+		if err := r.setupArrivals(srcCfg, root.Stream(3)); err != nil {
 			return err
 		}
 	}
-	if cfg.StatsSampleCap > 0 {
-		r.rec = stats.NewBoundedRecorder(r.total-r.warmup, cfg.StatsSampleCap)
-	} else {
-		r.rec = stats.NewRecorder(r.total - r.warmup)
+	r.stopAt = r.total
+	if cfg.Scheme == SchemeNetRSILP {
+		r.deployAt = (r.warmup + 1) / 2
+	}
+	// One recorder per partition. result folds the others into the first,
+	// so it is sized for the whole run and the fold never regrows it.
+	measured := r.total - r.warmup
+	for i, st := range r.parts {
+		hint := measured
+		if i > 0 {
+			hint = measured/len(r.parts) + 1
+		}
+		if cfg.StatsSampleCap > 0 {
+			st.rec = stats.NewBoundedRecorder(hint, cfg.StatsSampleCap)
+		} else {
+			st.rec = stats.NewRecorder(hint)
+		}
 	}
 	if cfg.TimelineBucket > 0 {
 		if r.timeline, err = stats.NewTimeline(cfg.TimelineBucket); err != nil {
@@ -432,7 +566,6 @@ func (r *runner) setup() error {
 			return err
 		}
 	}
-
 	// The NetRS control plane.
 	if r.netrs {
 		if err := r.setupControlPlane(deployment.ClientHosts, rate); err != nil {
@@ -454,6 +587,59 @@ func (r *runner) setup() error {
 		r.invalidationToRs = tors
 	}
 	return nil
+}
+
+// setupArrivals wires the synthetic workload. At P = 1 the live source
+// emits on the engine as the run goes. At P > 1 the arrival sequence is
+// pre-generated and each arrival is scheduled into its client's partition
+// at its absolute instant, in arrival order — the FIFO order one engine
+// gives equal-instant emissions. Scheduling every arrival up front at
+// P = 1 too would hold ~100k extra agenda entries at the default request
+// count and change the tie order the golden digests pin.
+func (r *runner) setupArrivals(srcCfg workload.SourceConfig, rng *sim.RNG) error {
+	if r.set == nil {
+		var err error
+		r.source, err = workload.NewSource(srcCfg, r.eng, rng, r.onArrival)
+		return err
+	}
+	arrivals, err := pregenerate(srcCfg, rng)
+	if err != nil {
+		return err
+	}
+	if len(arrivals) != r.total {
+		return fmt.Errorf("pre-generated %d arrivals, want %d: %w", len(arrivals), r.total, ErrInvalidParam)
+	}
+	// Each event's argument points into the arrivals slice: boxing a bare
+	// index would cost one allocation per arrival.
+	for i := range arrivals {
+		a := &arrivals[i]
+		st := r.parts[r.clients[a.req.Client].part]
+		if _, err := st.eng.ScheduleArgAt(a.at, r.arriveFn, a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pregenerate runs the synthetic source against a scratch engine that
+// carries nothing else and records the emission sequence. The source's
+// tick times and draws depend only on its own streams (per-generator
+// Poisson processes; key and client draws in emission order), and the
+// relative order of equal-instant ticks reduces to the order of their
+// scheduling instants, which the scratch engine reproduces — so the
+// sequence is identical to what the live source emits inside a full run.
+func pregenerate(srcCfg workload.SourceConfig, rng *sim.RNG) ([]timedRequest, error) {
+	eng := sim.NewEngine()
+	out := make([]timedRequest, 0, srcCfg.Total)
+	src, err := workload.NewSource(srcCfg, eng, rng, func(req workload.Request) {
+		out = append(out, timedRequest{at: eng.Now(), req: req})
+	})
+	if err != nil {
+		return nil, err
+	}
+	src.Start()
+	eng.Run()
+	return out, nil
 }
 
 // installOperatorDBs installs the ring-backed replica-group database and
@@ -506,22 +692,23 @@ func enableCaches(cfg Config, net *fabric.Network) ([]topo.NodeID, error) {
 	return tors, nil
 }
 
-// operatorSelectorFactory builds the per-operator replica-selection state.
-// aggregateRate (req/s) sizes C3's initial rate limit at the steady-state
-// per-server demand: the evaluation measures steady state, and with
-// scaled-down request counts a cold slow-start could otherwise occupy the
-// whole measured window at small service times.
-func (r *runner) operatorSelectorFactory(root *sim.RNG, aggregateRate float64) func(uint16) (fabric.Selector, error) {
+// operatorSelectorFactory builds the per-operator replica-selection state
+// on the operator's partition engine. aggregateRate (req/s) sizes C3's
+// initial rate limit at the steady-state per-server demand: the evaluation
+// measures steady state, and with scaled-down request counts a cold
+// slow-start could otherwise occupy the whole measured window at small
+// service times.
+func (r *runner) operatorSelectorFactory(root *sim.RNG, aggregateRate float64) func(uint16, *sim.Engine) (fabric.Selector, error) {
 	if !r.netrs {
 		// CliRS traffic never consults operator selectors.
-		return func(uint16) (fabric.Selector, error) { return &selection.RoundRobin{}, nil }
+		return func(uint16, *sim.Engine) (fabric.Selector, error) { return &selection.RoundRobin{}, nil }
 	}
 	if alg := r.cfg.OperatorAlgorithm; alg != "" && alg != selection.AlgoC3 {
-		return func(id uint16) (fabric.Selector, error) {
-			return selection.New(alg, r.eng, root.Stream(uint64(500000)+uint64(id)))
+		return func(id uint16, eng *sim.Engine) (fabric.Selector, error) {
+			return selection.New(alg, eng, root.Stream(uint64(500000)+uint64(id)))
 		}
 	}
-	return func(id uint16) (fabric.Selector, error) {
+	return func(_ uint16, eng *sim.Engine) (fabric.Selector, error) {
 		cfg := c3.NewDefaultConfig()
 		cfg.RateControl = r.cfg.RateControl
 		perServerPerInterval := aggregateRate *
@@ -532,17 +719,18 @@ func (r *runner) operatorSelectorFactory(root *sim.RNG, aggregateRate float64) f
 		if cfg.MaxRate < 8*perServerPerInterval {
 			cfg.MaxRate = 8 * perServerPerInterval
 		}
-		return selection.NewC3(cfg, r.eng)
+		return selection.NewC3(cfg, eng)
 	}
 }
 
-// clientSelector builds a client's local selection state: the full C3
-// RSNode under CliRS, a feedback-fed ranker for DRS backups under NetRS.
-func (r *runner) clientSelector(rng *sim.RNG) (selection.Selector, error) {
+// clientSelector builds a client's local selection state on its
+// partition engine: the full C3 RSNode under CliRS, a feedback-fed ranker
+// for DRS backups under NetRS.
+func (r *runner) clientSelector(eng *sim.Engine) (selection.Selector, error) {
 	cfg := c3.NewDefaultConfig()
 	cfg.ConcurrencyWeight = float64(r.cfg.Clients)
 	cfg.RateControl = r.cfg.RateControl && !r.netrs
-	return selection.NewC3(cfg, r.eng)
+	return selection.NewC3(cfg, eng)
 }
 
 // setupControlPlane defines traffic groups, installs databases and the
@@ -584,8 +772,7 @@ func (r *runner) setupControlPlane(clientHosts []topo.NodeID, rate float64) erro
 	return nil
 }
 
-// buildGroupDefs derives traffic groups from the client deployment; both
-// runners (sequential and sharded) define their groups through it.
+// buildGroupDefs derives traffic groups from the client deployment.
 func buildGroupDefs(cfg Config, ft *topo.Topology, clientHosts []topo.NodeID) ([]fabric.GroupDef, error) {
 	if !cfg.RackLevelGroups {
 		groups := make([]fabric.GroupDef, len(clientHosts))
@@ -643,55 +830,160 @@ func setOperatorWeights(net *fabric.Network, rsnodes int) {
 	}
 }
 
-// execute starts the workload, drives the engine, and summarizes.
-func (r *runner) execute() (Result, error) {
+// start arms the run: the replayed completion-count triggers (P > 1), the
+// servers, the queue sampler, the fault schedule, and the live arrival
+// source. At P > 1 setup has already scheduled every arrival.
+func (r *runner) start() error {
+	if err := r.replayTriggers(); err != nil {
+		return err
+	}
 	for _, srv := range r.servers {
 		srv.Start()
 	}
-	r.startQueueSampler()
+	// The sampling period is the fluctuation interval (or 50 ms when
+	// fluctuation is disabled).
+	period := r.cfg.FluctuationInterval
+	if period <= 0 {
+		period = 50 * sim.Millisecond
+	}
+	r.every(period, r.sampleQueues)
 	if r.injector != nil {
 		if err := r.injector.Start(); err != nil {
-			return Result{}, err
+			return err
 		}
 	}
 	if r.replay != nil {
-		if err := r.replay.Start(); err != nil {
-			return Result{}, err
-		}
-	} else {
+		return r.replay.Start()
+	}
+	if r.source != nil {
 		r.source.Start()
 	}
+	return nil
+}
 
+// replayTriggers registers the completion-count triggers at P > 1. No
+// partition can observe the run-wide completion count mid-window, so a
+// pilot — this experiment at P = 1 with the deploy suppressed, which is
+// bit-identical up to the deploy because nothing before it depends on it —
+// records the instants of the first and the deploy-th completions, and the
+// monitor reset and the ILP deploy replay there as inclusive globals
+// (P = 1 performs both inside the completion's handler, after that
+// instant's other events). At P = 1 the triggers fire inline
+// (onCompletion). NetRS-ToR's first-completion monitor reset is skipped at
+// P > 1: only the ILP deploy and epochs read the monitors.
+func (r *runner) replayTriggers() error {
+	if r.set == nil || r.deployAt < 1 {
+		return nil
+	}
+	t1, tm, err := r.runPilot(r.deployAt)
+	if err != nil {
+		return err
+	}
+	reset := func() { r.ctl.ResetMonitors(t1) }
+	if tm == t1 {
+		// Deployment at the very first completion: the handler deploys
+		// before it resets.
+		r.mustGlobal(tm, true, r.deployILPPlan)
+		r.mustGlobal(t1, true, reset)
+		return nil
+	}
+	r.mustGlobal(t1, true, reset)
+	r.mustGlobal(tm, true, r.deployILPPlan)
+	return nil
+}
+
+// runPilot runs this experiment at P = 1 with the ILP deploy suppressed up
+// to the stop-th completion and returns the instants of the first and the
+// stop-th completions. The pilot shares the read-only topology and ring.
+func (r *runner) runPilot(stop int) (t1, tm sim.Time, err error) {
+	cfg := r.cfg
+	cfg.Shards = 1
+	p := &runner{cfg: cfg, ft: r.ft, ring: r.ring}
+	if err := p.setup(); err != nil {
+		return 0, 0, err
+	}
+	p.deployAt, p.stopAt = 0, stop
+	if err := p.start(); err != nil {
+		return 0, 0, err
+	}
+	if err := p.drive(); err != nil {
+		return 0, 0, fmt.Errorf("pilot: %w", err)
+	}
+	return p.parts[0].firstDone, p.parts[0].lastDone, nil
+}
+
+// drive runs the experiment to its stop-th completion.
+func (r *runner) drive() error {
 	// Generous watchdog: tens of times the expected span.
 	expected := float64(r.total) / r.rate
 	deadline := sim.FromSeconds(expected*20 + 30)
-	r.eng.RunUntil(deadline)
-
-	if r.completed < r.total {
-		return Result{}, fmt.Errorf("cluster: %d of %d requests completed by watchdog deadline %v",
-			r.completed, r.total, deadline)
+	// P = 1 runs its engine until the stop-th completion's handler stops
+	// it. P > 1 runs windows until the completion count, read at a barrier
+	// where every worker has joined, reaches the stop.
+	if r.set == nil {
+		r.eng.RunUntil(deadline)
+	} else {
+		err := r.set.Run(deadline, func(sim.Time) bool { return r.completedTotal() >= r.stopAt })
+		if err != nil && !errors.Is(err, sim.ErrDeadline) {
+			return err
+		}
 	}
+	if n := r.completedTotal(); n < r.stopAt {
+		return fmt.Errorf("cluster: %d of %d requests completed by watchdog deadline %v",
+			n, r.stopAt, deadline)
+	}
+	return nil
+}
 
-	summary, err := r.rec.Summarize()
+// completedTotal sums the partition completion counters. At P > 1 it is
+// only read at barriers (globals and the afterWindow hook).
+func (r *runner) completedTotal() int {
+	n := 0
+	for _, st := range r.parts {
+		n += st.completed
+	}
+	return n
+}
+
+// result summarizes the finished run.
+func (r *runner) result() (Result, error) {
+	res := Result{
+		Scheme:       r.cfg.Scheme,
+		FailedRSNode: r.failedRSNode,
+		TraceMs:      r.trace,
+		Errors:       r.errs,
+		Epochs:       r.epochs,
+		QueueCVMean:  r.queueCV.Mean(),
+	}
+	// The partition recorders fold into the first: the merged multiset is
+	// the one a single recorder would hold, and the summary is
+	// order-independent (count, integer-sum mean, sorted percentiles).
+	rec := r.parts[0].rec
+	for i, st := range r.parts {
+		if i > 0 {
+			if err := rec.Merge(st.rec); err != nil {
+				return Result{}, err
+			}
+		}
+		res.Emitted += st.arrived
+		res.Completed += st.completed
+		res.DegradedResponses += st.degraded
+		res.RedundantSent += st.redundant
+		res.CancelledDuplicates += st.cancelled
+		// The logical end of the run is the last completion instant, where
+		// P = 1 stops its engine. Partition clocks at P > 1 may overrun it
+		// by up to one window, but only on invisible timers (server
+		// fluctuation redraws): at the last completion nothing is in
+		// flight.
+		if st.lastDone > res.SimulatedSpan {
+			res.SimulatedSpan = st.lastDone
+		}
+	}
+	summary, err := rec.Summarize()
 	if err != nil {
 		return Result{}, fmt.Errorf("summarize: %w", err)
 	}
-	emitted := 0
-	if r.replay != nil {
-		emitted = r.replay.Emitted()
-	} else {
-		emitted = r.source.Emitted()
-	}
-	res := Result{
-		Scheme:              r.cfg.Scheme,
-		Summary:             summary,
-		Emitted:             emitted,
-		Completed:           r.completed,
-		RedundantSent:       r.redundant,
-		CancelledDuplicates: r.cancelled,
-		DegradedResponses:   r.degradedResponses,
-		SimulatedSpan:       r.eng.Now(),
-	}
+	res.Summary = summary
 	if r.netrs && r.hasPlan {
 		res.RSNodes = len(r.plan.RSNodes)
 		res.DegradedGroups = len(r.plan.Degraded)
@@ -705,21 +997,16 @@ func (r *runner) execute() (Result, error) {
 	} else {
 		res.RSNodes = r.cfg.Clients
 	}
-	res.FailedRSNode = r.failedRSNode
-	res.TraceMs = r.trace
 	if r.timeline != nil {
 		res.Timeline = r.timeline.Buckets()
 	}
-	res.Errors = r.errs
-	res.Epochs = r.epochs
 	var loads stats.Welford
 	for _, srv := range r.servers {
 		loads.Observe(float64(srv.Served()))
 	}
 	res.ServerLoadCV = loads.CV()
-	res.QueueCVMean = r.queueCV.Mean()
 	for _, op := range r.net.OperatorsSorted() {
-		if u := op.Accelerator().Utilization(); u > res.MaxAccelUtilization {
+		if u := op.Accelerator().UtilizationAt(res.SimulatedSpan); u > res.MaxAccelUtilization {
 			res.MaxAccelUtilization = u
 		}
 		res.OperatorSelections += op.Stats().Selections
@@ -742,85 +1029,97 @@ func collectCacheStats(op *fabric.Operator, res *Result) {
 	res.CacheInvalidations += s.Invalidations
 }
 
-// onArrival is the workload sink: one logical read request.
+// onArrival is the workload sink: one logical request, executing in the
+// issuing client's partition.
 func (r *runner) onArrival(req workload.Request) {
 	c := r.clients[req.Client]
+	st := r.parts[c.part]
+	st.arrived++
 	rgid := r.ring.GroupOfKey(req.Key)
 	replicas, err := r.ring.Replicas(rgid)
 	if err != nil {
 		return
 	}
-	p := &pending{
+	p := st.newPending(pending{
 		logicalIdx: req.Index,
 		client:     c,
 		rgid:       rgid,
 		replicas:   replicas,
 		key:        req.Key,
 		write:      req.Write,
-		created:    r.eng.Now(),
+		created:    st.eng.Now(),
 		primary:    -1,
-	}
+	})
 	if r.netrs || r.cfg.Scheme == SchemeNetCache {
-		r.sendNetRS(p)
-		return
+		r.sendNetRS(st, p)
+	} else {
+		r.sendClientPick(st, p, replicas, true)
 	}
-	r.sendClientPick(p, replicas, true)
+	st.release(p) // this handler's reference
 }
 
-func (r *runner) newPID() uint64 {
-	r.nextPID++
-	return r.nextPID
+// packetID names a new packet of p. At P = 1 a run counter hands out IDs,
+// which CliRS-R95 duplicates need. At P > 1 no partition can read a shared
+// counter mid-window; every request sends exactly one packet there (R95
+// is refused), so the arrival index reproduces the counter's sequence.
+func (r *runner) packetID(p *pending) uint64 {
+	if r.set == nil {
+		r.nextPID++
+		return r.nextPID
+	}
+	return uint64(p.logicalIdx) + 1
 }
 
 // sendClientPick realizes the CliRS flow: the client's own C3 instance
 // picks the replica (possibly delaying the send under rate control) and
 // the request travels directly to the chosen server.
-func (r *runner) sendClientPick(p *pending, candidates []int, primary bool) {
-	c := p.client
-	server, delay, err := c.sel.Pick(candidates)
+func (r *runner) sendClientPick(st *shardState, p *pending, candidates []int, primary bool) {
+	server, delay, err := p.client.sel.Pick(candidates)
 	if err != nil {
 		return
 	}
-	pid := r.newPID()
-	ctx := &packetCtx{p: p, pid: pid, server: server}
-	r.pendings[pid] = ctx
+	pid := r.packetID(p)
+	ctx := st.newCtx(packetCtx{p: p, pid: pid, server: server})
+	st.pendings[pid] = ctx
+	p.refs++
 	p.packetIDs = append(p.packetIDs, pid)
 	if delay > 0 {
-		r.eng.MustScheduleArg(delay, r.launchPickFn, ctx)
+		st.eng.MustScheduleArg(delay, st.launchFn, ctx)
 	} else {
-		r.launchPick(ctx)
+		r.launchPick(st, ctx)
 	}
 	if primary {
 		p.primary = server
 		if r.cfg.Scheme == SchemeCliRSR95 {
-			r.armRedundantTimer(p)
+			r.armRedundantTimer(st, p)
 		}
 	}
 }
 
 // launchPick puts a CliRS request on the wire once any rate-control delay
 // has elapsed.
-func (r *runner) launchPick(ctx *packetCtx) {
+func (r *runner) launchPick(st *shardState, ctx *packetCtx) {
 	p := ctx.p
 	if p.done {
-		delete(r.pendings, ctx.pid)
+		st.drop(ctx)
 		return
 	}
-	ctx.sentAt = r.eng.Now()
-	pkt := r.net.NewPacket()
+	ctx.sentAt = st.eng.Now()
+	pkt := r.net.NewPacketIn(st.part)
 	pkt.ReqID = ctx.pid
 	pkt.Dst = r.serverHostOf[ctx.server]
 	pkt.Server = ctx.server
 	pkt.RGID = uint32(p.rgid)
 	pkt.CreatedAt = p.created
 	if err := r.net.SendDirect(pkt, p.client.host); err != nil {
-		delete(r.pendings, ctx.pid)
+		st.drop(ctx)
 	}
 }
 
 // armRedundantTimer schedules the CliRS-R95 duplicate once the request has
 // been outstanding longer than the client's latency-percentile estimate.
-func (r *runner) armRedundantTimer(p *pending) {
+// The armed timer holds a reference to p.
+func (r *runner) armRedundantTimer(st *shardState, p *pending) {
 	c := p.client
 	if c.p95 == nil || c.p95.Observations() < 20 {
 		return // no trustworthy estimate yet
@@ -829,43 +1128,46 @@ func (r *runner) armRedundantTimer(p *pending) {
 	if threshold <= 0 {
 		return
 	}
-	p.timer = r.eng.MustScheduleArg(threshold, r.redundantFn, p)
+	p.refs++
+	p.timer = st.eng.MustScheduleArg(threshold, r.redundantFn, p)
 }
 
 // fireRedundant is the CliRS-R95 duplicate-timer handler: when the
 // primary has not answered by the p95 threshold, re-issue the request to
 // the remaining replicas.
 func (r *runner) fireRedundant(p *pending) {
-	if p.done {
-		return
-	}
-	filtered := make([]int, 0, len(p.replicas))
-	for _, s := range p.replicas {
-		if s != p.primary {
-			filtered = append(filtered, s)
+	st := r.parts[p.client.part]
+	if !p.done {
+		filtered := make([]int, 0, len(p.replicas))
+		for _, s := range p.replicas {
+			if s != p.primary {
+				filtered = append(filtered, s)
+			}
+		}
+		if len(filtered) > 0 {
+			st.redundant++
+			if r.timeline != nil {
+				r.timeline.RecordTimeout(st.eng.Now())
+			}
+			r.sendClientPick(st, p, filtered, false)
 		}
 	}
-	if len(filtered) == 0 {
-		return
-	}
-	r.redundant++
-	if r.timeline != nil {
-		r.timeline.RecordTimeout(r.eng.Now())
-	}
-	r.sendClientPick(p, filtered, false)
+	st.release(p) // the fired timer's reference
 }
 
 // sendNetRS realizes the NetRS flow: the request heads for the network
 // with its replica group ID and a client-provided DRS backup; the
 // in-network RSNode picks the replica.
-func (r *runner) sendNetRS(p *pending) {
+func (r *runner) sendNetRS(st *shardState, p *pending) {
 	c := p.client
 	ranked := c.sel.Rank(p.replicas)
 	backup := ranked[0]
-	pid := r.newPID()
-	r.pendings[pid] = &packetCtx{p: p, pid: pid, server: -1, sentAt: r.eng.Now()}
+	pid := r.packetID(p)
+	ctx := st.newCtx(packetCtx{p: p, pid: pid, server: -1, sentAt: st.eng.Now()})
+	st.pendings[pid] = ctx
+	p.refs++
 	p.packetIDs = append(p.packetIDs, pid)
-	pkt := r.net.NewPacket()
+	pkt := r.net.NewPacketIn(st.part)
 	pkt.ReqID = pid
 	pkt.RGID = uint32(p.rgid)
 	pkt.Dst = topo.InvalidNode
@@ -875,14 +1177,16 @@ func (r *runner) sendNetRS(p *pending) {
 	pkt.Write = p.write
 	pkt.CreatedAt = p.created
 	if err := r.net.SendNetRSRequest(pkt, c.host); err != nil {
-		delete(r.pendings, pid)
+		st.drop(ctx)
 	}
 }
 
-// serverHandler services requests at a replica server's host.
+// serverHandler services requests at a replica server's host (that host's
+// partition).
 func (r *runner) serverHandler(sid int) fabric.HostHandler {
 	srv := r.servers[sid]
 	host := r.serverHostOf[sid]
+	part := r.net.PartitionOf(host)
 	return func(pkt *fabric.Packet) {
 		reqMagic := pkt.Magic
 		reqID := pkt.ReqID
@@ -893,14 +1197,14 @@ func (r *runner) serverHandler(sid int) fabric.HostHandler {
 		clientHost := pkt.Src
 		created := pkt.CreatedAt
 		ticket := srv.Submit(kv.Request{Done: func(sim.Time) {
-			if r.cfg.CancelDuplicates {
+			if r.tickets != nil {
 				delete(r.tickets, reqID)
 			}
 			respMagic := wire.Magic(0)
 			if reqMagic != 0 {
 				respMagic = wire.InverseTransform(reqMagic)
 			}
-			resp := r.net.NewPacket()
+			resp := r.net.NewPacketIn(part)
 			resp.ReqID = reqID
 			resp.Magic = respMagic
 			resp.RID = rid
@@ -915,10 +1219,10 @@ func (r *runner) serverHandler(sid int) fabric.HostHandler {
 				return
 			}
 			if write {
-				r.sendInvalidations(host, reqID, key)
+				r.sendInvalidations(part, host, reqID, key)
 			}
 		}})
-		if r.cfg.CancelDuplicates {
+		if r.tickets != nil {
 			r.tickets[reqID] = ticket
 		}
 	}
@@ -926,10 +1230,11 @@ func (r *runner) serverHandler(sid int) fabric.HostHandler {
 
 // sendInvalidations fans a committed write's coherence messages out from
 // the server's host to every enabled ToR cache, one packet per rack in
-// topology order. With no enabled caches it is a no-op.
-func (r *runner) sendInvalidations(host topo.NodeID, reqID uint64, key uint64) {
+// topology order; cross-partition deliveries ride the exchange like any
+// other packet. With no enabled caches it is a no-op.
+func (r *runner) sendInvalidations(part int, host topo.NodeID, reqID uint64, key uint64) {
 	for _, tor := range r.invalidationToRs {
-		inv := r.net.NewPacket()
+		inv := r.net.NewPacketIn(part)
 		inv.ReqID = reqID
 		inv.Key = key
 		inv.Write = true
@@ -939,97 +1244,121 @@ func (r *runner) sendInvalidations(host topo.NodeID, reqID uint64, key uint64) {
 	}
 }
 
-// clientHandler receives responses at a client host.
+// clientHandler receives responses at a client host (that host's
+// partition).
 func (r *runner) clientHandler(c *client) fabric.HostHandler {
+	st := r.parts[c.part]
 	return func(pkt *fabric.Packet) {
-		ctx, ok := r.pendings[pkt.ReqID]
+		ctx, ok := st.pendings[pkt.ReqID]
 		if !ok {
 			return // stray (e.g. duplicate answered after completion cleanup)
 		}
-		delete(r.pendings, pkt.ReqID)
-		now := r.eng.Now()
+		delete(st.pendings, pkt.ReqID)
+		now := st.eng.Now()
+		// The context's reference to p passes to this handler.
+		p, sentAt := ctx.p, ctx.sentAt
+		st.freeCtx(ctx) // off the map and launched: dead from here on
 		// Cache hits carry the -1 server sentinel: no replica served them,
 		// so there is no feedback to fold into the selector.
 		if pkt.Server >= 0 {
-			c.sel.OnResponse(pkt.Server, now-ctx.sentAt, pkt.Status)
+			c.sel.OnResponse(pkt.Server, now-sentAt, pkt.Status)
 		}
-		if pkt.RID == wire.DegradedRID {
-			r.degradedResponses++
+		degraded := pkt.RID == wire.DegradedRID
+		if degraded {
+			st.degraded++
 		}
-		p := ctx.p
-		if p.done {
-			return // a duplicate raced the primary; first response won
+		// A duplicate that raced the primary loses: first response wins.
+		if !p.done {
+			r.complete(st, p, pkt.ReqID, degraded, now)
 		}
-		p.done = true
-		p.timer.Cancel()
-		// Cross-server cancellation: the race is decided, withdraw any
-		// sibling still queued at its server.
-		if r.cfg.CancelDuplicates {
-			for _, pid := range p.packetIDs {
-				if pid == pkt.ReqID {
-					continue
+		st.release(p)
+	}
+}
+
+// complete records p's first response, answered by packet winner. The
+// caller holds a reference to p, so none released here is the last.
+func (r *runner) complete(st *shardState, p *pending, winner uint64, degraded bool, now sim.Time) {
+	c := p.client
+	p.done = true
+	if p.timer.Cancel() {
+		p.refs-- // the armed timer's
+	}
+	// Cross-server cancellation: the race is decided, withdraw any
+	// sibling still queued at its server.
+	if r.tickets != nil {
+		for _, pid := range p.packetIDs {
+			if pid == winner {
+				continue
+			}
+			sibling, live := st.pendings[pid]
+			if !live {
+				continue
+			}
+			if ticket, ok := r.tickets[pid]; ok && ticket.Cancel() {
+				delete(r.tickets, pid)
+				delete(st.pendings, pid)
+				st.cancelled++
+				if ab, ok := c.sel.(selection.Abandoner); ok && sibling.server >= 0 {
+					ab.OnAbandon(sibling.server)
 				}
-				sibling, live := r.pendings[pid]
-				if !live {
-					continue
-				}
-				if ticket, ok := r.tickets[pid]; ok && ticket.Cancel() {
-					delete(r.tickets, pid)
-					delete(r.pendings, pid)
-					r.cancelled++
-					if ab, ok := c.sel.(selection.Abandoner); ok && sibling.server >= 0 {
-						ab.OnAbandon(sibling.server)
-					}
-				}
+				st.freeCtx(sibling)
+				p.refs--
 			}
 		}
-		latency := now - p.created
-		if c.p95 != nil {
-			c.p95.Observe(float64(latency))
+	}
+	latency := now - p.created
+	if c.p95 != nil {
+		c.p95.Observe(float64(latency))
+	}
+	if p.logicalIdx >= r.warmup {
+		st.rec.Record(latency)
+		if r.cfg.KeepLatencyTrace {
+			r.trace = append(r.trace, latency.Float64Ms())
 		}
-		if p.logicalIdx >= r.warmup {
-			r.rec.Record(latency)
-			if r.cfg.KeepLatencyTrace {
-				r.trace = append(r.trace, latency.Float64Ms())
-			}
-			if r.timeline != nil {
-				r.timeline.Record(now, latency, pkt.RID == wire.DegradedRID)
-			}
+		if r.timeline != nil {
+			r.timeline.Record(now, latency, degraded)
 		}
-		r.completed++
-		if r.pilotStop > 0 {
-			// Sharded-run pilot: everything up to the ILP deployment point is
-			// deployment-independent, so the run stops right where the deploy
-			// would fire, having recorded the trigger instants.
-			if r.completed == 1 {
-				r.pilotT1 = now
-			}
-			if r.completed == r.pilotStop {
-				r.pilotTm = now
-				r.finish()
-			}
-			return
-		}
-		// The ILP plan deploys halfway through warmup: the paper notes a
-		// temporary latency increase after an RSP deployment while new
-		// RSNodes rebuild their view, so the second half of the warmup
-		// absorbs that transient before measurement starts.
-		if r.cfg.Scheme == SchemeNetRSILP && r.completed == (r.warmup+1)/2 {
-			r.deployILPPlan()
-		}
-		// Measurement effectively starts with the first completion: the
-		// monitors were constructed with windowStart == 0, so without a
-		// reset the pipeline-fill idle time would dilute the first
-		// snapshot's rates (the bias the normalization then overcorrects).
-		if r.completed == 1 && r.ctl != nil {
-			r.ctl.ResetMonitors(now)
-		}
-		if r.injector != nil {
-			r.injector.OnCompletion(r.completed)
-		}
-		if r.completed == r.total {
-			r.finish()
-		}
+	}
+	st.completed++
+	if st.completed == 1 {
+		st.firstDone = now
+	}
+	st.lastDone = now
+	// The completion-count triggers fire inline at P = 1. At P > 1 no
+	// partition sees the run-wide count mid-window: start replays them as
+	// globals (replayTriggers) and drive stops at a barrier.
+	if r.set == nil {
+		r.onCompletion(st.completed, now)
+	}
+}
+
+// onCompletion fires the triggers keyed to the run's n-th completion.
+func (r *runner) onCompletion(n int, now sim.Time) {
+	// The ILP plan deploys halfway through warmup: the paper notes a
+	// temporary latency increase after an RSP deployment while new
+	// RSNodes rebuild their view, so the second half of the warmup
+	// absorbs that transient before measurement starts.
+	if n == r.deployAt {
+		r.deployILPPlan()
+	}
+	// Measurement effectively starts with the first completion: the
+	// monitors were constructed with windowStart == 0, so without a
+	// reset the pipeline-fill idle time would dilute the first
+	// snapshot's rates (the bias the normalization then overcorrects).
+	if n == 1 && r.ctl != nil {
+		r.ctl.ResetMonitors(now)
+	}
+	if r.injector != nil {
+		r.injector.OnCompletion(n)
+	}
+	if n == r.stopAt {
+		r.finish()
+	}
+}
+
+func (r *runner) mustGlobal(at sim.Time, inclusive bool, fn func()) {
+	if err := r.set.ScheduleGlobal(at, inclusive, fn); err != nil {
+		panic(fmt.Sprintf("cluster: schedule global: %v", err))
 	}
 }
 
@@ -1198,7 +1527,8 @@ func normalizeRates(rates map[int][3]float64, target float64) float64 {
 // deployILPPlan solves the placement from the warmup window's monitor
 // statistics and deploys it (the NetRS controller's initial RSP update,
 // §II). The measured rates are normalized so their total matches the known
-// offered load (see normalizeRates).
+// offered load (see normalizeRates). At P > 1 it runs as a global, where
+// the control engine reads the deploy instant.
 func (r *runner) deployILPPlan() {
 	rates := r.ctl.CollectTraffic()
 	normalizeRates(rates, r.rate)
@@ -1212,22 +1542,42 @@ func (r *runner) deployILPPlan() {
 	}
 	r.plan = plan
 	setOperatorWeights(r.net, len(plan.RSNodes))
-	r.startEpochs()
+	// The periodic controller loop starts after the initial deployment;
+	// with ControllerInterval unset the run is bit-identical to the
+	// single-solve behavior.
+	if r.cfg.ControllerInterval > 0 {
+		r.every(r.cfg.ControllerInterval, r.runEpoch)
+	}
 }
 
-// startEpochs begins the periodic controller loop after the initial ILP
-// deployment; with ControllerInterval unset it does nothing and the run is
-// bit-identical to the single-solve behavior.
-func (r *runner) startEpochs() {
-	if r.cfg.ControllerInterval <= 0 {
+// every runs fn one period from now and every period after, until the run
+// ends. At P = 1 it is a self-re-arming engine event that finish cancels;
+// at P > 1 an exclusive ShardSet global that lapses once the last
+// completion is in. The engine event is armed a full period early, so at
+// its instant it runs before that instant's other events — exactly an
+// exclusive global's position.
+func (r *runner) every(period sim.Time, fn func()) {
+	if r.set == nil {
+		slot := len(r.timers)
+		var tick func()
+		tick = func() {
+			fn()
+			r.timers[slot] = r.eng.MustSchedule(period, tick)
+		}
+		r.timers = append(r.timers, r.eng.MustSchedule(period, tick))
 		return
 	}
-	r.epochRef = r.eng.MustSchedule(r.cfg.ControllerInterval, r.epochTick)
-}
-
-func (r *runner) epochTick() {
-	r.runEpoch()
-	r.epochRef = r.eng.MustSchedule(r.cfg.ControllerInterval, r.epochTick)
+	at := r.eng.Now() + period
+	var tick func()
+	tick = func() {
+		if r.completedTotal() >= r.stopAt {
+			return
+		}
+		fn()
+		at += period
+		r.mustGlobal(at, false, tick)
+	}
+	r.mustGlobal(at, false, tick)
 }
 
 // runEpoch is one controller epoch: snapshot the monitors, normalize the
@@ -1259,34 +1609,26 @@ func (r *runner) runEpoch() {
 	r.epochs = append(r.epochs, rec)
 }
 
-// startQueueSampler periodically samples the cross-server queue-length
-// dispersion — the load-oscillation signal of §I. The sampling period is
-// the fluctuation interval (or 50 ms when fluctuation is disabled).
-func (r *runner) startQueueSampler() {
-	period := r.cfg.FluctuationInterval
-	if period <= 0 {
-		period = 50 * sim.Millisecond
+// sampleQueues samples the cross-server queue-length dispersion — the
+// load-oscillation signal of §I.
+func (r *runner) sampleQueues() {
+	var w stats.Welford
+	for _, srv := range r.servers {
+		w.Observe(float64(srv.QueueSize()))
 	}
-	var tick func()
-	tick = func() {
-		var w stats.Welford
-		for _, srv := range r.servers {
-			w.Observe(float64(srv.QueueSize()))
-		}
-		if w.Mean() > 0 {
-			r.queueCV.Observe(w.CV())
-		}
-		r.samplerRef = r.eng.MustSchedule(period, tick)
+	if w.Mean() > 0 {
+		r.queueCV.Observe(w.CV())
 	}
-	r.samplerRef = r.eng.MustSchedule(period, tick)
 }
 
-// finish stops the perpetual processes so the engine can halt.
+// finish stops the perpetual processes so the engine can halt (P = 1;
+// P > 1 stops at a barrier instead).
 func (r *runner) finish() {
 	for _, srv := range r.servers {
 		srv.Stop()
 	}
-	r.samplerRef.Cancel()
-	r.epochRef.Cancel()
+	for _, ref := range r.timers {
+		ref.Cancel()
+	}
 	r.eng.Stop()
 }

@@ -50,7 +50,7 @@ func TestScenarioEmptyIsBitIdentical(t *testing.T) {
 }
 
 // TestScenarioShardedMatchesSequential: shard-safe scenarios reproduce
-// the sequential runner's digest-relevant numbers at any shard count.
+// the single-partition run's digest-relevant numbers at any shard count.
 func TestScenarioShardedMatchesSequential(t *testing.T) {
 	for _, name := range []string{"diurnal", "flash-crowd", "slow-rack", "heterogeneous"} {
 		name := name

@@ -7,8 +7,8 @@ import (
 )
 
 // shardedTestConfig is a small experiment exercising the full feature set
-// the sharded runner supports: NetRS-ILP with controller epochs and a
-// mid-run demand shift.
+// the runner supports at Shards > 1: NetRS-ILP with controller epochs and
+// a mid-run demand shift.
 func shardedTestConfig() Config {
 	cfg := DefaultConfig()
 	cfg.FatTreeK = 6
@@ -93,11 +93,15 @@ func TestShardedEpochsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestShardedConfigValidation pins which features the sharded runner
-// rejects: each needs bookkeeping that is inherently sequential, and a
+// TestShardedConfigValidation pins which features stay refused at
+// Shards > 1: each needs bookkeeping that is inherently sequential, and a
 // silent wrong answer would be worse than an explicit error.
 func TestShardedConfigValidation(t *testing.T) {
 	mutations := map[string]func(*Config){
+		// Packet IDs feed fabric.flowHash, which picks each packet's ECMP
+		// path. A CliRS-R95 duplicate takes its ID from a counter shared by
+		// the whole run, and no partition can read that counter mid-window,
+		// so a sharded run could not reproduce the duplicates' paths.
 		"r95 scheme":     func(c *Config) { c.Scheme = SchemeCliRSR95 },
 		"trace replay":   func(c *Config) { c.ReplayTracePath = "trace.csv" },
 		"latency trace":  func(c *Config) { c.KeepLatencyTrace = true },

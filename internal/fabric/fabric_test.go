@@ -57,7 +57,7 @@ type harness struct {
 	spies   map[uint16]*spySelector
 }
 
-func newHarness(t *testing.T, factory func(id uint16) (Selector, error)) *harness {
+func newHarness(t *testing.T, factory func(uint16, *sim.Engine) (Selector, error)) *harness {
 	t.Helper()
 	h := &harness{
 		t:       t,
@@ -72,7 +72,7 @@ func newHarness(t *testing.T, factory func(id uint16) (Selector, error)) *harnes
 	}
 	h.ft = ft
 	if factory == nil {
-		factory = func(id uint16) (Selector, error) {
+		factory = func(id uint16, _ *sim.Engine) (Selector, error) {
 			s := &spySelector{}
 			h.spies[id] = s
 			return s, nil
@@ -174,7 +174,7 @@ func TestNetworkConstructionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func(uint16) (Selector, error) { return &spySelector{}, nil }
+	factory := func(uint16, *sim.Engine) (Selector, error) { return &spySelector{}, nil }
 	if _, err := NewNetwork(nil, ft, NewDefaultConfig(), factory); !errors.Is(err, ErrInvalidParam) {
 		t.Error("nil engine accepted")
 	}
@@ -669,7 +669,7 @@ func TestAcceleratorQueueing(t *testing.T) {
 
 func TestRateControlDelayAppliedInNetwork(t *testing.T) {
 	spy := &spySelector{delay: 500 * sim.Microsecond}
-	factory := func(uint16) (Selector, error) { return spy, nil }
+	factory := func(uint16, *sim.Engine) (Selector, error) { return spy, nil }
 	h := newHarness(t, factory)
 	if err := h.ctrl.InstallToRPlan(); err != nil {
 		t.Fatal(err)
@@ -745,7 +745,7 @@ func TestControllerValidation(t *testing.T) {
 
 func TestSelectorIntegrationWithC3(t *testing.T) {
 	// End-to-end with the real C3 selector on the accelerator.
-	factory := func(uint16) (Selector, error) {
+	factory := func(uint16, *sim.Engine) (Selector, error) {
 		return selection.New(selection.AlgoC3NoRate, nil, nil)
 	}
 	// selection.New needs the engine for C3; build harness manually.
@@ -761,7 +761,7 @@ func TestSelectorIntegrationWithC3(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.ft = ft
-	factory = func(uint16) (Selector, error) {
+	factory = func(uint16, *sim.Engine) (Selector, error) {
 		return selection.New(selection.AlgoC3NoRate, h.eng, nil)
 	}
 	net, err := NewNetwork(h.eng, ft, NewDefaultConfig(), factory)

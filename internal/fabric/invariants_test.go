@@ -41,7 +41,7 @@ func newInvariantWorld(t *testing.T, seed uint64, schemeILP bool) *invariantWorl
 		t.Fatal(err)
 	}
 	w.ft = ft
-	factory := func(uint16) (Selector, error) {
+	factory := func(uint16, *sim.Engine) (Selector, error) {
 		return selection.New(selection.AlgoC3NoRate, w.eng, nil)
 	}
 	net, err := NewNetwork(w.eng, ft, NewDefaultConfig(), factory)

@@ -177,46 +177,14 @@ type Network struct {
 
 // NewNetwork builds a fabric over the topology with one NetRS operator per
 // switch, as §III-B requires ("every programmable switch must have a
-// network accelerator"). selectorFactory builds the replica-selection
-// state for each operator's accelerator.
-func NewNetwork(eng *sim.Engine, t *topo.Topology, cfg Config, selectorFactory func(op uint16) (Selector, error)) (*Network, error) {
-	if eng == nil || t == nil || selectorFactory == nil {
-		return nil, fmt.Errorf("nil engine, topology, or factory: %w", ErrInvalidParam)
+// network accelerator"), every node scheduling on eng. selectorFactory
+// builds the replica-selection state for each operator's accelerator; its
+// engine argument is always eng here.
+func NewNetwork(eng *sim.Engine, t *topo.Topology, cfg Config, selectorFactory func(op uint16, eng *sim.Engine) (Selector, error)) (*Network, error) {
+	if eng == nil {
+		return nil, fmt.Errorf("nil engine: %w", ErrInvalidParam)
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	n := &Network{
-		eng:       eng,
-		topo:      t,
-		cfg:       cfg,
-		engs:      []*sim.Engine{eng},
-		pktFree:   make([][]*Packet, 1),
-		counters:  make([]partCounters, 1),
-		operators: make(map[topo.NodeID]*Operator),
-		opByID:    make(map[uint16]*Operator),
-		hosts:     make(map[topo.NodeID]HostHandler),
-	}
-	n.arriveFn = func(arg any) {
-		p := arg.(*Packet)
-		p.idx++
-		n.arrive(p)
-	}
-	for i, sw := range t.Switches() {
-		id := uint16(i + 1)
-		sel, err := selectorFactory(id)
-		if err != nil {
-			return nil, fmt.Errorf("selector for operator %d: %w", id, err)
-		}
-		op, err := newOperator(id, sw, n, eng, sel)
-		if err != nil {
-			return nil, err
-		}
-		n.operators[sw] = op
-		n.opsSorted = append(n.opsSorted, op)
-		n.opByID[id] = op
-	}
-	return n, nil
+	return newNetwork(t, cfg, nil, []*sim.Engine{eng}, selectorFactory)
 }
 
 // NewShardedNetwork builds a fabric whose nodes schedule on their home
@@ -227,11 +195,8 @@ func NewNetwork(eng *sim.Engine, t *topo.Topology, cfg Config, selectorFactory f
 // receives the engine of the partition the operator is pinned to, so
 // clock-reading selectors observe their own partition's time.
 func NewShardedNetwork(set *sim.ShardSet, t *topo.Topology, cfg Config, selectorFactory func(op uint16, eng *sim.Engine) (Selector, error)) (*Network, error) {
-	if set == nil || t == nil || selectorFactory == nil {
-		return nil, fmt.Errorf("nil shard set, topology, or factory: %w", ErrInvalidParam)
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if set == nil || t == nil {
+		return nil, fmt.Errorf("nil shard set or topology: %w", ErrInvalidParam)
 	}
 	if set.Partitions() != t.PodPartitions() {
 		return nil, fmt.Errorf("%d shard partitions for %d topology partitions: %w",
@@ -241,25 +206,41 @@ func NewShardedNetwork(set *sim.ShardSet, t *topo.Topology, cfg Config, selector
 		return nil, fmt.Errorf("lookahead %v exceeds link latency %v: %w",
 			set.Lookahead(), cfg.LinkLatency, ErrInvalidParam)
 	}
-	parts := set.Partitions()
+	engs := make([]*sim.Engine, set.Partitions())
+	for p := range engs {
+		engs[p] = set.Engine(p)
+	}
+	return newNetwork(t, cfg, set, engs, selectorFactory)
+}
+
+// newNetwork is both constructors' body: engs holds one engine per
+// partition, and set is nil exactly when there is a single one, which
+// leaves partOf nil so every node resolves to partition 0.
+func newNetwork(t *topo.Topology, cfg Config, set *sim.ShardSet, engs []*sim.Engine, selectorFactory func(op uint16, eng *sim.Engine) (Selector, error)) (*Network, error) {
+	if t == nil || selectorFactory == nil {
+		return nil, fmt.Errorf("nil topology or factory: %w", ErrInvalidParam)
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	n := &Network{
-		eng:       set.Engine(t.ControlPartition()),
+		eng:       engs[0],
 		topo:      t,
 		cfg:       cfg,
 		set:       set,
-		engs:      make([]*sim.Engine, parts),
-		partOf:    make([]int, t.Size()),
-		pktFree:   make([][]*Packet, parts),
-		counters:  make([]partCounters, parts),
+		engs:      engs,
+		pktFree:   make([][]*Packet, len(engs)),
+		counters:  make([]partCounters, len(engs)),
 		operators: make(map[topo.NodeID]*Operator),
 		opByID:    make(map[uint16]*Operator),
 		hosts:     make(map[topo.NodeID]HostHandler),
 	}
-	for p := 0; p < parts; p++ {
-		n.engs[p] = set.Engine(p)
-	}
-	for id := range n.partOf {
-		n.partOf[id] = t.PartitionOf(topo.NodeID(id))
+	if set != nil {
+		n.eng = engs[t.ControlPartition()]
+		n.partOf = make([]int, t.Size())
+		for id := range n.partOf {
+			n.partOf[id] = t.PartitionOf(topo.NodeID(id))
+		}
 	}
 	n.arriveFn = func(arg any) {
 		p := arg.(*Packet)
@@ -268,7 +249,7 @@ func NewShardedNetwork(set *sim.ShardSet, t *topo.Topology, cfg Config, selector
 	}
 	for i, sw := range t.Switches() {
 		id := uint16(i + 1)
-		eng := n.engs[n.partOf[sw]]
+		eng := n.EngineOf(sw)
 		sel, err := selectorFactory(id, eng)
 		if err != nil {
 			return nil, fmt.Errorf("selector for operator %d: %w", id, err)

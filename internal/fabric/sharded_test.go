@@ -36,7 +36,7 @@ func TestShardedNetworkMatchesSingle(t *testing.T) {
 		var drive func()
 		if workers == 0 {
 			eng := sim.NewEngine()
-			net, err = NewNetwork(eng, ft, cfg, func(uint16) (Selector, error) {
+			net, err = NewNetwork(eng, ft, cfg, func(uint16, *sim.Engine) (Selector, error) {
 				return &spySelector{}, nil
 			})
 			if err != nil {

@@ -64,8 +64,8 @@ func NewRing(servers, rf, vnodes int, seed uint64) (*Ring, error) {
 	})
 
 	// Enumerate the distinct replica groups, one per ring segment. A ring
-	// is built per run — twice per sharded run, which replays a pilot —
-	// over servers×vnodes points, and at hyperscale most segments carry a
+	// is built per run (a sharded run's pilot shares it) over
+	// servers×vnodes points, and at hyperscale most segments carry a
 	// distinct group, so this loop must not allocate per point or per
 	// group: the walk reuses one scratch slice, member lists are carved
 	// from shared arena blocks, and the dedup key is a comparable

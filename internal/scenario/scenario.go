@@ -22,8 +22,8 @@
 //     fault-schedule machinery verbatim.
 //
 // Workload and static fabric/server hooks consume no scheduler events and
-// no root RNG streams, so scenarios are shard-safe: the sharded runner
-// reproduces them bit-identically at any shard count. Fault events and
+// no root RNG streams, so scenarios are shard-safe: a sharded run's
+// pre-generated arrivals replay the shaped source exactly. Fault events and
 // trace replay inherit the single-engine restrictions of their host
 // subsystems (see Scenario.ShardSafe).
 package scenario

@@ -2,6 +2,7 @@ package netrs
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -129,12 +130,13 @@ func TestRunSweepAndTable(t *testing.T) {
 		},
 		Schemes: []Scheme{SchemeCliRS, SchemeNetRSILP},
 	}
-	var cells int
-	res, err := RunSweep(base, sw, []uint64{1}, func(string, Scheme) { cells++ })
+	// RunSweep calls progress from concurrent trials.
+	var cells atomic.Int32
+	res, err := RunSweep(base, sw, []uint64{1}, func(string, Scheme) { cells.Add(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cells != 4 || len(res.Cells) != 4 {
+	if cells.Load() != 4 || len(res.Cells) != 4 {
 		t.Fatalf("evaluated %d cells, want 4", len(res.Cells))
 	}
 	lo, ok := res.Lookup("30%", SchemeCliRS)
