@@ -177,16 +177,9 @@ func run(args []string) (retErr error) {
 			}
 		}
 		res, err := netrs.RunSweepWith(base, sw, seeds, progress, netrs.RunOptions{Parallelism: *parallel})
-		if err != nil {
-			// A failed cell no longer voids the sweep: print whatever
-			// completed before reporting the failure.
-			if len(res.Cells) > 0 {
-				fmt.Println(res.Table())
-				fmt.Fprintf(os.Stderr, "netrs-figs: %s incomplete: %d cells finished\n", sw.ID, len(res.Cells))
-			}
+		if err := printTable(sw.ID, len(res.Cells), res.Table, err); err != nil {
 			return err
 		}
-		fmt.Println(res.Table())
 		if *chart {
 			for _, panel := range []string{"Avg.", "99th Percentile"} {
 				drawn, err := res.Chart(panel)
@@ -221,15 +214,20 @@ func runMatrix(base netrs.Config, seeds []uint64, selectorsArg, scenariosArg str
 			len(selectors), len(scenarios), len(seeds))
 	}
 	res, err := netrs.RunMatrix(base, selectors, scenarios, seeds, netrs.RunOptions{Parallelism: parallel})
-	if err != nil {
-		if len(res.Cells) > 0 {
-			fmt.Println(res.Table())
-			fmt.Fprintf(os.Stderr, "netrs-figs: matrix incomplete: %d cells finished\n", len(res.Cells))
-		}
-		return err
+	return printTable("matrix", len(res.Cells), res.Table, err)
+}
+
+// printTable prints a study's table and passes its error through. A failed
+// study still prints the cells that completed, then reports itself
+// incomplete, so a long run is not a total loss on one bad cell.
+func printTable(study string, cells int, table func() string, err error) error {
+	if err == nil || cells > 0 {
+		fmt.Println(table())
 	}
-	fmt.Println(res.Table())
-	return nil
+	if err != nil && cells > 0 {
+		fmt.Fprintf(os.Stderr, "netrs-figs: %s incomplete: %d cells finished\n", study, cells)
+	}
+	return err
 }
 
 // splitList splits a comma-separated flag value, trimming blanks.
@@ -256,14 +254,9 @@ func runCache(base netrs.Config, seeds []uint64, writeFraction float64, parallel
 			len(thetas), len(budgets), len(seeds), 100*writeFraction)
 	}
 	res, err := netrs.RunCacheStudy(base, thetas, budgets, seeds, netrs.RunOptions{Parallelism: parallel})
-	if err != nil {
-		if len(res.Cells) > 0 {
-			fmt.Println(res.Table())
-			fmt.Fprintf(os.Stderr, "netrs-figs: cache study incomplete: %d cells finished\n", len(res.Cells))
-		}
+	if err := printTable("cache study", len(res.Cells), res.Table, err); err != nil {
 		return err
 	}
-	fmt.Println(res.Table())
 	for _, th := range res.Thetas {
 		if bud, ok := res.CacheWin(th); ok {
 			fmt.Printf("theta %s: NetRS+Cache beats NetRS-ToR on mean AND p99 from budget %s\n", th, bud)

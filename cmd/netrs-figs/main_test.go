@@ -76,6 +76,24 @@ func TestRunMatrixSmall(t *testing.T) {
 	}
 }
 
+// TestRunStudyFiguresSmall runs the remaining study figures end to end at
+// tiny scale: the resilience fault schedule, the adapt demand shift and
+// controller epochs, and the cache skew × budget grid with its flash-crowd
+// cells.
+func TestRunStudyFiguresSmall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs about 40 small simulations")
+	}
+	for _, fig := range []string{"resilience", "adapt", "cache"} {
+		t.Run(fig, func(t *testing.T) {
+			err := run([]string{"-fig", fig, "-scale", "small", "-requests", "400", "-seeds", "1", "-quiet"})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestRunMatrixBadArgs(t *testing.T) {
 	cases := [][]string{
 		{"-fig", "matrix", "-scale", "small", "-selectors", "bogus"},

@@ -1,13 +1,12 @@
 package netrs
 
 import (
-	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
-	"netrs/internal/exec"
 	"netrs/internal/render"
 	"netrs/internal/sim"
 	"netrs/internal/stats"
@@ -147,83 +146,41 @@ func RunSweep(base Config, sw Sweep, seeds []uint64, progress func(x string, s S
 // the error together with the partial SweepResult holding every cell whose
 // trials all completed — a long sweep is not a total loss on one bad cell.
 func RunSweepWith(base Config, sw Sweep, seeds []uint64, progress func(x string, s Scheme), opts RunOptions) (SweepResult, error) {
-	schemes := sw.Schemes
-	if len(schemes) == 0 {
-		schemes = Schemes()
-	}
-	out := SweepResult{Sweep: sw}
-	if len(seeds) == 0 {
-		return out, fmt.Errorf("netrs: no seeds given")
-	}
 	type cellDef struct {
 		pt     SweepPoint
 		scheme Scheme
 	}
-	cells := make([]cellDef, 0, len(sw.Points)*len(schemes))
+	var cells []cellDef
 	for _, pt := range sw.Points {
-		for _, scheme := range schemes {
+		for _, scheme := range sw.schemes() {
 			cells = append(cells, cellDef{pt, scheme})
 		}
 	}
-
-	// Trial t runs cell t/len(seeds) with seed t%len(seeds), so the
-	// sequential trial order matches the old nested loops exactly.
-	nSeeds := len(seeds)
-	done := make([]bool, len(cells)*nSeeds)
-	pool := exec.Pool{Workers: trialWorkers(opts.Parallelism, base.EffectiveShards())}
+	var onCell func(cellDef)
 	if progress != nil {
-		pool.Progress = func(t int) {
-			if t%nSeeds == 0 {
-				c := cells[t/nSeeds]
-				progress(c.pt.X, c.scheme)
-			}
-		}
+		onCell = func(c cellDef) { progress(c.pt.X, c.scheme) }
 	}
-	results, runErr := exec.Run(opts.Context, pool, len(done), func(_ context.Context, t int) (Result, error) {
-		c := cells[t/nSeeds]
-		cfg := base
-		c.pt.Mutate(&cfg)
-		cfg.Scheme = c.scheme
-		cfg.Seed = seeds[t%nSeeds]
-		res, err := Run(cfg)
-		if err != nil {
-			return Result{}, fmt.Errorf("%s x=%s %s: seed %d: %w", sw.ID, c.pt.X, c.scheme, cfg.Seed, err)
-		}
-		// Completion flags are published by the executor's final wait.
-		done[t] = true
-		return res, nil
-	})
-	if runErr != nil {
-		runErr = unwrapTrial(runErr)
+	done, err := runGrid(base, cells, seeds, opts, onCell,
+		func(c cellDef, cfg *Config) {
+			c.pt.Mutate(cfg)
+			cfg.Scheme = c.scheme
+		},
+		func(c cellDef) string { return fmt.Sprintf("%s x=%s %s", sw.ID, c.pt.X, c.scheme) })
+	out := SweepResult{Sweep: sw}
+	for _, g := range done {
+		c := cells[g.index]
+		out.Cells = append(out.Cells, Cell{X: c.pt.X, Scheme: c.scheme, Merged: g.merged, Runs: g.runs})
 	}
+	return out, err
+}
 
-	// Assemble, in definition order, every cell whose trials all finished.
-	for ci, c := range cells {
-		complete := true
-		for s := 0; s < nSeeds; s++ {
-			if !done[ci*nSeeds+s] {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			continue
-		}
-		runs := append([]Result(nil), results[ci*nSeeds:(ci+1)*nSeeds]...)
-		summaries := make([]Summary, nSeeds)
-		for i, res := range runs {
-			summaries[i] = res.Summary
-		}
-		merged, err := stats.MergeSummaries(summaries)
-		if err != nil {
-			if runErr == nil {
-				runErr = fmt.Errorf("%s x=%s %s: %w", sw.ID, c.pt.X, c.scheme, err)
-			}
-			continue
-		}
-		out.Cells = append(out.Cells, Cell{X: c.pt.X, Scheme: c.scheme, Merged: merged, Runs: runs})
+// schemes returns the sweep's compared schemes, defaulting to the paper's
+// four.
+func (sw Sweep) schemes() []Scheme {
+	if len(sw.Schemes) == 0 {
+		return Schemes()
 	}
-	return out, runErr
+	return sw.Schemes
 }
 
 // Lookup returns the merged summary of one (x, scheme) cell.
@@ -255,23 +212,37 @@ func panelMetrics() []metric {
 // 95th, 99th, 99.9th), schemes as columns and swept values as rows, all in
 // milliseconds.
 func (r SweepResult) Table() string {
-	schemes := r.Sweep.Schemes
-	if len(schemes) == 0 {
-		schemes = Schemes()
+	schemes := r.Sweep.schemes()
+	var xs, names []string
+	for _, pt := range r.Sweep.Points {
+		xs = append(xs, pt.X)
 	}
+	for _, s := range schemes {
+		names = append(names, s.String())
+	}
+	title := fmt.Sprintf("%s — %s", strings.ToUpper(r.Sweep.ID), r.Sweep.Title)
+	return panelTable(title, r.Sweep.XAxis, xs, names, func(row, col int) (Summary, bool) {
+		return r.Lookup(xs[row], schemes[col])
+	})
+}
+
+// panelTable renders a two-axis study as the four text panels the paper
+// plots (Avg, 95th, 99th, 99.9th), in milliseconds: one line per row, one
+// column per col, and "-" wherever lookup(row, col) finds no cell.
+func panelTable(title, axis string, rows, cols []string, lookup func(row, col int) (Summary, bool)) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", strings.ToUpper(r.Sweep.ID), r.Sweep.Title)
+	b.WriteString(title + "\n")
 	for _, m := range panelMetrics() {
 		fmt.Fprintf(&b, "\n[%s] latency (ms)\n", m.name)
-		fmt.Fprintf(&b, "%-16s", r.Sweep.XAxis)
-		for _, s := range schemes {
-			fmt.Fprintf(&b, "%12s", s)
+		fmt.Fprintf(&b, "%-16s", axis)
+		for _, col := range cols {
+			fmt.Fprintf(&b, "%12s", col)
 		}
 		b.WriteByte('\n')
-		for _, pt := range r.Sweep.Points {
-			fmt.Fprintf(&b, "%-16s", pt.X)
-			for _, s := range schemes {
-				if sum, ok := r.Lookup(pt.X, s); ok {
+		for i, row := range rows {
+			fmt.Fprintf(&b, "%-16s", row)
+			for j := range cols {
+				if sum, ok := lookup(i, j); ok {
 					fmt.Fprintf(&b, "%12.3f", m.get(sum))
 				} else {
 					fmt.Fprintf(&b, "%12s", "-")
@@ -298,10 +269,6 @@ func (r SweepResult) Chart(metricName string) (string, error) {
 	if !found {
 		return "", fmt.Errorf("netrs: unknown chart metric %q", metricName)
 	}
-	schemes := r.Sweep.Schemes
-	if len(schemes) == 0 {
-		schemes = Schemes()
-	}
 	chart := render.BarChart{
 		Title:  fmt.Sprintf("%s — %s [%s]", strings.ToUpper(r.Sweep.ID), r.Sweep.Title, m.name),
 		XLabel: "latency ms",
@@ -309,7 +276,7 @@ func (r SweepResult) Chart(metricName string) (string, error) {
 	for _, pt := range r.Sweep.Points {
 		chart.Labels = append(chart.Labels, fmt.Sprintf("%s %s", r.Sweep.XAxis, pt.X))
 	}
-	for _, s := range schemes {
+	for _, s := range r.Sweep.schemes() {
 		series := render.Series{Name: s.String()}
 		for _, pt := range r.Sweep.Points {
 			if sum, ok := r.Lookup(pt.X, s); ok {
@@ -384,7 +351,9 @@ type ResilienceResult struct {
 // schemes carry no NetRS control plane, so their RSNode events record
 // deterministic errors instead of applying — they are the experiment's
 // unaffected control curves. Fractions position the events identically
-// across schemes even though the schemes' simulated spans differ.
+// across schemes even though the schemes' simulated spans differ. Each
+// scheme runs once under base.Seed; on failure the error comes back with
+// the runs that completed.
 func RunResilience(base Config, crashAt, recoverAt float64, bucket Time, opts RunOptions) (ResilienceResult, error) {
 	out := ResilienceResult{CrashAt: crashAt, RecoverAt: recoverAt, Bucket: bucket}
 	if !(crashAt > 0 && crashAt < recoverAt && recoverAt < 1) {
@@ -394,28 +363,20 @@ func RunResilience(base Config, crashAt, recoverAt float64, bucket Time, opts Ru
 		return out, fmt.Errorf("netrs: resilience bucket %v: want positive", bucket)
 	}
 	schemes := Schemes()
-	pool := exec.Pool{Workers: trialWorkers(opts.Parallelism, base.EffectiveShards())}
-	results, err := exec.Run(opts.Context, pool, len(schemes), func(_ context.Context, i int) (Result, error) {
-		cfg := base
-		cfg.Scheme = schemes[i]
-		cfg.TimelineBucket = bucket
-		cfg.Faults = append(append([]FaultEvent(nil), base.Faults...),
-			FaultEvent{Kind: FaultRSNodeCrash, AtFraction: crashAt, RSNode: FaultTargetBusiest},
-			FaultEvent{Kind: FaultRSNodeRecover, AtFraction: recoverAt, RSNode: FaultTargetFailed},
-		)
-		res, err := Run(cfg)
-		if err != nil {
-			return Result{}, fmt.Errorf("resilience %s: %w", schemes[i], err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return out, unwrapTrial(err)
+	done, err := runGrid(base, schemes, []uint64{base.Seed}, opts, nil,
+		func(s Scheme, cfg *Config) {
+			cfg.Scheme = s
+			cfg.TimelineBucket = bucket
+			cfg.Faults = append(append([]FaultEvent(nil), base.Faults...),
+				FaultEvent{Kind: FaultRSNodeCrash, AtFraction: crashAt, RSNode: FaultTargetBusiest},
+				FaultEvent{Kind: FaultRSNodeRecover, AtFraction: recoverAt, RSNode: FaultTargetFailed},
+			)
+		},
+		func(s Scheme) string { return "resilience " + s.String() })
+	for _, g := range done {
+		out.Runs = append(out.Runs, ResilienceRun{Scheme: schemes[g.index], Result: g.runs[0]})
 	}
-	for i, s := range schemes {
-		out.Runs = append(out.Runs, ResilienceRun{Scheme: s, Result: results[i]})
-	}
-	return out, nil
+	return out, err
 }
 
 // DegradedWindow reports the first and last timeline bucket indices with a
@@ -464,7 +425,9 @@ type AdaptResult struct {
 // shiftAt of the run, evaluated time-resolved under a static initial
 // plan and under controller epochs of the given interval. The base
 // config's DemandShiftFraction defaults to 1 (the whole hot set moves)
-// and DemandSkew to 0.9 when unset, so the shift has teeth.
+// and DemandSkew to 0.9 when unset, so the shift has teeth. Both arms run
+// under base.Seed; on failure the error comes back with whichever arm
+// completed.
 func RunAdapt(base Config, shiftAt float64, interval, bucket Time, opts RunOptions) (AdaptResult, error) {
 	out := AdaptResult{ShiftAt: shiftAt, Interval: interval, Bucket: bucket}
 	if !(shiftAt > 0 && shiftAt < 1) {
@@ -484,22 +447,18 @@ func RunAdapt(base Config, shiftAt float64, interval, bucket Time, opts RunOptio
 		cfg.DemandSkew = 0.9
 	}
 	out.Fraction = cfg.DemandShiftFraction
-	arms := []Time{0, interval}
-	pool := exec.Pool{Workers: trialWorkers(opts.Parallelism, cfg.EffectiveShards())}
-	results, err := exec.Run(opts.Context, pool, len(arms), func(_ context.Context, i int) (Result, error) {
-		c := cfg
-		c.ControllerInterval = arms[i]
-		res, err := Run(c)
-		if err != nil {
-			return Result{}, fmt.Errorf("adapt interval %v: %w", arms[i], err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return out, unwrapTrial(err)
+	type arm struct {
+		interval Time
+		res      *Result
 	}
-	out.Static, out.Epochs = results[0], results[1]
-	return out, nil
+	arms := []arm{{0, &out.Static}, {interval, &out.Epochs}}
+	done, err := runGrid(cfg, arms, []uint64{cfg.Seed}, opts, nil,
+		func(a arm, c *Config) { c.ControllerInterval = a.interval },
+		func(a arm) string { return fmt.Sprintf("adapt interval %v", a.interval) })
+	for _, g := range done {
+		*arms[g.index].res = g.runs[0]
+	}
+	return out, err
 }
 
 // weightedMeanMs is the request-weighted mean latency over a bucket range.
@@ -632,19 +591,9 @@ func RunMatrix(base Config, selectors []string, scenarios []Scenario, seeds []ui
 	if len(selectors) == 0 || len(scenarios) == 0 {
 		return out, fmt.Errorf("netrs: matrix needs at least one selector and one scenario")
 	}
-	if len(seeds) == 0 {
-		return out, fmt.Errorf("netrs: no seeds given")
-	}
 	known := SelectorNames()
 	for _, sel := range selectors {
-		found := false
-		for _, k := range known {
-			if k == sel {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(known, sel) {
 			return out, fmt.Errorf("netrs: unknown selector %q (have %v)", sel, known)
 		}
 	}
@@ -662,69 +611,29 @@ func RunMatrix(base Config, selectors []string, scenarios []Scenario, seeds []ui
 		selector string
 		scn      Scenario
 	}
-	cells := make([]cellDef, 0, len(selectors)*len(scenarios))
+	var cells []cellDef
 	for _, scn := range scenarios {
 		for _, sel := range selectors {
 			cells = append(cells, cellDef{sel, scn})
 		}
 	}
-
-	// Trial t runs cell t/len(seeds) with seed t%len(seeds), like the
-	// figure sweeps.
-	nSeeds := len(seeds)
-	done := make([]bool, len(cells)*nSeeds)
-	pool := exec.Pool{Workers: trialWorkers(opts.Parallelism, base.EffectiveShards())}
-	results, runErr := exec.Run(opts.Context, pool, len(done), func(_ context.Context, t int) (Result, error) {
-		c := cells[t/nSeeds]
-		cfg := base
-		cfg.Scheme = scheme
-		cfg.OperatorAlgorithm = c.selector
-		cfg.Scenario = c.scn
-		cfg.Seed = seeds[t%nSeeds]
-		res, err := Run(cfg)
-		if err != nil {
-			return Result{}, fmt.Errorf("matrix %s × %s: seed %d: %w", c.selector, c.scn.Label(), cfg.Seed, err)
-		}
-		// Completion flags are published by the executor's final wait.
-		done[t] = true
-		return res, nil
-	})
-	if runErr != nil {
-		runErr = unwrapTrial(runErr)
-	}
-
-	// Assemble, in definition order, every cell whose trials all finished.
-	for ci, c := range cells {
-		complete := true
-		for s := 0; s < nSeeds; s++ {
-			if !done[ci*nSeeds+s] {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			continue
-		}
-		runs := append([]Result(nil), results[ci*nSeeds:(ci+1)*nSeeds]...)
-		summaries := make([]Summary, nSeeds)
-		for i, res := range runs {
-			summaries[i] = res.Summary
-		}
-		merged, err := stats.MergeSummaries(summaries)
-		if err != nil {
-			if runErr == nil {
-				runErr = fmt.Errorf("matrix %s × %s: %w", c.selector, c.scn.Label(), err)
-			}
-			continue
-		}
+	done, err := runGrid(base, cells, seeds, opts, nil,
+		func(c cellDef, cfg *Config) {
+			cfg.Scheme = scheme
+			cfg.OperatorAlgorithm = c.selector
+			cfg.Scenario = c.scn
+		},
+		func(c cellDef) string { return fmt.Sprintf("matrix %s × %s", c.selector, c.scn.Label()) })
+	for _, g := range done {
+		c := cells[g.index]
 		out.Cells = append(out.Cells, MatrixCell{
 			Selector: c.selector,
 			Scenario: c.scn.Label(),
-			Merged:   merged,
-			Runs:     runs,
+			Merged:   g.merged,
+			Runs:     g.runs,
 		})
 	}
-	return out, runErr
+	return out, err
 }
 
 // Lookup returns the merged summary of one (selector, scenario) cell.
@@ -772,14 +681,19 @@ type CacheStudyResult struct {
 	Flash []CacheCell
 }
 
-// cacheThetaLabel and cacheBudgetLabel are the study's axis labels.
+// cacheThetaLabel is the study's theta axis label.
 func cacheThetaLabel(th float64) string { return fmt.Sprintf("%.2f", th) }
 
+// cacheBudgetLabel prints a budget in the largest of MiB, KiB and bytes
+// that divides it, so distinct budgets always get distinct labels.
 func cacheBudgetLabel(b int64) string {
-	if b >= 1<<20 && b%(1<<20) == 0 {
+	switch {
+	case b%(1<<20) == 0:
 		return fmt.Sprintf("%dMiB", b>>20)
+	case b%(1<<10) == 0:
+		return fmt.Sprintf("%dKiB", b>>10)
 	}
-	return fmt.Sprintf("%dKiB", b>>10)
+	return fmt.Sprintf("%dB", b)
 }
 
 // cacheHitRate aggregates hits/(hits+misses) across a cell's runs.
@@ -802,22 +716,23 @@ func cacheHitRate(runs []Result) float64 {
 // re-runs NetRS-ToR, NetCache, and NetRS+Cache at the base config's skew
 // and the largest budget under the built-in flash-crowd scenario — the
 // hot-key spike is exactly the traffic a ToR cache should absorb. The
-// write mix comes from base.WriteFraction (writes invalidate). Every
-// (cell, seed) trial fans independently across the worker pool; on
-// failure the partial result holds every cell whose trials all completed.
+// write mix comes from base.WriteFraction (writes invalidate). Budgets
+// must be positive and strictly ascending. Every (cell, seed) trial fans
+// independently across the worker pool; on failure the partial result
+// holds every cell whose trials all completed.
 func RunCacheStudy(base Config, thetas []float64, budgets []int64, seeds []uint64, opts RunOptions) (CacheStudyResult, error) {
 	out := CacheStudyResult{WriteFraction: base.WriteFraction}
 	if len(thetas) == 0 || len(budgets) == 0 {
 		return out, fmt.Errorf("netrs: cache study needs at least one theta and one budget")
 	}
-	if len(seeds) == 0 {
-		return out, fmt.Errorf("netrs: no seeds given")
+	for i, bud := range budgets {
+		if bud <= 0 || (i > 0 && bud <= budgets[i-1]) {
+			return out, fmt.Errorf("netrs: cache budgets %v: want positive and strictly ascending", budgets)
+		}
+		out.Budgets = append(out.Budgets, cacheBudgetLabel(bud))
 	}
 	for _, th := range thetas {
 		out.Thetas = append(out.Thetas, cacheThetaLabel(th))
-	}
-	for _, bud := range budgets {
-		out.Budgets = append(out.Budgets, cacheBudgetLabel(bud))
 	}
 	flashScn, err := ScenarioByName("flash-crowd")
 	if err != nil {
@@ -840,71 +755,31 @@ func RunCacheStudy(base Config, thetas []float64, budgets []int64, seeds []uint6
 			cells = append(cells, cellDef{theta: th, budget: bud, scheme: SchemeNetRSCache})
 		}
 	}
-	largest := budgets[len(budgets)-1]
 	for _, s := range []Scheme{SchemeNetRSToR, SchemeNetCache, SchemeNetRSCache} {
-		bud := largest
+		bud := budgets[len(budgets)-1] // the largest: budgets ascend
 		if s == SchemeNetRSToR {
 			bud = 0
 		}
 		cells = append(cells, cellDef{theta: base.ZipfTheta, budget: bud, scheme: s, flash: true})
 	}
 
-	// Trial t runs cell t/len(seeds) with seed t%len(seeds), like the
-	// figure sweeps.
-	nSeeds := len(seeds)
-	done := make([]bool, len(cells)*nSeeds)
-	pool := exec.Pool{Workers: trialWorkers(opts.Parallelism, base.EffectiveShards())}
-	results, runErr := exec.Run(opts.Context, pool, len(done), func(_ context.Context, t int) (Result, error) {
-		c := cells[t/nSeeds]
-		cfg := base
-		cfg.ZipfTheta = c.theta
-		cfg.Scheme = c.scheme
-		cfg.CacheBytes = c.budget
-		cfg.Seed = seeds[t%nSeeds]
-		if c.flash {
-			cfg.Scenario = flashScn
-		}
-		res, err := Run(cfg)
-		if err != nil {
-			return Result{}, fmt.Errorf("cache theta=%v budget=%d %s: seed %d: %w",
-				c.theta, c.budget, c.scheme, cfg.Seed, err)
-		}
-		// Completion flags are published by the executor's final wait.
-		done[t] = true
-		return res, nil
-	})
-	if runErr != nil {
-		runErr = unwrapTrial(runErr)
-	}
-
-	// Assemble, in definition order, every cell whose trials all finished.
-	for ci, c := range cells {
-		complete := true
-		for s := 0; s < nSeeds; s++ {
-			if !done[ci*nSeeds+s] {
-				complete = false
-				break
+	done, err := runGrid(base, cells, seeds, opts, nil,
+		func(c cellDef, cfg *Config) {
+			cfg.ZipfTheta = c.theta
+			cfg.Scheme = c.scheme
+			cfg.CacheBytes = c.budget
+			if c.flash {
+				cfg.Scenario = flashScn
 			}
-		}
-		if !complete {
-			continue
-		}
-		runs := append([]Result(nil), results[ci*nSeeds:(ci+1)*nSeeds]...)
-		summaries := make([]Summary, nSeeds)
-		for i, res := range runs {
-			summaries[i] = res.Summary
-		}
-		merged, err := stats.MergeSummaries(summaries)
-		if err != nil {
-			if runErr == nil {
-				runErr = fmt.Errorf("cache theta=%v %s: %w", c.theta, c.scheme, err)
-			}
-			continue
-		}
+		},
+		func(c cellDef) string { return fmt.Sprintf("cache theta=%v budget=%d %s", c.theta, c.budget, c.scheme) })
+	for _, g := range done {
+		c := cells[g.index]
 		var inval uint64
-		for _, res := range runs {
+		for _, res := range g.runs {
 			inval += res.CacheInvalidations
 		}
+		// Budgets are positive, so only the cacheless cells carry 0.
 		budget := "-"
 		if c.budget > 0 {
 			budget = cacheBudgetLabel(c.budget)
@@ -913,10 +788,10 @@ func RunCacheStudy(base Config, thetas []float64, budgets []int64, seeds []uint6
 			Theta:         cacheThetaLabel(c.theta),
 			Budget:        budget,
 			Scheme:        c.scheme,
-			Merged:        merged,
-			HitRate:       cacheHitRate(runs),
+			Merged:        g.merged,
+			HitRate:       cacheHitRate(g.runs),
 			Invalidations: inval,
-			Runs:          runs,
+			Runs:          g.runs,
 		}
 		if c.flash {
 			out.Flash = append(out.Flash, cell)
@@ -924,7 +799,7 @@ func RunCacheStudy(base Config, thetas []float64, budgets []int64, seeds []uint6
 			out.Cells = append(out.Cells, cell)
 		}
 	}
-	return out, runErr
+	return out, err
 }
 
 // Lookup returns one grid cell of the study (flash cells excluded). The
@@ -939,8 +814,8 @@ func (r CacheStudyResult) Lookup(theta, budget string, s Scheme) (CacheCell, boo
 }
 
 // CacheWin reports whether NetRS+Cache beats plain NetRS-ToR on BOTH
-// mean and p99 latency at a theta, and at which budget; it returns the
-// first (smallest) winning budget.
+// mean and p99 latency at a theta, and at which budget; RunCacheStudy
+// keeps Budgets ascending, so the first winner is the smallest.
 func (r CacheStudyResult) CacheWin(theta string) (budget string, ok bool) {
 	base, found := r.Lookup(theta, "-", SchemeNetRSToR)
 	if !found {
@@ -1003,26 +878,8 @@ func (r CacheStudyResult) Table() string {
 // 95th, 99th, 99.9th), selectors as columns and scenarios as rows, all in
 // milliseconds.
 func (r MatrixResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "MATRIX — replica selector × scenario under %s\n", r.Scheme)
-	for _, m := range panelMetrics() {
-		fmt.Fprintf(&b, "\n[%s] latency (ms)\n", m.name)
-		fmt.Fprintf(&b, "%-16s", "Scenario")
-		for _, sel := range r.Selectors {
-			fmt.Fprintf(&b, "%12s", sel)
-		}
-		b.WriteByte('\n')
-		for _, scn := range r.Scenarios {
-			fmt.Fprintf(&b, "%-16s", scn)
-			for _, sel := range r.Selectors {
-				if sum, ok := r.Lookup(sel, scn); ok {
-					fmt.Fprintf(&b, "%12.3f", m.get(sum))
-				} else {
-					fmt.Fprintf(&b, "%12s", "-")
-				}
-			}
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
+	title := fmt.Sprintf("MATRIX — replica selector × scenario under %s", r.Scheme)
+	return panelTable(title, "Scenario", r.Scenarios, r.Selectors, func(row, col int) (Summary, bool) {
+		return r.Lookup(r.Selectors[col], r.Scenarios[row])
+	})
 }

@@ -203,31 +203,91 @@ func RunRepeated(cfg Config, seeds []uint64) ([]Result, Summary, error) {
 // are ordered by seed regardless of completion order, so every
 // parallelism level returns bit-identical output.
 func RunRepeatedWith(cfg Config, seeds []uint64, opts RunOptions) ([]Result, Summary, error) {
-	if len(seeds) == 0 {
-		return nil, Summary{}, fmt.Errorf("netrs: no seeds given")
-	}
-	pool := exec.Pool{Workers: trialWorkers(opts.Parallelism, cfg.EffectiveShards())}
-	results, err := exec.Run(opts.Context, pool, len(seeds), func(_ context.Context, i int) (Result, error) {
-		c := cfg
-		c.Seed = seeds[i]
-		res, err := Run(c)
-		if err != nil {
-			return Result{}, fmt.Errorf("seed %d: %w", seeds[i], err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, Summary{}, unwrapTrial(err)
-	}
-	summaries := make([]Summary, len(results))
-	for i, res := range results {
-		summaries[i] = res.Summary
-	}
-	merged, err := stats.MergeSummaries(summaries)
+	// One cell: it completes only if every seed does.
+	cells, err := runGrid(cfg, make([]struct{}, 1), seeds, opts, nil, nil, nil)
 	if err != nil {
 		return nil, Summary{}, err
 	}
-	return results, merged, nil
+	return cells[0].runs, cells[0].merged, nil
+}
+
+// gridCell is one completed cell of a study grid.
+type gridCell struct {
+	// index is the cell's position in the list given to runGrid.
+	index int
+	// runs are the per-seed results in seed order; merged is their
+	// seed-averaged summary.
+	runs   []Result
+	merged Summary
+}
+
+// runGrid is the one study executor: it runs every cell once per seed,
+// each (cell, seed) trial an independent simulation fanned across one
+// worker pool. Trial t runs cell t/len(seeds) under seed t%len(seeds), so
+// a sequential pool walks the cells in order with the seeds innermost.
+// A trial's config is base, then setup(cell), then the seed; progress (if
+// non-nil) fires before each cell's first trial and must be safe for
+// concurrent use. A failed trial's error reads "<label>: seed N: cause"
+// (just "seed N: cause" when label is nil); setup may be nil too.
+//
+// On failure the outstanding trials are canceled and the error comes back
+// with every cell whose trials all completed, in cell order — a long study
+// is not a total loss on one bad cell.
+func runGrid[C any](base Config, cells []C, seeds []uint64, opts RunOptions,
+	progress func(C), setup func(C, *Config), label func(C) string) ([]gridCell, error) {
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("netrs: no seeds given")
+	}
+	nSeeds := len(seeds)
+	done := make([]bool, len(cells)*nSeeds)
+	pool := exec.Pool{Workers: trialWorkers(opts.Parallelism, base.EffectiveShards())}
+	if progress != nil {
+		pool.Progress = func(t int) {
+			if t%nSeeds == 0 {
+				progress(cells[t/nSeeds])
+			}
+		}
+	}
+	results, runErr := exec.Run(opts.Context, pool, len(done), func(_ context.Context, t int) (Result, error) {
+		c := cells[t/nSeeds]
+		cfg := base
+		if setup != nil {
+			setup(c, &cfg)
+		}
+		cfg.Seed = seeds[t%nSeeds]
+		res, err := Run(cfg)
+		if err != nil {
+			prefix := fmt.Sprintf("seed %d", cfg.Seed)
+			if label != nil {
+				prefix = label(c) + ": " + prefix
+			}
+			return Result{}, fmt.Errorf("%s: %w", prefix, err)
+		}
+		// Completion flags are published by the executor's final wait.
+		done[t] = true
+		return res, nil
+	})
+	if runErr != nil {
+		runErr = unwrapTrial(runErr)
+	}
+
+	var out []gridCell
+nextCell:
+	for ci := range cells {
+		trials := results[ci*nSeeds : (ci+1)*nSeeds]
+		summaries := make([]Summary, nSeeds)
+		for s, res := range trials {
+			if !done[ci*nSeeds+s] {
+				continue nextCell
+			}
+			summaries[s] = res.Summary
+		}
+		// Cannot fail: summaries holds one entry per seed, and seeds is
+		// non-empty.
+		merged, _ := stats.MergeSummaries(summaries)
+		out = append(out, gridCell{index: ci, runs: append([]Result(nil), trials...), merged: merged})
+	}
+	return out, runErr
 }
 
 // trialWorkers composes trial-level parallelism with the sharded engine's

@@ -216,3 +216,49 @@ func TestRunCacheStudy(t *testing.T) {
 		t.Fatal("empty seed list accepted")
 	}
 }
+
+// TestCacheStudyBudgets checks the budget axis: a descending list would
+// run the flash cells below the largest budget and break CacheWin's
+// smallest-winner order, a zero budget would label cache cells like the
+// baselines, and labels must tell every budget apart.
+func TestCacheStudyBudgets(t *testing.T) {
+	base := testConfig()
+	for _, budgets := range [][]int64{{64 << 10, 8 << 10}, {0, 8 << 10}, {8 << 10, 8 << 10}, {-1}} {
+		_, err := RunCacheStudy(base, []float64{0.99}, budgets, []uint64{1}, RunOptions{})
+		if err == nil || !strings.Contains(err.Error(), "strictly ascending") {
+			t.Errorf("budgets %v: err = %v, want a rejection", budgets, err)
+		}
+	}
+	for b, want := range map[int64]string{1024: "1KiB", 1536: "1536B", 100: "100B", 8 << 20: "8MiB", 1536 << 10: "1536KiB"} {
+		if got := cacheBudgetLabel(b); got != want {
+			t.Errorf("cacheBudgetLabel(%d) = %q, want %q", b, got, want)
+		}
+	}
+}
+
+// TestRunCacheStudyPartialResultOnError checks a failing theta keeps the
+// cells that completed before it: θ = 1.5 is above the Zipf sampler's
+// domain, so its first trial fails validation, and the sequential pool
+// never reaches the flash cells after it.
+func TestRunCacheStudyPartialResultOnError(t *testing.T) {
+	base := testConfig()
+	base.Requests = 500
+	res, err := RunCacheStudy(base, []float64{0.99, 1.5}, []int64{64 << 10}, []uint64{1}, RunOptions{Parallelism: 1})
+	if err == nil {
+		t.Fatal("out-of-domain theta accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "theta=1.5") || !strings.Contains(msg, "seed 1") {
+		t.Fatalf("error does not name the failed cell and seed: %v", err)
+	}
+	if len(res.Cells) != 6 {
+		t.Fatalf("got %d cells, want the 6 θ=0.99 cells", len(res.Cells))
+	}
+	for _, c := range res.Cells {
+		if c.Theta != "0.99" {
+			t.Errorf("cell %s/%s/%s survived the failed theta", c.Theta, c.Budget, c.Scheme)
+		}
+	}
+	if len(res.Flash) != 0 {
+		t.Fatalf("got %d flash cells, want none", len(res.Flash))
+	}
+}
