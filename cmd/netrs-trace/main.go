@@ -1,6 +1,7 @@
 // Command netrs-trace works with workload traces: it generates synthetic
-// traces (the paper's Poisson/Zipf workload, serialized for replay via
-// netrs-sim's replayTracePath config field) and summarizes existing ones.
+// traces (the paper's Poisson/Zipf workload, serialized for replay via the
+// replayTracePath field of a netrs-sim -scenario file) and summarizes
+// existing ones.
 //
 // Usage:
 //

@@ -1,9 +1,13 @@
 package netrs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+
+	"netrs/internal/placement"
 )
 
 // configJSON is the serialized experiment configuration. It mirrors
@@ -39,9 +43,10 @@ type configJSON struct {
 	AccelMaxUtilization    float64 `json:"accelMaxUtilization"`
 	ExtraHopBudgetFraction float64 `json:"extraHopBudgetFraction"`
 	RackLevelGroups        bool    `json:"rackLevelGroups"`
+	GroupMaxHosts          int     `json:"groupMaxHosts,omitempty"`
+	PlacementMethod        string  `json:"placementMethod,omitempty"`
 	RedundantPercentile    float64 `json:"redundantPercentile"`
-	FailRSNodeAt           float64 `json:"failRSNodeAt,omitempty"`
-	ReplayTracePath        string  `json:"replayTracePath,omitempty"`
+	CancelDuplicates       bool    `json:"cancelDuplicates,omitempty"`
 
 	// Faults and TimelineBucketMs carry the declared fault schedule and
 	// the resilience-timeline bucket width; fault event times already use
@@ -65,6 +70,12 @@ type configJSON struct {
 	// Scenario embeds the declared stress scenario (internal/scenario's
 	// own JSON schema, also accepted standalone by `netrs-sim -scenario`).
 	Scenario *Scenario `json:"scenario,omitempty"`
+
+	// Recording and execution knobs: they change what a run keeps and how
+	// many workers it uses, not the simulated experiment.
+	KeepLatencyTrace bool `json:"keepLatencyTrace,omitempty"`
+	StatsSampleCap   int  `json:"statsSampleCap,omitempty"`
+	Shards           int  `json:"shards,omitempty"`
 }
 
 // MarshalConfig serializes a Config to indented JSON.
@@ -98,9 +109,9 @@ func MarshalConfig(cfg Config) ([]byte, error) {
 		AccelMaxUtilization:    cfg.AccelMaxUtilization,
 		ExtraHopBudgetFraction: cfg.ExtraHopBudgetFraction,
 		RackLevelGroups:        cfg.RackLevelGroups,
+		GroupMaxHosts:          cfg.GroupMaxHosts,
 		RedundantPercentile:    cfg.RedundantPercentile,
-		FailRSNodeAt:           cfg.FailRSNodeAt,
-		ReplayTracePath:        cfg.ReplayTracePath,
+		CancelDuplicates:       cfg.CancelDuplicates,
 		Faults:                 cfg.Faults,
 		TimelineBucketMs:       cfg.TimelineBucket.Float64Ms(),
 		ControllerIntervalMs:   cfg.ControllerInterval.Float64Ms(),
@@ -111,6 +122,14 @@ func MarshalConfig(cfg Config) ([]byte, error) {
 		CacheAdmitAfter:        cfg.CacheAdmitAfter,
 		CacheItemMinBytes:      cfg.CacheItemMinBytes,
 		CacheItemMaxBytes:      cfg.CacheItemMaxBytes,
+		KeepLatencyTrace:       cfg.KeepLatencyTrace,
+		StatsSampleCap:         cfg.StatsSampleCap,
+		Shards:                 cfg.Shards,
+	}
+	// The zero method means auto to the solver but has no name; leaving
+	// the key out loads it as DefaultConfig's auto.
+	if cfg.PlacementMethod != 0 {
+		j.PlacementMethod = cfg.PlacementMethod.String()
 	}
 	if !cfg.Scenario.Empty() || cfg.Scenario.Name != "" {
 		scn := cfg.Scenario
@@ -120,10 +139,17 @@ func MarshalConfig(cfg Config) ([]byte, error) {
 }
 
 // UnmarshalConfig parses a Config from JSON produced by MarshalConfig.
+// Unknown keys are an error, so a misspelled or retired field cannot be
+// silently ignored.
 func UnmarshalConfig(data []byte) (Config, error) {
 	var j configJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&j); err != nil {
 		return Config{}, fmt.Errorf("netrs: parse config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, fmt.Errorf("netrs: parse config: data after the config object")
 	}
 	scheme, err := ParseScheme(j.Scheme)
 	if err != nil {
@@ -158,9 +184,14 @@ func UnmarshalConfig(data []byte) (Config, error) {
 	cfg.AccelMaxUtilization = j.AccelMaxUtilization
 	cfg.ExtraHopBudgetFraction = j.ExtraHopBudgetFraction
 	cfg.RackLevelGroups = j.RackLevelGroups
+	cfg.GroupMaxHosts = j.GroupMaxHosts
+	if j.PlacementMethod != "" {
+		if cfg.PlacementMethod, err = placement.ParseMethod(j.PlacementMethod); err != nil {
+			return Config{}, fmt.Errorf("netrs: parse config: %w", err)
+		}
+	}
 	cfg.RedundantPercentile = j.RedundantPercentile
-	cfg.FailRSNodeAt = j.FailRSNodeAt
-	cfg.ReplayTracePath = j.ReplayTracePath
+	cfg.CancelDuplicates = j.CancelDuplicates
 	cfg.Faults = j.Faults
 	cfg.TimelineBucket = Time(j.TimelineBucketMs * float64(Millisecond))
 	cfg.ControllerInterval = Time(j.ControllerIntervalMs * float64(Millisecond))
@@ -171,6 +202,9 @@ func UnmarshalConfig(data []byte) (Config, error) {
 	cfg.CacheAdmitAfter = j.CacheAdmitAfter
 	cfg.CacheItemMinBytes = j.CacheItemMinBytes
 	cfg.CacheItemMaxBytes = j.CacheItemMaxBytes
+	cfg.KeepLatencyTrace = j.KeepLatencyTrace
+	cfg.StatsSampleCap = j.StatsSampleCap
+	cfg.Shards = j.Shards
 	if j.Scenario != nil {
 		if err := j.Scenario.Validate(); err != nil {
 			return Config{}, err

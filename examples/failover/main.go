@@ -43,7 +43,9 @@ func run() error {
 
 	// Failure injection: the busiest RSNode dies halfway through.
 	faulty := base
-	faulty.FailRSNodeAt = 0.5
+	faulty.Faults = []netrs.FaultEvent{
+		{Kind: netrs.FaultRSNodeCrash, AtFraction: 0.5, RSNode: netrs.FaultTargetBusiest},
+	}
 	broken, err := netrs.Run(faulty)
 	if err != nil {
 		return err

@@ -435,13 +435,22 @@ func (s *Selector) OnResponse(server int, latency sim.Time, status kv.Status) {
 	st.recvCur++
 }
 
-// OnTimeoutAbandon releases the outstanding slot of a request that will
-// never be answered (used with failure injection).
-func (s *Selector) OnTimeoutAbandon(server int) {
+// OnAbandon releases the outstanding slot of a request that will never be
+// answered: a canceled duplicate or a request lost to a failed operator.
+func (s *Selector) OnAbandon(server int) {
 	st := s.state(server)
 	if st.outstanding > 0 {
 		st.outstanding--
 	}
+}
+
+// Name identifies the algorithm: "c3", or "c3-norate" without rate
+// control.
+func (s *Selector) Name() string {
+	if !s.cfg.RateControl {
+		return "c3-norate"
+	}
+	return "c3"
 }
 
 // SetConcurrencyWeight retunes w, the compensation multiplier for local

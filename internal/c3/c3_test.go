@@ -138,16 +138,16 @@ func TestOnResponseDecrementsOutstanding(t *testing.T) {
 	}
 }
 
-func TestOnTimeoutAbandon(t *testing.T) {
+func TestOnAbandon(t *testing.T) {
 	s, _ := newSelector(t, func(c *Config) { c.RateControl = false })
 	if _, _, err := s.Pick([]int{3}); err != nil {
 		t.Fatal(err)
 	}
-	s.OnTimeoutAbandon(3)
+	s.OnAbandon(3)
 	if s.Outstanding(3) != 0 {
 		t.Fatal("abandon did not release outstanding slot")
 	}
-	s.OnTimeoutAbandon(3) // idempotent at zero
+	s.OnAbandon(3) // idempotent at zero
 	if s.Outstanding(3) != 0 {
 		t.Fatal("abandon went negative")
 	}

@@ -8,9 +8,17 @@ import (
 	"netrs/internal/workload"
 	"testing"
 
+	"netrs/internal/faults"
 	"netrs/internal/placement"
+	"netrs/internal/scenario"
 	"netrs/internal/sim"
 )
+
+// crashBusiestAt is the fault schedule that crashes the busiest RSNode once
+// frac of the run's requests have completed.
+func crashBusiestAt(frac float64) []faults.Event {
+	return []faults.Event{{Kind: faults.KindRSNodeCrash, AtFraction: frac, RSNode: faults.TargetBusiest}}
+}
 
 // smallConfig scales the paper's setup down to a k=8 fat-tree so a full
 // run takes milliseconds.
@@ -320,7 +328,7 @@ func TestRateControlToggle(t *testing.T) {
 
 func TestRSNodeFailureInjection(t *testing.T) {
 	cfg := smallConfig(SchemeNetRSToR)
-	cfg.FailRSNodeAt = 0.5
+	cfg.Faults = crashBusiestAt(0.5)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -478,7 +486,7 @@ func TestReplayTraceWorkload(t *testing.T) {
 	}
 
 	cfg := smallConfig(SchemeNetRSToR)
-	cfg.ReplayTracePath = path
+	cfg.Scenario = scenario.Scenario{ReplayTracePath: path}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +514,7 @@ func TestReplayTraceWorkload(t *testing.T) {
 		t.Fatal("out-of-range trace client accepted")
 	}
 	cfg.Clients = 40
-	cfg.ReplayTracePath = "/does/not/exist.csv"
+	cfg.Scenario.ReplayTracePath = "/does/not/exist.csv"
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("missing trace file accepted")
 	}

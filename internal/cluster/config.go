@@ -201,14 +201,6 @@ type Config struct {
 	// redundancy-overhead reduction, the paper's citation [9]).
 	CancelDuplicates bool
 
-	// FailRSNodeAt injects an RSNode failure (§III-C scenario iii) when
-	// this fraction of the requests has completed: the busiest RSNode
-	// fails and the controller flips its traffic groups to Degraded
-	// Replica Selection. Zero disables injection. NetRS schemes only.
-	// Internally this is synthesized as a one-event fault schedule
-	// prepended to Faults, so it keeps working alongside richer schedules.
-	FailRSNodeAt float64
-
 	// Faults is the run's declared fault schedule: typed events (RSNode
 	// crash/recovery, server slowdown/crash/restart, link-delay spikes)
 	// validated up front and executed on the simulation timeline. See
@@ -243,12 +235,6 @@ type Config struct {
 	// a parallel sweep otherwise holds every cell's full sample slice
 	// alive at once.
 	StatsSampleCap int
-
-	// ReplayTracePath replays a recorded workload (workload.WriteTrace
-	// CSV) instead of the synthetic Poisson source. Requests, Generators,
-	// DemandSkew, Keys, and ZipfTheta are ignored; the request count is
-	// the trace length and WarmupFraction applies to it.
-	ReplayTracePath string
 
 	// Scenario declares the run's composite stress scenario — diurnal
 	// arrival-rate curve, flash-crowd key spike, persistently slow racks,
@@ -373,8 +359,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("hop budget fraction %v: %w", c.ExtraHopBudgetFraction, ErrInvalidParam)
 	case c.Scheme == SchemeCliRSR95 && (c.RedundantPercentile <= 0 || c.RedundantPercentile >= 1):
 		return fmt.Errorf("redundant percentile %v: %w", c.RedundantPercentile, ErrInvalidParam)
-	case c.FailRSNodeAt < 0 || c.FailRSNodeAt >= 1:
-		return fmt.Errorf("fail-rsnode fraction %v: %w", c.FailRSNodeAt, ErrInvalidParam)
 	case c.GroupMaxHosts < 0:
 		return fmt.Errorf("group max hosts %d: %w", c.GroupMaxHosts, ErrInvalidParam)
 	case c.StatsSampleCap < 0:
@@ -401,25 +385,17 @@ func (c Config) validate() error {
 	if err := c.Scenario.Validate(); err != nil {
 		return err
 	}
-	if c.Scenario.ReplayTracePath != "" && c.ReplayTracePath != "" {
-		return fmt.Errorf("scenario trace replay conflicts with ReplayTracePath: %w", ErrInvalidParam)
-	}
-	if c.ReplayTracePath != "" && c.Scenario.ShapesWorkload() {
-		return fmt.Errorf("scenario workload shaping needs the synthetic source, not trace replay: %w", ErrInvalidParam)
-	}
 	if c.EffectiveShards() > 1 {
 		// Features whose bookkeeping needs the run-wide order of a single
 		// partition stay at Shards ≤ 1.
 		switch {
 		case c.Scheme == SchemeCliRSR95:
 			return fmt.Errorf("shards: scheme %s needs the single-engine runner: %w", c.Scheme, ErrInvalidParam)
-		case c.ReplayTracePath != "":
-			return fmt.Errorf("shards: trace replay needs the single-engine runner: %w", ErrInvalidParam)
 		case c.KeepLatencyTrace:
 			return fmt.Errorf("shards: latency trace needs the single-engine runner: %w", ErrInvalidParam)
 		case c.TimelineBucket > 0:
 			return fmt.Errorf("shards: timeline needs the single-engine runner: %w", ErrInvalidParam)
-		case len(c.Faults) > 0 || c.FailRSNodeAt > 0:
+		case len(c.Faults) > 0:
 			return fmt.Errorf("shards: fault injection needs the single-engine runner: %w", ErrInvalidParam)
 		case c.StatsSampleCap > 0:
 			return fmt.Errorf("shards: bounded stats need the single-engine runner: %w", ErrInvalidParam)

@@ -388,12 +388,8 @@ func (r *runner) setup() error {
 	// Workload rate, needed both for the source and to size the C3 rate
 	// limiters at their steady-state operating point. A replayed trace
 	// supplies its own empirical rate.
-	tracePath := cfg.ReplayTracePath
-	if tracePath == "" {
-		tracePath = cfg.Scenario.ReplayTracePath
-	}
 	var traceEntries []workload.TraceEntry
-	if tracePath != "" {
+	if tracePath := cfg.Scenario.ReplayTracePath; tracePath != "" {
 		f, err := os.Open(tracePath)
 		if err != nil {
 			return fmt.Errorf("open trace: %w", err)
@@ -548,18 +544,11 @@ func (r *runner) setup() error {
 			return err
 		}
 	}
-	// The fault schedule: the legacy FailRSNodeAt fraction becomes a
-	// synthesized one-event schedule prepended to any declared events, so
-	// it fires at the identical completion count the bespoke injection
-	// path used.
+	// The fault schedule: the config's events, then the scenario's.
 	events := cfg.Faults
 	if len(cfg.Scenario.Faults) > 0 {
 		// Copy before appending: cfg.Faults may alias a caller's slice.
 		events = append(append([]faults.Event(nil), events...), cfg.Scenario.Faults...)
-	}
-	if cfg.FailRSNodeAt > 0 {
-		legacy := faults.Event{Kind: faults.KindRSNodeCrash, AtFraction: cfg.FailRSNodeAt, RSNode: faults.TargetBusiest}
-		events = append([]faults.Event{legacy}, events...)
 	}
 	if len(events) > 0 {
 		if r.injector, err = faults.NewInjector(r.eng, r, r.total, events, r.recordError); err != nil {
@@ -823,9 +812,9 @@ func setOperatorWeights(net *fabric.Network, rsnodes int) {
 		rsnodes = 1
 	}
 	for _, op := range net.OperatorsSorted() {
-		if ad, ok := op.Accelerator().Selector().(*selection.Adapter); ok {
+		if s, ok := op.Accelerator().Selector().(*c3.Selector); ok {
 			// The weight is nonnegative by construction.
-			_ = ad.Inner().SetConcurrencyWeight(float64(rsnodes))
+			_ = s.SetConcurrencyWeight(float64(rsnodes))
 		}
 	}
 }

@@ -137,20 +137,6 @@ func TestScenarioConfigValidation(t *testing.T) {
 	}
 
 	cfg = smallConfig(SchemeNetRSToR)
-	cfg.ReplayTracePath = "a.csv"
-	cfg.Scenario = scenario.Scenario{ReplayTracePath: "b.csv"}
-	if _, err := Run(cfg); !errors.Is(err, ErrInvalidParam) {
-		t.Fatalf("conflicting trace paths accepted: %v", err)
-	}
-
-	cfg = smallConfig(SchemeNetRSToR)
-	cfg.ReplayTracePath = "a.csv"
-	cfg.Scenario = scenario.Scenario{Diurnal: &scenario.Diurnal{Cycles: 1, Amplitude: 0.2}}
-	if _, err := Run(cfg); !errors.Is(err, ErrInvalidParam) {
-		t.Fatalf("shaping over trace replay accepted: %v", err)
-	}
-
-	cfg = smallConfig(SchemeNetRSToR)
 	cfg.Shards = 2
 	cfg.Scenario = scenario.Scenario{Faults: []faults.Event{
 		{Kind: faults.KindServerCrash, AtMs: 5, Server: 0},

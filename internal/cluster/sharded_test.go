@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"netrs/internal/scenario"
 )
 
 // shardedTestConfig is a small experiment exercising the full feature set
@@ -103,10 +105,10 @@ func TestShardedConfigValidation(t *testing.T) {
 		// the whole run, and no partition can read that counter mid-window,
 		// so a sharded run could not reproduce the duplicates' paths.
 		"r95 scheme":     func(c *Config) { c.Scheme = SchemeCliRSR95 },
-		"trace replay":   func(c *Config) { c.ReplayTracePath = "trace.csv" },
+		"trace replay":   func(c *Config) { c.Scenario = scenario.Scenario{ReplayTracePath: "trace.csv"} },
 		"latency trace":  func(c *Config) { c.KeepLatencyTrace = true },
 		"timeline":       func(c *Config) { c.TimelineBucket = 1_000_000 },
-		"rsnode failure": func(c *Config) { c.FailRSNodeAt = 0.5 },
+		"rsnode failure": func(c *Config) { c.Faults = crashBusiestAt(0.5) },
 		"bounded stats":  func(c *Config) { c.StatsSampleCap = 100 },
 	}
 	for name, mutate := range mutations {

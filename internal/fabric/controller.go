@@ -116,14 +116,6 @@ func (c *Controller) InstallToRPlan() error {
 	return c.deploy(problem, plan)
 }
 
-// UpdateRSP gathers monitor statistics, solves the placement ILP, and
-// deploys the plan. Call it only after traffic has flowed (the monitors
-// need a nonempty window); otherwise supply rates via UpdateRSPWithTraffic.
-func (c *Controller) UpdateRSP() (placement.Plan, error) {
-	rates := c.collect()
-	return c.UpdateRSPWithTraffic(rates)
-}
-
 // UpdateRSPWithTraffic solves and deploys a plan from explicit per-group
 // tier rates (req/s). Groups missing from the map are treated as idle.
 func (c *Controller) UpdateRSPWithTraffic(rates map[int][3]float64) (placement.Plan, error) {
@@ -212,25 +204,9 @@ func (c *Controller) deployDelta(problem placement.Problem, plan placement.Plan)
 	}
 	diff := problem.DiffPlans(c.plan, plan)
 	for _, gi := range diff.MovedGroups {
-		g := c.groups[gi]
-		tor, err := c.net.topo.ToROfRack(g.Rack)
-		if err != nil {
+		if err := c.writeRule(&problem, gi, plan.Assignment[gi]); err != nil {
 			return placement.PlanDiff{}, err
 		}
-		op, err := c.net.Operator(tor)
-		if err != nil {
-			return placement.PlanDiff{}, err
-		}
-		oi := plan.Assignment[gi]
-		if oi == -1 {
-			op.rules.SetDRS(g.ID)
-			continue
-		}
-		rid := problem.Operators[oi].ID
-		if rid <= 0 || uint16(rid) == wire.DegradedRID {
-			return placement.PlanDiff{}, fmt.Errorf("plan assigns illegal RSNode id %d: %w", rid, ErrInvalidParam)
-		}
-		op.rules.SetRSNode(g.ID, uint16(rid))
 	}
 	c.plan = plan
 	c.problem = problem
@@ -297,24 +273,9 @@ func (c *Controller) deploy(problem placement.Problem, plan placement.Plan) erro
 		return fmt.Errorf("refusing to deploy invalid plan: %w", err)
 	}
 	for gi, oi := range plan.Assignment {
-		g := c.groups[gi]
-		tor, err := c.net.topo.ToROfRack(g.Rack)
-		if err != nil {
+		if err := c.writeRule(&problem, gi, oi); err != nil {
 			return err
 		}
-		op, err := c.net.Operator(tor)
-		if err != nil {
-			return err
-		}
-		if oi == -1 {
-			op.rules.SetDRS(g.ID)
-			continue
-		}
-		rid := problem.Operators[oi].ID
-		if rid <= 0 || uint16(rid) == wire.DegradedRID {
-			return fmt.Errorf("plan assigns illegal RSNode id %d: %w", rid, ErrInvalidParam)
-		}
-		op.rules.SetRSNode(g.ID, uint16(rid))
 	}
 	c.plan = plan
 	c.problem = problem
@@ -325,72 +286,40 @@ func (c *Controller) deploy(problem placement.Problem, plan placement.Plan) erro
 	return nil
 }
 
-// HandleOverload implements §III-C scenario (ii): when a NetRS operator
-// "does not work as expected, e.g. the NetRS operator is overloaded due to
-// load changes", the controller enables DRS for every traffic group using
-// it as RSNode. The operator keeps serving in-flight packets (unlike a
-// failure) — only new requests are steered away at the ToRs. It returns
-// the group IDs flipped to DRS.
-func (c *Controller) HandleOverload(op *Operator, utilizationCap float64) ([]int, error) {
-	if !c.hasPlan {
-		return nil, errors.New("fabric: no plan deployed")
+// writeRule rewrites group gi's rule at its ToR: DRS when oi is -1,
+// otherwise the RSNode ID of problem's operator oi, which must be a legal
+// operator ID.
+func (c *Controller) writeRule(problem *placement.Problem, gi, oi int) error {
+	g := c.groups[gi]
+	tor, err := c.net.topo.ToROfRack(g.Rack)
+	if err != nil {
+		return err
 	}
-	if utilizationCap <= 0 || utilizationCap > 1 {
-		return nil, fmt.Errorf("utilization cap %v: %w", utilizationCap, ErrInvalidParam)
-	}
-	if op.Accelerator().Utilization() <= utilizationCap {
-		return nil, nil // not overloaded
-	}
-	oi := -1
-	for idx, cand := range c.problem.Operators {
-		if uint16(cand.ID) == op.id {
-			oi = idx
-			break
-		}
+	op, err := c.net.Operator(tor)
+	if err != nil {
+		return err
 	}
 	if oi == -1 {
-		return nil, fmt.Errorf("operator %d not in deployed problem: %w", op.id, ErrInvalidParam)
+		op.rules.SetDRS(g.ID)
+		return nil
 	}
-	var flipped []int
-	for gi, assigned := range c.plan.Assignment {
-		if assigned != oi {
-			continue
-		}
-		g := c.groups[gi]
-		tor, err := c.net.topo.ToROfRack(g.Rack)
-		if err != nil {
-			return nil, err
-		}
-		top, err := c.net.Operator(tor)
-		if err != nil {
-			return nil, err
-		}
-		top.rules.SetDRS(g.ID)
-		c.plan.Assignment[gi] = -1
-		flipped = append(flipped, g.ID)
+	rid := problem.Operators[oi].ID
+	if rid <= 0 || uint16(rid) == wire.DegradedRID {
+		return fmt.Errorf("plan assigns illegal RSNode id %d: %w", rid, ErrInvalidParam)
 	}
-	sort.Ints(flipped)
-	c.plan.Degraded = append(c.plan.Degraded, flipped...)
-	return flipped, nil
+	op.rules.SetRSNode(g.ID, uint16(rid))
+	return nil
 }
 
-// SweepOverloaded applies HandleOverload to every operator and returns the
-// total number of degraded groups — a periodic health pass the controller
-// can run alongside RSP updates.
-func (c *Controller) SweepOverloaded(utilizationCap float64) (int, error) {
-	// Sorted order keeps the sweep deterministic: each flip appends to
-	// plan.Degraded and rewrites ToR rules, so map order would otherwise
-	// decide both the Degraded sequence and which operator degrades first
-	// when flips change later utilization checks.
-	total := 0
-	for _, op := range c.net.OperatorsSorted() {
-		flipped, err := c.HandleOverload(op, utilizationCap)
-		if err != nil {
-			return total, err
+// operatorIndex returns the deployed problem's index of the operator with
+// RSNode ID id.
+func (c *Controller) operatorIndex(id uint16) (int, error) {
+	for idx, cand := range c.problem.Operators {
+		if uint16(cand.ID) == id {
+			return idx, nil
 		}
-		total += len(flipped)
 	}
-	return total, nil
+	return -1, fmt.Errorf("operator %d not in deployed problem: %w", id, ErrInvalidParam)
 }
 
 // HandleOperatorFailure implements §III-C scenario (iii): every traffic
@@ -406,31 +335,18 @@ func (c *Controller) HandleOperatorFailure(failed *Operator) error {
 		return nil
 	}
 	failed.Fail()
-	oi := -1
-	for idx, op := range c.problem.Operators {
-		if uint16(op.ID) == failed.id {
-			oi = idx
-			break
-		}
-	}
-	if oi == -1 {
-		return fmt.Errorf("operator %d not in deployed problem: %w", failed.id, ErrInvalidParam)
+	oi, err := c.operatorIndex(failed.id)
+	if err != nil {
+		return err
 	}
 	var flipped []int
 	for gi, assigned := range c.plan.Assignment {
 		if assigned != oi {
 			continue
 		}
-		g := c.groups[gi]
-		tor, err := c.net.topo.ToROfRack(g.Rack)
-		if err != nil {
+		if err := c.writeRule(&c.problem, gi, -1); err != nil {
 			return err
 		}
-		top, err := c.net.Operator(tor)
-		if err != nil {
-			return err
-		}
-		top.rules.SetDRS(g.ID)
 		c.plan.Assignment[gi] = -1
 		flipped = append(flipped, gi)
 	}
@@ -450,8 +366,9 @@ func (c *Controller) HandleOperatorFailure(failed *Operator) error {
 // the operator, the plan's assignment entries are reinstated, and the
 // recorded indices leave plan.Degraded. Restoring the pre-failure plan
 // (rather than solving a fresh ILP) keeps the recovered run comparable to
-// the pre-crash run; the next periodic UpdateRSP re-optimizes as usual. It
-// is an error to recover an operator the controller never saw fail.
+// the pre-crash run; the next periodic UpdateRSPDelta re-optimizes as
+// usual. It is an error to recover an operator the controller never saw
+// fail.
 func (c *Controller) HandleOperatorRecovery(op *Operator) error {
 	if !c.hasPlan {
 		return errors.New("fabric: no plan deployed")
@@ -460,28 +377,15 @@ func (c *Controller) HandleOperatorRecovery(op *Operator) error {
 	if !ok {
 		return fmt.Errorf("operator %d not recorded as failed: %w", op.id, ErrInvalidParam)
 	}
-	oi := -1
-	for idx, cand := range c.problem.Operators {
-		if uint16(cand.ID) == op.id {
-			oi = idx
-			break
-		}
-	}
-	if oi == -1 {
-		return fmt.Errorf("operator %d not in deployed problem: %w", op.id, ErrInvalidParam)
+	oi, err := c.operatorIndex(op.id)
+	if err != nil {
+		return err
 	}
 	op.Recover()
 	for _, gi := range gis {
-		g := c.groups[gi]
-		tor, err := c.net.topo.ToROfRack(g.Rack)
-		if err != nil {
+		if err := c.writeRule(&c.problem, gi, oi); err != nil {
 			return err
 		}
-		top, err := c.net.Operator(tor)
-		if err != nil {
-			return err
-		}
-		top.rules.SetRSNode(g.ID, op.id)
 		c.plan.Assignment[gi] = oi
 	}
 	c.pruneDegraded(gis)

@@ -136,16 +136,23 @@ func (h *harness) serveEcho(sid int, host topo.NodeID, p *Packet) {
 		Dst:    p.Src,
 		Server: sid,
 		Status: kv.Status{QueueSize: 3, ServiceTimeNs: float64(sim.Millisecond)},
+		Key:    p.Key,
+		Write:  p.Write,
 	}
 	if err := h.net.SendResponse(resp, host); err != nil {
 		h.t.Errorf("send response: %v", err)
 	}
 }
 
-func (h *harness) sendRequest(reqID uint64) {
+func (h *harness) sendRequest(reqID uint64) { h.sendKeyed(reqID, 0, false) }
+
+// sendKeyed issues a NetRS request for key, a write when write is set.
+func (h *harness) sendKeyed(reqID, key uint64, write bool) {
 	p := &Packet{
 		ReqID:        reqID,
 		RGID:         1,
+		Key:          key,
+		Write:        write,
 		Dst:          topo.InvalidNode,
 		Backup:       h.servers[2],
 		BackupServer: 2,
@@ -187,8 +194,8 @@ func TestNetworkConstructionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(net.Operators()) != len(ft.Switches()) {
-		t.Fatalf("operators = %d, want one per switch (%d)", len(net.Operators()), len(ft.Switches()))
+	if len(net.OperatorsSorted()) != len(ft.Switches()) {
+		t.Fatalf("operators = %d, want one per switch (%d)", len(net.OperatorsSorted()), len(ft.Switches()))
 	}
 	if err := net.AttachHost(ft.Switches()[0], func(*Packet) {}); !errors.Is(err, ErrInvalidParam) {
 		t.Error("attached handler to a switch")
@@ -416,56 +423,6 @@ func TestOperatorFailureHandling(t *testing.T) {
 	torOp.Recover()
 	if torOp.Failed() {
 		t.Fatal("Recover() not recorded")
-	}
-}
-
-func TestControllerOverloadHandling(t *testing.T) {
-	h := newHarness(t, nil)
-	if err := h.ctrl.InstallToRPlan(); err != nil {
-		t.Fatal(err)
-	}
-	torOp := h.torOperator()
-	// Generate accelerator load: a burst of requests.
-	for i := uint64(1); i <= 20; i++ {
-		h.sendRequest(i)
-	}
-	h.eng.Run()
-	util := torOp.Accelerator().Utilization()
-	if util <= 0 {
-		t.Fatal("no accelerator utilization accrued")
-	}
-
-	// With a cap above the observed utilization nothing degrades.
-	flipped, err := h.ctrl.HandleOverload(torOp, 1)
-	if err != nil || len(flipped) != 0 {
-		t.Fatalf("not-overloaded flip = %v, %v", flipped, err)
-	}
-
-	// With a cap below it, the group degrades and new requests take DRS.
-	flipped, err = h.ctrl.HandleOverload(torOp, util/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flipped) != 1 || flipped[0] != 0 {
-		t.Fatalf("flipped = %v, want group 0", flipped)
-	}
-	h.sendRequest(100)
-	h.eng.Run()
-	if resp := h.got[100]; resp == nil || resp.RID != wire.DegradedRID {
-		t.Fatalf("post-overload request not degraded: %+v", resp)
-	}
-
-	// Sweep is idempotent once groups are degraded.
-	n, err := h.ctrl.SweepOverloaded(util / 2)
-	if err != nil || n != 0 {
-		t.Fatalf("sweep after degrade = %d, %v", n, err)
-	}
-	// Validation of the cap argument.
-	if _, err := h.ctrl.HandleOverload(torOp, 0); !errors.Is(err, ErrInvalidParam) {
-		t.Fatal("zero cap accepted")
-	}
-	if _, err := h.ctrl.HandleOverload(torOp, 1.5); !errors.Is(err, ErrInvalidParam) {
-		t.Fatal("cap > 1 accepted")
 	}
 }
 

@@ -169,7 +169,7 @@ func TestInvariantSingleRSNodePerRequest(t *testing.T) {
 		const n = 40
 		w.sendAll(n)
 		var selections, clones uint64
-		for _, op := range w.net.Operators() {
+		for _, op := range w.net.OperatorsSorted() {
 			st := op.Stats()
 			if st.Selections != st.ResponseClones {
 				t.Fatalf("seed %d: operator %d selected %d but saw %d clones",
@@ -217,7 +217,7 @@ func TestInvariantMonitorsCountEveryResponse(t *testing.T) {
 		const n = 35
 		w.sendAll(n)
 		var counted uint64
-		for _, op := range w.net.Operators() {
+		for _, op := range w.net.OperatorsSorted() {
 			if op.Monitor() != nil {
 				counted += op.Monitor().Total()
 			}

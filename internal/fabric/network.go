@@ -80,16 +80,6 @@ type Packet struct {
 	pooled bool
 }
 
-// Clone returns a copy of the packet with an empty path, as a switch's
-// clone-to-accelerator action produces. Clones are never pool-owned.
-func (p *Packet) Clone() *Packet {
-	c := *p
-	c.path = nil
-	c.idx = 0
-	c.pooled = false
-	return &c
-}
-
 // Config parameterizes the simulated fabric with the paper's measurements
 // (§V-A, taken from IncBricks).
 type Config struct {
@@ -163,7 +153,7 @@ type Network struct {
 	// arriveFn is the one hop-completion handler shared by every in-flight
 	// packet (closure-free per-hop scheduling).
 	arriveFn sim.ArgHandler
-	// pktFree recycles pooled packets (NewPacket) after delivery or drop,
+	// pktFree recycles pooled packets (NewPacketIn) after delivery or drop,
 	// one free list per partition so recycling stays worker-local.
 	pktFree [][]*Packet
 
@@ -302,11 +292,6 @@ func (n *Network) OperatorByID(id uint16) (*Operator, error) {
 	return op, nil
 }
 
-// Operators returns all operators keyed by switch. Iterating the map
-// leaks Go's randomized order; deterministic code (anything feeding the
-// sim core or a reported number) must use OperatorsSorted instead.
-func (n *Network) Operators() map[topo.NodeID]*Operator { return n.operators }
-
 // OperatorsSorted returns the operators in topology switch order — the
 // stable iteration view for controllers, sweeps, and statistics.
 func (n *Network) OperatorsSorted() []*Operator { return n.opsSorted }
@@ -342,7 +327,8 @@ func (n *Network) Launch(p *Packet, from, to topo.NodeID) error {
 	return nil
 }
 
-// relaunch resets the packet's path from a waypoint switch.
+// relaunch resets the packet's path from a waypoint switch and forwards it
+// without re-running the waypoint's pipeline.
 func (n *Network) relaunch(p *Packet, from, to topo.NodeID) error {
 	path, err := n.topo.RouteInto(p.path[:0], from, to, flowHash(p.ReqID))
 	if err != nil {
@@ -350,7 +336,7 @@ func (n *Network) relaunch(p *Packet, from, to topo.NodeID) error {
 	}
 	p.path = path
 	p.idx = 0
-	n.forwardFrom(p)
+	n.hop(p)
 	return nil
 }
 
@@ -452,17 +438,13 @@ func (n *Network) arrive(p *Packet) {
 	op.ingress(p)
 }
 
-// NewPacket returns a zeroed packet, recycled from the network's free list
-// when one is available. Pool-owned packets are reclaimed by the fabric
-// after the destination handler returns (or on a drop), so handlers must
-// copy any fields they need and never re-inject or retain the packet.
-// Packets built with a plain &Packet{} literal are never recycled. In
-// sharded mode, use NewPacketIn with the executing partition instead.
-func (n *Network) NewPacket() *Packet { return n.NewPacketIn(0) }
-
-// NewPacketIn recycles from partition part's free list. It must be called
-// from an event executing in that partition, so each free list stays
-// worker-local.
+// NewPacketIn returns a zeroed packet, recycled from partition part's free
+// list when one is available. Pool-owned packets are reclaimed by the
+// fabric after the destination handler returns (or on a drop), so handlers
+// must copy any fields they need and never re-inject or retain the packet.
+// Packets built with a plain &Packet{} literal are never recycled. It must
+// be called from an event executing in partition part (0 on a single
+// engine), so each free list stays worker-local.
 func (n *Network) NewPacketIn(part int) *Packet {
 	free := n.pktFree[part]
 	if k := len(free); k > 0 {
@@ -500,10 +482,6 @@ func (n *Network) drop(p *Packet) {
 	n.counters[part].dropped++
 	n.release(p)
 }
-
-// forwardFrom continues a packet along its (possibly new) path from the
-// current position without re-running the current node's pipeline.
-func (n *Network) forwardFrom(p *Packet) { n.hop(p) }
 
 // SendNetRSRequest injects a fresh NetRS request at a client host: the
 // packet carries the Mreq magic and heads for the client's ToR switch,

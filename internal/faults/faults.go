@@ -8,13 +8,12 @@
 // executes them on the simulation timeline through the arena scheduler.
 //
 // Events are positioned either at an absolute simulated time (AtMs) or at a
-// completed-request fraction (AtFraction), mirroring the legacy
-// Config.FailRSNodeAt semantics; a fraction-positioned event fires at the
-// same completion count on every scheme and load level, which keeps
-// cross-scheme resilience comparisons aligned. Every action is dispatched
-// through the Actions interface the experiment runner implements, so the
-// package stays free of cluster dependencies and unit-testable against a
-// fake.
+// completed-request fraction (AtFraction); a fraction-positioned event
+// fires at the same completion count on every scheme and load level, which
+// keeps cross-scheme resilience comparisons aligned. Every action is
+// dispatched through the Actions interface the experiment runner
+// implements, so the package stays free of cluster dependencies and
+// unit-testable against a fake.
 package faults
 
 import (

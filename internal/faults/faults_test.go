@@ -193,8 +193,7 @@ func TestInjectorFractionThresholds(t *testing.T) {
 		// Declared out of order: must fire sorted by completion count.
 		{Kind: KindRSNodeRecover, AtFraction: 0.6, RSNode: TargetFailed},
 		{Kind: KindRSNodeCrash, AtFraction: 0.3, RSNode: TargetBusiest},
-		// Tiny fraction still clamps up to the first completion, matching
-		// the legacy FailRSNodeAt arithmetic.
+		// Tiny fraction still clamps up to the first completion.
 		{Kind: KindServerCrash, AtFraction: 0.0001, Server: 0},
 	}
 	in, err := NewInjector(eng, acts, 10, events, nil)

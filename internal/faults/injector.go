@@ -39,9 +39,8 @@ type threshold struct {
 
 // Injector executes a validated fault schedule against a run. Time-positioned
 // events are placed on the engine agenda by Start; fraction-positioned events
-// fire synchronously from OnCompletion at the same completion count the
-// legacy FailRSNodeAt path used, so a one-event schedule reproduces it
-// bit-identically.
+// fire synchronously from OnCompletion once the completion count reaches
+// the fraction of the run's total, rounded down and at least one.
 type Injector struct {
 	eng    *sim.Engine
 	acts   Actions
@@ -66,8 +65,6 @@ func NewInjector(eng *sim.Engine, acts Actions, total int, events []Event, repor
 	in := &Injector{eng: eng, acts: acts, report: report}
 	for _, e := range events {
 		if e.AtFraction > 0 {
-			// Same arithmetic as the legacy FailRSNodeAt trigger so that a
-			// synthesized one-event schedule fires at the identical count.
 			count := int(e.AtFraction * float64(total))
 			if count < 1 {
 				count = 1

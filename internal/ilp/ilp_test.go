@@ -3,7 +3,6 @@ package ilp
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -461,33 +460,5 @@ func BenchmarkFacilityLocation(b *testing.B) {
 		if _, err := m.Solve(Options{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestWriteLP(t *testing.T) {
-	m := NewModel()
-	x := addVar(t, m, "D", 1)
-	y, err := m.AddVariable("free", -2, 0, math.Inf(1), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustConstraint(t, m, []Term{{x, 1}, {y, 3}}, LE, 7)
-	mustConstraint(t, m, []Term{{x, 1}}, GE, 0)
-	mustConstraint(t, m, []Term{{y, 2}}, EQ, 4)
-	var buf strings.Builder
-	if err := m.WriteLP(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"Minimize", "Subject To", "Bounds", "General", "End",
-		"+1 D_0", "-2 free_1", "<= 7", ">= 0", "= 4",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("LP output missing %q:\n%s", want, out)
-		}
-	}
-	if err := NewModel().WriteLP(&buf); !errors.Is(err, ErrInvalidParam) {
-		t.Fatal("empty model exported")
 	}
 }

@@ -1,11 +1,9 @@
 package kvnet
 
 import (
-	"sync"
 	"time"
 
 	"netrs/internal/c3"
-	"netrs/internal/kv"
 	"netrs/internal/selection"
 	"netrs/internal/sim"
 )
@@ -18,69 +16,15 @@ type wallClock struct {
 // Now returns nanoseconds since the clock's creation as simulated time.
 func (w wallClock) Now() sim.Time { return sim.Time(time.Since(w.start)) }
 
-// LockedSelector serializes a selection.Selector so several goroutines
-// (e.g. multiple operators sharing one algorithm instance, or an operator
-// plus instrumentation) can drive it safely.
-type LockedSelector struct {
-	mu    sync.Mutex
-	inner selection.Selector
-}
-
-var _ selection.Selector = (*LockedSelector)(nil)
-
-// NewLockedSelector wraps inner with a mutex.
-func NewLockedSelector(inner selection.Selector) *LockedSelector {
-	return &LockedSelector{inner: inner}
-}
-
-// Pick locks and delegates.
-func (l *LockedSelector) Pick(c []int) (int, sim.Time, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.Pick(c)
-}
-
-// Rank locks and delegates.
-func (l *LockedSelector) Rank(c []int) []int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.Rank(c)
-}
-
-// OnResponse locks and delegates.
-func (l *LockedSelector) OnResponse(server int, lat sim.Time, st kv.Status) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.OnResponse(server, lat, st)
-}
-
-// Name delegates without locking (names are immutable).
-func (l *LockedSelector) Name() string { return l.inner.Name() }
-
 // NewC3Selector builds a real-time C3 instance for the UDP operator: the
 // full ranking function plus cubic rate control running against the wall
 // clock (§IV-C's "arbitrary replica selection algorithm" on a real
 // network stack). The returned selector is safe for the operator's
-// single-threaded use; wrap shared instances yourself.
+// single-threaded use; serialize shared instances yourself.
 func NewC3Selector(cfg c3.Config) (selection.Selector, error) {
-	inner, err := c3.NewSelectorWithClock(cfg, wallClock{start: time.Now()})
+	sel, err := c3.NewSelectorWithClock(cfg, wallClock{start: time.Now()})
 	if err != nil {
 		return nil, err
 	}
-	return &c3Adapter{inner: inner}, nil
+	return sel, nil
 }
-
-// c3Adapter bridges the concrete C3 type into selection.Selector (the
-// selection package's Adapter is simulation-bound via its constructor).
-type c3Adapter struct {
-	inner *c3.Selector
-}
-
-var _ selection.Selector = (*c3Adapter)(nil)
-
-func (a *c3Adapter) Pick(c []int) (int, sim.Time, error) { return a.inner.Pick(c) }
-func (a *c3Adapter) Rank(c []int) []int                  { return a.inner.Rank(c) }
-func (a *c3Adapter) OnResponse(server int, lat sim.Time, st kv.Status) {
-	a.inner.OnResponse(server, lat, st)
-}
-func (a *c3Adapter) Name() string { return "c3" }

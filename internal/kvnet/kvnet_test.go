@@ -139,7 +139,7 @@ func TestClientSeesMonitorMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	req, err := wire.MarshalRequest(wire.Request{Magic: wire.MagicRequest, RGID: 1, Payload: []byte("k")})
+	req, err := wire.AppendRequest(nil, wire.Request{Magic: wire.MagicRequest, RGID: 1, Payload: []byte("k")})
 	if err != nil {
 		t.Fatal(err)
 	}

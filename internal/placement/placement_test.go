@@ -400,10 +400,18 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 }
 
 func TestMethodStrings(t *testing.T) {
-	for _, m := range []Method{MethodAuto, MethodExact, MethodHeuristic, MethodToR, Method(9)} {
+	for _, m := range []Method{MethodAuto, MethodExact, MethodHeuristic, MethodToR, MethodWarm, Method(9)} {
 		if m.String() == "" {
 			t.Errorf("Method(%d) has empty name", int(m))
 		}
+	}
+	for _, m := range []Method{MethodAuto, MethodExact, MethodHeuristic, MethodToR, MethodWarm} {
+		if got, err := ParseMethod(m.String()); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if _, err := ParseMethod(Method(9).String()); !errors.Is(err, ErrInvalidParam) {
+		t.Errorf("ParseMethod accepted %q", Method(9).String())
 	}
 }
 

@@ -41,6 +41,16 @@ func (m Method) String() string {
 	}
 }
 
+// ParseMethod resolves a method name as String prints it.
+func ParseMethod(name string) (Method, error) {
+	for m := MethodAuto; m <= MethodWarm; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown placement method %q: %w", name, ErrInvalidParam)
+}
+
 // Options tunes Solve.
 type Options struct {
 	// Method picks the solver; zero value means MethodAuto.

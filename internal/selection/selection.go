@@ -4,8 +4,8 @@
 // (NetRS-ILP) — together with the baseline algorithms the literature
 // compares against (§VI): random, round-robin, least-outstanding-requests,
 // the power of two choices, a Cassandra-style dynamic snitch, and the
-// timeliness-aware Tars. The C3 algorithm itself lives in package c3;
-// Adapter bridges it into the same interface.
+// timeliness-aware Tars. The C3 algorithm itself lives in package c3, and
+// *c3.Selector implements Selector and Abandoner directly.
 package selection
 
 import (
@@ -73,19 +73,11 @@ func Algorithms() []string {
 func New(name string, eng *sim.Engine, rng *sim.RNG) (Selector, error) {
 	switch name {
 	case AlgoC3:
-		inner, err := c3.NewSelector(c3.NewDefaultConfig(), eng)
-		if err != nil {
-			return nil, err
-		}
-		return &Adapter{inner: inner}, nil
+		return NewC3(c3.NewDefaultConfig(), eng)
 	case AlgoC3NoRate:
 		cfg := c3.NewDefaultConfig()
 		cfg.RateControl = false
-		inner, err := c3.NewSelector(cfg, eng)
-		if err != nil {
-			return nil, err
-		}
-		return &Adapter{inner: inner, name: AlgoC3NoRate}, nil
+		return NewC3(cfg, eng)
 	case AlgoRandom:
 		if rng == nil {
 			return nil, fmt.Errorf("random selector needs an rng: %w", ErrInvalidParam)
@@ -109,59 +101,15 @@ func New(name string, eng *sim.Engine, rng *sim.RNG) (Selector, error) {
 	}
 }
 
-// NewC3 builds a C3-backed selector with an explicit configuration —
-// the constructor the cluster wiring uses so it can set the concurrency
-// weight to the number of RSNodes.
+// NewC3 builds a C3 selector with an explicit configuration — the
+// constructor the cluster wiring uses so it can set the concurrency weight
+// to the number of RSNodes. The dynamic type is *c3.Selector.
 func NewC3(cfg c3.Config, eng *sim.Engine) (Selector, error) {
-	inner, err := c3.NewSelector(cfg, eng)
+	s, err := c3.NewSelector(cfg, eng)
 	if err != nil {
 		return nil, err
 	}
-	name := AlgoC3
-	if !cfg.RateControl {
-		name = AlgoC3NoRate
-	}
-	return &Adapter{inner: inner, name: name}, nil
+	return s, nil
 }
 
-// Adapter exposes a c3.Selector through the Selector interface.
-type Adapter struct {
-	inner *c3.Selector
-	name  string
-}
-
-var _ Selector = (*Adapter)(nil)
-
-// Pick delegates to C3's ranked, rate-shaped pick.
-func (a *Adapter) Pick(candidates []int) (int, sim.Time, error) {
-	srv, delay, err := a.inner.Pick(candidates)
-	if err != nil {
-		return 0, 0, fmt.Errorf("c3 pick: %w", err)
-	}
-	return srv, delay, nil
-}
-
-// Rank delegates to C3's Ψ ordering.
-func (a *Adapter) Rank(candidates []int) []int { return a.inner.Rank(candidates) }
-
-// OnResponse delegates to C3.
-func (a *Adapter) OnResponse(server int, latency sim.Time, status kv.Status) {
-	a.inner.OnResponse(server, latency, status)
-}
-
-var _ Abandoner = (*Adapter)(nil)
-
-// OnAbandon releases C3's outstanding slot for a request that will never
-// be answered.
-func (a *Adapter) OnAbandon(server int) { a.inner.OnTimeoutAbandon(server) }
-
-// Name returns the algorithm name.
-func (a *Adapter) Name() string {
-	if a.name == "" {
-		return AlgoC3
-	}
-	return a.name
-}
-
-// Inner exposes the wrapped C3 instance for instrumentation.
-func (a *Adapter) Inner() *c3.Selector { return a.inner }
+var _ Abandoner = (*c3.Selector)(nil)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"netrs/internal/c3"
 	"netrs/internal/kv"
 	"netrs/internal/sim"
 )
@@ -181,19 +182,20 @@ func TestRandomCoversAllCandidates(t *testing.T) {
 	}
 }
 
-func TestAdapterExposesInner(t *testing.T) {
+// TestC3IsConcreteSelector pins the dynamic type the cluster wiring
+// asserts to retune C3's concurrency weight after a plan is deployed.
+func TestC3IsConcreteSelector(t *testing.T) {
 	eng := sim.NewEngine()
 	s, err := New(AlgoC3, eng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, ok := s.(*Adapter)
-	if !ok || a.Inner() == nil {
-		t.Fatal("c3 adapter does not expose inner selector")
+	if _, ok := s.(*c3.Selector); !ok {
+		t.Fatalf("New(%q) is %T, want *c3.Selector", AlgoC3, s)
 	}
 }
 
-func TestC3AdapterIntegration(t *testing.T) {
+func TestC3SelectorIntegration(t *testing.T) {
 	eng := sim.NewEngine()
 	s, err := New(AlgoC3NoRate, eng, nil)
 	if err != nil {
@@ -206,6 +208,6 @@ func TestC3AdapterIntegration(t *testing.T) {
 	}
 	srv, delay, err := s.Pick([]int{1, 2})
 	if err != nil || srv != 2 || delay != 0 {
-		t.Fatalf("c3 adapter picked %d (+%v, %v), want 2", srv, delay, err)
+		t.Fatalf("c3 picked %d (+%v, %v), want 2", srv, delay, err)
 	}
 }

@@ -119,18 +119,6 @@ func (r *RNG) ExpFloat64() float64 {
 	return -math.Log(u)
 }
 
-// NormFloat64 returns a standard normal draw (Box–Muller, polar form).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

@@ -15,7 +15,6 @@ type Histogram struct {
 	sigBits  uint
 	buckets  []uint64
 	count    uint64
-	sum      uint64
 	maxSeen  uint64
 	underMin uint64
 }
@@ -65,7 +64,6 @@ func (h *Histogram) Record(v int64) {
 	u := uint64(v)
 	h.buckets[h.bucketIndex(u)]++
 	h.count++
-	h.sum += u
 	if u > h.maxSeen {
 		h.maxSeen = u
 	}
@@ -73,14 +71,6 @@ func (h *Histogram) Record(v int64) {
 
 // Count returns the number of recorded values.
 func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the average recorded value, or an error if empty.
-func (h *Histogram) Mean() (float64, error) {
-	if h.count == 0 {
-		return 0, ErrNoSamples
-	}
-	return float64(h.sum) / float64(h.count), nil
-}
 
 // Max returns the largest recorded value (exact).
 func (h *Histogram) Max() (uint64, error) {
@@ -133,7 +123,6 @@ func (h *Histogram) Merge(other *Histogram) error {
 		h.buckets[i] += c
 	}
 	h.count += other.count
-	h.sum += other.sum
 	if other.maxSeen > h.maxSeen {
 		h.maxSeen = other.maxSeen
 	}
@@ -146,5 +135,5 @@ func (h *Histogram) Reset() {
 	for i := range h.buckets {
 		h.buckets[i] = 0
 	}
-	h.count, h.sum, h.maxSeen, h.underMin = 0, 0, 0, 0
+	h.count, h.maxSeen, h.underMin = 0, 0, 0
 }

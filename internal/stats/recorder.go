@@ -281,30 +281,6 @@ func (s Summary) String() string {
 		s.Count, s.MeanMs, s.P95Ms, s.P99Ms, s.P999Ms)
 }
 
-// Merge combines two summaries with count-weighted averaging — an
-// associative fold suited to hierarchical aggregation of partial results.
-// The merged mean is the exact mean of the union; the merged percentiles
-// are weighted averages (an approximation, since percentiles do not
-// compose). MergeSummaries keeps the paper's equal-weight-per-repetition
-// convention for figure cells.
-func (s Summary) Merge(o Summary) Summary {
-	if o.Count == 0 {
-		return s
-	}
-	if s.Count == 0 {
-		return o
-	}
-	n, m := float64(s.Count), float64(o.Count)
-	w := n + m
-	return Summary{
-		Count:  s.Count + o.Count,
-		MeanMs: (s.MeanMs*n + o.MeanMs*m) / w,
-		P95Ms:  (s.P95Ms*n + o.P95Ms*m) / w,
-		P99Ms:  (s.P99Ms*n + o.P99Ms*m) / w,
-		P999Ms: (s.P999Ms*n + o.P999Ms*m) / w,
-	}
-}
-
 // MergeSummaries averages a set of summaries point-wise; the paper repeats
 // every experiment three times with different random deployments and
 // reports the combined result.

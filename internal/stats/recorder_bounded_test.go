@@ -224,29 +224,3 @@ func TestSortCacheInvalidatedOnRecord(t *testing.T) {
 		t.Fatalf("max after late insert = %v, want 40", got)
 	}
 }
-
-// TestSummaryMerge checks the count-weighted fold: exact for means,
-// associative, identity on the zero summary.
-func TestSummaryMerge(t *testing.T) {
-	a := Summary{Count: 100, MeanMs: 1, P95Ms: 2, P99Ms: 3, P999Ms: 4}
-	b := Summary{Count: 300, MeanMs: 5, P95Ms: 6, P99Ms: 7, P999Ms: 8}
-	m := a.Merge(b)
-	if m.Count != 400 {
-		t.Fatalf("count %d", m.Count)
-	}
-	if math.Abs(m.MeanMs-4) > 1e-12 { // (100·1 + 300·5)/400
-		t.Fatalf("weighted mean %v, want 4", m.MeanMs)
-	}
-	if got := (Summary{}).Merge(a); got != a {
-		t.Fatalf("zero identity broken: %+v", got)
-	}
-	if got := a.Merge(Summary{}); got != a {
-		t.Fatalf("zero identity broken: %+v", got)
-	}
-	c := Summary{Count: 600, MeanMs: 9, P95Ms: 9, P99Ms: 9, P999Ms: 9}
-	l := a.Merge(b).Merge(c)
-	r2 := a.Merge(b.Merge(c))
-	if math.Abs(l.MeanMs-r2.MeanMs) > 1e-12 || l.Count != r2.Count {
-		t.Fatalf("merge not associative: %+v vs %+v", l, r2)
-	}
-}

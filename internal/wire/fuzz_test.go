@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"math"
 	"testing"
 )
 
@@ -10,7 +9,7 @@ import (
 // bytes: it must never panic, and anything it accepts must re-marshal to
 // an equivalent packet.
 func FuzzUnmarshalRequest(f *testing.F) {
-	seed, _ := MarshalRequest(Request{
+	seed, _ := AppendRequest(nil, Request{
 		RID: 7, Magic: MagicRequest, RV: 9, RGID: 0xABCDEF, Payload: []byte("key"),
 	})
 	f.Add(seed)
@@ -22,7 +21,7 @@ func FuzzUnmarshalRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		out, err := MarshalRequest(req)
+		out, err := AppendRequest(nil, req)
 		if err != nil {
 			t.Fatalf("accepted request does not re-marshal: %v", err)
 		}
@@ -106,7 +105,7 @@ func FuzzResponseRoundTrip(f *testing.F) {
 // FuzzUnmarshalResponse hardens the response parser, including its
 // variable-length SS segment.
 func FuzzUnmarshalResponse(f *testing.F) {
-	seed, _ := MarshalResponse(Response{
+	seed, _ := AppendResponse(nil, Response{
 		RID: 1, Magic: MagicResponse, RV: 2,
 		Source:  SourceMarker{Pod: 3, Rack: 4},
 		Status:  Status{QueueSize: 5, ServiceTimeUs: 6},
@@ -123,7 +122,7 @@ func FuzzUnmarshalResponse(f *testing.F) {
 		}
 		// Responses with pathological status floats cannot re-marshal;
 		// skip those, the parser tolerating them is fine.
-		out, err := MarshalResponse(resp)
+		out, err := AppendResponse(nil, resp)
 		if err != nil {
 			return
 		}
@@ -133,58 +132,6 @@ func FuzzUnmarshalResponse(f *testing.F) {
 		}
 		if again.RID != resp.RID || again.Magic != resp.Magic || again.Source != resp.Source {
 			t.Fatalf("lossy round trip: %+v vs %+v", resp, again)
-		}
-	})
-}
-
-// FuzzInvalidationRoundTrip drives AppendInvalidation from arbitrary field
-// values: every in-range invalidation must encode (appended to a dirty,
-// nonempty dst — the recycled-buffer hot path) and decode back to
-// identical fields.
-func FuzzInvalidationRoundTrip(f *testing.F) {
-	f.Add(uint16(7), uint64(MagicInvalidate), uint16(9), uint64(0xdeadbeefcafef00d))
-	f.Add(uint16(0), uint64(0), uint16(0), uint64(0))
-	f.Add(DegradedRID, uint64(MaxMagic), uint16(0xffff), uint64(math.MaxUint64))
-	f.Fuzz(func(t *testing.T, rid uint16, magic uint64, rv uint16, key uint64) {
-		inv := Invalidation{RID: rid, Magic: Magic(magic % (uint64(MaxMagic) + 1)), RV: rv, Key: key}
-		prefix := []byte{0xde, 0xad, 0xbe, 0xef}
-		dst, err := AppendInvalidation(append([]byte(nil), prefix...), inv)
-		if err != nil {
-			t.Fatalf("in-range invalidation rejected: %v", err)
-		}
-		if !bytes.Equal(dst[:len(prefix)], prefix) {
-			t.Fatalf("append clobbered dst prefix: %x", dst[:len(prefix)])
-		}
-		got, err := UnmarshalInvalidation(dst[len(prefix):])
-		if err != nil {
-			t.Fatalf("encoded invalidation does not parse: %v", err)
-		}
-		if got != inv {
-			t.Fatalf("lossy round trip: %+v vs %+v", inv, got)
-		}
-	})
-}
-
-// FuzzUnmarshalInvalidation hardens the invalidation parser against
-// arbitrary bytes: it must never panic, and anything it accepts must
-// re-marshal byte-identically (the layout has no variable part).
-func FuzzUnmarshalInvalidation(f *testing.F) {
-	seed, _ := MarshalInvalidation(Invalidation{RID: 1, Magic: MagicInvalidate, Key: 42})
-	f.Add(seed)
-	f.Add([]byte{})
-	f.Add(make([]byte, 17))
-	f.Add(bytes.Repeat([]byte{0xff}, 18))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		inv, err := UnmarshalInvalidation(data)
-		if err != nil {
-			return
-		}
-		out, err := MarshalInvalidation(inv)
-		if err != nil {
-			t.Fatalf("accepted invalidation does not re-marshal: %v", err)
-		}
-		if !bytes.Equal(out, data) {
-			t.Fatalf("re-marshal differs: %x vs %x", out, data)
 		}
 	})
 }

@@ -173,24 +173,6 @@ func PeekMagic(buf []byte) (Magic, error) {
 	return Magic(getUint48(buf[2:8])), nil
 }
 
-// PeekRID extracts the RSNode ID without a full parse.
-func PeekRID(buf []byte) (uint16, error) {
-	if len(buf) < headerLen {
-		return 0, fmt.Errorf("peek needs %d bytes, have %d: %w", headerLen, len(buf), ErrShortPacket)
-	}
-	return binary.BigEndian.Uint16(buf[0:2]), nil
-}
-
-// SetRID rewrites the RSNode ID in place — the ToR match-action that stamps
-// each request with its traffic group's RSNode.
-func SetRID(buf []byte, rid uint16) error {
-	if len(buf) < 2 {
-		return fmt.Errorf("set RID on %d bytes: %w", len(buf), ErrShortPacket)
-	}
-	binary.BigEndian.PutUint16(buf[0:2], rid)
-	return nil
-}
-
 // SetMagic rewrites the magic field in place.
 func SetMagic(buf []byte, m Magic) error {
 	if len(buf) < headerLen {
@@ -222,11 +204,6 @@ type Request struct {
 
 // requestFixedLen is the request layout length before the payload.
 const requestFixedLen = headerLen + 3
-
-// MarshalRequest encodes a request packet into a fresh buffer.
-func MarshalRequest(r Request) ([]byte, error) {
-	return AppendRequest(nil, r)
-}
 
 // AppendRequest encodes a request packet, appending to dst (which may be
 // nil, or a recycled buffer resliced to zero length) and returning the
@@ -305,11 +282,6 @@ type Response struct {
 // responseFixedLen is the response layout length before SS and payload.
 const responseFixedLen = headerLen + 4 + 2
 
-// MarshalResponse encodes a response packet into a fresh buffer.
-func MarshalResponse(r Response) ([]byte, error) {
-	return AppendResponse(nil, r)
-}
-
 // AppendResponse encodes a response packet, appending to dst (which may be
 // nil, or a recycled buffer resliced to zero length) and returning the
 // extended slice.
@@ -365,59 +337,4 @@ func UnmarshalResponse(buf []byte) (Response, error) {
 		copy(r.Payload, rest)
 	}
 	return r, nil
-}
-
-// Invalidation is a decoded cache-invalidation message: after a write
-// commits at a replica, one of these fans out to every ToR hot-key cache so
-// stale values never outlive the update. The layout reuses the common
-// header (RID carries the originating server's rack ToR as a debugging
-// aid, RV is unused) followed by the 64-bit key:
-//
-//	invalidation: RID(2) MF(6) RV(2) Key(8)
-type Invalidation struct {
-	RID   uint16
-	Magic Magic
-	RV    uint16
-	// Key is the invalidated key.
-	Key uint64
-}
-
-// invalidationLen is the fixed invalidation layout length.
-const invalidationLen = headerLen + 8
-
-// MarshalInvalidation encodes an invalidation packet into a fresh buffer.
-func MarshalInvalidation(inv Invalidation) ([]byte, error) {
-	return AppendInvalidation(nil, inv)
-}
-
-// AppendInvalidation encodes an invalidation packet, appending to dst
-// (which may be nil, or a recycled buffer resliced to zero length) and
-// returning the extended slice.
-func AppendInvalidation(dst []byte, inv Invalidation) ([]byte, error) {
-	if inv.Magic > MaxMagic {
-		return nil, fmt.Errorf("invalidation magic %x: %w", uint64(inv.Magic), ErrFieldRange)
-	}
-	off := len(dst)
-	dst = grow(dst, invalidationLen)
-	buf := dst[off:]
-	putHeader(buf, header{RID: inv.RID, Magic: inv.Magic, RV: inv.RV})
-	binary.BigEndian.PutUint64(buf[headerLen:], inv.Key)
-	return dst, nil
-}
-
-// UnmarshalInvalidation decodes an invalidation packet.
-func UnmarshalInvalidation(buf []byte) (Invalidation, error) {
-	h, err := parseHeader(buf)
-	if err != nil {
-		return Invalidation{}, err
-	}
-	if len(buf) != invalidationLen {
-		return Invalidation{}, fmt.Errorf("invalidation needs exactly %d bytes, have %d: %w", invalidationLen, len(buf), ErrShortPacket)
-	}
-	return Invalidation{
-		RID:   h.RID,
-		Magic: h.Magic,
-		RV:    h.RV,
-		Key:   binary.BigEndian.Uint64(buf[headerLen:]),
-	}, nil
 }

@@ -72,7 +72,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		RGID:    0xABCDEF,
 		Payload: []byte("GET key42"),
 	}
-	buf, err := MarshalRequest(in)
+	buf, err := AppendRequest(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRequestRoundTrip(t *testing.T) {
 }
 
 func TestRequestEmptyPayload(t *testing.T) {
-	buf, err := MarshalRequest(Request{Magic: MagicRequest, RGID: 5})
+	buf, err := AppendRequest(nil, Request{Magic: MagicRequest, RGID: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +106,10 @@ func TestRequestEmptyPayload(t *testing.T) {
 }
 
 func TestRequestValidation(t *testing.T) {
-	if _, err := MarshalRequest(Request{Magic: MaxMagic + 1}); !errors.Is(err, ErrFieldRange) {
+	if _, err := AppendRequest(nil, Request{Magic: MaxMagic + 1}); !errors.Is(err, ErrFieldRange) {
 		t.Fatal("oversized magic accepted")
 	}
-	if _, err := MarshalRequest(Request{Magic: MagicRequest, RGID: 1 << 24}); !errors.Is(err, ErrFieldRange) {
+	if _, err := AppendRequest(nil, Request{Magic: MagicRequest, RGID: 1 << 24}); !errors.Is(err, ErrFieldRange) {
 		t.Fatal("oversized RGID accepted")
 	}
 	if _, err := UnmarshalRequest([]byte{1, 2, 3}); !errors.Is(err, ErrShortPacket) {
@@ -129,7 +129,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		Status:  Status{QueueSize: 42, ServiceTimeUs: 4000.5},
 		Payload: []byte("value-bytes"),
 	}
-	buf, err := MarshalResponse(in)
+	buf, err := AppendResponse(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,20 +147,20 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 func TestResponseValidation(t *testing.T) {
-	if _, err := MarshalResponse(Response{Magic: MaxMagic + 1}); !errors.Is(err, ErrFieldRange) {
+	if _, err := AppendResponse(nil, Response{Magic: MaxMagic + 1}); !errors.Is(err, ErrFieldRange) {
 		t.Fatal("oversized magic accepted")
 	}
-	if _, err := MarshalResponse(Response{Status: Status{ServiceTimeUs: float32(math.NaN())}}); !errors.Is(err, ErrFieldRange) {
+	if _, err := AppendResponse(nil, Response{Status: Status{ServiceTimeUs: float32(math.NaN())}}); !errors.Is(err, ErrFieldRange) {
 		t.Fatal("NaN service time accepted")
 	}
-	if _, err := MarshalResponse(Response{Status: Status{ServiceTimeUs: -1}}); !errors.Is(err, ErrFieldRange) {
+	if _, err := AppendResponse(nil, Response{Status: Status{ServiceTimeUs: -1}}); !errors.Is(err, ErrFieldRange) {
 		t.Fatal("negative service time accepted")
 	}
 	if _, err := UnmarshalResponse(make([]byte, 5)); !errors.Is(err, ErrShortPacket) {
 		t.Fatal("short response accepted")
 	}
 	// Corrupt SSL claiming more bytes than present.
-	buf, err := MarshalResponse(Response{Magic: MagicResponse})
+	buf, err := AppendResponse(nil, Response{Magic: MagicResponse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,60 +170,14 @@ func TestResponseValidation(t *testing.T) {
 	}
 }
 
-func TestInvalidationRoundTrip(t *testing.T) {
-	in := Invalidation{RID: 12, Magic: MagicInvalidate, RV: 0x5a5a, Key: 0xdeadbeefcafef00d}
-	buf, err := MarshalInvalidation(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(buf) != invalidationLen {
-		t.Fatalf("encoded length %d, want %d", len(buf), invalidationLen)
-	}
-	if m, err := PeekMagic(buf); err != nil || m != MagicInvalidate {
-		t.Fatalf("PeekMagic = %x, %v", uint64(m), err)
-	}
-	out, err := UnmarshalInvalidation(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("round trip = %+v, want %+v", out, in)
-	}
-}
-
-func TestInvalidationValidation(t *testing.T) {
-	if _, err := MarshalInvalidation(Invalidation{Magic: MaxMagic + 1}); !errors.Is(err, ErrFieldRange) {
-		t.Fatal("oversized magic accepted")
-	}
-	if _, err := UnmarshalInvalidation(make([]byte, 5)); !errors.Is(err, ErrShortPacket) {
-		t.Fatal("short invalidation accepted")
-	}
-	// The layout is fixed-length: trailing bytes mean a framing bug
-	// upstream, not a payload.
-	buf, err := MarshalInvalidation(Invalidation{Magic: MagicInvalidate, Key: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalInvalidation(append(buf, 0)); !errors.Is(err, ErrShortPacket) {
-		t.Fatal("overlong invalidation accepted")
-	}
-}
-
 func TestPeekAndRewrite(t *testing.T) {
-	buf, err := MarshalRequest(Request{RID: 1, Magic: MagicRequest, RGID: 2})
+	buf, err := AppendRequest(nil, Request{RID: 1, Magic: MagicRequest, RGID: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, err := PeekMagic(buf)
 	if err != nil || m != MagicRequest {
 		t.Fatalf("PeekMagic = %x, %v", uint64(m), err)
-	}
-	rid, err := PeekRID(buf)
-	if err != nil || rid != 1 {
-		t.Fatalf("PeekRID = %d, %v", rid, err)
-	}
-	if err := SetRID(buf, 55); err != nil {
-		t.Fatal(err)
 	}
 	if err := SetMagic(buf, Transform(MagicMonitor)); err != nil {
 		t.Fatal(err)
@@ -232,17 +186,11 @@ func TestPeekAndRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.RID != 55 || out.Magic != Transform(MagicMonitor) || out.RGID != 2 {
+	if out.RID != 1 || out.Magic != Transform(MagicMonitor) || out.RGID != 2 {
 		t.Fatalf("after rewrite: %+v", out)
 	}
 	if _, err := PeekMagic(nil); !errors.Is(err, ErrShortPacket) {
 		t.Fatal("peek on empty accepted")
-	}
-	if _, err := PeekRID(nil); !errors.Is(err, ErrShortPacket) {
-		t.Fatal("peek rid on empty accepted")
-	}
-	if err := SetRID(nil, 1); !errors.Is(err, ErrShortPacket) {
-		t.Fatal("SetRID on empty accepted")
 	}
 	if err := SetMagic(make([]byte, 3), 1); !errors.Is(err, ErrShortPacket) {
 		t.Fatal("SetMagic on short accepted")
@@ -271,7 +219,7 @@ func TestRequestRoundTripProperty(t *testing.T) {
 			RGID:    rgid & 0xffffff,
 			Payload: payload,
 		}
-		buf, err := MarshalRequest(in)
+		buf, err := AppendRequest(nil, in)
 		if err != nil {
 			return false
 		}
@@ -307,7 +255,7 @@ func TestResponseRoundTripProperty(t *testing.T) {
 			Status:  Status{QueueSize: q, ServiceTimeUs: st},
 			Payload: payload,
 		}
-		buf, err := MarshalResponse(in)
+		buf, err := AppendResponse(nil, in)
 		if err != nil {
 			return false
 		}
@@ -342,18 +290,18 @@ func TestServerMagicAlgebra(t *testing.T) {
 	}
 }
 
-func BenchmarkMarshalRequest(b *testing.B) {
+func BenchmarkAppendRequest(b *testing.B) {
 	payload := bytes.Repeat([]byte("k"), 32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := MarshalRequest(Request{Magic: MagicRequest, RGID: 77, Payload: payload}); err != nil {
+		if _, err := AppendRequest(nil, Request{Magic: MagicRequest, RGID: 77, Payload: payload}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkUnmarshalResponse(b *testing.B) {
-	buf, err := MarshalResponse(Response{
+	buf, err := AppendResponse(nil, Response{
 		Magic:   MagicResponse,
 		Status:  Status{QueueSize: 3, ServiceTimeUs: 4000},
 		Payload: bytes.Repeat([]byte("v"), 1024),
