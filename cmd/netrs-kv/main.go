@@ -92,9 +92,13 @@ func demo(args []string) error {
 	ids := make([]int, len(servers))
 	for i, srv := range servers {
 		ids[i] = i
-		op.RegisterServer(i, srv.Addr())
+		if err := op.RegisterServer(i, srv.Addr()); err != nil {
+			return err
+		}
 	}
-	op.RegisterGroup(1, ids)
+	if err := op.RegisterGroup(1, ids); err != nil {
+		return err
+	}
 	fmt.Printf("operator on %v (RSNode ID 1)\n\n", op.Addr())
 
 	cli, err := kvnet.NewClient(op.Addr(), func(string) uint32 { return 1 }, 2*time.Second)
@@ -177,10 +181,14 @@ func operatorCmd(args []string) error {
 		if err != nil {
 			return fmt.Errorf("server %q: %w", s, err)
 		}
-		op.RegisterServer(i, udp)
+		if err := op.RegisterServer(i, udp); err != nil {
+			return err
+		}
 		ids = append(ids, i)
 	}
-	op.RegisterGroup(1, ids)
+	if err := op.RegisterGroup(1, ids); err != nil {
+		return err
+	}
 	fmt.Printf("NetRS operator on %v selecting among %d replicas; ctrl-c to stop\n", op.Addr(), len(ids))
 	waitForInterrupt()
 	sel, resp, drop := op.Stats()

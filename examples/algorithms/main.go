@@ -63,6 +63,31 @@ func experiment(algo string, seed uint64) (stats.Summary, error) {
 	issued := 0
 	completed := 0
 
+	// A request's state travels as the argument of two handlers stored
+	// once: launch (after any rate-control hold) and done (at service
+	// completion), so no per-request closure is built.
+	type request struct {
+		server          int
+		created, sentAt sim.Time
+	}
+	done := func(arg any, _ sim.Time) {
+		req := arg.(*request)
+		rec.Record(eng.Now() - req.created)
+		sel.OnResponse(req.server, eng.Now()-req.sentAt, servers[req.server].Status())
+		completed++
+		if completed == total {
+			for _, s := range servers {
+				s.Stop()
+			}
+			eng.Stop()
+		}
+	}
+	launch := func(arg any) {
+		req := arg.(*request)
+		req.sentAt = eng.Now()
+		servers[req.server].Submit(kv.Request{Done: done, Arg: req})
+	}
+
 	var arrive func()
 	arrive = func() {
 		if issued >= total {
@@ -73,22 +98,7 @@ func experiment(algo string, seed uint64) (stats.Summary, error) {
 		if err != nil {
 			return
 		}
-		created := eng.Now()
-		eng.MustSchedule(delay, func() {
-			sentAt := eng.Now()
-			servers[srvIdx].Submit(kv.Request{Done: func(sim.Time) {
-				lat := eng.Now() - created
-				rec.Record(lat)
-				sel.OnResponse(srvIdx, eng.Now()-sentAt, servers[srvIdx].Status())
-				completed++
-				if completed == total {
-					for _, s := range servers {
-						s.Stop()
-					}
-					eng.Stop()
-				}
-			}})
-		})
+		eng.MustScheduleArg(delay, launch, &request{server: srvIdx, created: eng.Now()})
 		eng.MustSchedule(proc.NextInterarrival(), arrive)
 	}
 	eng.MustSchedule(proc.NextInterarrival(), arrive)

@@ -55,9 +55,13 @@ func run() error {
 	}
 	defer op.Close()
 	for i, srv := range servers {
-		op.RegisterServer(i, srv.Addr())
+		if err := op.RegisterServer(i, srv.Addr()); err != nil {
+			return err
+		}
 	}
-	op.RegisterGroup(1, []int{0, 1, 2}) // every key's RGID is 1 here
+	if err := op.RegisterGroup(1, []int{0, 1, 2}); err != nil { // every key's RGID is 1 here
+		return err
+	}
 	fmt.Printf("operator: %v (RSNode 1)\n\n", op.Addr())
 
 	// --- The client -------------------------------------------------------

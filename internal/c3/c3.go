@@ -44,8 +44,6 @@ type Config struct {
 	// selectors sharing the servers so that local outstanding counts
 	// approximate global queue contributions.
 	ConcurrencyWeight float64
-	// Exponent is the power applied to q̂ (3 in C3).
-	Exponent float64
 	// RateControl enables cubic send-rate shaping.
 	RateControl bool
 	// RateInterval is the rate-accounting window δ.
@@ -63,13 +61,11 @@ type Config struct {
 }
 
 // NewDefaultConfig returns the C3 parameters used throughout the
-// reproduction: EWMA α 0.9, cubic exponent 3, 20 ms rate interval,
-// β 0.2.
+// reproduction: EWMA α 0.9, 20 ms rate interval, β 0.2.
 func NewDefaultConfig() Config {
 	return Config{
 		Alpha:             0.9,
 		ConcurrencyWeight: 1,
-		Exponent:          3,
 		RateControl:       true,
 		RateInterval:      20 * sim.Millisecond,
 		CubicBeta:         0.2,
@@ -85,9 +81,6 @@ func (c Config) validate() error {
 	}
 	if c.ConcurrencyWeight < 0 {
 		return fmt.Errorf("concurrency weight %v: %w", c.ConcurrencyWeight, ErrInvalidParam)
-	}
-	if c.Exponent < 1 {
-		return fmt.Errorf("exponent %v: %w", c.Exponent, ErrInvalidParam)
 	}
 	if c.RateControl {
 		if c.RateInterval <= 0 {
@@ -138,17 +131,21 @@ type serverState struct {
 // It is not safe for concurrent use; the simulation is single-threaded and
 // real-network users serialize access externally.
 type Selector struct {
-	cfg     Config
-	clock   Clock
-	servers map[int]*serverState
+	cfg   Config
+	clock Clock
 
-	// arena is the current allocation block for server states. States are
-	// carved out of fixed-capacity blocks — a block is abandoned to the
-	// map's pointers once full — so a fleet of selectors (one per client,
-	// times two when a sharded run replays its pilot) costs one heap
-	// object per stateArenaBlock states instead of one per state. Blocks
-	// never grow in place, so the handed-out pointers stay valid.
-	arena []serverState
+	// slotOf maps a server ID to its state's slot + 1 (0: never seen). It
+	// is a dense table sized by the largest server ID seen: two bytes per
+	// ID cost less than a hash map's entries, and a lookup is one index.
+	slotOf []uint16
+	// blocks hold the server states, slot i at
+	// blocks[i/stateBlock][i%stateBlock]. Blocks are fixed-size arrays
+	// that never move, so the state pointers handed out stay valid, and a
+	// fleet of selectors (one per client, times two when a sharded run
+	// replays its pilot) costs one heap object per stateBlock states
+	// instead of one per state. states counts the slots in use.
+	blocks []*[stateBlock]serverState
+	states int
 
 	// rank is the reusable scratch Rank and Pick sort into; servers are
 	// ranked on every request, so the ordering must not allocate.
@@ -166,8 +163,14 @@ type scoredServer struct {
 	score  float64
 }
 
-// stateArenaBlock is how many server states one allocation block holds.
-const stateArenaBlock = 64
+// stateBlock is how many server states one allocation block holds. Most
+// client selectors at k=32 see a few dozen servers, so a small block
+// wastes little on each of them.
+const stateBlock = 16
+
+// MaxServers bounds the server IDs a selector accepts: IDs lie in
+// [0, MaxServers), so a slot + 1 always fits the uint16 slot index.
+const MaxServers = 1<<16 - 1
 
 // NewSelector returns a C3 instance bound to the engine's clock.
 func NewSelector(cfg Config, eng *sim.Engine) (*Selector, error) {
@@ -185,52 +188,67 @@ func NewSelectorWithClock(cfg Config, clock Clock) (*Selector, error) {
 	if clock == nil {
 		return nil, fmt.Errorf("nil clock: %w", ErrInvalidParam)
 	}
-	// The servers map is created lazily in state(): a hyperscale run
-	// constructs thousands of selectors (one per client, twice when a
-	// sharded run replays its pilot), many of which see few servers.
+	// The slot index and the state blocks grow lazily in state(): a
+	// hyperscale run constructs thousands of selectors (one per client,
+	// twice when a sharded run replays its pilot), many of which see few
+	// servers.
 	return &Selector{cfg: cfg, clock: clock}, nil
 }
 
+// validServer reports whether a server ID can index the dense tables.
+func validServer(server int) bool { return server >= 0 && server < MaxServers }
+
+// state returns the server's state, creating it on first sight. The ID
+// must satisfy validServer.
 func (s *Selector) state(server int) *serverState {
-	st, ok := s.servers[server]
-	if !ok {
-		if s.servers == nil {
-			s.servers = make(map[int]*serverState)
-		}
-		if len(s.arena) == cap(s.arena) {
-			s.arena = make([]serverState, 0, stateArenaBlock)
-		}
-		ewma, _ := stats.MakeEWMA(s.cfg.Alpha) // alpha validated at construction
-		s.arena = append(s.arena, serverState{
-			respTime:  ewma,
-			svcTime:   ewma,
-			queueSize: ewma,
-			rate:      s.cfg.InitialRate,
-			wMax:      s.cfg.InitialRate,
-		})
-		st = &s.arena[len(s.arena)-1]
-		s.servers[server] = st
+	if server >= len(s.slotOf) {
+		s.slotOf = append(s.slotOf, make([]uint16, server+1-len(s.slotOf))...)
 	}
+	if slot := int(s.slotOf[server]); slot != 0 {
+		return &s.blocks[(slot-1)/stateBlock][(slot-1)%stateBlock]
+	}
+	if s.states%stateBlock == 0 {
+		s.blocks = append(s.blocks, new([stateBlock]serverState))
+	}
+	ewma, _ := stats.MakeEWMA(s.cfg.Alpha) // alpha validated at construction
+	st := &s.blocks[s.states/stateBlock][s.states%stateBlock]
+	*st = serverState{
+		respTime:  ewma,
+		svcTime:   ewma,
+		queueSize: ewma,
+		rate:      s.cfg.InitialRate,
+		wMax:      s.cfg.InitialRate,
+	}
+	s.states++
+	s.slotOf[server] = uint16(s.states)
 	return st
 }
 
-// Score returns the C3 ranking function Ψ for a server; lower is better.
-func (s *Selector) Score(server int) float64 {
+// score returns the C3 ranking function Ψ for a server; lower is better.
+// q̂³ is two multiplications: for q̂ ≥ 1 they round exactly as
+// math.Pow(q̂, 3) does, so the scores match a Pow-based Ψ bit for bit.
+func (s *Selector) score(server int) float64 {
 	st := s.state(server)
 	rBar := st.respTime.Value()
 	sBar := st.svcTime.Value()
 	qBar := st.queueSize.Value()
 	qHat := 1 + float64(st.outstanding)*s.cfg.ConcurrencyWeight + qBar
-	return rBar - sBar + math.Pow(qHat, s.cfg.Exponent)*sBar
+	return rBar - sBar + qHat*qHat*qHat*sBar
 }
 
-// rankInto scores and stably sorts the candidates into the selector's
-// reusable scratch. The returned slice is valid until the next ranking
-// call; callers that hand an ordering to the outside copy it out.
-func (s *Selector) rankInto(candidates []int) []scoredServer {
+// rankInto checks the candidates, then scores and stably sorts them into
+// the selector's reusable scratch. The returned slice is valid until the
+// next ranking call; callers that hand an ordering to the outside copy it
+// out.
+func (s *Selector) rankInto(candidates []int) ([]scoredServer, error) {
+	for _, c := range candidates {
+		if !validServer(c) {
+			return nil, fmt.Errorf("server %d outside [0, %d): %w", c, MaxServers, ErrInvalidParam)
+		}
+	}
 	r := s.rank[:0]
 	for _, c := range candidates {
-		r = append(r, scoredServer{server: c, score: s.Score(c)})
+		r = append(r, scoredServer{server: c, score: s.score(c)})
 	}
 	slices.SortStableFunc(r, func(a, b scoredServer) int {
 		// Ordered comparisons only: ==/!= on scores is banned in the core,
@@ -249,31 +267,40 @@ func (s *Selector) rankInto(candidates []int) []scoredServer {
 		return 0
 	})
 	s.rank = r
-	return r
+	return r, nil
 }
 
-// Rank orders the candidate servers by ascending Ψ, breaking ties by
-// server ID for determinism. The input is not modified.
-func (s *Selector) Rank(candidates []int) []int {
-	r := s.rankInto(candidates)
-	out := make([]int, len(r))
-	for i, sc := range r {
-		out[i] = sc.server
+// Rank appends the candidate servers to dst by ascending Ψ, breaking ties
+// by server ID for determinism, and returns the extended slice. The input
+// is not modified. A candidate outside [0, MaxServers) ranks nothing: dst
+// comes back unextended, as for an empty candidate set.
+func (s *Selector) Rank(dst, candidates []int) []int {
+	r, err := s.rankInto(candidates)
+	if err != nil {
+		return dst
 	}
-	return out
+	for _, sc := range r {
+		dst = append(dst, sc.server)
+	}
+	return dst
 }
 
 // Pick chooses a replica for a request and reserves a send slot. The
 // returned delay is zero when the send may go out immediately; otherwise
 // the caller must hold the request for the delay (cubic rate shaping), as
-// C3 does with its backlog queues. Pick never fails: when every candidate
-// is rate-limited it picks the one whose limiter opens first.
+// C3 does with its backlog queues. Rate limiting never makes Pick fail:
+// when every candidate is rate-limited it picks the one whose limiter
+// opens first. It fails with ErrInvalidParam only on an empty candidate
+// set or a server ID outside [0, MaxServers).
 func (s *Selector) Pick(candidates []int) (int, sim.Time, error) {
 	if len(candidates) == 0 {
 		return 0, 0, fmt.Errorf("empty candidate set: %w", ErrInvalidParam)
 	}
+	ranked, err := s.rankInto(candidates)
+	if err != nil {
+		return 0, 0, err
+	}
 	s.picks++
-	ranked := s.rankInto(candidates)
 	if !s.cfg.RateControl {
 		s.reserve(ranked[0].server, false)
 		return ranked[0].server, 0, nil
@@ -422,8 +449,12 @@ func (s *Selector) cubicRate(st *serverState) float64 {
 }
 
 // OnResponse folds a completed request into the per-server state: the
-// observed response latency and the piggybacked server status.
+// observed response latency and the piggybacked server status. A server
+// ID outside [0, MaxServers) is ignored.
 func (s *Selector) OnResponse(server int, latency sim.Time, status kv.Status) {
+	if !validServer(server) {
+		return
+	}
 	st := s.state(server)
 	s.roll(st)
 	if st.outstanding > 0 {
@@ -437,7 +468,11 @@ func (s *Selector) OnResponse(server int, latency sim.Time, status kv.Status) {
 
 // OnAbandon releases the outstanding slot of a request that will never be
 // answered: a canceled duplicate or a request lost to a failed operator.
+// A server ID outside [0, MaxServers) is ignored.
 func (s *Selector) OnAbandon(server int) {
+	if !validServer(server) {
+		return
+	}
 	st := s.state(server)
 	if st.outstanding > 0 {
 		st.outstanding--
@@ -466,12 +501,24 @@ func (s *Selector) SetConcurrencyWeight(w float64) error {
 	return nil
 }
 
-// Outstanding returns the selector's in-flight count for a server.
-func (s *Selector) Outstanding(server int) int { return s.state(server).outstanding }
+// Outstanding returns the selector's in-flight count for a server, 0 for
+// an ID outside [0, MaxServers).
+func (s *Selector) Outstanding(server int) int {
+	if !validServer(server) {
+		return 0
+	}
+	return s.state(server).outstanding
+}
 
 // Rate returns the current per-interval send allowance for a server
-// (meaningful only with rate control enabled).
-func (s *Selector) Rate(server int) float64 { return s.state(server).rate }
+// (meaningful only with rate control enabled), 0 for an ID outside
+// [0, MaxServers).
+func (s *Selector) Rate(server int) float64 {
+	if !validServer(server) {
+		return 0
+	}
+	return s.state(server).rate
+}
 
 // Stats reports counters useful for tests and instrumentation.
 func (s *Selector) Stats() (picks, delayed, decreases uint64) {

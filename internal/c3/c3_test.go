@@ -2,6 +2,7 @@ package c3
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"netrs/internal/kv"
@@ -28,7 +29,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Alpha = 0 },
 		func(c *Config) { c.Alpha = 1.5 },
 		func(c *Config) { c.ConcurrencyWeight = -1 },
-		func(c *Config) { c.Exponent = 0.5 },
 		func(c *Config) { c.RateInterval = 0 },
 		func(c *Config) { c.CubicBeta = 0 },
 		func(c *Config) { c.CubicBeta = 1 },
@@ -63,7 +63,7 @@ func TestRankPrefersFasterServer(t *testing.T) {
 		s.OnResponse(1, 2*sim.Millisecond, fast)
 		s.OnResponse(2, 8*sim.Millisecond, slow)
 	}
-	ranked := s.Rank([]int{2, 1})
+	ranked := s.Rank(nil, []int{2, 1})
 	if ranked[0] != 1 {
 		t.Fatalf("ranked = %v, want fast server first", ranked)
 	}
@@ -76,7 +76,7 @@ func TestRankPenalizesQueueCubically(t *testing.T) {
 		s.OnResponse(1, 4*sim.Millisecond, kv.Status{QueueSize: 10, ServiceTimeNs: float64(sim.Millisecond)})
 		s.OnResponse(2, 4*sim.Millisecond, kv.Status{QueueSize: 1, ServiceTimeNs: float64(sim.Millisecond)})
 	}
-	if got := s.Rank([]int{1, 2}); got[0] != 2 {
+	if got := s.Rank(nil, []int{1, 2}); got[0] != 2 {
 		t.Fatalf("ranked = %v, want short-queue server first", got)
 	}
 	// The cubic term must dominate a modest response-time advantage.
@@ -85,7 +85,7 @@ func TestRankPenalizesQueueCubically(t *testing.T) {
 		s2.OnResponse(1, 3*sim.Millisecond, kv.Status{QueueSize: 12, ServiceTimeNs: float64(sim.Millisecond)})
 		s2.OnResponse(2, 4*sim.Millisecond, kv.Status{QueueSize: 1, ServiceTimeNs: float64(sim.Millisecond)})
 	}
-	if got := s2.Rank([]int{1, 2}); got[0] != 2 {
+	if got := s2.Rank(nil, []int{1, 2}); got[0] != 2 {
 		t.Fatalf("ranked = %v, want cubic queue penalty to dominate", got)
 	}
 }
@@ -156,7 +156,7 @@ func TestOnAbandon(t *testing.T) {
 func TestTieBreakDeterministic(t *testing.T) {
 	s, _ := newSelector(t, func(c *Config) { c.RateControl = false })
 	// No observations: all scores equal; ranking must be by server ID.
-	got := s.Rank([]int{9, 3, 7})
+	got := s.Rank(nil, []int{9, 3, 7})
 	if got[0] != 3 || got[1] != 7 || got[2] != 9 {
 		t.Fatalf("tie-broken rank = %v", got)
 	}
@@ -382,5 +382,81 @@ func BenchmarkPickThreeReplicas(b *testing.B) {
 			b.Fatal(err)
 		}
 		s.OnResponse(srv, 2*sim.Millisecond, status)
+	}
+}
+
+// TestCubeMatchesPow pins the identity score relies on: q*q*q and
+// math.Pow(q, 3) round the same two products, so they agree
+// bit for bit wherever the cube is not subnormal. Score only cubes
+// q̂ ≥ 1, far inside that range.
+func TestCubeMatchesPow(t *testing.T) {
+	extremes := []float64{
+		0, math.Copysign(0, -1), 1, math.Nextafter(1, 2), 1.5, 3, 1 << 20, 1e100,
+		math.Cbrt(math.MaxFloat64), math.Nextafter(math.Cbrt(math.MaxFloat64), math.Inf(1)),
+		math.MaxFloat64, math.Inf(1), math.Inf(-1), -2.5, -1e100,
+	}
+	rng := sim.NewRNG(1)
+	qs := extremes
+	for i := 0; i < 200000; i++ {
+		q := math.Float64frombits(rng.Uint64())
+		if math.IsNaN(q) || math.Abs(q) < 1e-102 {
+			continue // NaN payloads and subnormal cubes are outside the claim
+		}
+		qs = append(qs, q, 1+rng.Float64()*100)
+	}
+	for _, q := range qs {
+		if got, want := q*q*q, math.Pow(q, 3); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("q=%v: q*q*q = %v, math.Pow(q, 3) = %v", q, got, want)
+		}
+	}
+}
+
+// TestWarmPathDoesNotAllocate pins the per-request cost of a selector that
+// has seen its servers: a Pick plus its OnResponse, and a Rank into a
+// buffer with room, allocate nothing.
+func TestWarmPathDoesNotAllocate(t *testing.T) {
+	s, _ := newSelector(t, nil)
+	status := kv.Status{QueueSize: 2, ServiceTimeNs: float64(sim.Millisecond)}
+	candidates := []int{40, 7, 300}
+	buf := s.Rank(nil, candidates)
+	if allocs := testing.AllocsPerRun(100, func() {
+		srv, _, err := s.Pick(candidates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.OnResponse(srv, 2*sim.Millisecond, status)
+	}); allocs != 0 {
+		t.Errorf("warm Pick+OnResponse allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = s.Rank(buf[:0], candidates)
+	}); allocs != 0 {
+		t.Errorf("Rank into a warm buffer allocates %v times, want 0", allocs)
+	}
+}
+
+// TestOutOfRangeServerIDs checks the guard in front of the dense tables:
+// an ID outside [0, MaxServers) fails Pick, ranks nothing, and is ignored
+// by the feedback paths instead of indexing out of range.
+func TestOutOfRangeServerIDs(t *testing.T) {
+	s, _ := newSelector(t, nil)
+	for _, bad := range []int{-1, -1 << 40, MaxServers, 1 << 40} {
+		if _, _, err := s.Pick([]int{1, bad}); !errors.Is(err, ErrInvalidParam) {
+			t.Errorf("Pick with server %d: err = %v, want ErrInvalidParam", bad, err)
+		}
+		if got := s.Rank([]int{5}, []int{bad, 1}); len(got) != 1 || got[0] != 5 {
+			t.Errorf("Rank with server %d = %v, want dst unextended", bad, got)
+		}
+		s.OnResponse(bad, sim.Millisecond, kv.Status{QueueSize: 1, ServiceTimeNs: 1})
+		s.OnAbandon(bad)
+		if s.Outstanding(bad) != 0 || s.Rate(bad) != 0 {
+			t.Errorf("server %d reports state", bad)
+		}
+	}
+	if picks, _, _ := s.Stats(); picks != 0 {
+		t.Fatalf("rejected picks counted: %d", picks)
+	}
+	if srv, _, err := s.Pick([]int{MaxServers - 1}); err != nil || srv != MaxServers-1 {
+		t.Fatalf("largest valid ID: server %d, err %v", srv, err)
 	}
 }

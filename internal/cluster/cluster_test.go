@@ -8,6 +8,7 @@ import (
 	"netrs/internal/workload"
 	"testing"
 
+	"netrs/internal/c3"
 	"netrs/internal/faults"
 	"netrs/internal/placement"
 	"netrs/internal/scenario"
@@ -58,6 +59,7 @@ func TestConfigValidation(t *testing.T) {
 	mods := []func(*Config){
 		func(c *Config) { c.FatTreeK = 3 },
 		func(c *Config) { c.Servers = 2; c.Replication = 3 },
+		func(c *Config) { c.Servers = c3.MaxServers + 1 },
 		func(c *Config) { c.Parallelism = 0 },
 		func(c *Config) { c.MeanServiceTime = 0 },
 		func(c *Config) { c.FluctuationInterval = -1 },

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 
+	"netrs/internal/c3"
 	"netrs/internal/dist"
 	"netrs/internal/fabric"
 	"netrs/internal/faults"
@@ -320,6 +321,9 @@ func (c Config) validate() error {
 		return fmt.Errorf("fat-tree k %d: %w", c.FatTreeK, ErrInvalidParam)
 	case c.Servers < c.Replication || c.Replication < 1:
 		return fmt.Errorf("servers=%d rf=%d: %w", c.Servers, c.Replication, ErrInvalidParam)
+	case c.Servers > c3.MaxServers:
+		// Server IDs index C3's dense per-server tables.
+		return fmt.Errorf("servers=%d above %d: %w", c.Servers, c3.MaxServers, ErrInvalidParam)
 	case c.Parallelism < 1 || c.MeanServiceTime <= 0:
 		return fmt.Errorf("np=%d tkv=%v: %w", c.Parallelism, c.MeanServiceTime, ErrInvalidParam)
 	case c.FluctuationInterval < 0:

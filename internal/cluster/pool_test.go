@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// TestPooledRecordsStayDead checks the pending/packetCtx pooling on one
-// partition: nothing still reachable may sit on a free list. The CliRS-R95
+// TestPooledRecordsStayDead checks the pending/packetCtx/svcReq pooling on
+// one partition: nothing still reachable may sit on a free list, and every
+// live context resolves from its own handle. The CliRS-R95
 // run with cancellation exercises duplicates, their timers, and cancelled
 // losers; the NetRS-ILP run the in-network path across a plan deployment.
 // Every duplicate timer and delayed launch is checked as it fires, and
@@ -43,12 +44,15 @@ func TestPooledRecordsStayDead(t *testing.T) {
 			}
 			checkLive := func(when string) {
 				t.Helper()
-				for pid, ctx := range st.pendings {
-					if slices.Contains(st.ctxFree, ctx) || recycled(ctx.p) {
-						t.Errorf("%s: live packet %d references a recycled record", when, pid)
+				for _, ctx := range st.ctxs {
+					if ctx.p == nil {
+						continue // a free slot
+					}
+					if slices.Contains(st.ctxFree, ctx) || recycled(ctx.p) || st.lookup(ctx.handle()) != ctx {
+						t.Errorf("%s: live packet %d references a recycled record", when, ctx.pid)
 					}
 				}
-				if hasDuplicate(st.ctxFree) || hasDuplicate(st.pendFree) {
+				if hasDuplicate(st.ctxFree) || hasDuplicate(st.pendFree) || hasDuplicate(st.svcFree) {
 					t.Errorf("%s: a record sits on a free list twice", when)
 				}
 			}

@@ -142,9 +142,9 @@ type pending struct {
 	done       bool
 	primary    int
 	timer      sim.EventRef
-	// packetIDs lists the in-flight packets (primary plus duplicates) so
+	// handles names the packet contexts (primary plus duplicates) so
 	// cancellation can reach the losers.
-	packetIDs []uint64
+	handles []uint64
 	// refs counts what may still reach this record: live packetCtx
 	// records, an armed CliRS-R95 timer, and the handler working on it.
 	// The record returns to its partition's free list when the count
@@ -153,12 +153,38 @@ type pending struct {
 }
 
 // packetCtx ties an in-flight packet (primary or duplicate) to its logical
-// request.
+// request. Each record owns one slot of its partition's table for life;
+// gen counts the slot's reuses, so a handle (gen << 32 | slot) names one
+// occupancy and goes stale when the record is freed.
 type packetCtx struct {
 	p      *pending
 	pid    uint64
 	server int
 	sentAt sim.Time
+	slot   uint32
+	gen    uint32
+}
+
+// handle is the reference the context's packet carries (fabric.Packet.Handle).
+func (ctx *packetCtx) handle() uint64 { return uint64(ctx.gen)<<32 | uint64(ctx.slot) }
+
+// svcReq carries one request's response fields through its server's queue
+// (kv.Request.Arg), recycled through the server partition's free list when
+// the request is served. A CliRS-R95 duplicate withdrawn by ticket.Cancel
+// is not recycled: Cancel also reports true for a request that has already
+// started service and will still be answered, so the canceller cannot tell
+// whether the record is dead, and the garbage collector takes it instead.
+type svcReq struct {
+	magic      wire.Magic
+	reqID      uint64
+	handle     uint64
+	rid        uint16
+	rgid       uint32
+	key        uint64
+	write      bool
+	client     topo.NodeID
+	created    sim.Time
+	selectedAt sim.Time
 }
 
 // timedRequest is one pre-generated workload arrival.
@@ -174,19 +200,25 @@ type shardState struct {
 	part int
 	eng  *sim.Engine
 
-	pendings map[uint64]*packetCtx
-	rec      *stats.Recorder
+	rec *stats.Recorder
 
 	arrived, completed             int
 	firstDone, lastDone            sim.Time
 	degraded, redundant, cancelled uint64
 
-	// ctxFree recycles packetCtx records: a context is dead once its pid
-	// has left pendings, which only happens after its launch event has
-	// fired, so the steady-state request flow allocates no new ones.
+	// ctxs is the slot table of packet contexts: a response resolves its
+	// context from the handle it carries with one index and a generation
+	// check. ctxFree lists the free records; a context is freed only after
+	// its launch event has fired, so the steady-state request flow
+	// allocates no new ones.
+	ctxs    []*packetCtx
 	ctxFree []*packetCtx
-	// pendFree recycles pending records whose refs dropped to zero.
+	// pendFree recycles pending records whose refs dropped to zero, and
+	// svcFree the records of requests served in this partition.
 	pendFree []*pending
+	svcFree  []*svcReq
+	// rank is the scratch a NetRS client ranks its DRS backup into.
+	rank []int
 
 	// launchFn is the shared handler for rate-control-delayed CliRS sends
 	// in this partition (closure-free scheduling; the packetCtx is the
@@ -194,37 +226,54 @@ type shardState struct {
 	launchFn sim.ArgHandler
 }
 
-// newCtx takes a packetCtx off the partition's free list, or allocates
-// one when the list is dry, and initializes it to v.
+// newCtx takes a packetCtx off the partition's free list, or adds one to
+// the slot table when the list is dry, and initializes it to v. Slots
+// start at generation 1, so the zero handle never resolves.
 func (st *shardState) newCtx(v packetCtx) *packetCtx {
+	var ctx *packetCtx
 	if n := len(st.ctxFree); n > 0 {
-		ctx := st.ctxFree[n-1]
+		ctx = st.ctxFree[n-1]
 		st.ctxFree = st.ctxFree[:n-1]
-		*ctx = v
-		return ctx
+	} else {
+		ctx = &packetCtx{slot: uint32(len(st.ctxs)), gen: 1}
+		st.ctxs = append(st.ctxs, ctx)
 	}
-	ctx := new(packetCtx)
+	v.slot, v.gen = ctx.slot, ctx.gen
 	*ctx = v
 	return ctx
 }
 
 // freeCtx returns a dead context to the free list, zeroed so a stale
-// reader trips over zero values instead of a previous request's state.
+// reader trips over zero values instead of a previous request's state,
+// and with its generation bumped so its handle no longer resolves.
 func (st *shardState) freeCtx(ctx *packetCtx) {
-	*ctx = packetCtx{}
+	*ctx = packetCtx{slot: ctx.slot, gen: ctx.gen + 1}
 	st.ctxFree = append(st.ctxFree, ctx)
+}
+
+// lookup resolves a handle to its live context, or nil once the context
+// has been freed.
+func (st *shardState) lookup(h uint64) *packetCtx {
+	slot := uint32(h)
+	if int(slot) >= len(st.ctxs) {
+		return nil
+	}
+	if ctx := st.ctxs[slot]; ctx.gen == uint32(h>>32) {
+		return ctx
+	}
+	return nil
 }
 
 // newPending takes a pending off the partition's free list, or allocates
 // one when the list is dry, and initializes it to v with one reference:
-// the caller's. The recycled record keeps its packetIDs capacity so
+// the caller's. The recycled record keeps its handles capacity so
 // re-registration never grows a slab.
 func (st *shardState) newPending(v pending) *pending {
 	var p *pending
 	if n := len(st.pendFree); n > 0 {
 		p = st.pendFree[n-1]
 		st.pendFree = st.pendFree[:n-1]
-		v.packetIDs = p.packetIDs
+		v.handles = p.handles
 	} else {
 		p = new(pending)
 	}
@@ -234,22 +283,32 @@ func (st *shardState) newPending(v pending) *pending {
 }
 
 // release drops one reference to p, recycling the record with the last.
-// The zeroed record keeps its packetIDs slab; stale readers see zero
-// values, not old state.
+// The zeroed record keeps its handles slab; stale readers see zero values,
+// not old state.
 func (st *shardState) release(p *pending) {
 	p.refs--
 	if p.refs > 0 {
 		return
 	}
-	ids := p.packetIDs[:0]
+	hs := p.handles[:0]
 	*p = pending{}
-	p.packetIDs = ids
+	p.handles = hs
 	st.pendFree = append(st.pendFree, p)
+}
+
+// newSvc takes a svcReq off the partition's free list, or allocates one
+// when the list is dry.
+func (st *shardState) newSvc() *svcReq {
+	if n := len(st.svcFree); n > 0 {
+		req := st.svcFree[n-1]
+		st.svcFree = st.svcFree[:n-1]
+		return req
+	}
+	return new(svcReq)
 }
 
 // drop retires a context whose packet will never be answered.
 func (st *shardState) drop(ctx *packetCtx) {
-	delete(st.pendings, ctx.pid)
 	p := ctx.p
 	st.freeCtx(ctx)
 	st.release(p)
@@ -444,7 +503,7 @@ func (r *runner) setup() error {
 	}
 	r.eng = r.net.Engine()
 	for p, eng := range engs {
-		st := &shardState{part: p, eng: eng, pendings: make(map[uint64]*packetCtx)}
+		st := &shardState{part: p, eng: eng}
 		st.launchFn = func(arg any) { r.launchPick(st, arg.(*packetCtx)) }
 		r.parts = append(r.parts, st)
 	}
@@ -1067,11 +1126,9 @@ func (r *runner) sendClientPick(st *shardState, p *pending, candidates []int, pr
 	if err != nil {
 		return
 	}
-	pid := r.packetID(p)
-	ctx := st.newCtx(packetCtx{p: p, pid: pid, server: server})
-	st.pendings[pid] = ctx
+	ctx := st.newCtx(packetCtx{p: p, pid: r.packetID(p), server: server})
 	p.refs++
-	p.packetIDs = append(p.packetIDs, pid)
+	p.handles = append(p.handles, ctx.handle())
 	if delay > 0 {
 		st.eng.MustScheduleArg(delay, st.launchFn, ctx)
 	} else {
@@ -1096,6 +1153,7 @@ func (r *runner) launchPick(st *shardState, ctx *packetCtx) {
 	ctx.sentAt = st.eng.Now()
 	pkt := r.net.NewPacketIn(st.part)
 	pkt.ReqID = ctx.pid
+	pkt.Handle = ctx.handle()
 	pkt.Dst = r.serverHostOf[ctx.server]
 	pkt.Server = ctx.server
 	pkt.RGID = uint32(p.rgid)
@@ -1149,15 +1207,14 @@ func (r *runner) fireRedundant(p *pending) {
 // in-network RSNode picks the replica.
 func (r *runner) sendNetRS(st *shardState, p *pending) {
 	c := p.client
-	ranked := c.sel.Rank(p.replicas)
-	backup := ranked[0]
-	pid := r.packetID(p)
-	ctx := st.newCtx(packetCtx{p: p, pid: pid, server: -1, sentAt: st.eng.Now()})
-	st.pendings[pid] = ctx
+	st.rank = c.sel.Rank(st.rank[:0], p.replicas)
+	backup := st.rank[0]
+	ctx := st.newCtx(packetCtx{p: p, pid: r.packetID(p), server: -1, sentAt: st.eng.Now()})
 	p.refs++
-	p.packetIDs = append(p.packetIDs, pid)
+	p.handles = append(p.handles, ctx.handle())
 	pkt := r.net.NewPacketIn(st.part)
-	pkt.ReqID = pid
+	pkt.ReqID = ctx.pid
+	pkt.Handle = ctx.handle()
 	pkt.RGID = uint32(p.rgid)
 	pkt.Dst = topo.InvalidNode
 	pkt.Backup = r.serverHostOf[backup]
@@ -1171,49 +1228,64 @@ func (r *runner) sendNetRS(st *shardState, p *pending) {
 }
 
 // serverHandler services requests at a replica server's host (that host's
-// partition).
+// partition). The request's response fields ride through the server's
+// queue in a pooled svcReq, answered by one stored completion handler.
 func (r *runner) serverHandler(sid int) fabric.HostHandler {
 	srv := r.servers[sid]
 	host := r.serverHostOf[sid]
-	part := r.net.PartitionOf(host)
+	st := r.parts[r.net.PartitionOf(host)]
+	done := func(arg any, _ sim.Time) { r.respond(st, sid, host, arg.(*svcReq)) }
 	return func(pkt *fabric.Packet) {
-		reqMagic := pkt.Magic
-		reqID := pkt.ReqID
-		rid := pkt.RID
-		rgid := pkt.RGID
-		key := pkt.Key
-		write := pkt.Write
-		clientHost := pkt.Src
-		created := pkt.CreatedAt
-		ticket := srv.Submit(kv.Request{Done: func(sim.Time) {
-			if r.tickets != nil {
-				delete(r.tickets, reqID)
-			}
-			respMagic := wire.Magic(0)
-			if reqMagic != 0 {
-				respMagic = wire.InverseTransform(reqMagic)
-			}
-			resp := r.net.NewPacketIn(part)
-			resp.ReqID = reqID
-			resp.Magic = respMagic
-			resp.RID = rid
-			resp.RGID = rgid
-			resp.Dst = clientHost
-			resp.Server = sid
-			resp.Status = srv.Status()
-			resp.Key = key
-			resp.Write = write
-			resp.CreatedAt = created
-			if err := r.net.SendResponse(resp, host); err != nil {
-				return
-			}
-			if write {
-				r.sendInvalidations(part, host, reqID, key)
-			}
-		}})
-		if r.tickets != nil {
-			r.tickets[reqID] = ticket
+		req := st.newSvc()
+		*req = svcReq{
+			magic:      pkt.Magic,
+			reqID:      pkt.ReqID,
+			handle:     pkt.Handle,
+			rid:        pkt.RID,
+			rgid:       pkt.RGID,
+			key:        pkt.Key,
+			write:      pkt.Write,
+			client:     pkt.Src,
+			created:    pkt.CreatedAt,
+			selectedAt: pkt.SelectedAt,
 		}
+		ticket := srv.Submit(kv.Request{Done: done, Arg: req})
+		if r.tickets != nil {
+			r.tickets[req.reqID] = ticket
+		}
+	}
+}
+
+// respond sends server sid's response to a served request and recycles
+// the request's record.
+func (r *runner) respond(st *shardState, sid int, host topo.NodeID, req *svcReq) {
+	v := *req
+	st.svcFree = append(st.svcFree, req)
+	if r.tickets != nil {
+		delete(r.tickets, v.reqID)
+	}
+	respMagic := wire.Magic(0)
+	if v.magic != 0 {
+		respMagic = wire.InverseTransform(v.magic)
+	}
+	resp := r.net.NewPacketIn(st.part)
+	resp.ReqID = v.reqID
+	resp.Handle = v.handle
+	resp.Magic = respMagic
+	resp.RID = v.rid
+	resp.RGID = v.rgid
+	resp.Dst = v.client
+	resp.Server = sid
+	resp.Status = r.servers[sid].Status()
+	resp.Key = v.key
+	resp.Write = v.write
+	resp.CreatedAt = v.created
+	resp.SelectedAt = v.selectedAt
+	if err := r.net.SendResponse(resp, host); err != nil {
+		return
+	}
+	if v.write {
+		r.sendInvalidations(st.part, host, v.reqID, v.key)
 	}
 }
 
@@ -1238,15 +1310,14 @@ func (r *runner) sendInvalidations(part int, host topo.NodeID, reqID uint64, key
 func (r *runner) clientHandler(c *client) fabric.HostHandler {
 	st := r.parts[c.part]
 	return func(pkt *fabric.Packet) {
-		ctx, ok := st.pendings[pkt.ReqID]
-		if !ok {
+		ctx := st.lookup(pkt.Handle)
+		if ctx == nil {
 			return // stray (e.g. duplicate answered after completion cleanup)
 		}
-		delete(st.pendings, pkt.ReqID)
 		now := st.eng.Now()
 		// The context's reference to p passes to this handler.
 		p, sentAt := ctx.p, ctx.sentAt
-		st.freeCtx(ctx) // off the map and launched: dead from here on
+		st.freeCtx(ctx) // answered and launched: dead from here on
 		// Cache hits carry the -1 server sentinel: no replica served them,
 		// so there is no feedback to fold into the selector.
 		if pkt.Server >= 0 {
@@ -1258,34 +1329,32 @@ func (r *runner) clientHandler(c *client) fabric.HostHandler {
 		}
 		// A duplicate that raced the primary loses: first response wins.
 		if !p.done {
-			r.complete(st, p, pkt.ReqID, degraded, now)
+			r.complete(st, p, degraded, now)
 		}
 		st.release(p)
 	}
 }
 
-// complete records p's first response, answered by packet winner. The
-// caller holds a reference to p, so none released here is the last.
-func (r *runner) complete(st *shardState, p *pending, winner uint64, degraded bool, now sim.Time) {
+// complete records p's first response, whose context the caller has
+// already freed. The caller holds a reference to p, so none released here
+// is the last.
+func (r *runner) complete(st *shardState, p *pending, degraded bool, now sim.Time) {
 	c := p.client
 	p.done = true
 	if p.timer.Cancel() {
 		p.refs-- // the armed timer's
 	}
 	// Cross-server cancellation: the race is decided, withdraw any
-	// sibling still queued at its server.
+	// sibling still queued at its server. The winner's context is already
+	// freed, so its handle no longer resolves.
 	if r.tickets != nil {
-		for _, pid := range p.packetIDs {
-			if pid == winner {
+		for _, h := range p.handles {
+			sibling := st.lookup(h)
+			if sibling == nil {
 				continue
 			}
-			sibling, live := st.pendings[pid]
-			if !live {
-				continue
-			}
-			if ticket, ok := r.tickets[pid]; ok && ticket.Cancel() {
-				delete(r.tickets, pid)
-				delete(st.pendings, pid)
+			if ticket, ok := r.tickets[sibling.pid]; ok && ticket.Cancel() {
+				delete(r.tickets, sibling.pid)
 				st.cancelled++
 				if ab, ok := c.sel.(selection.Abandoner); ok && sibling.server >= 0 {
 					ab.OnAbandon(sibling.server)

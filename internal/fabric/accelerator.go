@@ -36,11 +36,6 @@ type Accelerator struct {
 	clones     uint64
 	busyNs     sim.Time
 	maxQueue   int
-
-	// sentAt records when each selected request left, so the clone of
-	// its response yields the observed latency (the RV mechanism of
-	// §IV-A realized in simulation state).
-	sentAt map[uint64]sim.Time
 }
 
 func newAccelerator(eng *sim.Engine, cfg Config, sel Selector, op *Operator) *Accelerator {
@@ -51,7 +46,6 @@ func newAccelerator(eng *sim.Engine, cfg Config, sel Selector, op *Operator) *Ac
 		cores:    cfg.AccelCores,
 		svc:      cfg.AccelService,
 		rtt:      cfg.AccelRTT,
-		sentAt:   make(map[uint64]sim.Time),
 	}
 	a.enterFn = func(arg any) { a.enter(arg.(*Packet)) }
 	a.finishFn = func(arg any) { a.finishService(arg.(*Packet)) }
@@ -145,22 +139,15 @@ func (a *Accelerator) finishService(p *Packet) {
 	a.eng.MustScheduleArg(a.rtt/2, a.selectedFn, p)
 }
 
-// markSent stamps the moment a selected request leaves the switch, so the
-// response clone yields the switch-to-switch response time (the RV
-// timestamp mechanism of §IV-A).
-func (a *Accelerator) markSent(reqID uint64) {
-	a.sentAt[reqID] = a.eng.Now()
-}
-
 // submitResponseClone folds a cloned response into the selector state.
+// The response carries its request's selection timestamp, so the clone
+// yields the switch-to-switch response time with no per-request state
+// kept here.
 func (a *Accelerator) submitResponseClone(c *Packet) {
 	a.clones++
 	a.op.onCloneProcessed()
-	sent, ok := a.sentAt[c.ReqID]
-	if !ok {
-		return // RSP changed mid-flight or duplicate clone; nothing to learn
+	if c.SelectedAt == 0 {
+		return // no RSNode stamped the request; nothing to learn
 	}
-	delete(a.sentAt, c.ReqID)
-	latency := a.eng.Now() - sent
-	a.selector.OnResponse(c.Server, latency, c.Status)
+	a.selector.OnResponse(c.Server, a.eng.Now()-c.SelectedAt, c.Status)
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"netrs/internal/kv"
@@ -30,7 +31,7 @@ func (s *spySelector) Pick(c []int) (int, sim.Time, error) {
 	return c[0], s.delay, nil
 }
 
-func (s *spySelector) Rank(c []int) []int { return c }
+func (s *spySelector) Rank(dst, c []int) []int { return append(dst, c...) }
 
 func (s *spySelector) OnResponse(_ int, lat sim.Time, st kv.Status) {
 	s.responses++
@@ -138,6 +139,8 @@ func (h *harness) serveEcho(sid int, host topo.NodeID, p *Packet) {
 		Status: kv.Status{QueueSize: 3, ServiceTimeNs: float64(sim.Millisecond)},
 		Key:    p.Key,
 		Write:  p.Write,
+
+		SelectedAt: p.SelectedAt,
 	}
 	if err := h.net.SendResponse(resp, host); err != nil {
 		h.t.Errorf("send response: %v", err)
@@ -375,7 +378,7 @@ func TestUnknownHostDegrades(t *testing.T) {
 	// hosts[1] is server 2; use a request sent from the client but with a
 	// source the rules do not know: rebind by clearing the rules.
 	_ = stranger
-	h.torOperator().Rules().groupOfHost = map[topo.NodeID]int{}
+	h.torOperator().Rules().slotOfHost = nil
 	h.sendRequest(11)
 	h.eng.Run()
 	resp, ok := h.got[11]
@@ -762,4 +765,135 @@ func TestSelectorIntegrationWithC3(t *testing.T) {
 	if len(h.got) != 20 {
 		t.Fatalf("C3-driven fabric delivered %d of 20", len(h.got))
 	}
+}
+
+// TestFailedRSNodeLeavesNoPerRequestState covers requests whose RSNode
+// fails while their responses are in flight: the failed operator skips the
+// response clone, so the accelerator never learns the request finished.
+// The selection timestamp rides on the packet, so nothing is left behind
+// for such requests; the heap after tens of thousands of them must not
+// grow with their count.
+func TestFailedRSNodeLeavesNoPerRequestState(t *testing.T) {
+	h := newHarness(t, nil)
+	if err := h.ctrl.InstallToRPlan(); err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	if err := h.net.AttachHost(h.client, func(*Packet) { delivered++ }); err != nil {
+		t.Fatal(err)
+	}
+	torOp := h.torOperator()
+	// Selection leaves the ToR at 37.5 µs and the response returns to it at
+	// 217.5 µs: fail the RSNode in between, recover it after.
+	run := func(from, n uint64) {
+		for id := from; id < from+n; id++ {
+			h.sendRequest(id)
+			h.eng.MustSchedule(100*sim.Microsecond, torOp.Fail)
+			h.eng.MustSchedule(300*sim.Microsecond, torOp.Recover)
+			h.eng.Run()
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run(1, 1000)
+	before := heap()
+	const n = 30000
+	run(1001, n)
+	after := heap()
+	if delivered != 1000+n {
+		t.Fatalf("delivered %d responses, want %d", delivered, 1000+n)
+	}
+	if st := torOp.Stats(); st.Selections != 1000+n || st.ResponseClones != 0 {
+		t.Fatalf("operator stats = %+v, want every request selected and no clone processed", st)
+	}
+	if after > before && after-before > 2*n {
+		t.Fatalf("heap grew %d bytes over %d requests whose RSNode failed mid-flight", after-before, n)
+	}
+}
+
+// BenchmarkForwardHop times plain per-hop forwarding, the fabric's share
+// of every request: a pooled packet crosses a k=8 fat-tree between pods
+// (six links, five switch pipelines) per iteration. It reports ns per
+// forwarded hop; steady state allocates nothing.
+func BenchmarkForwardHop(b *testing.B) {
+	eng := sim.NewEngine()
+	ft, err := topo.NewFatTree(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := NewNetwork(eng, ft, NewDefaultConfig(), func(uint16, *sim.Engine) (Selector, error) {
+		return &spySelector{}, nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	hosts := ft.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
+	if err := net.AttachHost(dst, func(*Packet) {}); err != nil {
+		b.Fatal(err)
+	}
+	send := func(id uint64) {
+		p := net.NewPacketIn(0)
+		p.ReqID = id
+		p.Dst = dst
+		if err := net.SendDirect(p, src); err != nil {
+			b.Fatal(err)
+		}
+		eng.Run()
+	}
+	send(0) // warm the packet pool and the path buffer
+	before, _, _ := net.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send(uint64(i + 1))
+	}
+	b.StopTimer()
+	after, _, _ := net.Stats()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(after-before), "ns/hop")
+}
+
+// TestRulesDenseTable exercises the rule table directly: hosts bound out of
+// order (the table re-bases to the lowest), gaps and hosts outside the
+// bound span, groups without an RSNode, and the DRS flag's interplay with
+// SetRSNode.
+func TestRulesDenseTable(t *testing.T) {
+	r := NewRules()
+	if _, _, _, known := r.Lookup(5); known {
+		t.Fatal("empty table resolved a host")
+	}
+	r.BindHost(12, 7)
+	r.BindHost(10, 3) // below the first bound host
+	r.BindHost(14, 7)
+	r.SetRSNode(7, 21)
+	type want struct {
+		group int
+		rid   uint16
+		drs   bool
+		known bool
+	}
+	check := func(host topo.NodeID, w want) {
+		t.Helper()
+		g, rid, drs, known := r.Lookup(host)
+		if (want{g, rid, drs, known}) != w {
+			t.Errorf("Lookup(%d) = %d/%d/%v/%v, want %+v", host, g, rid, drs, known, w)
+		}
+	}
+	check(12, want{7, 21, false, true})
+	check(14, want{7, 21, false, true})
+	check(10, want{3, 0, false, false}) // bound, but its group has no RSNode
+	for _, h := range []topo.NodeID{9, 11, 13, 15, -1} {
+		check(h, want{})
+	}
+	r.SetDRS(3)
+	check(10, want{3, wire.DegradedRID, true, true})
+	r.SetRSNode(3, 4) // clears the DRS flag
+	check(10, want{3, 4, false, true})
+	r.BindHost(12, 3) // rebinding moves the host
+	check(12, want{3, 4, false, true})
+	check(14, want{7, 21, false, true})
 }

@@ -67,6 +67,8 @@ func newInvariantWorld(t *testing.T, seed uint64, schemeILP bool) *invariantWorl
 				Dst:    p.Src,
 				Server: sid,
 				Status: kv.Status{QueueSize: 1, ServiceTimeNs: 1000},
+
+				SelectedAt: p.SelectedAt,
 			}
 			if err := w.net.SendResponse(resp, host); err != nil {
 				w.t.Errorf("respond: %v", err)

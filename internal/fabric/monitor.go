@@ -1,9 +1,6 @@
 package fabric
 
 import (
-	"maps"
-	"slices"
-
 	"netrs/internal/sim"
 	"netrs/internal/topo"
 )
@@ -14,14 +11,14 @@ import (
 // packet's source marker with the ToR's own (pod, rack) location, and
 // accumulates per-traffic-group tier counts for the controller.
 type Monitor struct {
-	pod  int
-	rack int
-	op   *Operator
+	op *Operator
 
 	windowStart sim.Time
-	counts      map[int]*[3]uint64 // group → [tier0, tier1, tier2]
-	total       uint64
-	unmatched   uint64
+	// counts holds [tier0, tier1, tier2] per group, indexed by the group's
+	// slot in the operator's Rules.
+	counts    [][3]uint64
+	total     uint64
+	unmatched uint64
 
 	// Lifetime counters, never reset: the windowed accessors above cover
 	// the span since the last Snapshot/ResetWindow only.
@@ -29,27 +26,24 @@ type Monitor struct {
 	unmatchedAll uint64
 }
 
-func newMonitor(pod, rack int, op *Operator) *Monitor {
-	return &Monitor{pod: pod, rack: rack, op: op, counts: make(map[int]*[3]uint64)}
-}
+func newMonitor(op *Operator) *Monitor { return &Monitor{op: op} }
 
 // count records one response delivered to dst.
 func (m *Monitor) count(p *Packet, dst topo.NodeID) {
-	group, ok := m.op.rules.GroupOfHost(dst)
+	slot, ok := m.op.rules.hostSlot(dst)
 	if !ok {
 		m.unmatched++
 		m.unmatchedAll++
 		return
 	}
-	c, ok := m.counts[group]
-	if !ok {
-		c = new([3]uint64)
-		m.counts[group] = c
+	if slot >= len(m.counts) {
+		m.counts = append(m.counts, make([][3]uint64, slot+1-len(m.counts))...)
 	}
+	c := &m.counts[slot]
 	switch {
-	case p.HasSM && int(p.SM.Rack) == m.rack:
+	case p.HasSM && int(p.SM.Rack) == m.op.rack:
 		c[topo.TierToR]++
-	case p.HasSM && int(p.SM.Pod) == m.pod:
+	case p.HasSM && int(p.SM.Pod) == m.op.pod:
 		c[topo.TierAgg]++
 	default:
 		c[topo.TierCore]++
@@ -73,18 +67,21 @@ func (m *Monitor) Unmatched() uint64 { return m.unmatched }
 func (m *Monitor) UnmatchedAll() uint64 { return m.unmatchedAll }
 
 // Snapshot returns per-group tier rates in requests per second over the
-// window since the last snapshot, then resets the counters. It reports
-// ok=false when the window is empty (no time elapsed).
+// window since the last snapshot, for the groups counted in it, then
+// resets the counters. It reports ok=false when the window is empty (no
+// time elapsed).
 func (m *Monitor) Snapshot(now sim.Time) (map[int][3]float64, bool) {
 	span := now - m.windowStart
 	if span <= 0 {
 		return nil, false
 	}
 	secs := float64(span) / float64(sim.Second)
-	out := make(map[int][3]float64, len(m.counts))
-	for _, g := range slices.Sorted(maps.Keys(m.counts)) {
-		c := m.counts[g]
-		out[g] = [3]float64{
+	out := make(map[int][3]float64)
+	for slot, c := range m.counts {
+		if c[0]+c[1]+c[2] == 0 {
+			continue
+		}
+		out[m.op.rules.groups[slot].id] = [3]float64{
 			float64(c[0]) / secs,
 			float64(c[1]) / secs,
 			float64(c[2]) / secs,
@@ -100,7 +97,7 @@ func (m *Monitor) Snapshot(now sim.Time) (map[int][3]float64, bool) {
 // rates are not diluted by pipeline-fill idle time before traffic flowed.
 // Lifetime counters are unaffected.
 func (m *Monitor) ResetWindow(now sim.Time) {
-	m.counts = make(map[int]*[3]uint64)
+	clear(m.counts)
 	m.total = 0
 	m.unmatched = 0
 	m.windowStart = now

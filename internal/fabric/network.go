@@ -66,6 +66,15 @@ type Packet struct {
 	Write bool
 	// CreatedAt is when the client issued the logical request.
 	CreatedAt sim.Time
+	// SelectedAt is when the RSNode released the request toward its
+	// selected server; the server copies it into the response, whose clone
+	// then yields the RSNode-observed response time (the RV timestamp of
+	// §IV-A). Zero until an RSNode selects.
+	SelectedAt sim.Time
+	// Handle is the sender's opaque reference to its in-flight record; the
+	// server copies it into the response so the sender resolves the record
+	// by index. ReqID cannot serve: it seeds the ECMP flow hash.
+	Handle uint64
 
 	path []topo.NodeID
 	idx  int
@@ -145,10 +154,12 @@ type Network struct {
 	engs   []*sim.Engine
 	partOf []int
 
-	operators map[topo.NodeID]*Operator
-	opsSorted []*Operator // topology switch order; the deterministic view
-	opByID    map[uint16]*Operator
-	hosts     map[topo.NodeID]HostHandler
+	// operators and hosts are dense tables indexed by NodeID (nil where a
+	// node has no operator or handler). opsSorted is in topology switch
+	// order, the deterministic view; RSNode ID id is opsSorted[id-1].
+	operators []*Operator
+	opsSorted []*Operator
+	hosts     []HostHandler
 
 	// arriveFn is the one hop-completion handler shared by every in-flight
 	// packet (closure-free per-hop scheduling).
@@ -221,9 +232,8 @@ func newNetwork(t *topo.Topology, cfg Config, set *sim.ShardSet, engs []*sim.Eng
 		engs:      engs,
 		pktFree:   make([][]*Packet, len(engs)),
 		counters:  make([]partCounters, len(engs)),
-		operators: make(map[topo.NodeID]*Operator),
-		opByID:    make(map[uint16]*Operator),
-		hosts:     make(map[topo.NodeID]HostHandler),
+		operators: make([]*Operator, t.Size()),
+		hosts:     make([]HostHandler, t.Size()),
 	}
 	if set != nil {
 		n.eng = engs[t.ControlPartition()]
@@ -250,7 +260,6 @@ func newNetwork(t *topo.Topology, cfg Config, set *sim.ShardSet, engs []*sim.Eng
 		}
 		n.operators[sw] = op
 		n.opsSorted = append(n.opsSorted, op)
-		n.opByID[id] = op
 	}
 	return n, nil
 }
@@ -276,20 +285,18 @@ func (n *Network) Topology() *topo.Topology { return n.topo }
 
 // Operator returns the operator co-located with a switch.
 func (n *Network) Operator(sw topo.NodeID) (*Operator, error) {
-	op, ok := n.operators[sw]
-	if !ok {
+	if sw < 0 || int(sw) >= len(n.operators) || n.operators[sw] == nil {
 		return nil, fmt.Errorf("switch %d: %w", sw, ErrNoOperator)
 	}
-	return op, nil
+	return n.operators[sw], nil
 }
 
 // OperatorByID returns the operator with the given RSNode ID.
 func (n *Network) OperatorByID(id uint16) (*Operator, error) {
-	op, ok := n.opByID[id]
-	if !ok {
+	if id == 0 || int(id) > len(n.opsSorted) {
 		return nil, fmt.Errorf("operator %d: %w", id, ErrNoOperator)
 	}
-	return op, nil
+	return n.opsSorted[id-1], nil
 }
 
 // OperatorsSorted returns the operators in topology switch order — the
@@ -402,40 +409,34 @@ func (n *Network) LinkExtra(a, b topo.NodeID) sim.Time {
 	return n.linkExtra[edgeKeyOf(a, b)]
 }
 
-// arrive processes the packet at its current node.
+// arrive processes the packet at its current node: a switch's operator
+// pipeline, or a host's handler. Paths hold topology nodes only, so the
+// dense tables need no bounds check here.
 func (n *Network) arrive(p *Packet) {
 	node := p.path[p.idx]
-	meta, err := n.topo.Node(node)
-	if err != nil {
+	if op := n.operators[node]; op != nil {
+		op.ingress(p)
+		return
+	}
+	h := n.hosts[node]
+	if h == nil {
 		n.drop(p)
 		return
 	}
-	if meta.Kind == topo.KindHost {
-		h, ok := n.hosts[node]
-		if !ok {
-			n.drop(p)
-			return
-		}
-		// Responses leaving the network pass the ToR's egress pipeline,
-		// where the NetRS monitor counts them (§IV-D).
-		if wire.Classify(p.Magic) == wire.KindMonitor {
+	// Responses leaving the network pass the ToR's egress pipeline, where
+	// the NetRS monitor counts them (§IV-D).
+	if wire.Classify(p.Magic) == wire.KindMonitor {
+		if meta, err := n.topo.Node(node); err == nil {
 			if tor, err := n.topo.ToROfRack(meta.Rack); err == nil {
-				if op, ok := n.operators[tor]; ok && op.monitor != nil {
+				if op := n.operators[tor]; op != nil && op.monitor != nil {
 					op.monitor.count(p, node)
 				}
 			}
 		}
-		n.counters[n.PartitionOf(node)].delivered++
-		h(p)
-		n.release(p)
-		return
 	}
-	op, ok := n.operators[node]
-	if !ok {
-		n.drop(p)
-		return
-	}
-	op.ingress(p)
+	n.counters[n.PartitionOf(node)].delivered++
+	h(p)
+	n.release(p)
 }
 
 // NewPacketIn returns a zeroed packet, recycled from partition part's free

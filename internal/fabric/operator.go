@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 
 	"netrs/internal/cache"
 	"netrs/internal/selection"
@@ -41,55 +42,87 @@ type ServerLocator func(server int) (topo.NodeID, error)
 
 // Rules is a ToR switch's NetRS rule state (§IV-B): the source-host →
 // traffic-group match table and each group's RSNode assignment or DRS
-// flag.
+// flag. Like a switch's register arrays, both are dense tables: a ToR binds
+// its own rack's hosts, whose IDs are consecutive, so slotOfHost is
+// indexed by the host's offset from base and holds the group's slot + 1
+// (0: unbound), and groups holds one rule per slot. A rack has a handful
+// of groups, so the control plane finds a group's slot by scanning.
 type Rules struct {
-	groupOfHost map[topo.NodeID]int
-	ridOfGroup  map[int]uint16
-	drs         map[int]bool
+	base       topo.NodeID
+	slotOfHost []int32
+	groups     []groupRule
+}
+
+// groupRule is one traffic group's rule: its RSNode ID (0: none
+// assigned) or its DRS flag.
+type groupRule struct {
+	id  int
+	rid uint16
+	drs bool
 }
 
 // NewRules returns an empty rule table.
-func NewRules() *Rules {
-	return &Rules{
-		groupOfHost: make(map[topo.NodeID]int),
-		ridOfGroup:  make(map[int]uint16),
-		drs:         make(map[int]bool),
+func NewRules() *Rules { return &Rules{} }
+
+// slot returns the group's slot, adding one for a group not seen before.
+func (r *Rules) slot(group int) int {
+	for i := range r.groups {
+		if r.groups[i].id == group {
+			return i
+		}
 	}
+	r.groups = append(r.groups, groupRule{id: group})
+	return len(r.groups) - 1
 }
 
 // BindHost assigns a source host to a traffic group.
-func (r *Rules) BindHost(host topo.NodeID, group int) { r.groupOfHost[host] = group }
+func (r *Rules) BindHost(host topo.NodeID, group int) {
+	switch {
+	case len(r.slotOfHost) == 0:
+		r.base = host
+	case host < r.base: // the table starts at the lowest bound host
+		r.slotOfHost = slices.Insert(r.slotOfHost, 0, make([]int32, r.base-host)...)
+		r.base = host
+	}
+	if off := int(host - r.base); off >= len(r.slotOfHost) {
+		r.slotOfHost = append(r.slotOfHost, make([]int32, off+1-len(r.slotOfHost))...)
+	}
+	r.slotOfHost[host-r.base] = int32(r.slot(group)) + 1
+}
 
 // SetRSNode routes a group's requests to the given RSNode ID and clears
 // any DRS flag.
 func (r *Rules) SetRSNode(group int, rid uint16) {
-	r.ridOfGroup[group] = rid
-	delete(r.drs, group)
+	g := &r.groups[r.slot(group)]
+	g.rid, g.drs = rid, false
 }
 
 // SetDRS enables Degraded Replica Selection for a group.
-func (r *Rules) SetDRS(group int) { r.drs[group] = true }
+func (r *Rules) SetDRS(group int) { r.groups[r.slot(group)].drs = true }
+
+// hostSlot resolves a source host to its group's slot.
+func (r *Rules) hostSlot(host topo.NodeID) (int, bool) {
+	off := int(host - r.base)
+	if off < 0 || off >= len(r.slotOfHost) || r.slotOfHost[off] == 0 {
+		return 0, false
+	}
+	return int(r.slotOfHost[off]) - 1, true
+}
 
 // Lookup resolves a source host to (group, rid, drs, known).
 func (r *Rules) Lookup(host topo.NodeID) (group int, rid uint16, drs, known bool) {
-	group, known = r.groupOfHost[host]
-	if !known {
+	slot, ok := r.hostSlot(host)
+	if !ok {
 		return 0, 0, false, false
 	}
-	if r.drs[group] {
-		return group, wire.DegradedRID, true, true
+	g := r.groups[slot]
+	if g.drs {
+		return g.id, wire.DegradedRID, true, true
 	}
-	rid, ok := r.ridOfGroup[group]
-	if !ok {
-		return group, 0, false, false
+	if g.rid == 0 {
+		return g.id, 0, false, false
 	}
-	return group, rid, false, true
-}
-
-// GroupOfHost exposes the host→group binding (used by monitors).
-func (r *Rules) GroupOfHost(host topo.NodeID) (int, bool) {
-	g, ok := r.groupOfHost[host]
-	return g, ok
+	return g.id, g.rid, false, true
 }
 
 // OperatorStats counts a NetRS operator's activity.
@@ -113,7 +146,9 @@ type Operator struct {
 	id   uint16
 	sw   topo.NodeID
 	tier int
-	net  *Network
+	// pod and rack locate the switch (rack is -1 above the ToR tier).
+	pod, rack int
+	net       *Network
 	// eng drives this operator's events: the switch's home-partition engine
 	// in sharded mode, the network's single engine otherwise.
 	eng *sim.Engine
@@ -153,6 +188,8 @@ func newOperator(id uint16, sw topo.NodeID, net *Network, eng *sim.Engine, sel S
 		id:    id,
 		sw:    sw,
 		tier:  node.Tier,
+		pod:   node.Pod,
+		rack:  node.Rack,
 		net:   net,
 		eng:   eng,
 		rules: NewRules(),
@@ -160,7 +197,7 @@ func newOperator(id uint16, sw topo.NodeID, net *Network, eng *sim.Engine, sel S
 	o.sendSelectedFn = func(arg any) { o.sendSelected(arg.(*Packet)) }
 	o.accel = newAccelerator(eng, net.cfg, sel, o)
 	if node.Tier == topo.TierToR {
-		o.monitor = newMonitor(node.Pod, node.Rack, o)
+		o.monitor = newMonitor(o)
 	}
 	return o, nil
 }
@@ -417,11 +454,7 @@ func (o *Operator) stampSourceMarker(p *Packet) {
 	if o.tier != topo.TierToR || p.HasSM || !o.inMyRack(p.Src) {
 		return
 	}
-	node, err := o.net.topo.Node(o.sw)
-	if err != nil {
-		return
-	}
-	p.SM = wire.SourceMarker{Pod: uint16(node.Pod), Rack: uint16(node.Rack)}
+	p.SM = wire.SourceMarker{Pod: uint16(o.pod), Rack: uint16(o.rack)}
 	p.HasSM = true
 }
 
@@ -442,11 +475,7 @@ func (o *Operator) inMyRack(host topo.NodeID) bool {
 	if err != nil {
 		return false
 	}
-	me, err := o.net.topo.Node(o.sw)
-	if err != nil {
-		return false
-	}
-	return node.Rack == me.Rack && node.Kind == topo.KindHost
+	return node.Rack == o.rack && node.Kind == topo.KindHost
 }
 
 // onSelected is the accelerator's callback once a replica has been chosen:
@@ -470,9 +499,10 @@ func (o *Operator) onSelected(p *Packet, server int, delay sim.Time) {
 }
 
 // sendSelected releases a selected request onto the fabric once any
-// rate-control hold has elapsed.
+// rate-control hold has elapsed, stamping the release time the response's
+// clone measures from (the RV timestamp mechanism of §IV-A).
 func (o *Operator) sendSelected(p *Packet) {
-	o.accel.markSent(p.ReqID)
+	p.SelectedAt = o.eng.Now()
 	if err := o.net.relaunch(p, o.sw, p.Dst); err != nil {
 		o.net.drop(p)
 	}

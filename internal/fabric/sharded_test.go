@@ -104,6 +104,8 @@ func TestShardedNetworkMatchesSingle(t *testing.T) {
 				RGID:   p.RGID,
 				Dst:    p.Src,
 				Server: p.Server,
+
+				SelectedAt: p.SelectedAt,
 			}
 			if err := net.SendResponse(resp, server); err != nil {
 				t.Errorf("send response: %v", err)
@@ -216,6 +218,7 @@ func TestShardedPacketPoolReuse(t *testing.T) {
 		resp.RGID = p.RGID
 		resp.Dst = p.Src
 		resp.Server = p.Server
+		resp.SelectedAt = p.SelectedAt
 		if err := net.SendResponse(resp, server); err != nil {
 			t.Errorf("send response: %v", err)
 		}

@@ -169,9 +169,11 @@ func TestServerServesFIFOWithParallelism(t *testing.T) {
 		t.Fatalf("ID() = %d", s.ID())
 	}
 	var done []int
-	for i := 0; i < 6; i++ {
-		i := i
-		s.Submit(Request{Done: func(sim.Time) { done = append(done, i) }})
+	// One stored handler; each request's identity rides in Arg.
+	record := func(arg any, _ sim.Time) { done = append(done, *arg.(*int)) }
+	ids := []int{0, 1, 2, 3, 4, 5}
+	for i := range ids {
+		s.Submit(Request{Done: record, Arg: &ids[i]})
 	}
 	if q := s.QueueSize(); q != 6 {
 		t.Fatalf("queue size = %d, want 6", q)
@@ -205,7 +207,7 @@ func TestServerServiceTimesExponential(t *testing.T) {
 	const n = 20000
 	var submit func(i int)
 	submit = func(i int) {
-		s.Submit(Request{Done: func(st sim.Time) {
+		s.Submit(Request{Done: func(_ any, st sim.Time) {
 			total += st
 			if i+1 < n {
 				submit(i + 1)
@@ -310,7 +312,7 @@ func TestServerCancellation(t *testing.T) {
 	}
 	var done []int
 	submit := func(id int) Ticket {
-		return s.Submit(Request{Done: func(sim.Time) { done = append(done, id) }})
+		return s.Submit(Request{Done: func(any, sim.Time) { done = append(done, id) }})
 	}
 	t0 := submit(0) // starts immediately: zero ticket
 	t1 := submit(1) // queued
@@ -351,9 +353,9 @@ func TestServerCancelHeadOfQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	served := 0
-	s.Submit(Request{Done: func(sim.Time) { served++ }})
-	head := s.Submit(Request{Done: func(sim.Time) { served++ }})
-	tail := s.Submit(Request{Done: func(sim.Time) { served++ }})
+	s.Submit(Request{Done: func(any, sim.Time) { served++ }})
+	head := s.Submit(Request{Done: func(any, sim.Time) { served++ }})
+	tail := s.Submit(Request{Done: func(any, sim.Time) { served++ }})
 	if !head.Cancel() {
 		t.Fatal("head not cancelable")
 	}
@@ -377,7 +379,7 @@ func TestServerSlowdownScalesServiceTimes(t *testing.T) {
 		}
 		var total sim.Time
 		for i := 0; i < 2000; i++ {
-			s.Submit(Request{Done: func(st sim.Time) { total += st }})
+			s.Submit(Request{Done: func(_ any, st sim.Time) { total += st }})
 			eng.Run()
 		}
 		return total
@@ -417,7 +419,7 @@ func TestServerPauseResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	served := 0
-	done := Request{Done: func(sim.Time) { served++ }}
+	done := Request{Done: func(any, sim.Time) { served++ }}
 
 	// Two in service, one queued; pause, then let the engine drain.
 	s.Submit(done)
@@ -464,8 +466,8 @@ func TestServerResumeSkipsCanceled(t *testing.T) {
 	}
 	s.Pause()
 	served := 0
-	tk1 := s.Submit(Request{Done: func(sim.Time) { served++ }})
-	s.Submit(Request{Done: func(sim.Time) { served++ }})
+	tk1 := s.Submit(Request{Done: func(any, sim.Time) { served++ }})
+	s.Submit(Request{Done: func(any, sim.Time) { served++ }})
 	if !tk1.Cancel() {
 		t.Fatal("queued request not cancelable during outage")
 	}

@@ -106,11 +106,14 @@ func (t Ticket) Cancel() bool {
 	return true
 }
 
-// Request is a unit of server work. Done is invoked when service
-// completes, with the service time the request experienced (excluding
-// queueing).
+// Request is a unit of server work. Done is invoked with Arg when service
+// completes, along with the service time the request experienced
+// (excluding queueing). As with sim.ArgHandler, the caller stores Done
+// once and passes each request's state in Arg as a pooled pointer, so
+// submitting a request allocates no closure.
 type Request struct {
-	Done func(serviceTime sim.Time)
+	Done func(arg any, serviceTime sim.Time)
+	Arg  any
 }
 
 // NewServer builds a simulated server bound to the engine. Random draws
@@ -260,7 +263,7 @@ func (s *Server) startService(req Request) {
 // completion logic (the Done callback may re-enter Submit/startService).
 func (s *Server) finishJob(j *svcJob) {
 	req, st := j.req, j.st
-	j.req = Request{} // drop the Done reference while pooled
+	j.req = Request{} // drop the Done and Arg references while pooled
 	s.jobFree = append(s.jobFree, j)
 	s.finishService(req, st)
 }
@@ -282,7 +285,7 @@ func (s *Server) finishService(req Request, st sim.Time) {
 		break
 	}
 	if req.Done != nil {
-		req.Done(st)
+		req.Done(req.Arg, st)
 	}
 }
 

@@ -3,6 +3,7 @@ package kvnet
 import (
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -42,9 +43,13 @@ func deployCluster(t *testing.T, n int, delays []time.Duration) (*Operator, *Cli
 	ids := make([]int, n)
 	for i, srv := range servers {
 		ids[i] = i
-		op.RegisterServer(i, srv.Addr())
+		if err := op.RegisterServer(i, srv.Addr()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	op.RegisterGroup(1, ids)
+	if err := op.RegisterGroup(1, ids); err != nil {
+		t.Fatal(err)
+	}
 
 	cli, err := NewClient(op.Addr(), func(string) uint32 { return 1 }, time.Second)
 	if err != nil {
@@ -323,9 +328,13 @@ func TestC3SelectorOverRealNetwork(t *testing.T) {
 	ids := make([]int, len(servers))
 	for i, srv := range servers {
 		ids[i] = i
-		op.RegisterServer(i, srv.Addr())
+		if err := op.RegisterServer(i, srv.Addr()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	op.RegisterGroup(1, ids)
+	if err := op.RegisterGroup(1, ids); err != nil {
+		t.Fatal(err)
+	}
 
 	cli, err := NewClient(op.Addr(), func(string) uint32 { return 1 }, 2*time.Second)
 	if err != nil {
@@ -343,6 +352,41 @@ func TestC3SelectorOverRealNetwork(t *testing.T) {
 	fast := servers[1].Served() + servers[2].Served()
 	if fast <= slow {
 		t.Fatalf("C3 sent %d to the slow replica vs %d to fast ones", slow, fast)
+	}
+}
+
+// TestRegisterRejectsOutOfRangeServerIDs: server IDs index the selector's
+// dense per-server tables, so the operator refuses one outside
+// [0, c3.MaxServers) at registration instead of silently dropping every
+// request for its group at pick time.
+func TestRegisterRejectsOutOfRangeServerIDs(t *testing.T) {
+	op, err := NewOperator("127.0.0.1:0", OperatorConfig{ID: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = op.Close() })
+	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+	for _, bad := range []int{-1, c3.MaxServers, 1 << 40} {
+		if err := op.RegisterServer(bad, addr); !errors.Is(err, ErrInvalidServer) {
+			t.Errorf("RegisterServer(%d) err = %v, want ErrInvalidServer", bad, err)
+		}
+		if err := op.RegisterGroup(1, []int{0, bad, 1}); !errors.Is(err, ErrInvalidServer) {
+			t.Errorf("RegisterGroup with %d err = %v, want ErrInvalidServer", bad, err)
+		}
+	}
+	if err := op.RegisterServer(0, addr); err != nil {
+		t.Errorf("RegisterServer(0): %v", err)
+	}
+	if err := op.RegisterServer(c3.MaxServers-1, addr); err != nil {
+		t.Errorf("RegisterServer(MaxServers-1): %v", err)
+	}
+	if err := op.RegisterGroup(1, []int{0, c3.MaxServers - 1}); err != nil {
+		t.Errorf("RegisterGroup(1, [0, MaxServers-1]): %v", err)
+	}
+	op.mu.Lock()
+	defer op.mu.Unlock()
+	if len(op.servers) != 2 || len(op.replicas[1]) != 2 {
+		t.Errorf("rejected registrations stored: servers %v, group %v", op.servers, op.replicas[1])
 	}
 }
 
@@ -365,8 +409,12 @@ func serversOperator(t *testing.T, servers []*Server) *Operator {
 	ids := make([]int, len(servers))
 	for i, srv := range servers {
 		ids[i] = i
-		op.RegisterServer(i, srv.Addr())
+		if err := op.RegisterServer(i, srv.Addr()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	op.RegisterGroup(1, ids)
+	if err := op.RegisterGroup(1, ids); err != nil {
+		t.Fatal(err)
+	}
 	return op
 }

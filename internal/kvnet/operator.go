@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"netrs/internal/c3"
 	"netrs/internal/kv"
 	"netrs/internal/selection"
 	"netrs/internal/wire"
@@ -96,19 +97,36 @@ func (o *Operator) Addr() *net.UDPAddr {
 	return addr
 }
 
-// RegisterServer binds a server ID to its address.
-func (o *Operator) RegisterServer(id int, addr *net.UDPAddr) {
+// validServer reports whether a server ID fits the selector's dense
+// per-server tables: C3 refuses any ID outside [0, c3.MaxServers), and a
+// group naming one would have every request for it dropped at Pick.
+func validServer(id int) bool { return id >= 0 && id < c3.MaxServers }
+
+// RegisterServer binds a server ID to its address. An ID outside
+// [0, c3.MaxServers) is rejected.
+func (o *Operator) RegisterServer(id int, addr *net.UDPAddr) error {
+	if !validServer(id) {
+		return fmt.Errorf("server id %d: %w", id, ErrInvalidServer)
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.servers[id] = addr
+	return nil
 }
 
 // RegisterGroup installs a replica group in the selector's local database
-// (§IV-A's RGID lookup).
-func (o *Operator) RegisterGroup(rgid uint32, servers []int) {
+// (§IV-A's RGID lookup). A group naming a server ID outside
+// [0, c3.MaxServers) is rejected whole.
+func (o *Operator) RegisterGroup(rgid uint32, servers []int) error {
+	for _, id := range servers {
+		if !validServer(id) {
+			return fmt.Errorf("group %d: server id %d: %w", rgid, id, ErrInvalidServer)
+		}
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.replicas[rgid] = append([]int(nil), servers...)
+	return nil
 }
 
 // Stats reports (selections, responses seen, drops).

@@ -28,6 +28,9 @@ var (
 	ErrClosed   = errors.New("kvnet: closed")
 	ErrTimeout  = errors.New("kvnet: timeout")
 	ErrNotFound = errors.New("kvnet: key not found")
+	// ErrInvalidServer rejects a server ID the operator cannot register:
+	// one outside [0, c3.MaxServers).
+	ErrInvalidServer = errors.New("kvnet: invalid server id")
 )
 
 // maxPacket bounds UDP datagrams; NetRS packets are small (§I: ~1 KB

@@ -23,12 +23,12 @@ func (r *Random) Pick(candidates []int) (int, sim.Time, error) {
 	return candidates[r.rng.Intn(len(candidates))], 0, nil
 }
 
-// Rank returns a random permutation of the candidates.
-func (r *Random) Rank(candidates []int) []int {
-	out := make([]int, len(candidates))
-	copy(out, candidates)
+// Rank appends a random permutation of the candidates.
+func (r *Random) Rank(dst, candidates []int) []int {
+	dst = append(dst, candidates...)
+	out := dst[len(dst)-len(candidates):]
 	r.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
+	return dst
 }
 
 // OnResponse is a no-op: random selection learns nothing.
@@ -54,17 +54,13 @@ func (r *RoundRobin) Pick(candidates []int) (int, sim.Time, error) {
 	return srv, 0, nil
 }
 
-// Rank rotates the candidate order.
-func (r *RoundRobin) Rank(candidates []int) []int {
-	out := make([]int, len(candidates))
+// Rank appends the candidates in rotated order.
+func (r *RoundRobin) Rank(dst, candidates []int) []int {
 	n := uint64(len(candidates))
-	if n == 0 {
-		return out
+	for i := uint64(0); i < n; i++ {
+		dst = append(dst, candidates[(r.next+i)%n])
 	}
-	for i := range out {
-		out[i] = candidates[(r.next+uint64(i))%n]
-	}
-	return out
+	return dst
 }
 
 // OnResponse is a no-op.
@@ -89,7 +85,7 @@ func NewLeastOutstanding() *LeastOutstanding {
 // Pick chooses the candidate with the fewest in-flight requests,
 // tie-broken by server ID.
 func (l *LeastOutstanding) Pick(candidates []int) (int, sim.Time, error) {
-	ranked := l.Rank(candidates)
+	ranked := l.Rank(nil, candidates)
 	if len(ranked) == 0 {
 		return 0, 0, ErrNoCandidates
 	}
@@ -97,10 +93,10 @@ func (l *LeastOutstanding) Pick(candidates []int) (int, sim.Time, error) {
 	return ranked[0], 0, nil
 }
 
-// Rank orders candidates by ascending outstanding count.
-func (l *LeastOutstanding) Rank(candidates []int) []int {
-	out := make([]int, len(candidates))
-	copy(out, candidates)
+// Rank appends candidates by ascending outstanding count.
+func (l *LeastOutstanding) Rank(dst, candidates []int) []int {
+	dst = append(dst, candidates...)
+	out := dst[len(dst)-len(candidates):]
 	sort.SliceStable(out, func(i, j int) bool {
 		oi, oj := l.outstanding[out[i]], l.outstanding[out[j]]
 		if oi != oj {
@@ -108,7 +104,7 @@ func (l *LeastOutstanding) Rank(candidates []int) []int {
 		}
 		return out[i] < out[j]
 	})
-	return out
+	return dst
 }
 
 // OnResponse releases the in-flight slot.
@@ -170,10 +166,10 @@ func (t *TwoChoices) Pick(candidates []int) (int, sim.Time, error) {
 	return best, 0, nil
 }
 
-// Rank orders candidates by the load estimate.
-func (t *TwoChoices) Rank(candidates []int) []int {
-	out := make([]int, len(candidates))
-	copy(out, candidates)
+// Rank appends candidates by the load estimate.
+func (t *TwoChoices) Rank(dst, candidates []int) []int {
+	dst = append(dst, candidates...)
+	out := dst[len(dst)-len(candidates):]
 	sort.SliceStable(out, func(i, j int) bool {
 		li, lj := t.load(out[i]), t.load(out[j])
 		switch {
@@ -184,7 +180,7 @@ func (t *TwoChoices) Rank(candidates []int) []int {
 		}
 		return out[i] < out[j]
 	})
-	return out
+	return dst
 }
 
 // OnResponse updates the queue estimate and releases the slot.
@@ -237,7 +233,7 @@ func (d *DynamicSnitch) score(server int) float64 {
 
 // Pick chooses the lowest-scoring server and reserves an in-flight slot.
 func (d *DynamicSnitch) Pick(candidates []int) (int, sim.Time, error) {
-	ranked := d.Rank(candidates)
+	ranked := d.Rank(nil, candidates)
 	if len(ranked) == 0 {
 		return 0, 0, ErrNoCandidates
 	}
@@ -245,10 +241,10 @@ func (d *DynamicSnitch) Pick(candidates []int) (int, sim.Time, error) {
 	return ranked[0], 0, nil
 }
 
-// Rank orders candidates by ascending latency EWMA.
-func (d *DynamicSnitch) Rank(candidates []int) []int {
-	out := make([]int, len(candidates))
-	copy(out, candidates)
+// Rank appends candidates by ascending latency EWMA.
+func (d *DynamicSnitch) Rank(dst, candidates []int) []int {
+	dst = append(dst, candidates...)
+	out := dst[len(dst)-len(candidates):]
 	sort.SliceStable(out, func(i, j int) bool {
 		si, sj := d.score(out[i]), d.score(out[j])
 		switch {
@@ -259,7 +255,7 @@ func (d *DynamicSnitch) Rank(candidates []int) []int {
 		}
 		return out[i] < out[j]
 	})
-	return out
+	return dst
 }
 
 // OnResponse folds the observed latency into the per-server EWMA and

@@ -8,8 +8,8 @@ import (
 )
 
 // The property suite runs every registered algorithm through the same
-// contract checks: picks stay inside the candidate set, Rank is a
-// permutation that leaves its input alone, feedback about never-picked
+// contract checks: picks stay inside the candidate set, Rank appends a
+// permutation after whatever dst holds and leaves its input alone, feedback about never-picked
 // replica IDs is harmless, and a fixed RNG makes the whole decision
 // sequence reproducible.
 
@@ -89,10 +89,11 @@ func TestPropertyRankIsPermutation(t *testing.T) {
 			}
 			for _, cands := range candidateSets() {
 				input := append([]int(nil), cands...)
-				ranked := s.Rank(cands)
-				if len(ranked) != len(cands) {
-					t.Fatalf("rank of %v has %d entries", cands, len(ranked))
+				ranked := s.Rank([]int{-1}, cands)
+				if len(ranked) != 1+len(cands) || ranked[0] != -1 {
+					t.Fatalf("rank of %v after [-1] = %v, want the prefix kept and %d entries appended", cands, ranked, len(cands))
 				}
+				ranked = ranked[1:]
 				counts := make(map[int]int, len(cands))
 				for _, c := range cands {
 					counts[c]++
@@ -111,7 +112,7 @@ func TestPropertyRankIsPermutation(t *testing.T) {
 					}
 				}
 			}
-			if got := s.Rank(nil); len(got) != 0 {
+			if got := s.Rank(nil, nil); len(got) != 0 {
 				t.Fatalf("rank of nil returned %v", got)
 			}
 		})
@@ -158,7 +159,7 @@ func TestPropertyDeterministicUnderFixedRNG(t *testing.T) {
 						s.OnResponse(srv, lat, st)
 					}
 				}
-				return picks, s.Rank(cands)
+				return picks, s.Rank(nil, cands)
 			}
 			picksA, rankA := script()
 			picksB, rankB := script()

@@ -31,10 +31,11 @@ type Selector interface {
 	// positive delay instructs the caller to hold the request (rate
 	// shaping); most algorithms always return zero.
 	Pick(candidates []int) (server int, delay sim.Time, err error)
-	// Rank orders candidates from most to least preferred without
-	// reserving anything; schemes use it for backup replicas (DRS) and
-	// redundant requests.
-	Rank(candidates []int) []int
+	// Rank appends candidates to dst from most to least preferred, without
+	// reserving anything, and returns the extended slice; schemes use it
+	// for backup replicas (DRS). A caller that ranks on every request
+	// passes its own buffer back in, so the ordering does not allocate.
+	Rank(dst, candidates []int) []int
 	// OnResponse feeds back an observed response.
 	OnResponse(server int, latency sim.Time, status kv.Status)
 	// Name identifies the algorithm.

@@ -58,7 +58,7 @@ func TestEveryAlgorithmContract(t *testing.T) {
 			}
 			s.OnResponse(srv, 2*sim.Millisecond, status)
 		}
-		ranked := s.Rank(candidates)
+		ranked := s.Rank(nil, candidates)
 		if len(ranked) != 3 {
 			t.Fatalf("%s rank length %d", name, len(ranked))
 		}
@@ -149,7 +149,7 @@ func TestDynamicSnitchLearnsLatency(t *testing.T) {
 	if err != nil || srv != 2 {
 		t.Fatalf("snitch picked %d (%v), want 2", srv, err)
 	}
-	ranked := d.Rank([]int{1, 2})
+	ranked := d.Rank(nil, []int{1, 2})
 	if ranked[0] != 2 || ranked[1] != 1 {
 		t.Fatalf("snitch rank = %v", ranked)
 	}

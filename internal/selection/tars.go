@@ -91,7 +91,7 @@ func (t *Tars) deadline() float64 {
 
 // Pick chooses the best-ranked server and reserves an in-flight slot.
 func (t *Tars) Pick(candidates []int) (int, sim.Time, error) {
-	ranked := t.Rank(candidates)
+	ranked := t.Rank(nil, candidates)
 	if len(ranked) == 0 {
 		return 0, 0, ErrNoCandidates
 	}
@@ -99,11 +99,11 @@ func (t *Tars) Pick(candidates []int) (int, sim.Time, error) {
 	return ranked[0], 0, nil
 }
 
-// Rank orders candidates timely-first: within the timely set by ascending
+// Rank appends candidates timely-first: within the timely set by ascending
 // load, within the late set by ascending expected wait.
-func (t *Tars) Rank(candidates []int) []int {
-	out := make([]int, len(candidates))
-	copy(out, candidates)
+func (t *Tars) Rank(dst, candidates []int) []int {
+	dst = append(dst, candidates...)
+	out := dst[len(dst)-len(candidates):]
 	d := t.deadline()
 	sort.SliceStable(out, func(i, j int) bool {
 		ti, tj := t.wait(out[i]) <= d, t.wait(out[j]) <= d
@@ -129,7 +129,7 @@ func (t *Tars) Rank(candidates []int) []int {
 		}
 		return out[i] < out[j]
 	})
-	return out
+	return dst
 }
 
 // OnResponse releases the in-flight slot and folds the observation into

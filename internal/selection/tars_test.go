@@ -49,7 +49,7 @@ func TestTarsDemotesLateServers(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.OnResponse(1, 2*sim.Millisecond, fast)
 	}
-	ranked := s.Rank([]int{2, 1})
+	ranked := s.Rank(nil, []int{2, 1})
 	if ranked[0] != 1 {
 		t.Fatalf("late server ranked first: %v", ranked)
 	}
