@@ -45,7 +45,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -90,7 +89,7 @@ func scaledConfig(scale string) (netrs.Config, error) {
 func run(args []string) (retErr error) {
 	fs := flag.NewFlagSet("netrs-figs", flag.ContinueOnError)
 	fig := fs.String("fig", "all", "figure to regenerate: all, 4, 5, 6, 7, resilience, adapt, matrix, cache")
-	requests := fs.Int("requests", 50000, "measured requests per point (paper: 6000000; env NETRS_REQUESTS overrides)")
+	requests := fs.Int("requests", 50000, "measured requests per point (paper: 6000000)")
 	seedsFlag := fs.String("seeds", "1,2,3", "comma-separated deployment seeds (paper repeats 3×)")
 	scale := fs.String("scale", "medium", "cluster scale: paper, medium, small")
 	chart := fs.Bool("chart", false, "also draw bar charts for the Avg and 99th panels")
@@ -114,13 +113,6 @@ func run(args []string) (retErr error) {
 		}
 	}()
 
-	if env := os.Getenv("NETRS_REQUESTS"); env != "" {
-		n, err := strconv.Atoi(env)
-		if err != nil {
-			return fmt.Errorf("NETRS_REQUESTS=%q: %w", env, err)
-		}
-		*requests = n
-	}
 	if err := cliutil.ApplyEnvParallel(fs, "parallel", parallel); err != nil {
 		return err
 	}

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"os"
+	"testing"
+)
 
 func TestScaledConfigs(t *testing.T) {
 	for _, scale := range []string{"paper", "medium", "small"} {
@@ -44,10 +48,38 @@ func TestRunBadArgs(t *testing.T) {
 	}
 }
 
-func TestEnvRequestsOverride(t *testing.T) {
-	t.Setenv("NETRS_REQUESTS", "not-a-number")
-	if err := run([]string{"-fig", "4", "-scale", "small"}); err == nil {
-		t.Fatal("bad NETRS_REQUESTS accepted")
+// captureStdout runs fn with os.Stdout redirected to a pipe and returns
+// what it printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	runErr := fn()
+	w.Close()
+	os.Stdout = old
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatalf("run: %v", runErr)
+	}
+	return string(out)
+}
+
+// TestEnvRequestsDoesNotOverrideFlag pins -requests as the one request
+// knob: a set NETRS_REQUESTS leaves the run unchanged.
+func TestEnvRequestsDoesNotOverrideFlag(t *testing.T) {
+	args := []string{"-fig", "6", "-requests", "400", "-seeds", "1", "-scale", "small", "-quiet"}
+	t.Setenv("NETRS_REQUESTS", "")
+	want := captureStdout(t, func() error { return run(args) })
+	t.Setenv("NETRS_REQUESTS", "800")
+	if got := captureStdout(t, func() error { return run(args) }); got != want {
+		t.Fatalf("NETRS_REQUESTS=800 changed the -requests 400 run:\n%s\nwant:\n%s", got, want)
 	}
 }
 

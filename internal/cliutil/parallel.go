@@ -12,8 +12,8 @@ import (
 
 // ApplyEnvParallel lets the NETRS_PARALLEL environment variable supply the
 // trial parallelism when the named flag was not given explicitly on the
-// command line (an explicit flag always wins). The convention matches
-// NETRS_REQUESTS: the environment adjusts defaults, flags decide.
+// command line (an explicit flag always wins): the environment adjusts
+// defaults, flags decide.
 // Surrounding whitespace is ignored, so an empty or whitespace-only value
 // behaves like an unset variable.
 func ApplyEnvParallel(fs *flag.FlagSet, name string, parallel *int) error {

@@ -258,8 +258,9 @@ type Config struct {
 	// except where events of different partitions tie at the exact same
 	// nanosecond, which partitions may order differently (DESIGN.md §11).
 	// Above one, every scheme but CliRS-R95 runs (with epochs, demand
-	// shifts, and shard-safe scenarios); validate rejects the features that
-	// need a single partition.
+	// shifts, bounded stats, and shard-safe scenarios); validate rejects
+	// the features that need a single partition: the latency trace, the
+	// timeline, fault schedules, and scenario faults or trace replay.
 	Shards int
 }
 
@@ -401,8 +402,6 @@ func (c Config) validate() error {
 			return fmt.Errorf("shards: timeline needs the single-engine runner: %w", ErrInvalidParam)
 		case len(c.Faults) > 0:
 			return fmt.Errorf("shards: fault injection needs the single-engine runner: %w", ErrInvalidParam)
-		case c.StatsSampleCap > 0:
-			return fmt.Errorf("shards: bounded stats need the single-engine runner: %w", ErrInvalidParam)
 		case !c.Scenario.ShardSafe():
 			return fmt.Errorf("shards: scenario faults/trace replay need the single-engine runner: %w", ErrInvalidParam)
 		}

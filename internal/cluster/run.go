@@ -1005,7 +1005,8 @@ func (r *runner) result() (Result, error) {
 	}
 	// The partition recorders fold into the first: the merged multiset is
 	// the one a single recorder would hold, and the summary is
-	// order-independent (count, integer-sum mean, sorted percentiles).
+	// order-independent (count, integer-sum mean, sorted percentiles, or
+	// histogram buckets once StatsSampleCap is exceeded).
 	rec := r.parts[0].rec
 	for i, st := range r.parts {
 		if i > 0 {

@@ -22,20 +22,15 @@ var ErrNoSamples = errors.New("stats: no samples")
 // error under 0.2% at 256 KiB per spilled recorder.
 const boundedSigBits = 9
 
-// summaryQuantiles are the tail quantiles Summarize reports; the bounded
-// mode tracks them with P² estimators as a streaming fallback.
-var summaryQuantiles = [3]float64{0.95, 0.99, 0.999}
-
 // Recorder accumulates latency samples and answers percentile queries.
 //
 // In its default (exact) mode it stores every sample; for the experiment
 // sizes in this repository (millions of requests) that is tens of
 // megabytes, which buys exact tail percentiles — the quantity the paper is
 // about. With a sample cap (NewBoundedRecorder) the recorder stays exact
-// up to the cap and then spills into a log-bucketed histogram plus P²
-// estimators of the summary quantiles, bounding memory per trial so many
-// sweep cells can run concurrently without holding every cell's full
-// sample slice alive at once.
+// up to the cap and then spills into a log-bucketed histogram, bounding
+// memory per trial so many sweep cells can run concurrently without
+// holding every cell's full sample slice alive at once.
 type Recorder struct {
 	samples []sim.Time
 	sum     sim.Time
@@ -46,9 +41,6 @@ type Recorder struct {
 	limit int
 	// hist is non-nil once the recorder has spilled past its cap.
 	hist *Histogram
-	// p2s track the summary quantiles in bounded mode — the streaming
-	// fallback for percentile queries when no histogram is available.
-	p2s [3]*P2Quantile
 }
 
 // NewRecorder returns an empty exact recorder with capacity for hint
@@ -83,7 +75,6 @@ func (r *Recorder) Record(v sim.Time) {
 	r.sum += v
 	if r.hist != nil {
 		r.hist.Record(int64(v))
-		r.observeP2(v)
 		return
 	}
 	r.samples = append(r.samples, v)
@@ -93,18 +84,8 @@ func (r *Recorder) Record(v sim.Time) {
 	}
 }
 
-// observeP2 folds a sample into the bounded-mode quantile estimators.
-func (r *Recorder) observeP2(v sim.Time) {
-	for _, p2 := range r.p2s {
-		if p2 != nil {
-			p2.Observe(float64(v))
-		}
-	}
-}
-
 // spill converts the recorder to histogram mode, folding the retained
-// samples into the histogram and the P² estimators, then releasing the
-// sample slice.
+// samples into the histogram, then releasing the sample slice.
 func (r *Recorder) spill() {
 	hist, err := NewHistogram(boundedSigBits)
 	if err != nil {
@@ -112,16 +93,8 @@ func (r *Recorder) spill() {
 		panic(fmt.Sprintf("stats: bounded histogram: %v", err))
 	}
 	r.hist = hist
-	for i, q := range summaryQuantiles {
-		p2, err := NewP2Quantile(q)
-		if err != nil {
-			panic(fmt.Sprintf("stats: bounded p2 estimator: %v", err))
-		}
-		r.p2s[i] = p2
-	}
 	for _, v := range r.samples {
 		r.hist.Record(int64(v))
-		r.observeP2(v)
 	}
 	r.samples = nil
 	r.sorted = false
@@ -149,9 +122,7 @@ func (r *Recorder) Mean() (sim.Time, error) {
 // Percentile returns the p-th percentile (0 < p <= 100). Exact recorders
 // use the nearest-rank method on the sorted samples, sorting once and
 // caching the sorted state until the next Record or Merge invalidates it.
-// Spilled recorders answer from the log-bucketed histogram; if the
-// histogram is unavailable (a merge dropped it), the P² estimators answer
-// for the summary quantiles as a last resort.
+// Spilled recorders answer from the log-bucketed histogram.
 func (r *Recorder) Percentile(p float64) (sim.Time, error) {
 	if r.count == 0 {
 		return 0, ErrNoSamples
@@ -162,9 +133,6 @@ func (r *Recorder) Percentile(p float64) (sim.Time, error) {
 	if r.hist != nil {
 		v, err := r.hist.Quantile(p / 100)
 		return sim.Time(v), err
-	}
-	if len(r.samples) == 0 {
-		return r.p2Percentile(p)
 	}
 	if !r.sorted {
 		slices.Sort(r.samples)
@@ -179,18 +147,6 @@ func (r *Recorder) Percentile(p float64) (sim.Time, error) {
 	return r.samples[rank-1], nil
 }
 
-// p2Percentile answers from the streaming estimators when neither samples
-// nor a histogram exist (possible only after a precision-mismatched merge
-// dropped the histogram).
-func (r *Recorder) p2Percentile(p float64) (sim.Time, error) {
-	for i, q := range summaryQuantiles {
-		if r.p2s[i] != nil && math.Abs(q*100-p) < 1e-9 {
-			return sim.Time(r.p2s[i].Value()), nil
-		}
-	}
-	return 0, fmt.Errorf("stats: percentile %v unavailable in streaming fallback mode", p)
-}
-
 // Max returns the largest sample (exact in every mode: the histogram
 // tracks its true maximum).
 func (r *Recorder) Max() (sim.Time, error) {
@@ -202,10 +158,12 @@ func (r *Recorder) Max() (sim.Time, error) {
 }
 
 // Merge folds every sample of other into r. Two exact recorders stay
-// exact; if either side has spilled, both spill and the histograms merge
-// (the P² estimators cannot be merged across streams and are dropped —
-// the histogram keeps answering percentile queries). other is left in an
-// unspecified state and must not be used afterwards.
+// exact; if either side has spilled, both spill and the histograms merge.
+// Two recorders under one cap therefore merge into what a single recorder
+// with that cap, fed the same samples in any order, would hold: the merge
+// spills exactly when the combined count exceeds the cap, and the
+// histogram is per-bucket counts plus an exact maximum. other is left in
+// an unspecified state and must not be used afterwards.
 func (r *Recorder) Merge(other *Recorder) error {
 	if other == nil || other.count == 0 {
 		return nil
@@ -231,9 +189,6 @@ func (r *Recorder) Merge(other *Recorder) error {
 	}
 	r.sum += other.sum
 	r.count += other.count
-	// Streaming estimators describe a single stream; after a merge the
-	// histogram is the sole percentile source.
-	r.p2s = [3]*P2Quantile{}
 	return nil
 }
 

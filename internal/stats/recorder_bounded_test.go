@@ -176,34 +176,6 @@ func TestRecorderMergeEmpty(t *testing.T) {
 	}
 }
 
-// TestRecorderP2Fallback exercises the last-resort streaming path: a
-// spilled recorder whose histogram is gone still answers the summary
-// quantiles from its P² estimators.
-func TestRecorderP2Fallback(t *testing.T) {
-	r := NewBoundedRecorder(0, 100)
-	rng := sim.NewRNG(5)
-	for i := 0; i < 50000; i++ {
-		r.Record(sim.Time(1000 + 1_000_000*rng.ExpFloat64()))
-	}
-	want, err := r.Percentile(99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.hist = nil // simulate histogram loss; p2s remain
-	got, err := r.Percentile(99)
-	if err != nil {
-		t.Fatalf("fallback p99: %v", err)
-	}
-	rel := math.Abs(float64(got)-float64(want)) / float64(want)
-	if rel > 0.15 {
-		t.Fatalf("fallback p99 %v vs histogram %v, rel err %.3f", got, want, rel)
-	}
-	// Quantiles outside the tracked set are honestly refused.
-	if _, err := r.Percentile(50); err == nil {
-		t.Fatal("untracked quantile answered in fallback mode")
-	}
-}
-
 // TestSortCacheInvalidatedOnRecord guards the sorted-state cache: a
 // Record after a Percentile query must invalidate the cache so later
 // queries see the new sample.
