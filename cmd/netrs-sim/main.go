@@ -124,10 +124,10 @@ func run(args []string) (retErr error) {
 		if err != nil {
 			return err
 		}
-		if err := applyFaults(&cfg, *faultsPath); err != nil {
+		if err := applyScenario(&cfg, *scenarioArg); err != nil {
 			return err
 		}
-		if err := applyScenario(&cfg, *scenarioArg); err != nil {
+		if err := applyFaults(&cfg, *faultsPath); err != nil {
 			return err
 		}
 		return execute(cfg, seeds, *trialPar, *jsonOut, *tracePath)
@@ -164,10 +164,10 @@ func run(args []string) (retErr error) {
 		return err
 	}
 	cfg.Scheme = s
-	if err := applyFaults(&cfg, *faultsPath); err != nil {
+	if err := applyScenario(&cfg, *scenarioArg); err != nil {
 		return err
 	}
-	if err := applyScenario(&cfg, *scenarioArg); err != nil {
+	if err := applyFaults(&cfg, *faultsPath); err != nil {
 		return err
 	}
 
@@ -236,9 +236,10 @@ func applyTopoPreset(cfg *netrs.Config, name string, fs *flag.FlagSet) error {
 	return nil
 }
 
-// applyFaults loads a -faults schedule file into the config: its events are
-// appended to any config-declared faults and the resilience timeline is
+// applyFaults loads a -faults schedule file into the config: its events go
+// ahead of the scenario's fault events, and the resilience timeline is
 // enabled at the schedule's bucket width (50 ms when the file omits it).
+// Apply it after the scenario, which replaces the config's whole scenario.
 func applyFaults(cfg *netrs.Config, path string) error {
 	if path == "" {
 		return nil
@@ -247,7 +248,7 @@ func applyFaults(cfg *netrs.Config, path string) error {
 	if err != nil {
 		return err
 	}
-	cfg.Faults = append(cfg.Faults, sched.Events...)
+	cfg.Scenario.Faults = append(sched.Events, cfg.Scenario.Faults...)
 	cfg.TimelineBucket = sched.BucketWidth(50 * sim.Millisecond)
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"netrs"
 )
 
 func tinyArgs(extra ...string) []string {
@@ -219,6 +221,32 @@ func TestRunScenarioFlag(t *testing.T) {
 	}
 	if err := run(tinyArgs("-scenario", "bogus")); err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+}
+
+// TestFaultsFlagPrecedesScenarioFaults: -faults events join the scenario's
+// fault list ahead of the scenario's own events, and survive -scenario.
+func TestFaultsFlagPrecedesScenarioFaults(t *testing.T) {
+	dir := t.TempDir()
+	scn := filepath.Join(dir, "scn.json")
+	if err := os.WriteFile(scn, []byte(`{"name":"f","faults":[{"kind":"server-crash","atMs":5,"server":1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sched := filepath.Join(dir, "faults.json")
+	if err := os.WriteFile(sched, []byte(`{"events":[{"kind":"server-slowdown","atMs":2,"server":0,"multiplier":2}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	saved := filepath.Join(dir, "cfg.json")
+	if err := run(tinyArgs("-faults", sched, "-scenario", scn, "-save-config", saved)); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := netrs.LoadConfig(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := cfg.Scenario.Faults
+	if len(got) != 2 || got[0].Kind != netrs.FaultServerSlowdown || got[1].Kind != netrs.FaultServerCrash {
+		t.Fatalf("scenario faults = %+v, want the -faults event, then the scenario's", got)
 	}
 }
 

@@ -54,10 +54,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	in.PlacementMethod = placement.MethodHeuristic
 	in.RedundantPercentile = 0.9
 	in.CancelDuplicates = true
-	in.Faults = []FaultEvent{
-		{Kind: FaultRSNodeCrash, AtMs: 400, RSNode: FaultTargetBusiest, DurationMs: 300},
-		{Kind: FaultServerSlowdown, AtFraction: 0.25, Server: 3, Multiplier: 4},
-	}
 	in.TimelineBucket = 50 * Millisecond
 	in.ControllerInterval = 100 * Millisecond
 	in.KeepLatencyTrace = true
@@ -65,6 +61,10 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	scn, err := ScenarioByName("flash-crowd")
 	if err != nil {
 		t.Fatal(err)
+	}
+	scn.Faults = []FaultEvent{
+		{Kind: FaultRSNodeCrash, AtMs: 400, RSNode: FaultTargetBusiest, DurationMs: 300},
+		{Kind: FaultServerSlowdown, AtFraction: 0.25, Server: 3, Multiplier: 4},
 	}
 	in.Scenario = scn
 	in.Shards = 2
@@ -81,8 +81,12 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("round trip differs:\n in %+v\nout %+v", in, out)
 	}
-	// The serialized form uses unit-suffixed keys and names the method.
-	for _, key := range []string{"meanServiceTimeUs", "linkLatencyUs", "scheme", `"heuristic"`} {
+	// The serialized form uses nanosecond keys, nests the fabric, and
+	// names the scheme and the method.
+	for _, key := range []string{
+		`"meanServiceTimeNs": 2500000`, `"timelineBucketNs": 50000000`, `"fabric": {`,
+		`"linkLatencyNs": 20000`, `"scheme": "NetRS+Cache"`, `"placementMethod": "heuristic"`, `"faults": [`,
+	} {
 		if !strings.Contains(string(data), key) {
 			t.Fatalf("serialized config missing %q:\n%s", key, data)
 		}
@@ -103,6 +107,48 @@ func requireNonDefault(t *testing.T, got, def reflect.Value, prefix string) {
 		if reflect.DeepEqual(got.Field(i).Interface(), def.Field(i).Interface()) {
 			t.Errorf("%s is left at its default", name)
 		}
+	}
+}
+
+// TestConfigDurationsRoundTripExactly: durations are integer nanoseconds
+// on disk, so values with no exact microsecond or millisecond form load
+// back unchanged.
+func TestConfigDurationsRoundTripExactly(t *testing.T) {
+	in := DefaultConfig()
+	in.MeanServiceTime = 4_096_083
+	in.FluctuationInterval = 49_999_999
+	in.Fabric.LinkLatency = 30_001
+	in.Fabric.AccelRTT = 2_499
+	in.Fabric.AccelService = 5_003
+	in.TimelineBucket = 25_000_007
+	in.ControllerInterval = 99_999_999
+	data, err := MarshalConfig(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := UnmarshalConfig(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("round trip differs:\n in %+v\nout %+v", in, out)
+	}
+}
+
+// TestUnmarshalConfigPartialKeepsDefaults: a config file that names only
+// some keys, nested fabric keys included, keeps DefaultConfig's values for
+// the rest.
+func TestUnmarshalConfigPartialKeepsDefaults(t *testing.T) {
+	got, err := UnmarshalConfig([]byte(`{"scheme": "NetRS-ILP", "requests": 500, "fabric": {"accelCores": 2}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultConfig()
+	want.Scheme = SchemeNetRSILP
+	want.Requests = 500
+	want.Fabric.AccelCores = 2
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("partial config = %+v, want %+v", got, want)
 	}
 }
 
@@ -131,7 +177,7 @@ func TestUnmarshalConfigErrors(t *testing.T) {
 		t.Fatal("bogus scheme accepted")
 	}
 	// Retired and misspelled keys fail loudly rather than being dropped.
-	for _, key := range []string{"failRSNodeAt", "replayTracePath", "sheme"} {
+	for _, key := range []string{"failRSNodeAt", "replayTracePath", "faults", "meanServiceTimeUs", "sheme"} {
 		if _, err := UnmarshalConfig([]byte(`{"scheme":"CliRS","` + key + `":1}`)); err == nil {
 			t.Fatalf("unknown key %q accepted", key)
 		}

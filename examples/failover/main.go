@@ -43,7 +43,7 @@ func run() error {
 
 	// Failure injection: the busiest RSNode dies halfway through.
 	faulty := base
-	faulty.Faults = []netrs.FaultEvent{
+	faulty.Scenario.Faults = []netrs.FaultEvent{
 		{Kind: netrs.FaultRSNodeCrash, AtFraction: 0.5, RSNode: netrs.FaultTargetBusiest},
 	}
 	broken, err := netrs.Run(faulty)

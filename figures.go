@@ -367,7 +367,7 @@ func RunResilience(base Config, crashAt, recoverAt float64, bucket Time, opts Ru
 		func(s Scheme, cfg *Config) {
 			cfg.Scheme = s
 			cfg.TimelineBucket = bucket
-			cfg.Faults = append(append([]FaultEvent(nil), base.Faults...),
+			cfg.Scenario.Faults = append(append([]FaultEvent(nil), base.Scenario.Faults...),
 				FaultEvent{Kind: FaultRSNodeCrash, AtFraction: crashAt, RSNode: FaultTargetBusiest},
 				FaultEvent{Kind: FaultRSNodeRecover, AtFraction: recoverAt, RSNode: FaultTargetFailed},
 			)

@@ -19,7 +19,7 @@ import (
 func goldenFaultConfig(scheme Scheme) Config {
 	cfg := goldenConfig(scheme)
 	cfg.TimelineBucket = 25 * Millisecond
-	cfg.Faults = []FaultEvent{
+	cfg.Scenario.Faults = []FaultEvent{
 		{Kind: FaultRSNodeCrash, AtFraction: 0.3, RSNode: FaultTargetBusiest},
 		{Kind: FaultRSNodeRecover, AtFraction: 0.6, RSNode: FaultTargetFailed},
 		{Kind: FaultServerSlowdown, AtMs: 30, Server: 2, Multiplier: 5, DurationMs: 40},

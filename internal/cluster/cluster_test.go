@@ -53,6 +53,19 @@ func TestSchemeStringsAndParse(t *testing.T) {
 	if Scheme(99).String() == "" {
 		t.Fatal("unknown scheme has empty string")
 	}
+	for _, s := range AllSchemes() {
+		var back Scheme
+		if text, err := s.MarshalText(); err != nil || back.UnmarshalText(text) != nil || back != s {
+			t.Fatalf("%v: text round trip gave %v (%q, %v)", s, back, text, err)
+		}
+	}
+	if _, err := Scheme(99).MarshalText(); !errors.Is(err, ErrInvalidParam) {
+		t.Fatal("unknown scheme marshaled")
+	}
+	var s Scheme
+	if err := s.UnmarshalText([]byte("bogus")); !errors.Is(err, ErrInvalidParam) {
+		t.Fatal("bogus scheme unmarshaled")
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -330,7 +343,7 @@ func TestRateControlToggle(t *testing.T) {
 
 func TestRSNodeFailureInjection(t *testing.T) {
 	cfg := smallConfig(SchemeNetRSToR)
-	cfg.Faults = crashBusiestAt(0.5)
+	cfg.Scenario.Faults = crashBusiestAt(0.5)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -457,9 +470,10 @@ func TestQueueOscillationMetric(t *testing.T) {
 		cli.QueueCVMean, ilp.QueueCVMean)
 }
 
-func TestReplayTraceWorkload(t *testing.T) {
-	// Record a synthetic workload, persist it, and replay it through the
-	// cluster: the run must execute exactly the trace.
+// recordTestTrace records a 3000-request synthetic workload over 40
+// clients and writes it as a trace file, returning the file's path.
+func recordTestTrace(t *testing.T) string {
+	t.Helper()
 	eng := sim.NewEngine()
 	srcCfg := workload.SourceConfig{
 		Generators: 10,
@@ -486,7 +500,13 @@ func TestReplayTraceWorkload(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
+func TestReplayTraceWorkload(t *testing.T) {
+	// Record a synthetic workload, persist it, and replay it through the
+	// cluster: the run must execute exactly the trace.
+	path := recordTestTrace(t)
 	cfg := smallConfig(SchemeNetRSToR)
 	cfg.Scenario = scenario.Scenario{ReplayTracePath: path}
 	res, err := Run(cfg)
@@ -519,6 +539,45 @@ func TestReplayTraceWorkload(t *testing.T) {
 	cfg.Scenario.ReplayTracePath = "/does/not/exist.csv"
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("missing trace file accepted")
+	}
+}
+
+// TestReplayEmptyTraceRejected: a trace file with a header and no
+// entries is an error, not a silent fallback to the synthetic source.
+func TestReplayEmptyTraceRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.csv")
+	if err := os.WriteFile(path, []byte("arrival_ns,client,key\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig(SchemeNetRSToR)
+	cfg.Scenario = scenario.Scenario{ReplayTracePath: path}
+	if res, err := Run(cfg); !errors.Is(err, ErrInvalidParam) {
+		t.Fatalf("empty trace: Run emitted %d requests, err %v; want ErrInvalidParam", res.Emitted, err)
+	}
+}
+
+// TestReplayRejectsSyntheticOnlySettings: the trace carries no write
+// column and no demand shift, so replay refuses the settings that only
+// the synthetic source honors rather than ignoring them.
+func TestReplayRejectsSyntheticOnlySettings(t *testing.T) {
+	cases := map[string]func(*Config){
+		"write fraction": func(c *Config) { c.WriteFraction = 0.05 },
+		"demand shift": func(c *Config) {
+			c.DemandSkew = 0.6
+			c.DemandShiftAt = 0.4
+			c.DemandShiftFraction = 0.5
+		},
+	}
+	for name, mutate := range cases {
+		cfg := smallConfig(SchemeNetRSToR)
+		mutate(&cfg)
+		if err := cfg.validate(); err != nil {
+			t.Fatalf("%s: synthetic validate() = %v, want nil", name, err)
+		}
+		cfg.Scenario = scenario.Scenario{ReplayTracePath: "trace.csv"}
+		if err := cfg.validate(); !errors.Is(err, ErrInvalidParam) {
+			t.Errorf("%s: replay validate() = %v, want ErrInvalidParam", name, err)
+		}
 	}
 }
 

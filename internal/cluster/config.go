@@ -14,7 +14,6 @@ import (
 	"netrs/internal/c3"
 	"netrs/internal/dist"
 	"netrs/internal/fabric"
-	"netrs/internal/faults"
 	"netrs/internal/placement"
 	"netrs/internal/scenario"
 	"netrs/internal/sim"
@@ -70,6 +69,25 @@ func (s Scheme) String() string {
 	}
 }
 
+// MarshalText encodes the scheme by name, so saved configs and JSON
+// results read "NetRS-ILP" rather than an ordinal.
+func (s Scheme) MarshalText() ([]byte, error) {
+	if s < SchemeCliRS || s > SchemeNetRSCache {
+		return nil, fmt.Errorf("scheme %d: %w", int(s), ErrInvalidParam)
+	}
+	return []byte(s.String()), nil
+}
+
+// UnmarshalText decodes a scheme name as ParseScheme does.
+func (s *Scheme) UnmarshalText(text []byte) error {
+	v, err := ParseScheme(string(text))
+	if err != nil {
+		return err
+	}
+	*s = v
+	return nil
+}
+
 // Schemes lists the paper's four schemes in presentation order. The cache
 // tier's two schemes are deliberately not here: sweeps and goldens that
 // iterate Schemes() predate them and stay byte-identical.
@@ -94,126 +112,123 @@ func ParseScheme(name string) (Scheme, error) {
 }
 
 // Config is one experiment's full parameter set. DefaultConfig returns the
-// paper's §V-A values.
+// paper's §V-A values. The json tags make Config its own saved-config
+// schema: durations are integer nanoseconds under …Ns keys, and
+// omitempty marks only fields whose default is zero.
 type Config struct {
 	// Seed drives every random stream; repeating a seed repeats the run.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 
 	// FatTreeK is the fat-tree arity (16 → 1024 hosts).
-	FatTreeK int
+	FatTreeK int `json:"fatTreeK"`
 
 	// Servers (Ns), Parallelism (Np), MeanServiceTime (tkv), and the
 	// bimodal fluctuation parameters of the replica servers.
-	Servers             int
-	Parallelism         int
-	MeanServiceTime     sim.Time
-	FluctuationInterval sim.Time
-	FluctuationRange    float64
+	Servers             int      `json:"servers"`
+	Parallelism         int      `json:"parallelism"`
+	MeanServiceTime     sim.Time `json:"meanServiceTimeNs"`
+	FluctuationInterval sim.Time `json:"fluctuationIntervalNs"`
+	FluctuationRange    float64  `json:"fluctuationRange"`
 
 	// Replication is the replication factor; VNodes the ring's virtual
 	// nodes per server; Keys and ZipfTheta the key popularity model.
-	Replication int
-	VNodes      int
-	Keys        uint64
-	ZipfTheta   float64
+	Replication int     `json:"replication"`
+	VNodes      int     `json:"vnodes"`
+	Keys        uint64  `json:"keys"`
+	ZipfTheta   float64 `json:"zipfTheta"`
 
 	// Clients, Generators, and the demand-skew knobs.
-	Clients           int
-	Generators        int
-	DemandSkew        float64
-	HotClientFraction float64
+	Clients           int     `json:"clients"`
+	Generators        int     `json:"generators"`
+	DemandSkew        float64 `json:"demandSkew"`
+	HotClientFraction float64 `json:"hotClientFraction"`
 
 	// DemandShiftAt, when positive, enables the time-varying hotspot
 	// phase: once this fraction of the run's requests has been emitted,
 	// DemandShiftFraction of each client's demand relocates to the client
 	// half a population away, moving the hot set to different racks
 	// mid-run. Requires DemandSkew > 0 to be observable and a
-	// DemandShiftFraction in (0,1]. Synthetic workload only (trace replay
-	// carries its own time structure).
-	DemandShiftAt       float64
-	DemandShiftFraction float64
+	// DemandShiftFraction in (0,1]. Synthetic workload only: validate
+	// rejects it with trace replay, which carries its own time structure.
+	DemandShiftAt       float64 `json:"demandShiftAt,omitempty"`
+	DemandShiftFraction float64 `json:"demandShiftFraction,omitempty"`
 
 	// Utilization is the target system utilization ρ = tkv·A/(Ns·Np).
-	Utilization float64
+	Utilization float64 `json:"utilization"`
 
 	// Requests is the number of measured requests; WarmupFraction adds a
 	// warmup prefix excluded from statistics (and used by NetRS-ILP to
 	// collect monitor traffic before solving the placement).
-	Requests       int
-	WarmupFraction float64
+	Requests       int     `json:"requests"`
+	WarmupFraction float64 `json:"warmupFraction"`
 
 	// Scheme picks the deployment; RateControl toggles C3's cubic rate
 	// shaping at the RSNodes.
-	Scheme      Scheme
-	RateControl bool
+	Scheme      Scheme `json:"scheme"`
+	RateControl bool   `json:"rateControl"`
 
 	// WriteFraction is the share of requests that are updates. Writes
 	// always travel to a replica server; with a cache scheme, a committed
 	// write fans out invalidation messages to every ToR cache. Zero (the
 	// default) keeps the workload read-only and the RNG streams
-	// bit-identical to the pre-write layout.
-	WriteFraction float64
+	// bit-identical to the pre-write layout. Synthetic workload only: the
+	// trace format has no write column, so validate rejects it with trace
+	// replay.
+	WriteFraction float64 `json:"writeFraction,omitempty"`
 
 	// CacheBytes is the per-ToR hot-key cache budget for the cache
 	// schemes (NetCache, NetRS+Cache). Zero leaves every cache disabled —
 	// NetRS+Cache then behaves bit-identically to NetRS-ToR.
-	CacheBytes int64
+	CacheBytes int64 `json:"cacheBytes,omitempty"`
 	// CacheAdmitAfter is the cache's frequency-gated admission threshold
 	// (misses before a response may admit); zero means the package
 	// default. CacheItemMinBytes/CacheItemMaxBytes bound the
 	// deterministic per-key item sizes; zeros mean the defaults.
-	CacheAdmitAfter   int
-	CacheItemMinBytes int64
-	CacheItemMaxBytes int64
+	CacheAdmitAfter   int   `json:"cacheAdmitAfter,omitempty"`
+	CacheItemMinBytes int64 `json:"cacheItemMinBytes,omitempty"`
+	CacheItemMaxBytes int64 `json:"cacheItemMaxBytes,omitempty"`
 
 	// OperatorAlgorithm selects the replica-selection algorithm NetRS
 	// RSNodes run; empty means C3 (the paper's choice). Any name from
 	// selection.Algorithms() works — §IV-C's "arbitrary replica selection
 	// algorithm" flexibility.
-	OperatorAlgorithm string
+	OperatorAlgorithm string `json:"operatorAlgorithm,omitempty"`
 
 	// Fabric carries the network-device parameters; AccelMaxUtilization
 	// is U and ExtraHopBudgetFraction sets E = fraction·A (§V-B).
-	Fabric                 fabric.Config
-	AccelMaxUtilization    float64
-	ExtraHopBudgetFraction float64
+	Fabric                 fabric.Config `json:"fabric"`
+	AccelMaxUtilization    float64       `json:"accelMaxUtilization"`
+	ExtraHopBudgetFraction float64       `json:"extraHopBudgetFraction"`
 
 	// RackLevelGroups selects rack-level traffic groups (the paper's
 	// main granularity); false means host-level groups.
-	RackLevelGroups bool
+	RackLevelGroups bool `json:"rackLevelGroups"`
 
 	// GroupMaxHosts caps the hosts per traffic group, realizing §III-A's
 	// intervening-level granularity ("requests from several end-hosts in
 	// the same rack as a group"): with RackLevelGroups set, a rack's
 	// clients are chunked into groups of at most this many hosts. Zero
 	// means unlimited (pure rack-level).
-	GroupMaxHosts int
+	GroupMaxHosts int `json:"groupMaxHosts,omitempty"`
 
 	// PlacementMethod forwards to the placement solver (auto by
 	// default).
-	PlacementMethod placement.Method
+	PlacementMethod placement.Method `json:"placementMethod"`
 
 	// RedundantPercentile is CliRS-R95's reissue threshold quantile.
-	RedundantPercentile float64
+	RedundantPercentile float64 `json:"redundantPercentile"`
 
 	// CancelDuplicates adds cross-server cancellation to CliRS-R95: when
 	// the first response of a duplicated request arrives, the loser is
 	// canceled at its server if still queued (Dean & Barroso's
 	// redundancy-overhead reduction, the paper's citation [9]).
-	CancelDuplicates bool
-
-	// Faults is the run's declared fault schedule: typed events (RSNode
-	// crash/recovery, server slowdown/crash/restart, link-delay spikes)
-	// validated up front and executed on the simulation timeline. See
-	// internal/faults for event semantics and the JSON schedule format
-	// behind `netrs-sim -faults`.
-	Faults []faults.Event
+	CancelDuplicates bool `json:"cancelDuplicates,omitempty"`
 
 	// TimelineBucket, when positive, enables the time-bucketed resilience
 	// recorder: measured completions are folded into buckets of this width
 	// and reported in Result.Timeline (per-bucket mean/p99 latency, DRS
 	// share, timeout expiries). Zero disables the timeline.
-	TimelineBucket sim.Time
+	TimelineBucket sim.Time `json:"timelineBucketNs,omitempty"`
 
 	// ControllerInterval, when positive, enables controller epochs (§II's
 	// periodic loop): every interval after the initial ILP deployment, the
@@ -223,11 +238,11 @@ type Config struct {
 	// and records a Result.Errors entry). Zero (the default) solves once
 	// after warmup and never adapts — the pre-epoch behavior, bit for bit.
 	// NetRS-ILP only.
-	ControllerInterval sim.Time
+	ControllerInterval sim.Time `json:"controllerIntervalNs,omitempty"`
 
 	// KeepLatencyTrace records every measured request's latency in
 	// Result.TraceMs (completion order), for external analysis.
-	KeepLatencyTrace bool
+	KeepLatencyTrace bool `json:"keepLatencyTrace,omitempty"`
 
 	// StatsSampleCap bounds the latency recorder's memory: the run keeps
 	// at most this many exact samples and spills into a log-bucketed
@@ -235,16 +250,16 @@ type Config struct {
 	// exact-sample recorder. Useful when many trials run concurrently —
 	// a parallel sweep otherwise holds every cell's full sample slice
 	// alive at once.
-	StatsSampleCap int
+	StatsSampleCap int `json:"statsSampleCap,omitempty"`
 
 	// Scenario declares the run's composite stress scenario — diurnal
 	// arrival-rate curve, flash-crowd key spike, persistently slow racks,
-	// heterogeneous server speed classes, trace replay, extra fault
-	// events — compiled at setup into hooks on the workload source, the
-	// fabric, the servers, and the fault scheduler. The zero value is the
+	// heterogeneous server speed classes, trace replay, and the run's one
+	// fault schedule — compiled at setup into hooks on the workload
+	// source, the fabric, the servers, and the fault scheduler. The zero value is the
 	// steady baseline, bit-identical to a scenario-free run. See
 	// internal/scenario for the JSON schema behind `netrs-sim -scenario`.
-	Scenario scenario.Scenario
+	Scenario scenario.Scenario `json:"scenario"`
 
 	// Shards, when above one, runs the experiment over the fat-tree's pod
 	// partitions (plus one control partition for the core switches and the
@@ -258,10 +273,10 @@ type Config struct {
 	// except where events of different partitions tie at the exact same
 	// nanosecond, which partitions may order differently (DESIGN.md §11).
 	// Above one, every scheme but CliRS-R95 runs (with epochs, demand
-	// shifts, bounded stats, and shard-safe scenarios); validate rejects
-	// the features that need a single partition: the latency trace, the
-	// timeline, fault schedules, and scenario faults or trace replay.
-	Shards int
+	// shifts, bounded stats, trace replay, and shard-safe scenarios);
+	// validate rejects the features that need a single partition: the
+	// latency trace, the timeline, and fault schedules.
+	Shards int `json:"shards,omitempty"`
 }
 
 // IsCacheScheme reports whether the scheme deploys the ToR hot-key cache
@@ -383,9 +398,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("demand shift needs demand skew > 0: %w", ErrInvalidParam)
 	case c.Shards < 0:
 		return fmt.Errorf("shards %d: %w", c.Shards, ErrInvalidParam)
-	}
-	if err := faults.ValidateEvents(c.Faults); err != nil {
-		return fmt.Errorf("fault schedule: %w", err)
+	case c.Scenario.ReplayTracePath != "" && c.WriteFraction > 0:
+		return fmt.Errorf("write fraction %v needs the synthetic source, not trace replay: %w", c.WriteFraction, ErrInvalidParam)
+	case c.Scenario.ReplayTracePath != "" && c.DemandShiftAt > 0:
+		return fmt.Errorf("demand shift needs the synthetic source, not trace replay: %w", ErrInvalidParam)
 	}
 	if err := c.Scenario.Validate(); err != nil {
 		return err
@@ -400,10 +416,8 @@ func (c Config) validate() error {
 			return fmt.Errorf("shards: latency trace needs the single-engine runner: %w", ErrInvalidParam)
 		case c.TimelineBucket > 0:
 			return fmt.Errorf("shards: timeline needs the single-engine runner: %w", ErrInvalidParam)
-		case len(c.Faults) > 0:
-			return fmt.Errorf("shards: fault injection needs the single-engine runner: %w", ErrInvalidParam)
 		case !c.Scenario.ShardSafe():
-			return fmt.Errorf("shards: scenario faults/trace replay need the single-engine runner: %w", ErrInvalidParam)
+			return fmt.Errorf("shards: fault injection needs the single-engine runner: %w", ErrInvalidParam)
 		}
 	}
 	return nil

@@ -167,7 +167,7 @@ func TestEpochInfeasibleKeepsPlanAndRecordsError(t *testing.T) {
 func TestEpochDuringFaultReconverges(t *testing.T) {
 	base := epochConfig()
 	base.TimelineBucket = 25 * sim.Millisecond
-	base.Faults = crashBusiestAt(0.3)
+	base.Scenario.Faults = crashBusiestAt(0.3)
 
 	static := base
 	static.ControllerInterval = 0

@@ -335,8 +335,11 @@ type runner struct {
 
 	clients []*client
 	parts   []*shardState
-	source  *workload.Source
-	replay  *workload.TraceSource
+	// source is the live synthetic source (P = 1); arrivals is the
+	// pre-generated schedule otherwise — a replayed trace at any P, the
+	// synthetic sequence at P > 1. Exactly one is set.
+	source   *workload.Source
+	arrivals []timedRequest
 
 	// tickets holds the server queue entries of CliRS-R95 packets for
 	// cross-server cancellation, and is nil unless that is enabled. Only
@@ -373,7 +376,7 @@ type runner struct {
 	// timers are the periodic engine events finish cancels (P = 1).
 	timers []sim.EventRef
 
-	// arriveFn delivers a pre-generated arrival (P > 1; the argument is a
+	// arriveFn delivers a pre-generated arrival (the argument is a
 	// *timedRequest), redundantFn fires a CliRS-R95 duplicate timer (the
 	// argument is the pending request).
 	arriveFn    sim.ArgHandler
@@ -461,11 +464,16 @@ func (r *runner) setup() error {
 		if closeErr != nil {
 			return closeErr
 		}
+		if len(traceEntries) == 0 {
+			return fmt.Errorf("trace %s has no entries: %w", tracePath, ErrInvalidParam)
+		}
+		r.arrivals = make([]timedRequest, len(traceEntries))
 		for i, e := range traceEntries {
 			if e.Client >= cfg.Clients {
 				return fmt.Errorf("trace entry %d references client %d of %d: %w",
 					i, e.Client, cfg.Clients, ErrInvalidParam)
 			}
+			r.arrivals[i] = timedRequest{at: e.At, req: workload.Request{Index: i, Client: e.Client, Key: e.Key}}
 		}
 	}
 	rate, err := workload.UtilizationRate(cfg.Utilization, cfg.Servers, cfg.Parallelism, cfg.MeanServiceTime)
@@ -555,9 +563,6 @@ func (r *runner) setup() error {
 	if len(traceEntries) > 0 {
 		r.total = len(traceEntries)
 		r.warmup = int(cfg.WarmupFraction * float64(r.total))
-		if r.replay, err = workload.NewTraceSource(traceEntries, r.eng, r.onArrival); err != nil {
-			return err
-		}
 	} else {
 		r.warmup = int(cfg.WarmupFraction * float64(cfg.Requests))
 		r.total = cfg.Requests + r.warmup
@@ -603,30 +608,23 @@ func (r *runner) setup() error {
 			return err
 		}
 	}
-	// The fault schedule: the config's events, then the scenario's.
-	events := cfg.Faults
 	if len(cfg.Scenario.Faults) > 0 {
-		// Copy before appending: cfg.Faults may alias a caller's slice.
-		events = append(append([]faults.Event(nil), events...), cfg.Scenario.Faults...)
-	}
-	if len(events) > 0 {
-		if r.injector, err = faults.NewInjector(r.eng, r, r.total, events, r.recordError); err != nil {
+		if r.injector, err = faults.NewInjector(r.eng, r, r.total, cfg.Scenario.Faults, r.recordError); err != nil {
 			return err
 		}
 	}
-	// The NetRS control plane.
+	// Every in-network scheme resolves replica groups through the
+	// operators' databases; NetRS adds the selection control plane.
+	if r.netrs || cfg.Scheme == SchemeNetCache {
+		installOperatorDBs(r.net, r.ring, r.serverHostOf)
+	}
 	if r.netrs {
 		if err := r.setupControlPlane(deployment.ClientHosts, rate); err != nil {
 			return err
 		}
 	}
 
-	// The cache tier. NetCache resolves misses through the group database
-	// directly (no selection control plane); both cache schemes attach one
-	// cache per ToR operator.
-	if cfg.Scheme == SchemeNetCache {
-		installOperatorDBs(r.net, r.ring, r.serverHostOf)
-	}
+	// The cache tier: both cache schemes attach one cache per ToR operator.
 	if cfg.IsCacheScheme() {
 		tors, err := enableCaches(cfg, r.net)
 		if err != nil {
@@ -639,32 +637,20 @@ func (r *runner) setup() error {
 
 // setupArrivals wires the synthetic workload. At P = 1 the live source
 // emits on the engine as the run goes. At P > 1 the arrival sequence is
-// pre-generated and each arrival is scheduled into its client's partition
-// at its absolute instant, in arrival order — the FIFO order one engine
-// gives equal-instant emissions. Scheduling every arrival up front at
-// P = 1 too would hold ~100k extra agenda entries at the default request
-// count and change the tie order the golden digests pin.
+// pre-generated for start to schedule. Pre-generating at P = 1 too would
+// hold ~100k extra agenda entries at the default request count and change
+// the tie order the golden digests pin.
 func (r *runner) setupArrivals(srcCfg workload.SourceConfig, rng *sim.RNG) error {
+	var err error
 	if r.set == nil {
-		var err error
 		r.source, err = workload.NewSource(srcCfg, r.eng, rng, r.onArrival)
 		return err
 	}
-	arrivals, err := pregenerate(srcCfg, rng)
-	if err != nil {
+	if r.arrivals, err = pregenerate(srcCfg, rng); err != nil {
 		return err
 	}
-	if len(arrivals) != r.total {
-		return fmt.Errorf("pre-generated %d arrivals, want %d: %w", len(arrivals), r.total, ErrInvalidParam)
-	}
-	// Each event's argument points into the arrivals slice: boxing a bare
-	// index would cost one allocation per arrival.
-	for i := range arrivals {
-		a := &arrivals[i]
-		st := r.parts[r.clients[a.req.Client].part]
-		if _, err := st.eng.ScheduleArgAt(a.at, r.arriveFn, a); err != nil {
-			return err
-		}
+	if len(r.arrivals) != r.total {
+		return fmt.Errorf("pre-generated %d arrivals, want %d: %w", len(r.arrivals), r.total, ErrInvalidParam)
 	}
 	return nil
 }
@@ -691,8 +677,7 @@ func pregenerate(srcCfg workload.SourceConfig, rng *sim.RNG) ([]timedRequest, er
 }
 
 // installOperatorDBs installs the ring-backed replica-group database and
-// server locator directly on every operator — the NetCache resolution
-// path, which needs no controller.
+// server locator on every operator (the consistent-hashing view of §IV-A).
 func installOperatorDBs(net *fabric.Network, ring *kv.Ring, serverHostOf []topo.NodeID) {
 	db := func(rgid uint32) ([]int, error) { return ring.Replicas(int(rgid)) }
 	loc := func(server int) (topo.NodeID, error) {
@@ -781,8 +766,8 @@ func (r *runner) clientSelector(eng *sim.Engine) (selection.Selector, error) {
 	return selection.NewC3(cfg, eng)
 }
 
-// setupControlPlane defines traffic groups, installs databases and the
-// initial (ToR) plan, and sizes the C3 concurrency weights.
+// setupControlPlane defines traffic groups, installs the initial (ToR)
+// plan, and sizes the C3 concurrency weights.
 func (r *runner) setupControlPlane(clientHosts []topo.NodeID, rate float64) error {
 	groups, err := buildGroupDefs(r.cfg, r.ft, clientHosts)
 	if err != nil {
@@ -801,15 +786,6 @@ func (r *runner) setupControlPlane(clientHosts []topo.NodeID, rate float64) erro
 	if err != nil {
 		return err
 	}
-	r.ctl.InstallGroupDBs(
-		func(rgid uint32) ([]int, error) { return r.ring.Replicas(int(rgid)) },
-		func(server int) (topo.NodeID, error) {
-			if server < 0 || server >= len(r.serverHostOf) {
-				return topo.InvalidNode, fmt.Errorf("server %d: %w", server, ErrInvalidParam)
-			}
-			return r.serverHostOf[server], nil
-		},
-	)
 	if err := r.ctl.InstallToRPlan(); err != nil {
 		return err
 	}
@@ -900,11 +876,21 @@ func (r *runner) start() error {
 			return err
 		}
 	}
-	if r.replay != nil {
-		return r.replay.Start()
-	}
 	if r.source != nil {
 		r.source.Start()
+		return nil
+	}
+	// Each arrival goes into its client's partition at its absolute
+	// instant, in arrival order — the FIFO order one engine gives
+	// equal-instant emissions. Each event's argument points into the
+	// arrivals slice: boxing a bare index would cost one allocation per
+	// arrival.
+	for i := range r.arrivals {
+		a := &r.arrivals[i]
+		st := r.parts[r.clients[a.req.Client].part]
+		if _, err := st.eng.ScheduleArgAt(a.at, r.arriveFn, a); err != nil {
+			return err
+		}
 	}
 	return nil
 }

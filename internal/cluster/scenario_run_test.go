@@ -102,33 +102,6 @@ func TestScenarioSlowdownShowsUp(t *testing.T) {
 	}
 }
 
-// TestScenarioFaultsMergeWithConfigFaults: scenario fault events append
-// to the config's schedule without mutating the caller's slice.
-func TestScenarioFaultsMergeWithConfigFaults(t *testing.T) {
-	cfg := smallConfig(SchemeNetRSToR)
-	cfg.Requests = 1500
-	cfgEvents := []faults.Event{
-		{Kind: faults.KindServerSlowdown, AtFraction: 0.3, Server: 0, Multiplier: 2},
-	}
-	cfg.Faults = cfgEvents[:1:1]
-	cfg.Scenario = scenario.Scenario{
-		Name: "faulty",
-		Faults: []faults.Event{
-			{Kind: faults.KindLinkDelay, AtFraction: 0.5, Rack: 0, ExtraMs: 0.5, DurationMs: 20},
-		},
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed < cfg.Requests {
-		t.Fatalf("faulty scenario run incomplete: %d", res.Completed)
-	}
-	if len(cfg.Faults) != 1 || cfg.Faults[0].Kind != faults.KindServerSlowdown {
-		t.Fatalf("caller's fault slice mutated: %+v", cfg.Faults)
-	}
-}
-
 func TestScenarioConfigValidation(t *testing.T) {
 	cfg := smallConfig(SchemeNetRSToR)
 	cfg.Scenario = scenario.Scenario{Diurnal: &scenario.Diurnal{Cycles: 0}}

@@ -163,6 +163,39 @@ func TestShardedBoundedStatsMatchSequential(t *testing.T) {
 	}
 }
 
+// TestShardedReplayMatchesSequential replays one recorded trace at
+// Shards 1, 2, and 4: the replayed arrivals take the same pre-generated
+// path as the sharded synthetic workload, so every partition count must
+// give the sequential result.
+func TestShardedReplayMatchesSequential(t *testing.T) {
+	path := recordTestTrace(t)
+	for _, scheme := range []Scheme{SchemeCliRS, SchemeNetRSToR, SchemeNetRSILP, SchemeNetRSCache} {
+		base := smallConfig(scheme)
+		base.Scenario = scenario.Scenario{ReplayTracePath: path}
+		if scheme == SchemeNetRSCache {
+			base.CacheBytes = 64 << 10
+		}
+		want, err := Run(base)
+		if err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		for _, shards := range []int{2, 4} {
+			cfg := base
+			cfg.Shards = shards
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s shards %d: %v", scheme, shards, err)
+			}
+			if got.Summary != want.Summary || got.SimulatedSpan != want.SimulatedSpan ||
+				got.OperatorSelections != want.OperatorSelections {
+				t.Errorf("%s shards %d: summary %+v span %v selections %d, want %+v %v %d",
+					scheme, shards, got.Summary, got.SimulatedSpan, got.OperatorSelections,
+					want.Summary, want.SimulatedSpan, want.OperatorSelections)
+			}
+		}
+	}
+}
+
 // TestShardedConfigValidation pins which features stay refused at
 // Shards > 1: each needs bookkeeping that is inherently sequential, and a
 // silent wrong answer would be worse than an explicit error.
@@ -173,10 +206,9 @@ func TestShardedConfigValidation(t *testing.T) {
 		// the whole run, and no partition can read that counter mid-window,
 		// so a sharded run could not reproduce the duplicates' paths.
 		"r95 scheme":     func(c *Config) { c.Scheme = SchemeCliRSR95 },
-		"trace replay":   func(c *Config) { c.Scenario = scenario.Scenario{ReplayTracePath: "trace.csv"} },
 		"latency trace":  func(c *Config) { c.KeepLatencyTrace = true },
 		"timeline":       func(c *Config) { c.TimelineBucket = 1_000_000 },
-		"rsnode failure": func(c *Config) { c.Faults = crashBusiestAt(0.5) },
+		"rsnode failure": func(c *Config) { c.Scenario.Faults = crashBusiestAt(0.5) },
 	}
 	for name, mutate := range mutations {
 		cfg := DefaultConfig()

@@ -422,11 +422,3 @@ func (c *Controller) pruneDegraded(gis []int) {
 func (c *Controller) FailedOperators() []uint16 {
 	return slices.Clone(c.failedOrder)
 }
-
-// InstallGroupDBs pushes the replica-group database and server locator to
-// every operator's selector (the consistent-hashing view of §IV-A).
-func (c *Controller) InstallGroupDBs(db GroupDB, loc ServerLocator) {
-	for _, op := range c.net.OperatorsSorted() {
-		op.SetDatabases(db, loc)
-	}
-}

@@ -58,6 +58,14 @@ type harness struct {
 	spies   map[uint16]*spySelector
 }
 
+// installDBs installs a replica-group database and server locator on every
+// operator, as the cluster runner does.
+func installDBs(net *Network, db GroupDB, loc ServerLocator) {
+	for _, op := range net.OperatorsSorted() {
+		op.SetDatabases(db, loc)
+	}
+}
+
 func newHarness(t *testing.T, factory func(uint16, *sim.Engine) (Selector, error)) *harness {
 	t.Helper()
 	h := &harness{
@@ -110,7 +118,7 @@ func newHarness(t *testing.T, factory func(uint16, *sim.Engine) (Selector, error
 		t.Fatal(err)
 	}
 	h.ctrl = ctrl
-	ctrl.InstallGroupDBs(
+	installDBs(net,
 		func(rgid uint32) ([]int, error) {
 			if rgid != 1 {
 				return nil, errors.New("unknown group")
@@ -751,7 +759,7 @@ func TestSelectorIntegrationWithC3(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.ctrl = ctrl
-	ctrl.InstallGroupDBs(
+	installDBs(net,
 		func(uint32) ([]int, error) { return []int{0, 1, 2}, nil },
 		func(server int) (topo.NodeID, error) { return h.servers[server], nil },
 	)

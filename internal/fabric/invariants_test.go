@@ -101,7 +101,7 @@ func newInvariantWorld(t *testing.T, seed uint64, schemeILP bool) *invariantWorl
 		t.Fatal(err)
 	}
 	w.ctrl = ctrl
-	ctrl.InstallGroupDBs(
+	installDBs(net,
 		func(rgid uint32) ([]int, error) {
 			// Each RGID selects a contiguous pair of servers.
 			a := int(rgid) % len(w.servers)

@@ -93,14 +93,14 @@ type Packet struct {
 // (§V-A, taken from IncBricks).
 type Config struct {
 	// LinkLatency is the one-hop network latency (30 µs).
-	LinkLatency sim.Time
+	LinkLatency sim.Time `json:"linkLatencyNs"`
 	// AccelRTT is the switch↔accelerator round trip (2.5 µs).
-	AccelRTT sim.Time
+	AccelRTT sim.Time `json:"accelRttNs"`
 	// AccelService is the accelerator's per-selection service time (5 µs).
-	AccelService sim.Time
+	AccelService sim.Time `json:"accelServiceNs"`
 	// AccelCores is the accelerator core count (1 for the paper's
 	// low-end accelerators).
-	AccelCores int
+	AccelCores int `json:"accelCores"`
 }
 
 // NewDefaultConfig returns the paper's network-device parameters.

@@ -409,9 +409,21 @@ func TestMethodStrings(t *testing.T) {
 		if got, err := ParseMethod(m.String()); err != nil || got != m {
 			t.Errorf("ParseMethod(%q) = %v, %v", m.String(), got, err)
 		}
+		var back Method
+		if text, err := m.MarshalText(); err != nil || back.UnmarshalText(text) != nil || back != m {
+			t.Errorf("%v: text round trip gave %v (%q, %v)", m, back, text, err)
+		}
 	}
 	if _, err := ParseMethod(Method(9).String()); !errors.Is(err, ErrInvalidParam) {
 		t.Errorf("ParseMethod accepted %q", Method(9).String())
+	}
+	// The zero method has no name, so it cannot be written.
+	if _, err := Method(0).MarshalText(); !errors.Is(err, ErrInvalidParam) {
+		t.Errorf("Method(0).MarshalText() = %v, want ErrInvalidParam", err)
+	}
+	var m Method
+	if err := m.UnmarshalText([]byte("simplex")); !errors.Is(err, ErrInvalidParam) {
+		t.Errorf("UnmarshalText(simplex) = %v, want ErrInvalidParam", err)
 	}
 }
 

@@ -51,6 +51,25 @@ func ParseMethod(name string) (Method, error) {
 	return 0, fmt.Errorf("unknown placement method %q: %w", name, ErrInvalidParam)
 }
 
+// MarshalText encodes the method by name. The zero value has no name and
+// is rejected, so an encoded method always decodes.
+func (m Method) MarshalText() ([]byte, error) {
+	if m < MethodAuto || m > MethodWarm {
+		return nil, fmt.Errorf("placement method %d: %w", int(m), ErrInvalidParam)
+	}
+	return []byte(m.String()), nil
+}
+
+// UnmarshalText decodes a method name as ParseMethod does.
+func (m *Method) UnmarshalText(text []byte) error {
+	v, err := ParseMethod(string(text))
+	if err != nil {
+		return err
+	}
+	*m = v
+	return nil
+}
+
 // Options tunes Solve.
 type Options struct {
 	// Method picks the solver; zero value means MethodAuto.

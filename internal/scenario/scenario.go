@@ -18,14 +18,16 @@
 //     applied through fabric.Network.SetLinkExtra at setup.
 //   - Heterogeneous — per-class server service-time multipliers, applied
 //     through kv.Server.SetSlowdown before the run starts.
-//   - ReplayTracePath / Faults — reuse the existing trace-replay and
-//     fault-schedule machinery verbatim.
+//   - ReplayTracePath — replays a recorded trace through the runner's
+//     pre-generated arrival schedule instead of the synthetic source.
+//   - Faults — the run's one fault schedule, executed by the fault
+//     injector (see internal/faults).
 //
 // Workload and static fabric/server hooks consume no scheduler events and
 // no root RNG streams, so scenarios are shard-safe: a sharded run's
-// pre-generated arrivals replay the shaped source exactly. Fault events and
-// trace replay inherit the single-engine restrictions of their host
-// subsystems (see Scenario.ShardSafe).
+// pre-generated arrivals replay the shaped source, or the trace, exactly.
+// Fault events inherit the fault injector's single-engine restriction (see
+// Scenario.ShardSafe).
 package scenario
 
 import (
@@ -110,10 +112,10 @@ type Scenario struct {
 	// Heterogeneous declares server speed classes.
 	Heterogeneous []ServerClass `json:"heterogeneous,omitempty"`
 	// ReplayTracePath replays a recorded workload trace instead of the
-	// synthetic source (single-engine only).
+	// synthetic source.
 	ReplayTracePath string `json:"replayTracePath,omitempty"`
-	// Faults appends fault events to the run's schedule (single-engine
-	// only; see internal/faults).
+	// Faults is the run's fault schedule (single-engine only; see
+	// internal/faults).
 	Faults []faults.Event `json:"faults,omitempty"`
 }
 
@@ -192,11 +194,11 @@ func (s Scenario) ShapesWorkload() bool {
 }
 
 // ShardSafe reports whether the scenario can run on the sharded engine.
-// Workload shaping and static fabric/server hooks replay bit-identically
-// at any shard count; fault events and trace replay need the single
-// engine (the same restriction their host subsystems already carry).
+// Workload shaping, trace replay, and static fabric/server hooks replay
+// bit-identically at any shard count; fault events need the single engine
+// (the same restriction the fault injector carries).
 func (s Scenario) ShardSafe() bool {
-	return len(s.Faults) == 0 && s.ReplayTracePath == ""
+	return len(s.Faults) == 0
 }
 
 // Label names the scenario in tables: Name when set, "custom" otherwise.

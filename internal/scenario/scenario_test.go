@@ -196,8 +196,8 @@ func TestPredicates(t *testing.T) {
 		t.Fatal("fault scenario must be non-empty and shard-unsafe")
 	}
 	withTrace := Scenario{ReplayTracePath: "t.csv"}
-	if withTrace.ShardSafe() || withTrace.Empty() {
-		t.Fatal("trace scenario must be non-empty and shard-unsafe")
+	if !withTrace.ShardSafe() || withTrace.Empty() {
+		t.Fatal("trace scenario must be non-empty and shard-safe")
 	}
 	shaped := Scenario{Diurnal: &Diurnal{Cycles: 1, Amplitude: 0.1}}
 	if !shaped.ShapesWorkload() || !shaped.ShardSafe() || shaped.Empty() {

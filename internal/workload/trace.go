@@ -75,53 +75,6 @@ func ReadTrace(r io.Reader) ([]TraceEntry, error) {
 	return entries, nil
 }
 
-// TraceSource replays a recorded workload on a simulation engine, emitting
-// each entry at its recorded instant — a drop-in alternative to the
-// synthetic Poisson Source for users with production traces.
-type TraceSource struct {
-	eng     *sim.Engine
-	entries []TraceEntry
-	emit    func(Request)
-	emitted int
-}
-
-// NewTraceSource builds a replay source. The entries must be sorted by
-// arrival time (ReadTrace enforces this).
-func NewTraceSource(entries []TraceEntry, eng *sim.Engine, emit func(Request)) (*TraceSource, error) {
-	if eng == nil || emit == nil {
-		return nil, fmt.Errorf("nil engine or emit: %w", ErrInvalidParam)
-	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("empty trace: %w", ErrInvalidParam)
-	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i].At < entries[i-1].At {
-			return nil, fmt.Errorf("trace entry %d not sorted: %w", i, ErrInvalidParam)
-		}
-	}
-	return &TraceSource{eng: eng, entries: entries, emit: emit}, nil
-}
-
-// Start schedules every entry at its recorded arrival instant.
-func (s *TraceSource) Start() error {
-	for i, e := range s.entries {
-		i, e := i, e
-		if _, err := s.eng.ScheduleAt(e.At, func() {
-			s.emitted++
-			s.emit(Request{Index: i, Client: e.Client, Key: e.Key})
-		}); err != nil {
-			return fmt.Errorf("schedule trace entry %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Emitted returns how many entries have fired.
-func (s *TraceSource) Emitted() int { return s.emitted }
-
-// Len returns the trace length.
-func (s *TraceSource) Len() int { return len(s.entries) }
-
 // RecordingSource wraps a Source, capturing every emitted request with
 // its arrival time so a synthetic run can be saved and replayed.
 type RecordingSource struct {

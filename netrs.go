@@ -93,7 +93,7 @@ func LoadFaultSchedule(path string) (FaultSchedule, error) { return faults.LoadS
 
 // Scenario declares a run's composite stress scenario (diurnal load
 // curve, flash-crowd key spike, slow racks, heterogeneous server speeds,
-// trace replay, extra fault events); see internal/scenario for section
+// trace replay, the run's fault schedule); see internal/scenario for section
 // semantics and the JSON schema behind `netrs-sim -scenario`.
 type Scenario = scenario.Scenario
 
