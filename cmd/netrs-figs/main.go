@@ -26,6 +26,12 @@
 // stress scenario of -scenarios (built-in names or JSON scenario files),
 // merged across -seeds into one four-panel comparison table.
 //
+// -fig ablation runs the design-choice ablations (netrs.AblationSweeps):
+// the RSNode selector, C3 rate control, traffic-group granularity and
+// accelerator speed under NetRS-ILP, and cross-server cancellation of
+// CliRS-R95's duplicates at 95% load, one table each. Any one of them runs
+// alone by its ID, e.g. -fig ablation-selector.
+//
 // -fig cache runs the in-network cache tier study: a Zipf-skew ×
 // cache-budget grid comparing NetCache (cache-only ToRs) and NetRS+Cache
 // (ToR cache over the replica selector) against the four cacheless
@@ -88,7 +94,7 @@ func scaledConfig(scale string) (netrs.Config, error) {
 
 func run(args []string) (retErr error) {
 	fs := flag.NewFlagSet("netrs-figs", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "figure to regenerate: all, 4, 5, 6, 7, resilience, adapt, matrix, cache")
+	fig := fs.String("fig", "all", "figure to regenerate: all, 4, 5, 6, 7, ablation, resilience, adapt, matrix, cache")
 	requests := fs.Int("requests", 50000, "measured requests per point (paper: 6000000)")
 	seedsFlag := fs.String("seeds", "1,2,3", "comma-separated deployment seeds (paper repeats 3×)")
 	scale := fs.String("scale", "medium", "cluster scale: paper, medium, small")
@@ -145,9 +151,12 @@ func run(args []string) (retErr error) {
 	}
 
 	var sweeps []netrs.Sweep
-	if *fig == "all" {
+	switch *fig {
+	case "all":
 		sweeps = netrs.PaperFigures()
-	} else {
+	case "ablation":
+		sweeps = netrs.AblationSweeps()
+	default:
 		sw, err := netrs.FigureByID(*fig)
 		if err != nil {
 			return err
@@ -181,8 +190,11 @@ func run(args []string) (retErr error) {
 				fmt.Println(drawn)
 			}
 		}
-		fmt.Printf("NetRS-ILP vs CliRS: max mean reduction %.1f%%, max p99 reduction %.1f%%\n\n",
-			res.MaxReduction("Avg."), res.MaxReduction("99th Percentile"))
+		// Only a sweep that runs both schemes has a reduction to report.
+		if len(res.Reductions()["Avg."]) > 0 {
+			fmt.Printf("NetRS-ILP vs CliRS: max mean reduction %.1f%%, max p99 reduction %.1f%%\n\n",
+				res.MaxReduction("Avg."), res.MaxReduction("99th Percentile"))
+		}
 	}
 	return nil
 }

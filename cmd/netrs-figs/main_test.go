@@ -1,8 +1,6 @@
 package main
 
 import (
-	"io"
-	"os"
 	"testing"
 )
 
@@ -48,41 +46,6 @@ func TestRunBadArgs(t *testing.T) {
 	}
 }
 
-// captureStdout runs fn with os.Stdout redirected to a pipe and returns
-// what it printed.
-func captureStdout(t *testing.T, fn func() error) string {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	runErr := fn()
-	w.Close()
-	os.Stdout = old
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runErr != nil {
-		t.Fatalf("run: %v", runErr)
-	}
-	return string(out)
-}
-
-// TestEnvRequestsDoesNotOverrideFlag pins -requests as the one request
-// knob: a set NETRS_REQUESTS leaves the run unchanged.
-func TestEnvRequestsDoesNotOverrideFlag(t *testing.T) {
-	args := []string{"-fig", "6", "-requests", "400", "-seeds", "1", "-scale", "small", "-quiet"}
-	t.Setenv("NETRS_REQUESTS", "")
-	want := captureStdout(t, func() error { return run(args) })
-	t.Setenv("NETRS_REQUESTS", "800")
-	if got := captureStdout(t, func() error { return run(args) }); got != want {
-		t.Fatalf("NETRS_REQUESTS=800 changed the -requests 400 run:\n%s\nwant:\n%s", got, want)
-	}
-}
-
 func TestParallelFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 16 small simulations")
@@ -110,13 +73,13 @@ func TestRunMatrixSmall(t *testing.T) {
 
 // TestRunStudyFiguresSmall runs the remaining study figures end to end at
 // tiny scale: the resilience fault schedule, the adapt demand shift and
-// controller epochs, and the cache skew × budget grid with its flash-crowd
-// cells.
+// controller epochs, the cache skew × budget grid with its flash-crowd
+// cells, and the five ablation sweeps.
 func TestRunStudyFiguresSmall(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs about 40 small simulations")
+		t.Skip("runs about 50 small simulations")
 	}
-	for _, fig := range []string{"resilience", "adapt", "cache"} {
+	for _, fig := range []string{"resilience", "adapt", "cache", "ablation"} {
 		t.Run(fig, func(t *testing.T) {
 			err := run([]string{"-fig", fig, "-scale", "small", "-requests", "400", "-seeds", "1", "-quiet"})
 			if err != nil {

@@ -76,10 +76,7 @@ func experiment(algo string, seed uint64) (stats.Summary, error) {
 		sel.OnResponse(req.server, eng.Now()-req.sentAt, servers[req.server].Status())
 		completed++
 		if completed == total {
-			for _, s := range servers {
-				s.Stop()
-			}
-			eng.Stop()
+			eng.Stop() // RunUntil returns; the fluctuation ticks stay armed
 		}
 	}
 	launch := func(arg any) {

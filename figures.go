@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"netrs/internal/render"
+	"netrs/internal/selection"
 	"netrs/internal/sim"
 	"netrs/internal/stats"
 )
@@ -21,10 +22,10 @@ type SweepPoint struct {
 	Mutate func(*Config)
 }
 
-// Sweep describes one figure of the paper's evaluation: an x-axis
-// parameter sweep run for every scheme.
+// Sweep describes one figure of the paper's evaluation, or one ablation:
+// an x-axis parameter sweep run for every compared scheme.
 type Sweep struct {
-	// ID names the figure ("fig4" … "fig7").
+	// ID names the figure ("fig4" … "fig7", "ablation-selector", …).
 	ID string
 	// Title is the figure caption's subject.
 	Title string
@@ -103,10 +104,59 @@ func PaperFigures() []Sweep {
 	return []Sweep{Figure4(), Figure5(), Figure6(), Figure7()}
 }
 
-// FigureByID resolves "fig4".."fig7" (or "4".."7").
+// AblationSweeps lists the design-choice studies: the RSNode selector,
+// C3 rate control, traffic-group granularity and accelerator speed under
+// NetRS-ILP, and cross-server cancellation of CliRS-R95's duplicates (the
+// paper's citation [9]). Each sweeps one choice on top of whatever base
+// configuration it is run at. Placement has no sweep of its own: Fig 4's
+// 500-client row runs CliRS, NetRS-ToR and NetRS-ILP on the base client
+// count.
+func AblationSweeps() []Sweep {
+	ilp := []Scheme{SchemeNetRSILP}
+	var selectors, accel []SweepPoint
+	for _, algo := range []string{selection.AlgoC3, selection.AlgoLeastOutstanding, selection.AlgoTwoChoices, selection.AlgoRandom} {
+		algo := algo
+		selectors = append(selectors, SweepPoint{X: algo, Mutate: func(c *Config) { c.OperatorAlgorithm = algo }})
+	}
+	for _, us := range []Time{1, 5, 25, 100} {
+		us := us
+		accel = append(accel, SweepPoint{X: fmt.Sprintf("%dus", us), Mutate: func(c *Config) { c.Fabric.AccelService = us * Microsecond }})
+	}
+	// Cancellation matters where redundancy load hurts most: at 95% load.
+	cancel := func(on bool) func(*Config) {
+		return func(c *Config) {
+			c.Utilization = 0.95
+			c.CancelDuplicates = on
+		}
+	}
+	return []Sweep{
+		{ID: "ablation-selector", Title: "Replica-selection algorithm at the RSNodes", XAxis: "Selector",
+			Points: selectors, Schemes: ilp},
+		{ID: "ablation-ratecontrol", Title: "C3 rate control at the RSNodes", XAxis: "Rate Control",
+			Points: []SweepPoint{
+				{X: "on", Mutate: func(c *Config) { c.RateControl = true }},
+				{X: "off", Mutate: func(c *Config) { c.RateControl = false }},
+			}, Schemes: ilp},
+		{ID: "ablation-granularity", Title: "Traffic-group granularity", XAxis: "Groups",
+			Points: []SweepPoint{
+				{X: "rack-level", Mutate: func(c *Config) { c.RackLevelGroups = true }},
+				{X: "host-level", Mutate: func(c *Config) { c.RackLevelGroups = false }},
+			}, Schemes: ilp},
+		{ID: "ablation-accelerator", Title: "Accelerator service time", XAxis: "Accel. Service",
+			Points: accel, Schemes: ilp},
+		{ID: "ablation-cancellation", Title: "Cross-server cancellation of duplicates at 95% utilization", XAxis: "Duplicates",
+			Points: []SweepPoint{
+				{X: "reissue-only", Mutate: cancel(false)},
+				{X: "with-cancel", Mutate: cancel(true)},
+			}, Schemes: []Scheme{SchemeCliRSR95}},
+	}
+}
+
+// FigureByID resolves "fig4".."fig7" (or "4".."7") and the AblationSweeps
+// IDs.
 func FigureByID(id string) (Sweep, error) {
 	id = strings.TrimPrefix(strings.ToLower(id), "fig")
-	for _, s := range PaperFigures() {
+	for _, s := range append(PaperFigures(), AblationSweeps()...) {
 		if strings.TrimPrefix(s.ID, "fig") == id {
 			return s, nil
 		}
@@ -142,8 +192,8 @@ func RunSweep(base Config, sw Sweep, seeds []uint64, progress func(x string, s S
 
 // RunSweepWith is RunSweep with explicit execution options. Every
 // (point, scheme, seed) triple is one independent trial fanned across the
-// worker pool. On failure it cancels the outstanding trials and returns
-// the error together with the partial SweepResult holding every cell whose
+// worker pool. On failure it starts no further trial and returns the
+// error together with the partial SweepResult holding every cell whose
 // trials all completed — a long sweep is not a total loss on one bad cell.
 func RunSweepWith(base Config, sw Sweep, seeds []uint64, progress func(x string, s Scheme), opts RunOptions) (SweepResult, error) {
 	type cellDef struct {
@@ -584,7 +634,7 @@ type MatrixResult struct {
 // across the worker pool. Selectors act in-network, so the base scheme
 // must be a NetRS scheme; anything else silently promotes to NetRS-ToR
 // (under CliRS the operator algorithm is never consulted). On failure it
-// cancels the outstanding trials and returns the error together with the
+// starts no further trial and returns the error together with the
 // partial MatrixResult holding every cell whose trials all completed.
 func RunMatrix(base Config, selectors []string, scenarios []Scenario, seeds []uint64, opts RunOptions) (MatrixResult, error) {
 	out := MatrixResult{}

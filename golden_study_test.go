@@ -53,6 +53,25 @@ var goldenStudies = []struct {
 		}
 		return studyDigest(cells, res.Table()), err
 	}, 0x34889c1989da1330},
+	{"ablation", func(opts RunOptions) (uint64, error) {
+		var cells []uint64
+		var tables string
+		for _, id := range []string{"ablation-ratecontrol", "ablation-cancellation"} {
+			sw, err := FigureByID(id)
+			if err != nil {
+				return 0, err
+			}
+			res, err := RunSweepWith(studyConfig(SchemeCliRS), sw, []uint64{1, 2}, nil, opts)
+			if err != nil {
+				return 0, err
+			}
+			for _, c := range res.Cells {
+				cells = append(cells, resultDigest(c.Runs, c.Merged))
+			}
+			tables += res.Table()
+		}
+		return studyDigest(cells, tables), nil
+	}, 0xbf5c1a62802b6182},
 	{"matrix", func(opts RunOptions) (uint64, error) {
 		var scns []Scenario
 		for _, name := range []string{"steady", "flash-crowd"} {

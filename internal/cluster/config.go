@@ -298,8 +298,8 @@ func (c Config) EffectiveShards() int {
 
 // DefaultConfig returns the paper's experimental defaults, except that
 // Requests defaults to 100000 rather than 6 million so a single run fits
-// in seconds; scale it up (or set NETRS_REQUESTS for the benches) to
-// approach the paper's statistical depth.
+// in seconds; scale it up (the CLIs' -requests flag) to approach the
+// paper's statistical depth.
 func DefaultConfig() Config {
 	return Config{
 		Seed:                   1,

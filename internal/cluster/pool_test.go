@@ -3,6 +3,8 @@ package cluster
 import (
 	"slices"
 	"testing"
+
+	"netrs/internal/sim"
 )
 
 // TestPooledRecordsStayDead checks the pending/packetCtx/svcReq pooling on
@@ -11,9 +13,10 @@ import (
 // run with cancellation exercises duplicates, their timers, and cancelled
 // losers; the NetRS-ILP run the in-network path across a plan deployment.
 // Every duplicate timer and delayed launch is checked as it fires, and
-// every live context once the run stops — then again after draining what
-// the stop left on the agenda, so the timers still armed fire through the
-// check too.
+// every live context once the run stops — then again after running on past
+// the stop, so the timers still armed fire through the check too. The
+// perpetual processes keep the agenda from ever emptying, so the run-on is
+// one simulated second: far past any duplicate timer.
 func TestPooledRecordsStayDead(t *testing.T) {
 	r95 := smallConfig(SchemeCliRSR95)
 	r95.Utilization = 1.0 // deep queues make losers cancelable
@@ -64,7 +67,7 @@ func TestPooledRecordsStayDead(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkLive("at stop")
-			r.eng.Run()
+			r.eng.RunUntil(r.eng.Now() + sim.Second)
 			checkLive("after drain")
 
 			if len(st.pendFree) == 0 {

@@ -373,8 +373,6 @@ type runner struct {
 
 	queueCV stats.Welford // samples of cross-server queue-length CV
 	epochs  []EpochRecord
-	// timers are the periodic engine events finish cancels (P = 1).
-	timers []sim.EventRef
 
 	// arriveFn delivers a pre-generated arrival (the argument is a
 	// *timedRequest), redundantFn fires a CliRS-R95 duplicate timer (the
@@ -1396,8 +1394,11 @@ func (r *runner) onCompletion(n int, now sim.Time) {
 	if r.injector != nil {
 		r.injector.OnCompletion(n)
 	}
+	// The stop-th completion ends the run: RunUntil returns after this
+	// handler, so the perpetual processes (server fluctuation, periodic
+	// timers) stay armed but never run again.
 	if n == r.stopAt {
-		r.finish()
+		r.eng.Stop()
 	}
 }
 
@@ -1596,20 +1597,19 @@ func (r *runner) deployILPPlan() {
 }
 
 // every runs fn one period from now and every period after, until the run
-// ends. At P = 1 it is a self-re-arming engine event that finish cancels;
-// at P > 1 an exclusive ShardSet global that lapses once the last
-// completion is in. The engine event is armed a full period early, so at
-// its instant it runs before that instant's other events — exactly an
-// exclusive global's position.
+// ends. At P = 1 it is a self-re-arming engine event, left pending when
+// the engine stops; at P > 1 an exclusive ShardSet global that lapses
+// once the last completion is in. The engine event is armed a full period
+// early, so at its instant it runs before that instant's other events —
+// exactly an exclusive global's position.
 func (r *runner) every(period sim.Time, fn func()) {
 	if r.set == nil {
-		slot := len(r.timers)
 		var tick func()
 		tick = func() {
 			fn()
-			r.timers[slot] = r.eng.MustSchedule(period, tick)
+			r.eng.MustSchedule(period, tick)
 		}
-		r.timers = append(r.timers, r.eng.MustSchedule(period, tick))
+		r.eng.MustSchedule(period, tick)
 		return
 	}
 	at := r.eng.Now() + period
@@ -1664,16 +1664,4 @@ func (r *runner) sampleQueues() {
 	if w.Mean() > 0 {
 		r.queueCV.Observe(w.CV())
 	}
-}
-
-// finish stops the perpetual processes so the engine can halt (P = 1;
-// P > 1 stops at a barrier instead).
-func (r *runner) finish() {
-	for _, srv := range r.servers {
-		srv.Stop()
-	}
-	for _, ref := range r.timers {
-		ref.Cancel()
-	}
-	r.eng.Stop()
 }

@@ -10,11 +10,10 @@
 package exec
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool configures how a batch of independent trials executes.
@@ -31,40 +30,21 @@ type Pool struct {
 	Progress func(trial int)
 }
 
-// TrialError wraps a job failure with the index of the trial that failed.
-type TrialError struct {
-	Trial int
-	Err   error
-}
-
-func (e *TrialError) Error() string { return fmt.Sprintf("exec: trial %d: %v", e.Trial, e.Err) }
-
-// Unwrap exposes the job's error to errors.Is / errors.As.
-func (e *TrialError) Unwrap() error { return e.Err }
-
-// Job computes the result of one trial. The context is canceled once any
-// sibling trial fails, so long-running jobs may poll it to stop early.
-type Job[T any] func(ctx context.Context, trial int) (T, error)
+// Job computes the result of one trial.
+type Job[T any] func(trial int) (T, error)
 
 // Run executes trials 0..n-1 through the pool and returns their results
-// indexed by trial. On failure it cancels the remaining trials and returns
-// the partial results together with a *TrialError describing the failed
-// trial with the lowest index (preferring real job errors over
-// cancellation fallout): results[i] holds the job's value for every trial
-// that completed without error and the zero value for trials that failed,
-// were canceled, or never started. A panic inside a job is recovered and
-// surfaced as that trial's error.
-func Run[T any](ctx context.Context, p Pool, n int, job Job[T]) ([]T, error) {
+// indexed by trial. Once any trial fails no new trial starts; Run waits
+// for the running ones and returns the partial results together with the
+// error of the failed trial with the lowest index: results[i] holds the
+// job's value for every trial that completed without error and the zero
+// value for trials that failed or never started. A panic inside a job is
+// recovered and surfaced as that trial's error.
+func Run[T any](p Pool, n int, job Job[T]) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("exec: negative trial count %d", n)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	results := make([]T, n)
-	if n == 0 {
-		return results, ctx.Err()
-	}
 	workers := p.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -73,49 +53,44 @@ func Run[T any](ctx context.Context, p Pool, n int, job Job[T]) ([]T, error) {
 		workers = n
 	}
 
-	if workers == 1 {
-		// Sequential fast path: no goroutines, today's loop behavior.
+	if workers <= 1 {
+		// Sequential fast path: no goroutines, a plain loop.
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return results, &TrialError{Trial: i, Err: err}
-			}
-			v, err := runTrial(ctx, p, i, job)
+			v, err := runTrial(p, i, job)
 			if err != nil {
-				return results, &TrialError{Trial: i, Err: err}
+				return results, err
 			}
 			results[i] = v
 		}
 		return results, nil
 	}
 
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var (
-		mu     sync.Mutex
-		failed []*TrialError
+		next     atomic.Int64 // the next trial index to claim
+		stopped  atomic.Bool  // set by the first failure
+		mu       sync.Mutex
+		errAt    = n // lowest failed trial index; n while none failed
+		firstErr error
+		wg       sync.WaitGroup
 	)
-	trials := make(chan int)
-	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range trials {
-				if err := ctx.Err(); err != nil {
-					mu.Lock()
-					failed = append(failed, &TrialError{Trial: i, Err: err})
-					mu.Unlock()
-					continue
+			for !stopped.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
 				}
-				v, err := runTrial(ctx, p, i, job)
+				v, err := runTrial(p, i, job)
 				if err != nil {
 					mu.Lock()
-					failed = append(failed, &TrialError{Trial: i, Err: err})
+					if i < errAt {
+						errAt, firstErr = i, err
+					}
 					mu.Unlock()
-					cancel() // first error stops the feeder and in-flight jobs
-					continue
+					stopped.Store(true)
+					return
 				}
 				// Each index is owned by exactly one worker; wg.Wait below
 				// publishes the write to the caller.
@@ -123,58 +98,19 @@ func Run[T any](ctx context.Context, p Pool, n int, job Job[T]) ([]T, error) {
 			}
 		}()
 	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case trials <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(trials)
 	wg.Wait()
-
-	if err := firstError(failed); err != nil {
-		return results, err
-	}
-	// The parent may have been canceled before any trial was dispatched.
-	return results, parent.Err()
+	return results, firstErr
 }
 
 // runTrial invokes one job with progress reporting and panic containment.
-func runTrial[T any](ctx context.Context, p Pool, i int, job Job[T]) (v T, err error) {
+func runTrial[T any](p Pool, i int, job Job[T]) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("trial panicked: %v", r)
+			err = fmt.Errorf("trial %d panicked: %v", i, r)
 		}
 	}()
 	if p.Progress != nil {
 		p.Progress(i)
 	}
-	return job(ctx, i)
-}
-
-// firstError picks the deterministic representative of a failure set: the
-// lowest-index error that is not cancellation fallout, falling back to the
-// lowest-index cancellation error when nothing else failed.
-func firstError(failed []*TrialError) error {
-	var first, firstCanceled *TrialError
-	for _, e := range failed {
-		if errors.Is(e.Err, context.Canceled) || errors.Is(e.Err, context.DeadlineExceeded) {
-			if firstCanceled == nil || e.Trial < firstCanceled.Trial {
-				firstCanceled = e
-			}
-			continue
-		}
-		if first == nil || e.Trial < first.Trial {
-			first = e
-		}
-	}
-	if first != nil {
-		return first
-	}
-	if firstCanceled != nil {
-		return firstCanceled
-	}
-	return nil
+	return job(i)
 }

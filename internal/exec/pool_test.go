@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -14,7 +13,7 @@ import (
 // trials complete in scrambled order.
 func TestRunPreservesOrder(t *testing.T) {
 	const n = 64
-	results, err := Run(context.Background(), Pool{Workers: 8}, n, func(_ context.Context, i int) (int, error) {
+	results, err := Run(Pool{Workers: 8}, n, func(i int) (int, error) {
 		// Earlier trials sleep longer, so completion order inverts
 		// submission order within each worker batch.
 		time.Sleep(time.Duration((n-i)%7) * time.Millisecond)
@@ -38,19 +37,15 @@ func TestRunPreservesOrder(t *testing.T) {
 func TestRunSequentialFastPath(t *testing.T) {
 	var order []int
 	boom := errors.New("boom")
-	results, err := Run(context.Background(), Pool{Workers: 1}, 5, func(_ context.Context, i int) (int, error) {
+	results, err := Run(Pool{Workers: 1}, 5, func(i int) (int, error) {
 		order = append(order, i) // safe: single goroutine by contract
 		if i == 3 {
 			return 0, boom
 		}
 		return i + 1, nil
 	})
-	if !errors.Is(err, boom) {
+	if err != boom {
 		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	var te *TrialError
-	if !errors.As(err, &te) || te.Trial != 3 {
-		t.Fatalf("err = %v, want TrialError for trial 3", err)
 	}
 	wantOrder := []int{0, 1, 2, 3}
 	if fmt.Sprint(order) != fmt.Sprint(wantOrder) {
@@ -64,32 +59,38 @@ func TestRunSequentialFastPath(t *testing.T) {
 }
 
 // TestRunCancelsOnFirstError checks that one failing trial stops the
-// remaining trials and that the failure is reported with its index.
+// remaining trials from starting and that its error is the one reported.
 func TestRunCancelsOnFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	var started atomic.Int64
 	const n = 1000
-	_, err := Run(context.Background(), Pool{Workers: 4}, n, func(ctx context.Context, i int) (int, error) {
+	_, err := Run(Pool{Workers: 4}, n, func(i int) (int, error) {
 		started.Add(1)
 		if i == 2 {
 			return 0, boom
 		}
-		select { // simulate a long trial that honors cancellation
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-			return i, nil
-		}
+		time.Sleep(2 * time.Millisecond) // a long trial
+		return i, nil
 	})
-	if !errors.Is(err, boom) {
+	if err != boom {
 		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	var te *TrialError
-	if !errors.As(err, &te) || te.Trial != 2 {
-		t.Fatalf("err = %v, want TrialError for trial 2", err)
 	}
 	if got := started.Load(); got == n {
 		t.Fatalf("all %d trials started despite early failure", n)
+	}
+}
+
+// TestRunReportsLowestIndexError checks that when several trials fail the
+// lowest index's error comes back: trial 0 is always claimed first, so it
+// always runs and fails.
+func TestRunReportsLowestIndexError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		_, err := Run(Pool{Workers: workers}, 16, func(i int) (int, error) {
+			return 0, fmt.Errorf("fail %d", i)
+		})
+		if err == nil || err.Error() != "fail 0" {
+			t.Fatalf("workers=%d: err = %v, want fail 0", workers, err)
+		}
 	}
 }
 
@@ -97,18 +98,14 @@ func TestRunCancelsOnFirstError(t *testing.T) {
 // trial's error instead of crashing the process.
 func TestRunRecoversPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		_, err := Run(context.Background(), Pool{Workers: workers}, 8, func(_ context.Context, i int) (int, error) {
+		_, err := Run(Pool{Workers: workers}, 8, func(i int) (int, error) {
 			if i == 5 {
 				panic("kaboom")
 			}
 			return i, nil
 		})
-		if err == nil {
-			t.Fatalf("workers=%d: panic not surfaced", workers)
-		}
-		var te *TrialError
-		if !errors.As(err, &te) || te.Trial != 5 {
-			t.Fatalf("workers=%d: err = %v, want TrialError for trial 5", workers, err)
+		if err == nil || err.Error() != "trial 5 panicked: kaboom" {
+			t.Fatalf("workers=%d: err = %v, want trial 5's panic", workers, err)
 		}
 	}
 }
@@ -124,7 +121,7 @@ func TestRunProgressCoversAllTrials(t *testing.T) {
 		seen[i]++
 		mu.Unlock()
 	}}
-	if _, err := Run(context.Background(), p, n, func(_ context.Context, i int) (struct{}, error) {
+	if _, err := Run(p, n, func(i int) (struct{}, error) {
 		return struct{}{}, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -139,37 +136,16 @@ func TestRunProgressCoversAllTrials(t *testing.T) {
 	}
 }
 
-// TestRunRespectsParentContext checks a pre-canceled context yields no
-// work and a cancellation error.
-func TestRunRespectsParentContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var started atomic.Int64
-	for _, workers := range []int{1, 4} {
-		started.Store(0)
-		_, err := Run(ctx, Pool{Workers: workers}, 16, func(_ context.Context, i int) (int, error) {
-			started.Add(1)
-			return i, nil
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if workers == 1 && started.Load() != 0 {
-			t.Fatalf("sequential run started %d trials under canceled context", started.Load())
-		}
-	}
-}
-
 // TestRunZeroAndNegative covers the degenerate trial counts.
 func TestRunZeroAndNegative(t *testing.T) {
-	results, err := Run(context.Background(), Pool{}, 0, func(_ context.Context, i int) (int, error) {
+	results, err := Run(Pool{}, 0, func(i int) (int, error) {
 		t.Fatal("job invoked for n=0")
 		return 0, nil
 	})
 	if err != nil || len(results) != 0 {
 		t.Fatalf("n=0: results=%v err=%v", results, err)
 	}
-	if _, err := Run(context.Background(), Pool{}, -1, func(_ context.Context, i int) (int, error) {
+	if _, err := Run(Pool{}, -1, func(i int) (int, error) {
 		return 0, nil
 	}); err == nil {
 		t.Fatal("negative trial count accepted")
@@ -178,7 +154,7 @@ func TestRunZeroAndNegative(t *testing.T) {
 
 // TestRunDefaultWorkers checks Workers<=0 still executes every trial.
 func TestRunDefaultWorkers(t *testing.T) {
-	results, err := Run(context.Background(), Pool{Workers: -3}, 10, func(_ context.Context, i int) (int, error) {
+	results, err := Run(Pool{Workers: -3}, 10, func(i int) (int, error) {
 		return i + 100, nil
 	})
 	if err != nil {

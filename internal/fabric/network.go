@@ -319,27 +319,17 @@ func (n *Network) AttachHost(host topo.NodeID, h HostHandler) error {
 	return nil
 }
 
-// Launch injects a packet at a host, destined for the node `to` (a host
-// for direct flows, a switch for RSNode-bound flows). The first hop leaves
-// immediately; each link costs LinkLatency. The packet's path buffer is
-// reused, so a recycled packet routes without allocating.
+// Launch routes a packet from the node `from` to the node `to` and sends
+// its first hop. Hosts inject with it (`to` is a host for direct flows, a
+// switch for RSNode-bound flows); an operator re-routes a packet with it
+// from its own switch, which forwards without re-running its pipeline.
+// The first hop leaves immediately; each link costs LinkLatency. The
+// packet's path buffer is reused, so a recycled packet routes without
+// allocating.
 func (n *Network) Launch(p *Packet, from, to topo.NodeID) error {
 	path, err := n.topo.RouteInto(p.path[:0], from, to, flowHash(p.ReqID))
 	if err != nil {
 		return fmt.Errorf("launch: %w", err)
-	}
-	p.path = path
-	p.idx = 0
-	n.hop(p)
-	return nil
-}
-
-// relaunch resets the packet's path from a waypoint switch and forwards it
-// without re-running the waypoint's pipeline.
-func (n *Network) relaunch(p *Packet, from, to topo.NodeID) error {
-	path, err := n.topo.RouteInto(p.path[:0], from, to, flowHash(p.ReqID))
-	if err != nil {
-		return fmt.Errorf("relaunch: %w", err)
 	}
 	p.path = path
 	p.idx = 0
@@ -467,20 +457,23 @@ func (n *Network) release(p *Packet) {
 		return
 	}
 	p.pooled = false
-	part := 0
-	if n.partOf != nil && p.idx < len(p.path) {
-		part = n.partOf[p.path[p.idx]]
-	}
+	part := n.packetPartition(p)
 	n.pktFree[part] = append(n.pktFree[part], p)
+}
+
+// packetPartition returns the partition of the node a packet currently
+// sits at: where the event handling it executes (0 in single-engine mode,
+// or once the packet has left its path).
+func (n *Network) packetPartition(p *Packet) int {
+	if p.idx >= len(p.path) {
+		return 0
+	}
+	return n.PartitionOf(p.path[p.idx])
 }
 
 // drop counts a packet as dropped and recycles it.
 func (n *Network) drop(p *Packet) {
-	part := 0
-	if n.partOf != nil && p.idx < len(p.path) {
-		part = n.partOf[p.path[p.idx]]
-	}
-	n.counters[part].dropped++
+	n.counters[n.packetPartition(p)].dropped++
 	n.release(p)
 }
 
@@ -518,11 +511,7 @@ func (n *Network) SendInvalidation(p *Packet, from, tor topo.NodeID) error {
 // consume finalizes a packet whose journey legitimately ends at a switch
 // (today: invalidations absorbed by the destination ToR's cache).
 func (n *Network) consume(p *Packet) {
-	part := 0
-	if n.partOf != nil && p.idx < len(p.path) {
-		part = n.partOf[p.path[p.idx]]
-	}
-	n.counters[part].delivered++
+	n.counters[n.packetPartition(p)].delivered++
 	n.release(p)
 }
 

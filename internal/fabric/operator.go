@@ -314,7 +314,7 @@ func (o *Operator) ingressRequest(p *Packet) {
 			o.degrade(p) // unknown RSNode: fall back to the client's choice
 			return
 		}
-		if err := o.net.relaunch(p, o.sw, target.sw); err != nil {
+		if err := o.net.Launch(p, o.sw, target.sw); err != nil {
 			o.net.drop(p)
 		}
 		return
@@ -346,7 +346,7 @@ func (o *Operator) degrade(p *Packet) {
 	p.Magic = wire.Transform(wire.MagicMonitor)
 	p.Dst = p.Backup
 	p.Server = p.BackupServer
-	if err := o.net.relaunch(p, o.sw, p.Dst); err != nil {
+	if err := o.net.Launch(p, o.sw, p.Dst); err != nil {
 		o.net.drop(p)
 	}
 }
@@ -373,7 +373,7 @@ func (o *Operator) serveNetCache(p *Packet) {
 	p.Server = primary
 	p.Dst = host
 	p.Magic = wire.Transform(wire.MagicResponse)
-	if err := o.net.relaunch(p, o.sw, host); err != nil {
+	if err := o.net.Launch(p, o.sw, host); err != nil {
 		o.net.drop(p)
 	}
 }
@@ -387,7 +387,7 @@ func (o *Operator) respondFromCache(p *Packet) {
 	p.Server = -1
 	p.Dst = p.Src
 	p.Src = o.sw
-	if err := o.net.relaunch(p, o.sw, p.Dst); err != nil {
+	if err := o.net.Launch(p, o.sw, p.Dst); err != nil {
 		o.net.drop(p)
 	}
 }
@@ -425,7 +425,7 @@ func (o *Operator) ingressResponse(p *Packet) {
 		}
 		p.Magic = wire.MagicMonitor
 		if p.idx >= len(p.path)-1 {
-			if err := o.net.relaunch(p, o.sw, p.Dst); err != nil {
+			if err := o.net.Launch(p, o.sw, p.Dst); err != nil {
 				o.net.drop(p)
 			}
 			return
@@ -440,7 +440,7 @@ func (o *Operator) ingressResponse(p *Packet) {
 			o.net.drop(p)
 			return
 		}
-		if err := o.net.relaunch(p, o.sw, target.sw); err != nil {
+		if err := o.net.Launch(p, o.sw, target.sw); err != nil {
 			o.net.drop(p)
 		}
 		return
@@ -503,7 +503,7 @@ func (o *Operator) onSelected(p *Packet, server int, delay sim.Time) {
 // clone measures from (the RV timestamp mechanism of §IV-A).
 func (o *Operator) sendSelected(p *Packet) {
 	p.SelectedAt = o.eng.Now()
-	if err := o.net.relaunch(p, o.sw, p.Dst); err != nil {
+	if err := o.net.Launch(p, o.sw, p.Dst); err != nil {
 		o.net.drop(p)
 	}
 }

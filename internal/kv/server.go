@@ -171,10 +171,6 @@ func (s *Server) Start() {
 	s.redrawMode()
 }
 
-// Stop cancels the pending fluctuation tick so the engine's agenda can
-// drain.
-func (s *Server) Stop() { s.fluctRef.Cancel() }
-
 func (s *Server) redrawMode() {
 	s.currentMean = s.fluct.Draw()
 	s.fluctRef = s.eng.MustSchedule(s.cfg.FluctuationInterval, s.redrawFn)

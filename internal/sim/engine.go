@@ -294,66 +294,25 @@ func (e *Engine) MustScheduleArg(delay Time, fn ArgHandler, arg any) EventRef {
 	return ref
 }
 
-// Stop makes the current Run call return after the in-flight handler
-// completes. The agenda is preserved, so Run may be called again.
+// Stop makes the current Run, RunUntil or RunBefore call return after the
+// in-flight handler completes. The agenda is preserved, so the engine may
+// be run again.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Step executes the earliest pending live event. It reports whether an event
-// was executed (false means the agenda held no live events). The event's
-// arena slot is recycled before its handler runs, so a handler observing its
-// own ref sees Live() == false.
-func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		idx := e.heapPop()
-		ev := &e.arena[idx]
-		if ev.dead {
-			e.deadInHeap--
-			e.release(idx)
-			continue
-		}
-		at := ev.at
-		fn, argFn, arg := ev.fn, ev.argFn, ev.arg
-		e.release(idx)
-		e.now = at
-		e.executed++
-		if fn != nil {
-			fn()
-		} else {
-			argFn(arg)
-		}
-		return true
-	}
-	return false
-}
 
 // Run executes events until the agenda is exhausted or Stop is called. It
 // returns the number of events executed by this call.
-func (e *Engine) Run() uint64 {
-	e.stopped = false
-	start := e.executed
-	for !e.stopped && e.Step() {
-	}
-	return e.executed - start
-}
+func (e *Engine) Run() uint64 { return e.runThrough(maxTime) }
 
 // RunUntil executes events with timestamps not after deadline, then
 // advances the clock to deadline — unless Stop was called, in which case
 // the clock stays at the stopping instant. It returns the number of events
 // executed by this call.
 func (e *Engine) RunUntil(deadline Time) uint64 {
-	e.stopped = false
-	start := e.executed
-	for !e.stopped {
-		at, ok := e.peekLive()
-		if !ok || at > deadline {
-			break
-		}
-		e.Step()
-	}
+	n := e.runThrough(deadline)
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
-	return e.executed - start
+	return n
 }
 
 // RunBefore executes events with timestamps strictly before end and leaves
@@ -363,12 +322,15 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 // for each synchronization window, and AdvanceTo lifts the clock at
 // barriers. Stop aborts the window like it aborts Run. It returns the
 // number of events executed by this call.
-//
-// The loop inlines peekLive+Step into a single heap-top inspection per
-// event: every event of a sharded run is executed through this loop, so
-// the duplicate top-of-heap read the two-call sequence performs is pure
-// per-event overhead.
-func (e *Engine) RunBefore(end Time) uint64 {
+func (e *Engine) RunBefore(end Time) uint64 { return e.runThrough(end - 1) }
+
+// runThrough is the engine's one dispatch loop: it executes live events in
+// (time, seq) order while their timestamps are not after last and Stop has
+// not been called, discarding the dead events it meets at the heap top.
+// Each event costs one heap-top inspection. The event's arena slot is
+// recycled before its handler runs, so a handler observing its own ref
+// sees Live() == false. It returns the number of events executed.
+func (e *Engine) runThrough(last Time) uint64 {
 	e.stopped = false
 	start := e.executed
 	for !e.stopped && len(e.heap) > 0 {
@@ -380,7 +342,7 @@ func (e *Engine) RunBefore(end Time) uint64 {
 			e.release(top.idx)
 			continue
 		}
-		if top.at >= end {
+		if top.at > last {
 			break
 		}
 		e.heapPop()

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -124,9 +125,20 @@ func TestEngineRunUntil(t *testing.T) {
 	if e.Now() != 25 {
 		t.Fatalf("clock = %v after RunUntil(25), want 25", e.Now())
 	}
+	// An event exactly at the deadline runs; the one after it waits.
+	if n := e.RunUntil(30); n != 1 || e.Now() != 30 || e.Live() != 1 {
+		t.Fatalf("RunUntil(30): %d events, clock %v, %d live; want 1, 30, 1", n, e.Now(), e.Live())
+	}
+	// A Stop mid-run leaves the clock at the stopping instant, not the
+	// deadline, and the later events pending.
+	e.MustSchedule(5, func() { times = append(times, e.Now()); e.Stop() })
+	if n := e.RunUntil(100); n != 1 || e.Now() != 35 || e.Live() != 1 {
+		t.Fatalf("RunUntil(100) with Stop at 35: %d events, clock %v, %d live; want 1, 35, 1", n, e.Now(), e.Live())
+	}
 	e.Run()
-	if len(times) != 4 {
-		t.Fatalf("total events = %d, want 4", len(times))
+	want := []Time{10, 20, 30, 35, 40}
+	if !slices.Equal(times, want) {
+		t.Fatalf("event times %v, want %v", times, want)
 	}
 }
 

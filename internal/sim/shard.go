@@ -261,7 +261,8 @@ func (s *ShardSet) nextGlobal() int {
 	return best
 }
 
-// maxTime is the sentinel for "no pending work".
+// maxTime is the latest instant: the sentinel for "no pending work" and
+// Engine.Run's horizon.
 const maxTime = Time(math.MaxInt64)
 
 // satAdd adds two nonnegative times, saturating at maxTime so window

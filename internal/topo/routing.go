@@ -2,78 +2,84 @@ package topo
 
 import "fmt"
 
-// Route returns a shortest up–down path from x to y, inclusive of both
-// endpoints. Where the topology offers multiple equal-cost paths, the hash
-// picks one deterministically (ECMP): the same hash always yields the same
-// path, and distinct hashes spread over the candidates.
+// RouteInto appends a shortest up–down path from x to y, inclusive of both
+// endpoints, to buf and returns the extended slice. Where the topology
+// offers multiple equal-cost paths, the hash picks one deterministically
+// (ECMP): the same hash always yields the same path, and distinct hashes
+// spread over the candidates. Appending to a caller-owned buffer lets the
+// fabric's packet hot path reuse one backing array per pooled packet;
+// only the BFS fallback, which no fat-tree flow reaches, allocates.
 //
 // The analytic cases cover every flow the NetRS schemes generate
 // (host↔host, host↔switch, switch↔host, including detours through RSNode
-// switches); anything else falls back to a deterministic BFS.
-func (t *Topology) Route(x, y NodeID, hash uint64) ([]NodeID, error) {
+// switches); anything else falls back to a deterministic BFS. On error
+// buf comes back unextended.
+func (t *Topology) RouteInto(buf []NodeID, x, y NodeID, hash uint64) ([]NodeID, error) {
 	if _, err := t.Node(x); err != nil {
-		return nil, err
+		return buf, err
 	}
 	if _, err := t.Node(y); err != nil {
-		return nil, err
+		return buf, err
 	}
 	if x == y {
-		return []NodeID{x}, nil
+		return append(buf, x), nil
 	}
-
 	nx, ny := t.nodes[x], t.nodes[y]
 
 	// Down-path: x is a switch covering y.
 	if nx.Kind == KindSwitch && t.Contains(x, y) {
-		return t.downPath(x, y, hash)
+		return t.downPath(append(buf, x), x, y, hash)
 	}
 	// Up-path: y is a switch covering x.
 	if ny.Kind == KindSwitch && t.Contains(y, x) {
-		down, err := t.downPath(y, x, hash)
+		mark := len(buf)
+		out, err := t.downPath(append(buf, y), y, x, hash)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
-		return reversePath(down), nil
+		reversePath(out[mark:])
+		return out, nil
 	}
 
 	// Rendezvous routing between two covered endpoints.
-	if path, ok, err := t.rendezvous(x, y, hash); err != nil {
-		return nil, err
+	if out, ok, err := t.rendezvous(buf, x, y, hash); err != nil {
+		return buf, err
 	} else if ok {
-		return path, nil
+		return out, nil
 	}
-	return t.bfs(x, y)
+	return t.bfs(buf, x, y)
 }
 
-// downPath walks from switch s down to node n, assuming Contains(s, n).
-func (t *Topology) downPath(s, n NodeID, hash uint64) ([]NodeID, error) {
+// downPath appends the nodes after s on the down-path from switch s to
+// node n, assuming Contains(s, n); buf must already end with s.
+func (t *Topology) downPath(buf []NodeID, s, n NodeID, hash uint64) ([]NodeID, error) {
 	sw := t.nodes[s]
 	nd := t.nodes[n]
 	switch sw.Tier {
 	case TierToR:
 		if n == s {
-			return []NodeID{s}, nil
+			return buf, nil
 		}
 		if nd.Kind == KindHost {
-			return []NodeID{s, n}, nil
+			return append(buf, n), nil
 		}
 	case TierAgg:
 		if n == s {
-			return []NodeID{s}, nil
+			return buf, nil
 		}
 		if nd.Rack < 0 {
 			break // a sibling agg; not a pure down-path
 		}
 		tor := t.torByRack[nd.Rack]
 		if n == tor {
-			return []NodeID{s, tor}, nil
+			return append(buf, tor), nil
 		}
 		if nd.Kind == KindHost {
-			return []NodeID{s, tor, n}, nil
+			return append(buf, tor, n), nil
 		}
 	case TierCore:
 		if n == s {
-			return []NodeID{s}, nil
+			return buf, nil
 		}
 		if nd.Pod < 0 {
 			break // another core; not a down-path
@@ -83,34 +89,34 @@ func (t *Topology) downPath(s, n NodeID, hash uint64) ([]NodeID, error) {
 			break
 		}
 		if n == agg {
-			return []NodeID{s, agg}, nil
+			return append(buf, agg), nil
 		}
 		if nd.Rack < 0 {
 			break // a different agg of the pod; needs a ToR bounce
 		}
-		rest, err := t.downPath(agg, n, hash)
-		if err != nil {
-			return nil, err
-		}
-		return append([]NodeID{s}, rest...), nil
+		return t.downPath(append(buf, agg), agg, n, hash)
 	}
-	return t.bfs(s, n)
+	// The BFS path restarts at s, which buf already ends with.
+	out, err := t.bfs(buf[:len(buf)-1], s, n)
+	if err != nil {
+		return buf, err
+	}
+	return out, nil
 }
 
-// rendezvous builds up-path(x→m) + down-path(m→y) for a meeting switch m
+// rendezvous appends up-path(x→m) + down-path(m→y) for a meeting switch m
 // chosen by ECMP. It reports ok=false when the analytic cases do not apply.
-func (t *Topology) rendezvous(x, y NodeID, hash uint64) ([]NodeID, bool, error) {
+func (t *Topology) rendezvous(buf []NodeID, x, y NodeID, hash uint64) ([]NodeID, bool, error) {
 	nx, ny := t.nodes[x], t.nodes[y]
 	// Both endpoints must hang off racks (hosts or ToRs) or be aggs for
 	// the analytic approach; cores were handled by Contains above.
 	if nx.Tier == TierCore || ny.Tier == TierCore {
-		return nil, false, nil
+		return buf, false, nil
 	}
 
 	// Same rack: meet at the ToR.
 	if nx.Rack >= 0 && nx.Rack == ny.Rack {
-		m := t.torByRack[nx.Rack]
-		return t.join(x, m, y, hash)
+		return t.join(buf, x, t.torByRack[nx.Rack], y, hash)
 	}
 	// Same pod: meet at an aggregation switch of the pod. From a rack
 	// every agg of the pod is reachable; from an agg only itself (already
@@ -118,17 +124,17 @@ func (t *Topology) rendezvous(x, y NodeID, hash uint64) ([]NodeID, bool, error) 
 	if nx.Pod >= 0 && nx.Pod == ny.Pod && nx.Rack >= 0 && ny.Rack >= 0 {
 		aggs := t.aggsByPod[nx.Pod]
 		m := aggs[int(hash%uint64(len(aggs)))]
-		return t.join(x, m, y, hash)
+		return t.join(buf, x, m, y, hash)
 	}
 	// Cross-pod (or one endpoint is an agg of a different pod): meet at a
 	// core. Candidates are restricted by agg endpoints, which reach only
 	// their core group.
 	candidates := t.meetCores(x, y)
 	if len(candidates) == 0 {
-		return nil, false, nil
+		return buf, false, nil
 	}
 	m := candidates[int(hash%uint64(len(candidates)))]
-	return t.join(x, m, y, hash)
+	return t.join(buf, x, m, y, hash)
 }
 
 // meetCores returns the rendezvous core candidates for x and y: the
@@ -166,71 +172,71 @@ func (t *Topology) coreCandidates(n NodeID) []NodeID {
 	}
 }
 
-// join concatenates the up-path x→m with the down-path m→y.
-func (t *Topology) join(x, m, y NodeID, hash uint64) ([]NodeID, bool, error) {
-	upSeg, err := t.upPath(x, m)
+// join appends the up-path x→m followed by the down-path m→y.
+func (t *Topology) join(buf []NodeID, x, m, y NodeID, hash uint64) ([]NodeID, bool, error) {
+	out, err := t.upPath(buf, x, m)
 	if err != nil {
-		return nil, false, err
+		return buf, false, err
 	}
-	downSeg, err := t.downPath(m, y, hash)
+	out, err = t.downPath(out, m, y, hash)
 	if err != nil {
-		return nil, false, err
+		return buf, false, err
 	}
-	return append(upSeg, downSeg[1:]...), true, nil
+	return out, true, nil
 }
 
-// upPath climbs from node n to an ancestor switch m with Contains(m, n).
-// Fat-trees make the climb unique once the target is fixed: a host has one
-// ToR, a rack reaches a given core through exactly one agg (the pod member
-// of the core's group).
-func (t *Topology) upPath(n, m NodeID) ([]NodeID, error) {
+// upPath appends the climb from node n to an ancestor switch m with
+// Contains(m, n), both inclusive. Fat-trees make the climb unique once the
+// target is fixed: a host has one ToR, a rack reaches a given core through
+// exactly one agg (the pod member of the core's group).
+func (t *Topology) upPath(buf []NodeID, n, m NodeID) ([]NodeID, error) {
 	if n == m {
-		return []NodeID{n}, nil
+		return append(buf, n), nil
 	}
 	nd := t.nodes[n]
 	mw := t.nodes[m]
 	switch mw.Tier {
 	case TierToR:
 		if nd.Kind == KindHost && t.torByRack[nd.Rack] == m {
-			return []NodeID{n, m}, nil
+			return append(buf, n, m), nil
 		}
 	case TierAgg:
 		switch nd.Tier {
 		case TierHost:
 			tor := t.torByRack[nd.Rack]
 			if t.Linked(tor, m) {
-				return []NodeID{n, tor, m}, nil
+				return append(buf, n, tor, m), nil
 			}
 		case TierToR:
 			if t.Linked(n, m) {
-				return []NodeID{n, m}, nil
+				return append(buf, n, m), nil
 			}
 		}
 	case TierCore:
 		switch nd.Tier {
 		case TierAgg:
 			if t.Linked(n, m) {
-				return []NodeID{n, m}, nil
+				return append(buf, n, m), nil
 			}
 		case TierToR, TierHost:
 			if nd.Pod >= 0 {
 				agg := t.coreDownAgg[m][nd.Pod]
 				if agg != InvalidNode {
-					rest, err := t.upPath(n, agg)
+					out, err := t.upPath(buf, n, agg)
 					if err == nil {
-						return append(rest, m), nil
+						return append(out, m), nil
 					}
 				}
 			}
 		}
 	}
-	return t.bfs(n, m)
+	return t.bfs(buf, n, m)
 }
 
-// bfs finds a shortest path with deterministic tie-breaking (lowest
+// bfs appends a shortest path x..y with deterministic tie-breaking (lowest
 // neighbor ID first). It backs the rare flows the analytic router does not
 // cover.
-func (t *Topology) bfs(x, y NodeID) ([]NodeID, error) {
+func (t *Topology) bfs(buf []NodeID, x, y NodeID) ([]NodeID, error) {
 	prev := make([]NodeID, len(t.nodes))
 	for i := range prev {
 		prev[i] = InvalidNode
@@ -241,17 +247,15 @@ func (t *Topology) bfs(x, y NodeID) ([]NodeID, error) {
 		cur := queue[0]
 		queue = queue[1:]
 		if cur == y {
-			// Fat-tree shortest paths span at most 7 nodes
-			// (host-ToR-agg-core-agg-ToR-host); 8 avoids regrowth on the
-			// hot relaunch path without overcommitting.
-			path := make([]NodeID, 0, 8)
+			mark := len(buf)
 			for n := y; ; n = prev[n] {
-				path = append(path, n)
+				buf = append(buf, n)
 				if n == x {
 					break
 				}
 			}
-			return reversePath(path), nil
+			reversePath(buf[mark:])
+			return buf, nil
 		}
 		for _, nb := range t.neighbors[cur] {
 			if prev[nb] == InvalidNode {
@@ -260,22 +264,7 @@ func (t *Topology) bfs(x, y NodeID) ([]NodeID, error) {
 			}
 		}
 	}
-	return nil, fmt.Errorf("from %d to %d: %w", x, y, ErrNoRoute)
-}
-
-// RouteVia returns the path from x to y that detours through the switch
-// via: the request path of a NetRS flow whose RSNode is out of the default
-// path. The via switch appears exactly once.
-func (t *Topology) RouteVia(x, via, y NodeID, hash uint64) ([]NodeID, error) {
-	first, err := t.Route(x, via, hash)
-	if err != nil {
-		return nil, err
-	}
-	second, err := t.Route(via, y, hash)
-	if err != nil {
-		return nil, err
-	}
-	return append(first, second[1:]...), nil
+	return buf, fmt.Errorf("from %d to %d: %w", x, y, ErrNoRoute)
 }
 
 // Forwards counts the switch traversals on a path — the paper's unit when
@@ -298,11 +287,10 @@ func Links(path []NodeID) int {
 	return len(path) - 1
 }
 
-func reversePath(p []NodeID) []NodeID {
+func reversePath(p []NodeID) {
 	for i, j := 0, len(p)-1; i < j; i, j = i+1, j-1 {
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }
 
 // intersectSorted intersects two ascending NodeID slices.

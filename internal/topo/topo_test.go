@@ -211,12 +211,12 @@ func TestRouteHostPairsMatchBFSLength(t *testing.T) {
 	hosts := ft.Hosts()
 	for _, x := range hosts {
 		for _, y := range hosts {
-			path, err := ft.Route(x, y, 12345)
+			path, err := ft.RouteInto(nil, x, y, 12345)
 			if err != nil {
 				t.Fatal(err)
 			}
 			validatePath(t, ft, path, x, y)
-			bfsPath, err := ft.bfs(x, y)
+			bfsPath, err := ft.bfs(nil, x, y)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,17 +232,17 @@ func TestRouteHostSwitchBothDirections(t *testing.T) {
 	hosts := ft.Hosts()
 	for _, x := range hosts[:4] {
 		for _, s := range ft.Switches() {
-			fwd, err := ft.Route(x, s, 7)
+			fwd, err := ft.RouteInto(nil, x, s, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
 			validatePath(t, ft, fwd, x, s)
-			rev, err := ft.Route(s, x, 7)
+			rev, err := ft.RouteInto(nil, s, x, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
 			validatePath(t, ft, rev, s, x)
-			bfsPath, _ := ft.bfs(x, s)
+			bfsPath, _ := ft.bfs(nil, x, s)
 			if len(fwd) != len(bfsPath) || len(rev) != len(bfsPath) {
 				t.Fatalf("host%d↔%d lengths %d/%d, shortest %d", x, s, len(fwd), len(rev), len(bfsPath))
 			}
@@ -252,7 +252,7 @@ func TestRouteHostSwitchBothDirections(t *testing.T) {
 
 func TestRouteSelf(t *testing.T) {
 	ft := mustFatTree(t, 4)
-	p, err := ft.Route(5, 5, 0)
+	p, err := ft.RouteInto(nil, 5, 5, 0)
 	if err != nil || len(p) != 1 || p[0] != 5 {
 		t.Fatalf("self route = %v, %v", p, err)
 	}
@@ -260,10 +260,10 @@ func TestRouteSelf(t *testing.T) {
 
 func TestRouteUnknownNode(t *testing.T) {
 	ft := mustFatTree(t, 4)
-	if _, err := ft.Route(-1, 0, 0); !errors.Is(err, ErrUnknownNode) {
+	if _, err := ft.RouteInto(nil, -1, 0, 0); !errors.Is(err, ErrUnknownNode) {
 		t.Fatal("negative source accepted")
 	}
-	if _, err := ft.Route(0, NodeID(ft.Size()), 0); !errors.Is(err, ErrUnknownNode) {
+	if _, err := ft.RouteInto(nil, 0, NodeID(ft.Size()), 0); !errors.Is(err, ErrUnknownNode) {
 		t.Fatal("big target accepted")
 	}
 }
@@ -272,11 +272,11 @@ func TestRouteECMPDeterministicAndDiverse(t *testing.T) {
 	ft := mustFatTree(t, 8)
 	hosts := ft.Hosts()
 	x, y := hosts[0], hosts[len(hosts)-1] // cross-pod
-	a, err := ft.Route(x, y, 42)
+	a, err := ft.RouteInto(nil, x, y, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ft.Route(x, y, 42)
+	b, err := ft.RouteInto(nil, x, y, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestRouteECMPDeterministicAndDiverse(t *testing.T) {
 	// Different hashes must reach multiple distinct cores.
 	cores := map[NodeID]bool{}
 	for h := uint64(0); h < 64; h++ {
-		p, err := ft.Route(x, y, h)
+		p, err := ft.RouteInto(nil, x, y, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,41 +304,6 @@ func TestRouteECMPDeterministicAndDiverse(t *testing.T) {
 	}
 }
 
-func TestRouteViaDetour(t *testing.T) {
-	ft := mustFatTree(t, 4)
-	hosts := ft.Hosts()
-	x, y := hosts[0], hosts[1] // same rack
-	core := ft.Cores()[0]
-	p, err := ft.RouteVia(x, core, y, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	validateVia := false
-	for _, n := range p {
-		if n == core {
-			validateVia = true
-		}
-	}
-	if !validateVia {
-		t.Fatalf("detour path %v misses the via switch", p)
-	}
-	// Same-rack default path has 1 forward; via core it is 5 forwards —
-	// the paper's 4-extra-hops example (§III-B).
-	direct, err := ft.Route(x, y, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ft.Forwards(direct) != 1 {
-		t.Fatalf("default same-rack forwards = %d, want 1", ft.Forwards(direct))
-	}
-	if ft.Forwards(p) != 5 {
-		t.Fatalf("via-core forwards = %d, want 5", ft.Forwards(p))
-	}
-	if extra := ft.Forwards(p) - ft.Forwards(direct); extra != 4 {
-		t.Fatalf("extra hops = %d, want 4 per paper example", extra)
-	}
-}
-
 func TestForwardsAndLinks(t *testing.T) {
 	ft := mustFatTree(t, 4)
 	hosts := ft.Hosts()
@@ -351,7 +316,7 @@ func TestForwardsAndLinks(t *testing.T) {
 		{hosts[0], hosts[15], 5, 6}, // cross pod
 	}
 	for _, c := range cases {
-		p, err := ft.Route(c.x, c.y, 9)
+		p, err := ft.RouteInto(nil, c.x, c.y, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,11 +342,11 @@ func TestSimpleTree(t *testing.T) {
 	hosts := st.Hosts()
 	// Unique paths: any two hashes give identical routes.
 	for _, pair := range [][2]NodeID{{hosts[0], hosts[1]}, {hosts[0], hosts[5]}, {hosts[0], hosts[23]}} {
-		p1, err := st.Route(pair[0], pair[1], 1)
+		p1, err := st.RouteInto(nil, pair[0], pair[1], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := st.Route(pair[0], pair[1], 999)
+		p2, err := st.RouteInto(nil, pair[0], pair[1], 999)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +379,7 @@ func TestRoutePropertyAgainstBFS(t *testing.T) {
 		if nx.Tier == TierCore && ny.Tier == TierCore && x != y {
 			return true
 		}
-		path, err := ft.Route(x, y, hash)
+		path, err := ft.RouteInto(nil, x, y, hash)
 		if err != nil {
 			return false
 		}
@@ -426,7 +391,7 @@ func TestRoutePropertyAgainstBFS(t *testing.T) {
 				return false
 			}
 		}
-		bfsPath, err := ft.bfs(x, y)
+		bfsPath, err := ft.bfs(nil, x, y)
 		if err != nil {
 			return false
 		}
@@ -440,7 +405,7 @@ func TestRoutePropertyAgainstBFS(t *testing.T) {
 func TestRouteCoreToCoreFallsBackToBFS(t *testing.T) {
 	ft := mustFatTree(t, 4)
 	cores := ft.Cores()
-	p, err := ft.Route(cores[0], cores[len(cores)-1], 0)
+	p, err := ft.RouteInto(nil, cores[0], cores[len(cores)-1], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,10 +419,11 @@ func BenchmarkRouteCrossPod(b *testing.B) {
 	}
 	hosts := ft.Hosts()
 	x, y := hosts[0], hosts[len(hosts)-1]
+	buf := make([]NodeID, 0, 16)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ft.Route(x, y, uint64(i)); err != nil {
+		if buf, err = ft.RouteInto(buf[:0], x, y, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

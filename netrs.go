@@ -31,8 +31,6 @@
 package netrs
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -185,9 +183,6 @@ type RunOptions struct {
 	// their outputs are assembled by trial index, so any setting produces
 	// bit-identical numbers.
 	Parallelism int
-
-	// Context, if non-nil, cancels in-flight trials when it is done.
-	Context context.Context
 }
 
 // RunRepeated executes the experiment once per seed — the paper repeats
@@ -230,8 +225,8 @@ type gridCell struct {
 // concurrent use. A failed trial's error reads "<label>: seed N: cause"
 // (just "seed N: cause" when label is nil); setup may be nil too.
 //
-// On failure the outstanding trials are canceled and the error comes back
-// with every cell whose trials all completed, in cell order — a long study
+// On failure no further trial starts, and the error comes back with
+// every cell whose trials all completed, in cell order — a long study
 // is not a total loss on one bad cell.
 func runGrid[C any](base Config, cells []C, seeds []uint64, opts RunOptions,
 	progress func(C), setup func(C, *Config), label func(C) string) ([]gridCell, error) {
@@ -248,7 +243,7 @@ func runGrid[C any](base Config, cells []C, seeds []uint64, opts RunOptions,
 			}
 		}
 	}
-	results, runErr := exec.Run(opts.Context, pool, len(done), func(_ context.Context, t int) (Result, error) {
+	results, runErr := exec.Run(pool, len(done), func(t int) (Result, error) {
 		c := cells[t/nSeeds]
 		cfg := base
 		if setup != nil {
@@ -267,9 +262,6 @@ func runGrid[C any](base Config, cells []C, seeds []uint64, opts RunOptions,
 		done[t] = true
 		return res, nil
 	})
-	if runErr != nil {
-		runErr = unwrapTrial(runErr)
-	}
 
 	var out []gridCell
 nextCell:
@@ -305,16 +297,6 @@ func trialWorkers(parallelism, shards int) int {
 		return w
 	}
 	return 1
-}
-
-// unwrapTrial strips the executor's trial-index wrapper so facade errors
-// read as before ("seed 2: ..."), keeping the underlying chain intact.
-func unwrapTrial(err error) error {
-	var te *exec.TrialError
-	if errors.As(err, &te) {
-		return te.Err
-	}
-	return err
 }
 
 // DefaultSeeds returns the three deployment seeds used throughout the

@@ -113,6 +113,11 @@ func TestFigureByID(t *testing.T) {
 			t.Errorf("FigureByID(%q): %v", id, err)
 		}
 	}
+	for _, sw := range AblationSweeps() {
+		if got, err := FigureByID(sw.ID); err != nil || got.ID != sw.ID {
+			t.Errorf("FigureByID(%q) = %q, %v", sw.ID, got.ID, err)
+		}
+	}
 	if _, err := FigureByID("fig9"); err == nil {
 		t.Error("bogus figure resolved")
 	}
