@@ -58,7 +58,7 @@ func run(args []string) (retErr error) {
 	rateControl := fs.Bool("rate-control", def.RateControl, "enable C3 cubic rate control")
 	rackGroups := fs.Bool("rack-groups", def.RackLevelGroups, "rack-level traffic groups (false = host-level)")
 	epochMs := fs.Float64("epoch-ms", 0, "controller epoch interval in ms: re-solve the RSP from windowed monitor rates (NetRS-ILP only; 0 disables)")
-	shiftAt := fs.Float64("shift-at", 0, "demand-shift position as a completion fraction (0 disables; requires -skew)")
+	shiftAt := fs.Float64("shift-at", 0, "demand-shift position as the fraction of the run's requests emitted before it (0 disables; requires -skew)")
 	shiftFraction := fs.Float64("shift-fraction", 0, "fraction of client demand relocated to the opposite racks at -shift-at")
 	writeFraction := fs.Float64("write-fraction", def.WriteFraction, "fraction of requests that are writes (writes invalidate the ToR caches)")
 	cacheBytes := fs.Int64("cache-bytes", def.CacheBytes, "ToR cache byte budget for NetCache / NetRS+Cache (0 disables the caches)")

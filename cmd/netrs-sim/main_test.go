@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -124,6 +126,40 @@ func captureStdout(t *testing.T, fn func() error) string {
 		t.Fatalf("run: %v", runErr)
 	}
 	return string(out)
+}
+
+// TestShiftAtHelp pins -shift-at's help text to workload.Source's
+// emission-keyed shift: it lands once that fraction of the run's requests
+// has been emitted, not completed.
+func TestShiftAtHelp(t *testing.T) {
+	old := os.Stderr
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = w
+	runErr := run([]string{"-h"})
+	w.Close()
+	os.Stderr = old
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(runErr, flag.ErrHelp) {
+		t.Fatalf("run(-h) = %v, want flag.ErrHelp", runErr)
+	}
+	usage := string(out)
+	i := strings.Index(usage, "-shift-at")
+	if i < 0 {
+		t.Fatalf("usage lacks -shift-at:\n%s", usage)
+	}
+	help := usage[i:]
+	if j := strings.Index(help, "\n  -"); j >= 0 {
+		help = help[:j]
+	}
+	if !strings.Contains(help, "emitted") || strings.Contains(help, "completion") {
+		t.Errorf("-shift-at help = %q, want the emitted-requests fraction", help)
+	}
 }
 
 func TestListSelectors(t *testing.T) {

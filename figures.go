@@ -456,7 +456,8 @@ func (r ResilienceResult) DegradedWindow(s Scheme) (first, last int, ok bool) {
 // once under the static initial plan and once with periodic controller
 // epochs re-solving the placement from windowed monitor rates.
 type AdaptResult struct {
-	// ShiftAt is the completion fraction at which the demand shift lands.
+	// ShiftAt is the fraction of the run's requests emitted before the
+	// demand shift lands (Config.DemandShiftAt).
 	ShiftAt float64
 	// Fraction is the share of client demand that moves racks.
 	Fraction float64

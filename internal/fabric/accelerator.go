@@ -19,7 +19,6 @@ type Accelerator struct {
 	selector Selector
 	cores    int
 	svc      sim.Time
-	rtt      sim.Time
 
 	busy  int
 	queue []*Packet
@@ -31,6 +30,11 @@ type Accelerator struct {
 	enterFn    sim.ArgHandler
 	finishFn   sim.ArgHandler
 	selectedFn sim.ArgHandler
+	// tripLane (half the switch↔accelerator RTT) and svcLane (svc) are
+	// the engine's fixed-delay lanes for those three stages; none of them
+	// is ever canceled.
+	tripLane *sim.Lane
+	svcLane  *sim.Lane
 
 	selections uint64
 	clones     uint64
@@ -45,7 +49,8 @@ func newAccelerator(eng *sim.Engine, cfg Config, sel Selector, op *Operator) *Ac
 		selector: sel,
 		cores:    cfg.AccelCores,
 		svc:      cfg.AccelService,
-		rtt:      cfg.AccelRTT,
+		tripLane: eng.Lane(cfg.AccelRTT / 2),
+		svcLane:  eng.Lane(cfg.AccelService),
 	}
 	a.enterFn = func(arg any) { a.enter(arg.(*Packet)) }
 	a.finishFn = func(arg any) { a.finishService(arg.(*Packet)) }
@@ -91,7 +96,7 @@ func (a *Accelerator) UtilizationAt(span sim.Time) float64 {
 // it for a core, runs the selection, and hands the packet back to the
 // operator.
 func (a *Accelerator) submitRequest(p *Packet) {
-	a.eng.MustScheduleArg(a.rtt/2, a.enterFn, p)
+	a.tripLane.ScheduleArg(a.enterFn, p)
 }
 
 // enter is the request's arrival at the accelerator after crossing the
@@ -109,7 +114,7 @@ func (a *Accelerator) enter(p *Packet) {
 
 func (a *Accelerator) startService(p *Packet) {
 	a.busy++
-	a.eng.MustScheduleArg(a.svc, a.finishFn, p)
+	a.svcLane.ScheduleArg(a.finishFn, p)
 }
 
 func (a *Accelerator) finishService(p *Packet) {
@@ -136,7 +141,7 @@ func (a *Accelerator) finishService(p *Packet) {
 	// until the operator applies it.
 	p.Server = server
 	p.hold = delay
-	a.eng.MustScheduleArg(a.rtt/2, a.selectedFn, p)
+	a.tripLane.ScheduleArg(a.selectedFn, p)
 }
 
 // submitResponseClone folds a cloned response into the selector state.

@@ -162,8 +162,11 @@ type Network struct {
 	hosts     []HostHandler
 
 	// arriveFn is the one hop-completion handler shared by every in-flight
-	// packet (closure-free per-hop scheduling).
-	arriveFn sim.ArgHandler
+	// packet (closure-free per-hop scheduling). linkLanes[p] is partition
+	// p's LinkLatency lane, which carries every same-partition hop that no
+	// fault slows.
+	arriveFn  sim.ArgHandler
+	linkLanes []*sim.Lane
 	// pktFree recycles pooled packets (NewPacketIn) after delivery or drop,
 	// one free list per partition so recycling stays worker-local.
 	pktFree [][]*Packet
@@ -234,6 +237,10 @@ func newNetwork(t *topo.Topology, cfg Config, set *sim.ShardSet, engs []*sim.Eng
 		counters:  make([]partCounters, len(engs)),
 		operators: make([]*Operator, t.Size()),
 		hosts:     make([]HostHandler, t.Size()),
+		linkLanes: make([]*sim.Lane, len(engs)),
+	}
+	for p, eng := range engs {
+		n.linkLanes[p] = eng.Lane(cfg.LinkLatency)
 	}
 	if set != nil {
 		n.eng = engs[t.ControlPartition()]
@@ -340,7 +347,8 @@ func (n *Network) Launch(p *Packet, from, to topo.NodeID) error {
 // hop moves the packet one link toward path[idx+1]. In sharded mode a hop
 // whose endpoints live in different partitions goes through the exchange;
 // the link latency covers the lookahead by NewShardedNetwork's check, and
-// fault-injected extras only widen the margin.
+// fault-injected extras only widen the margin. A same-partition hop rides
+// the partition's LinkLatency lane unless a fault extra lengthens it.
 func (n *Network) hop(p *Packet) {
 	if p.idx >= len(p.path)-1 {
 		n.arrive(p)
@@ -356,6 +364,10 @@ func (n *Network) hop(p *Packet) {
 	}
 	if dst := n.PartitionOf(p.path[p.idx+1]); dst != src {
 		n.set.MustSend(src, dst, n.engs[src].Now()+delay, n.arriveFn, p)
+		return
+	}
+	if delay == n.cfg.LinkLatency {
+		n.linkLanes[src].ScheduleArg(n.arriveFn, p)
 		return
 	}
 	n.engs[src].MustScheduleArg(delay, n.arriveFn, p)

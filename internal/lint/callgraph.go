@@ -66,7 +66,7 @@ type effectSite struct {
 // Root kinds: which scheduling surface turns a function into an event.
 const (
 	rootHandler    = "handler"    // sim.Handler (Schedule/ScheduleAt/MustSchedule)
-	rootArgHandler = "arghandler" // sim.ArgHandler (ScheduleArg family, Send)
+	rootArgHandler = "arghandler" // sim.ArgHandler (ScheduleArg family incl. Lane, Send)
 	rootGlobal     = "global"     // ShardSet.ScheduleGlobal barrier events
 	// rootExchange marks the sharded coordinator's exchange drain: it runs
 	// once per window over every buffered cross-partition message, so its
@@ -174,7 +174,9 @@ var schedHandlerNames = map[string]bool{
 	"MustSchedule": true,
 }
 
-// schedArgNames take a sim.ArgHandler plus a boxed `arg any` operand.
+// schedArgNames take a sim.ArgHandler plus a boxed `arg any` operand. The
+// match is by method name on any sim receiver, so ScheduleArg covers both
+// (*Engine).ScheduleArg and the fixed-delay (*Lane).ScheduleArg.
 var schedArgNames = map[string]bool{
 	"ScheduleArg":     true,
 	"ScheduleArgAt":   true,

@@ -167,10 +167,12 @@ func TestRunRulesFiltering(t *testing.T) {
 }
 
 // TestHotPathColdMirror pins the reachability boundary: work() is flagged
-// three ways, its unreached mirror Cold() not at all, and setup-time
-// boxing (Pipeline.Start) stays legal. A fourth finding comes from the
-// exchange root: sim/shard.go's drain is reached by no Schedule call and
-// sits on the concurrency allowlist, yet its bare append is still flagged.
+// four ways (boxing at both an engine and a lane ScheduleArg), its
+// unreached mirror Cold() not at all, and setup-time boxing
+// (Pipeline.Start) stays legal. A fifth finding comes from the exchange
+// root: sim/shard.go's drain is reached by no Schedule call and sits on
+// the concurrency allowlist, yet its bare append is still flagged. The
+// sixth is the lane-only handler of TestLaneHandlerIsRoot.
 func TestHotPathColdMirror(t *testing.T) {
 	mod := loadFixture(t)
 	diags := Run(mod.Packages)
@@ -180,15 +182,16 @@ func TestHotPathColdMirror(t *testing.T) {
 			continue
 		}
 		if !strings.HasSuffix(d.Pos.Filename, "fabric/hot.go") &&
+			!strings.HasSuffix(d.Pos.Filename, "fabric/lane.go") &&
 			!strings.HasSuffix(d.Pos.Filename, "sim/shard.go") {
-			t.Errorf("hotalloc finding outside hot.go/shard.go: %s", d)
+			t.Errorf("hotalloc finding outside hot.go/lane.go/shard.go: %s", d)
 		}
 		if len(d.Chain) == 0 {
 			t.Errorf("hotalloc finding lacks a call chain: %s", d)
 		}
 	}
-	if n := len(findDiags(diags, ruleNameHotAlloc, "")); n != 4 {
-		t.Errorf("hotalloc findings = %d, want 4 (closure, boxing, 2 bare appends)", n)
+	if n := len(findDiags(diags, ruleNameHotAlloc, "")); n != 6 {
+		t.Errorf("hotalloc findings = %d, want 6 (closure, 2 boxing, 3 bare appends)", n)
 	}
 
 	// The exchange finding specifically: anchored in shard.go with a chain
@@ -208,5 +211,42 @@ func TestHotPathColdMirror(t *testing.T) {
 		if d.Rule == ruleNameShardSafety && strings.HasSuffix(d.Pos.Filename, "sim/shard.go") {
 			t.Errorf("shardsafety flagged allowlisted shard.go: %s", d)
 		}
+	}
+}
+
+// TestLaneHandlerIsRoot checks that a sim.Lane's ScheduleArg registers its
+// handler as an ArgHandler root: relayStep is named nowhere else, yet its
+// bare append (hotalloc) and its package-level write (shardsafety) are
+// reported with a chain from it, and a non-pointer arg sent down a lane is
+// a boxing finding.
+func TestLaneHandlerIsRoot(t *testing.T) {
+	mod := loadFixture(t)
+	diags := Run(mod.Packages)
+
+	for _, c := range []struct{ rule, substr string }{
+		{ruleNameHotAlloc, "append to grown"},
+		{ruleNameShardSafety, "writes package-level variable relayed"},
+	} {
+		var found []Diagnostic
+		for _, d := range findDiags(diags, c.rule, c.substr) {
+			if strings.HasSuffix(d.Pos.Filename, "fabric/lane.go") {
+				found = append(found, d)
+			}
+		}
+		if len(found) != 1 {
+			t.Fatalf("%s findings in lane.go matching %q = %d, want 1", c.rule, c.substr, len(found))
+		}
+		if got := found[0].ChainString(); got != "internal/fabric.relayStep" {
+			t.Errorf("%s chain = %q, want the lane handler internal/fabric.relayStep", c.rule, got)
+		}
+	}
+	boxed := 0
+	for _, d := range findDiags(diags, ruleNameHotAlloc, "arg to ScheduleArg boxes") {
+		if strings.HasSuffix(d.Pos.Filename, "fabric/hot.go") {
+			boxed++
+		}
+	}
+	if boxed != 2 {
+		t.Errorf("boxing findings in hot.go = %d, want 2 (engine and lane ScheduleArg)", boxed)
 	}
 }

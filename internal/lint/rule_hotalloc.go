@@ -15,8 +15,9 @@ const ruleNameHotAlloc = "hotalloc"
 //     `x.fooFn = func(arg any) { x.foo(arg.(*T)) }` built in the
 //     constructor);
 //   - a non-pointer-shaped value passed as the arg of
-//     ScheduleArg/ScheduleArgAt/MustScheduleArg/Send: converting it to
-//     `any` boxes it on the heap at every event — pass a pooled pointer;
+//     ScheduleArg/ScheduleArgAt/MustScheduleArg/Send (on an engine or a
+//     lane): converting it to `any` boxes it on the heap at every event —
+//     pass a pooled pointer;
 //   - `append` in a loop to a slice declared without capacity
 //     (`var x []T`): the growth doublings allocate on every hot
 //     invocation — preallocate with make([]T, 0, n).

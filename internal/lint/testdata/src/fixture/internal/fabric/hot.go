@@ -8,13 +8,14 @@ import "fixture/internal/sim"
 // Hot owns a stored ArgHandler whose work allocates per event.
 type Hot struct {
 	eng    *sim.Engine
+	lane   *sim.Lane
 	workFn sim.ArgHandler
 	out    []int
 }
 
 // NewHot builds the component and registers its handler root.
 func NewHot(eng *sim.Engine) *Hot {
-	h := &Hot{eng: eng}
+	h := &Hot{eng: eng, lane: eng.Lane(1)}
 	h.workFn = func(arg any) { h.work(arg.(int)) }
 	return h
 }
@@ -22,6 +23,7 @@ func NewHot(eng *sim.Engine) *Hot {
 func (h *Hot) work(n int) {
 	h.eng.Schedule(1, func() { h.out = append(h.out, n) }) // want:hotalloc
 	h.eng.ScheduleArg(1, h.workFn, n+1)                    // want:hotalloc
+	h.lane.ScheduleArg(h.workFn, n+2)                      // want:hotalloc
 	var grown []int
 	for i := 0; i < n; i++ {
 		grown = append(grown, i) // want:hotalloc

@@ -31,3 +31,22 @@ func (e *Engine) ScheduleArg(delay int, fn ArgHandler, arg any) {
 
 // MustScheduleArg is ScheduleArg with the panic contract.
 func (e *Engine) MustScheduleArg(delay int, fn ArgHandler, arg any) { e.ScheduleArg(delay, fn, arg) }
+
+// Lane is the real engine's fixed-delay FIFO: fire-and-forget events that
+// skip the agenda heap. Like the real one, it never calls back into the
+// Engine's scheduling methods, so only its own method name can register
+// handler roots.
+type Lane struct {
+	argFns []ArgHandler
+	args   []any
+}
+
+// Lane returns the engine's lane for one fixed delay.
+func (e *Engine) Lane(delay int) *Lane { return &Lane{} }
+
+// ScheduleArg registers an ArgHandler and its argument after the lane's
+// delay: the engine method's name, without the delay operand.
+func (l *Lane) ScheduleArg(fn ArgHandler, arg any) {
+	l.argFns = append(l.argFns, fn)
+	l.args = append(l.args, arg)
+}

@@ -107,8 +107,12 @@ func (r *refExec) run(upTo Time) []int {
 // reference executor with the same pseudo-random schedule/cancel workload
 // (heavy timestamp ties, cancel rates high enough to trigger compaction)
 // and requires identical execution orders — and identical orders again on a
-// second engine run with the same seed.
+// second engine run with the same seed. A third of the events ride one to
+// three fixed-delay lanes: the delays include zero and values the heap's
+// random delays also draw, so lane heads and heap tops tie at one instant
+// and only the sequence number orders them.
 func TestEngineRandomizedScheduleCancelDeterminism(t *testing.T) {
+	laneDelays := []Time{0, 7, 23}
 	for _, seed := range []uint64{1, 2, 3, 17, 99} {
 		seed := seed
 		run := func() []int {
@@ -117,12 +121,27 @@ func TestEngineRandomizedScheduleCancelDeterminism(t *testing.T) {
 			ref := refExec{}
 			var got []int
 			var refs []EventRef
+			var lanes []*Lane
+			for _, d := range laneDelays[:1+seed%3] {
+				lanes = append(lanes, e.Lane(d))
+			}
+			record := func(arg any) { got = append(got, arg.(int)) }
 			id := 0
 			seq := uint64(0)
 			for round := 0; round < 30; round++ {
 				for i := 0; i < 80; i++ {
 					myID := id
 					id++
+					if rng.Intn(3) == 0 {
+						// Lane events cannot be canceled: a zero ref keeps
+						// refs indexed by id.
+						l := lanes[rng.Intn(len(lanes))]
+						l.ScheduleArg(record, myID)
+						refs = append(refs, EventRef{})
+						ref.events = append(ref.events, refEvent{at: e.Now() + l.delay, seq: seq, id: myID})
+						seq++
+						continue
+					}
 					at := e.Now() + Time(rng.Intn(50))
 					refs = append(refs, e.MustSchedule(at-e.Now(), func() { got = append(got, myID) }))
 					ref.events = append(ref.events, refEvent{at: at, seq: seq, id: myID})
@@ -242,13 +261,25 @@ func TestPendingLiveAccounting(t *testing.T) {
 	if e.Pending() != e.Live() || e.Live() != n-half-1 {
 		t.Fatalf("after compaction: pending=%d live=%d, want both %d", e.Pending(), e.Live(), n-half-1)
 	}
+	// Lane events count toward both Pending and Live, and compaction
+	// leaves them alone.
+	const laned = 10
+	noopArg := func(any) {}
+	for i := 0; i < laned; i++ {
+		e.Lane(Time(i%3)).ScheduleArg(noopArg, nil)
+	}
+	live := n - half - 1 + laned
+	if e.Pending() != live || e.Live() != live || e.Scheduled() != uint64(n+laned) {
+		t.Fatalf("with %d lane events: pending=%d live=%d scheduled=%d, want %d/%d/%d",
+			laned, e.Pending(), e.Live(), e.Scheduled(), live, live, n+laned)
+	}
 	// The surviving events still run, in order.
 	ran := uint64(0)
 	eBefore := e.Executed()
 	e.Run()
 	ran = e.Executed() - eBefore
-	if int(ran) != n-half-1 {
-		t.Fatalf("ran %d events after compaction, want %d", ran, n-half-1)
+	if int(ran) != live {
+		t.Fatalf("ran %d events after compaction, want %d", ran, live)
 	}
 	if e.Pending() != 0 || e.Live() != 0 {
 		t.Fatalf("drained: pending=%d live=%d", e.Pending(), e.Live())
@@ -276,6 +307,18 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 		e.Run()
 	}); allocs != 0 {
 		t.Fatalf("schedule→execute steady state allocates %.1f times per run, want 0", allocs)
+	}
+	// Lane rings grow once to their high-water mark and are then reused,
+	// so lane schedule→execute, interleaved with the heap, allocates 0.
+	lanes := []*Lane{e.Lane(0), e.Lane(5), e.Lane(11)}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			lanes[i%3].ScheduleArg(noopArg, arg)
+			e.MustScheduleArg(Time(i%11), noopArg, arg)
+		}
+		e.Run()
+	}); allocs != 0 {
+		t.Fatalf("lane schedule→execute steady state allocates %.1f times per run, want 0", allocs)
 	}
 	// Cancel-heavy steady state (compaction included) is allocation-free
 	// too.
@@ -305,6 +348,29 @@ func BenchmarkEngineScheduleArgRun(b *testing.B) {
 		e.MustScheduleArg(Time(i%97), fn, arg)
 		if e.Pending() > 4096 {
 			e.Run()
+		}
+	}
+	e.Run()
+}
+
+// BenchmarkEngineLaneRun is BenchmarkEngineScheduleArgRun with a share of
+// the events on fixed-delay lanes, the fabric's link-hop and accelerator
+// pattern: three lanes and the heap interleave, and it must report 0
+// allocs/op.
+func BenchmarkEngineLaneRun(b *testing.B) {
+	e := NewEngine()
+	fn := func(any) {}
+	arg := new(int)
+	lanes := []*Lane{e.Lane(30), e.Lane(1), e.Lane(5)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%8 == 0 {
+			e.MustScheduleArg(Time(i%97), fn, arg)
+		} else {
+			lanes[i%3].ScheduleArg(fn, arg)
+		}
+		if e.Pending() > 4096 {
+			e.RunUntil(e.Now() + 40)
 		}
 	}
 	e.Run()

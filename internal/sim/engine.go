@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine keeps a priority queue of timestamped events and executes them
-// in nondecreasing time order. Events scheduled for the same instant run in
+// The engine keeps an agenda of timestamped events and executes them in
+// nondecreasing time order. Events scheduled for the same instant run in
 // the order they were scheduled (FIFO), which makes runs fully deterministic
 // for a fixed seed and schedule order.
 //
@@ -18,6 +18,21 @@
 // events performs no heap allocations at all; the closure-free ScheduleArg
 // variant extends that to call sites that would otherwise allocate a
 // capturing closure per event.
+//
+// # Fixed-delay lanes
+//
+// Beside the heap, the engine keeps one FIFO Lane per fixed delay that a
+// caller asked for (Engine.Lane). An event on a lane is due at now+delay;
+// the clock never moves backwards and every event takes the next value of
+// the engine's one sequence counter, so each lane is already sorted by
+// (time, seq) and needs no sift. The dispatch loop pops the smallest key
+// among the heap top and the lane heads. Keys are unique, so the merged
+// order is exactly the order one heap holding every event would produce:
+// moving a call site from ScheduleArg onto a lane changes no execution
+// order. Lane events cannot be canceled and hold no arena slot. The heap
+// keeps everything else — cancellable timers, variable delays, absolute
+// ScheduleAt instants, and the shard exchange's cross-partition deliveries,
+// whose instants are not monotone in the destination engine.
 //
 // # Compaction policy
 //
@@ -160,6 +175,9 @@ type Engine struct {
 
 	deadInHeap int // canceled events not yet discarded from the heap
 
+	lanes   []*Lane // fixed-delay FIFOs beside the heap, one per delay
+	laneLen int     // pending events across all lanes
+
 	executed  uint64
 	scheduled uint64
 	stopped   bool
@@ -176,14 +194,15 @@ func NewEngine() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the raw agenda length: live events plus canceled events
-// that have not yet been discarded (lazily at the heap top, or eagerly by
-// compaction). Use Live for the number of events that will actually run.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns the raw agenda length: lane events plus heap events,
+// live or canceled but not yet discarded (lazily at the heap top, or
+// eagerly by compaction). Use Live for the number of events that will
+// actually run.
+func (e *Engine) Pending() int { return len(e.heap) + e.laneLen }
 
 // Live returns the number of pending events that will actually execute,
 // excluding canceled events awaiting discard.
-func (e *Engine) Live() int { return len(e.heap) - e.deadInHeap }
+func (e *Engine) Live() int { return len(e.heap) - e.deadInHeap + e.laneLen }
 
 // Executed returns how many events have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -326,30 +345,29 @@ func (e *Engine) RunBefore(end Time) uint64 { return e.runThrough(end - 1) }
 
 // runThrough is the engine's one dispatch loop: it executes live events in
 // (time, seq) order while their timestamps are not after last and Stop has
-// not been called, discarding the dead events it meets at the heap top.
-// Each event costs one heap-top inspection. The event's arena slot is
-// recycled before its handler runs, so a handler observing its own ref
-// sees Live() == false. It returns the number of events executed.
+// not been called. Each event costs one next() selection among the heap
+// top and the lane heads. A heap event's arena slot is recycled before its
+// handler runs, so a handler observing its own ref sees Live() == false.
+// It returns the number of events executed.
 func (e *Engine) runThrough(last Time) uint64 {
 	e.stopped = false
 	start := e.executed
-	for !e.stopped && len(e.heap) > 0 {
-		top := e.heap[0]
-		ev := &e.arena[top.idx]
-		if ev.dead {
-			e.heapPop()
-			e.deadInHeap--
-			e.release(top.idx)
-			continue
-		}
-		if top.at > last {
+	for !e.stopped {
+		lane, at, ok := e.next()
+		if !ok || at > last {
 			break
 		}
-		e.heapPop()
-		fn, argFn, arg := ev.fn, ev.argFn, ev.arg
-		e.release(top.idx)
-		e.now = top.at
+		e.now = at
 		e.executed++
+		if lane != nil {
+			ent := lane.pop()
+			ent.fn(ent.arg)
+			continue
+		}
+		idx := e.heapPop()
+		ev := &e.arena[idx]
+		fn, argFn, arg := ev.fn, ev.argFn, ev.arg
+		e.release(idx)
 		if fn != nil {
 			fn()
 		} else {
@@ -359,8 +377,9 @@ func (e *Engine) runThrough(last Time) uint64 {
 	return e.executed - start
 }
 
-// NextEventAt returns the earliest live pending event's timestamp, if any.
-// Dead events encountered at the heap top are discarded as a side effect.
+// NextEventAt returns the earliest live pending event's timestamp, heap or
+// lane, if any. Dead events encountered at the heap top are discarded as a
+// side effect.
 func (e *Engine) NextEventAt() (Time, bool) { return e.peekLive() }
 
 // AdvanceTo lifts the clock to t without executing anything. Advancing past
@@ -377,19 +396,45 @@ func (e *Engine) AdvanceTo(t Time) {
 	e.now = t
 }
 
-// peekLive discards dead events from the top of the heap and returns the
-// earliest live event's timestamp, if any.
+// peekLive returns the earliest live event's timestamp, if any, discarding
+// dead events from the top of the heap.
 func (e *Engine) peekLive() (Time, bool) {
+	_, at, ok := e.next()
+	return at, ok
+}
+
+// next discards dead events from the top of the heap, then picks the
+// earliest live event by (time, seq) among the heap top and the lane
+// heads. lane is the lane holding it, nil when it is the heap top; ok is
+// false when nothing is pending. Keys are unique per event, so the pick is
+// the one a single heap holding every event would pop.
+func (e *Engine) next() (lane *Lane, at Time, ok bool) {
 	for len(e.heap) > 0 {
 		top := e.heap[0]
 		if !e.arena[top.idx].dead {
-			return top.at, true
+			break
 		}
 		e.heapPop()
 		e.deadInHeap--
 		e.release(top.idx)
 	}
-	return 0, false
+	var seq uint64
+	if len(e.heap) > 0 {
+		at, seq, ok = e.heap[0].at, e.heap[0].seq, true
+	}
+	if e.laneLen == 0 {
+		return nil, at, ok
+	}
+	for _, l := range e.lanes {
+		if l.n == 0 {
+			continue
+		}
+		h := &l.buf[l.head]
+		if !ok || h.at < at || (h.at == at && h.seq < seq) {
+			lane, at, seq, ok = l, h.at, h.seq, true
+		}
+	}
+	return lane, at, ok
 }
 
 // maybeCompact applies the compaction policy documented in the package

@@ -112,22 +112,35 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
+// TestEngineRunUntil pins the deadline and Stop contract for heap and lane
+// events alike: lane events bound the run exactly as heap events do.
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var times []Time
 	for _, d := range []Time{10, 20, 30, 40} {
 		e.MustSchedule(d, func() { times = append(times, e.Now()) })
 	}
+	record := func(any) { times = append(times, e.Now()) }
+	e.Lane(25).ScheduleArg(record, nil) // at 25
+	e.Lane(26).ScheduleArg(record, nil) // at 26
+	// A lane event exactly at the deadline runs; the one after it waits.
 	n := e.RunUntil(25)
-	if n != 2 {
-		t.Fatalf("RunUntil executed %d events, want 2", n)
+	if n != 3 {
+		t.Fatalf("RunUntil executed %d events, want 3", n)
 	}
 	if e.Now() != 25 {
 		t.Fatalf("clock = %v after RunUntil(25), want 25", e.Now())
 	}
+	if at, ok := e.NextEventAt(); !ok || at != 26 {
+		t.Fatalf("NextEventAt = %v, %v; want the lane head at 26", at, ok)
+	}
+	// RunBefore leaves an event at its end pending.
+	if n := e.RunBefore(26); n != 0 || e.Now() != 25 {
+		t.Fatalf("RunBefore(26): %d events, clock %v; want 0, 25", n, e.Now())
+	}
 	// An event exactly at the deadline runs; the one after it waits.
-	if n := e.RunUntil(30); n != 1 || e.Now() != 30 || e.Live() != 1 {
-		t.Fatalf("RunUntil(30): %d events, clock %v, %d live; want 1, 30, 1", n, e.Now(), e.Live())
+	if n := e.RunUntil(30); n != 2 || e.Now() != 30 || e.Live() != 1 {
+		t.Fatalf("RunUntil(30): %d events, clock %v, %d live; want 2, 30, 1", n, e.Now(), e.Live())
 	}
 	// A Stop mid-run leaves the clock at the stopping instant, not the
 	// deadline, and the later events pending.
@@ -135,10 +148,53 @@ func TestEngineRunUntil(t *testing.T) {
 	if n := e.RunUntil(100); n != 1 || e.Now() != 35 || e.Live() != 1 {
 		t.Fatalf("RunUntil(100) with Stop at 35: %d events, clock %v, %d live; want 1, 35, 1", n, e.Now(), e.Live())
 	}
+	// A lane handler's Stop does the same.
+	e.Lane(3).ScheduleArg(func(any) { times = append(times, e.Now()); e.Stop() }, nil)
+	if n := e.RunUntil(100); n != 1 || e.Now() != 38 || e.Live() != 1 {
+		t.Fatalf("RunUntil(100) with lane Stop at 38: %d events, clock %v, %d live; want 1, 38, 1", n, e.Now(), e.Live())
+	}
 	e.Run()
-	want := []Time{10, 20, 30, 35, 40}
+	want := []Time{10, 20, 25, 26, 30, 35, 38, 40}
 	if !slices.Equal(times, want) {
 		t.Fatalf("event times %v, want %v", times, want)
+	}
+	if e.Executed() != 8 || e.Scheduled() != 8 || e.Pending() != 0 {
+		t.Fatalf("executed=%d scheduled=%d pending=%d, want 8/8/0", e.Executed(), e.Scheduled(), e.Pending())
+	}
+}
+
+// TestAdvanceToPanicsOnPendingLaneEvent checks that AdvanceTo sees lane
+// events: lifting the clock past one would run it in the past.
+func TestAdvanceToPanicsOnPendingLaneEvent(t *testing.T) {
+	e := NewEngine()
+	e.Lane(5).ScheduleArg(func(any) {}, nil)
+	e.AdvanceTo(5) // up to the event's instant is allowed
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AdvanceTo past a pending lane event did not panic")
+		}
+	}()
+	e.AdvanceTo(6)
+}
+
+// TestLanePanics pins the lane's MustScheduleArg-style contract.
+func TestLanePanics(t *testing.T) {
+	e := NewEngine()
+	for name, fn := range map[string]func(){
+		"Lane(-1)":         func() { e.Lane(-1) },
+		"ScheduleArg(nil)": func() { e.Lane(1).ScheduleArg(nil, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+	if e.Lane(3) != e.Lane(3) || e.Lane(3) == e.Lane(4) {
+		t.Error("Lane must return one lane per distinct delay")
 	}
 }
 

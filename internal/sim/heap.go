@@ -1,6 +1,8 @@
 package sim
 
-// The agenda is a 4-ary min-heap ordered by (time, sequence). Each heap
+// The agenda heap is a 4-ary min-heap ordered by (time, sequence). It holds
+// every event that is not on a fixed-delay lane (lane.go): cancellable
+// timers, variable delays and absolute-instant schedules. Each heap
 // entry caches its event's ordering key next to the arena index, so the
 // sift loops compare dense heap memory instead of dereferencing random
 // arena slots — on paper-scale agendas the sift-down cache misses are what
