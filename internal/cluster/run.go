@@ -1270,23 +1270,10 @@ func (r *runner) respond(st *shardState, sid int, host topo.NodeID, req *svcReq)
 		return
 	}
 	if v.write {
-		r.sendInvalidations(st.part, host, v.reqID, v.key)
-	}
-}
-
-// sendInvalidations fans a committed write's coherence messages out from
-// the server's host to every enabled ToR cache, one packet per rack in
-// topology order; cross-partition deliveries ride the exchange like any
-// other packet. With no enabled caches it is a no-op.
-func (r *runner) sendInvalidations(part int, host topo.NodeID, reqID uint64, key uint64) {
-	for _, tor := range r.invalidationToRs {
-		inv := r.net.NewPacketIn(part)
-		inv.ReqID = reqID
-		inv.Key = key
-		inv.Write = true
-		inv.Dst = tor
-		// Host→switch routes always exist; an error would be a topology bug.
-		_ = r.net.SendInvalidation(inv, host, tor)
+		// One multicast to every enabled ToR cache, in topology order; with
+		// none enabled it sends nothing. Host→switch routes always exist, so
+		// an error would be a topology bug.
+		_ = r.net.SendInvalidations(host, v.reqID, v.key, r.invalidationToRs)
 	}
 }
 

@@ -101,7 +101,7 @@ func TestCacheSelectorModeHitsAndInvalidation(t *testing.T) {
 
 	_, delivered, _ := h.net.Stats()
 	tor := h.torOperator().Switch()
-	if err := h.net.SendInvalidation(&Packet{ReqID: 100, Key: 7}, h.servers[1], tor); err != nil {
+	if err := h.net.SendInvalidations(h.servers[1], 100, 7, []topo.NodeID{tor}); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()

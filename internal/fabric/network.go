@@ -9,7 +9,9 @@
 //
 // Packets are simulated hop by hop: every switch on a path runs its
 // match-action pipeline, links add a fixed latency (30 µs in the paper),
-// and accelerator access adds its RTT plus queueing plus service time.
+// and accelerator access adds its RTT plus queueing plus service time. A
+// write's cache invalidations travel as one multicast along a route trie
+// (multicast.go), one event per trie edge.
 package fabric
 
 import (
@@ -162,14 +164,20 @@ type Network struct {
 	hosts     []HostHandler
 
 	// arriveFn is the one hop-completion handler shared by every in-flight
-	// packet (closure-free per-hop scheduling). linkLanes[p] is partition
-	// p's LinkLatency lane, which carries every same-partition hop that no
-	// fault slows.
+	// packet (closure-free per-hop scheduling), and reachFn the one for
+	// invalidation fan-out trie edges (multicast.go). linkLanes[p] is
+	// partition p's LinkLatency lane, which carries every same-partition
+	// hop that no fault slows.
 	arriveFn  sim.ArgHandler
+	reachFn   sim.ArgHandler
 	linkLanes []*sim.Lane
 	// pktFree recycles pooled packets (NewPacketIn) after delivery or drop,
-	// one free list per partition so recycling stays worker-local.
+	// and segFree fan-out trie segments once their last node runs, one free
+	// list per partition so recycling stays worker-local. builds[p] is
+	// partition p's trie-building scratch.
 	pktFree [][]*Packet
+	segFree [][]*mcastSeg
+	builds  []mcastBuild
 
 	// linkExtra holds fault-injected per-edge latency additions, keyed by
 	// the normalized (low, high) endpoint pair. Nil until the first spike,
@@ -234,6 +242,8 @@ func newNetwork(t *topo.Topology, cfg Config, set *sim.ShardSet, engs []*sim.Eng
 		set:       set,
 		engs:      engs,
 		pktFree:   make([][]*Packet, len(engs)),
+		segFree:   make([][]*mcastSeg, len(engs)),
+		builds:    make([]mcastBuild, len(engs)),
 		counters:  make([]partCounters, len(engs)),
 		operators: make([]*Operator, t.Size()),
 		hosts:     make([]HostHandler, t.Size()),
@@ -254,6 +264,7 @@ func newNetwork(t *topo.Topology, cfg Config, set *sim.ShardSet, engs []*sim.Eng
 		p.idx++
 		n.arrive(p)
 	}
+	n.reachFn = func(arg any) { n.reach(arg.(*mcastNode)) }
 	for i, sw := range t.Switches() {
 		id := uint16(i + 1)
 		eng := n.EngineOf(sw)
@@ -344,33 +355,40 @@ func (n *Network) Launch(p *Packet, from, to topo.NodeID) error {
 	return nil
 }
 
-// hop moves the packet one link toward path[idx+1]. In sharded mode a hop
-// whose endpoints live in different partitions goes through the exchange;
-// the link latency covers the lookahead by NewShardedNetwork's check, and
-// fault-injected extras only widen the margin. A same-partition hop rides
-// the partition's LinkLatency lane unless a fault extra lengthens it.
+// hop moves the packet one link toward path[idx+1], or processes it where
+// it is once its path is done.
 func (n *Network) hop(p *Packet) {
 	if p.idx >= len(p.path)-1 {
 		n.arrive(p)
 		return
 	}
-	src := n.PartitionOf(p.path[p.idx])
+	n.link(p.path[p.idx], p.path[p.idx+1], n.arriveFn, p)
+}
+
+// link sends fn(arg) across the link from a to b and counts one forward.
+// In sharded mode a link whose endpoints live in different partitions goes
+// through the exchange; the link latency covers the lookahead by
+// NewShardedNetwork's check, and fault-injected extras only widen the
+// margin. A same-partition link rides the partition's LinkLatency lane
+// unless a fault extra lengthens it.
+func (n *Network) link(a, b topo.NodeID, fn sim.ArgHandler, arg any) {
+	src := n.PartitionOf(a)
 	n.counters[src].forwards++
 	delay := n.cfg.LinkLatency
 	if len(n.linkExtra) > 0 {
-		if extra, ok := n.linkExtra[edgeKeyOf(p.path[p.idx], p.path[p.idx+1])]; ok {
+		if extra, ok := n.linkExtra[edgeKeyOf(a, b)]; ok {
 			delay += extra
 		}
 	}
-	if dst := n.PartitionOf(p.path[p.idx+1]); dst != src {
-		n.set.MustSend(src, dst, n.engs[src].Now()+delay, n.arriveFn, p)
+	if dst := n.PartitionOf(b); dst != src {
+		n.set.MustSend(src, dst, n.engs[src].Now()+delay, fn, arg)
 		return
 	}
 	if delay == n.cfg.LinkLatency {
-		n.linkLanes[src].ScheduleArg(n.arriveFn, p)
+		n.linkLanes[src].ScheduleArg(fn, arg)
 		return
 	}
-	n.engs[src].MustScheduleArg(delay, n.arriveFn, p)
+	n.engs[src].MustScheduleArg(delay, fn, arg)
 }
 
 // edgeKey identifies an undirected fabric edge by its normalized endpoints.
@@ -509,24 +527,6 @@ func (n *Network) SendNetRSRequest(p *Packet, from topo.NodeID) error {
 	return n.Launch(p, from, tor)
 }
 
-// SendInvalidation injects a cache-coherence message at a server host,
-// bound for a ToR switch whose cache must drop the written key. The
-// packet rides the regular forwarding machinery (and, in sharded mode,
-// the exchange), so invalidation delivery respects the same link
-// latencies and lookahead as every other packet.
-func (n *Network) SendInvalidation(p *Packet, from, tor topo.NodeID) error {
-	p.Magic = wire.MagicInvalidate
-	p.Src = from
-	return n.Launch(p, from, tor)
-}
-
-// consume finalizes a packet whose journey legitimately ends at a switch
-// (today: invalidations absorbed by the destination ToR's cache).
-func (n *Network) consume(p *Packet) {
-	n.counters[n.packetPartition(p)].delivered++
-	n.release(p)
-}
-
 // SendDirect injects a packet bound straight for p.Dst — the CliRS flow
 // (non-NetRS traffic the switches simply forward).
 func (n *Network) SendDirect(p *Packet, from topo.NodeID) error {
@@ -549,7 +549,12 @@ func (n *Network) SendResponse(p *Packet, from topo.NodeID) error {
 	return n.Launch(p, from, p.Dst)
 }
 
-// Stats reports forwarding counters, summed across partitions.
+// Stats reports forwarding counters, summed across partitions. forwards
+// counts link transmissions: a packet counts once per link it crosses, and
+// an invalidation fan-out once per trie edge, however many targets lie
+// beyond it. delivered counts packets handed to a host handler plus
+// invalidations applied at their target ToRs; dropped counts packets the
+// fabric discarded.
 func (n *Network) Stats() (forwards, delivered, dropped uint64) {
 	for _, c := range n.counters {
 		forwards += c.forwards

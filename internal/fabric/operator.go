@@ -269,8 +269,6 @@ func (o *Operator) ingress(p *Packet) {
 	case wire.KindMonitor, wire.KindDegradedRequest:
 		o.stampSourceMarker(p)
 		o.forwardOrDeliver(p)
-	case wire.KindInvalidation:
-		o.ingressInvalidation(p)
 	default:
 		// Non-NetRS packets take the regular pipeline: plain forwarding.
 		o.forwardOrDeliver(p)
@@ -390,19 +388,6 @@ func (o *Operator) respondFromCache(p *Packet) {
 	if err := o.net.Launch(p, o.sw, p.Dst); err != nil {
 		o.net.drop(p)
 	}
-}
-
-// ingressInvalidation consumes a coherence message at its destination ToR
-// (dropping the written key from the cache) and forwards it elsewhere.
-func (o *Operator) ingressInvalidation(p *Packet) {
-	if p.idx >= len(p.path)-1 {
-		if o.cache != nil {
-			o.cache.Invalidate(p.Key)
-		}
-		o.net.consume(p)
-		return
-	}
-	o.net.hop(p)
 }
 
 // ingressResponse handles packets with the Mresp magic.

@@ -2,11 +2,8 @@ package topo
 
 import (
 	"bufio"
-	"cmp"
 	"fmt"
 	"io"
-	"maps"
-	"slices"
 )
 
 // WriteDOT emits the topology as a Graphviz digraph for visualization:
@@ -62,16 +59,14 @@ func (t *Topology) WriteDOT(w io.Writer) error {
 		write("  }\n")
 	}
 
-	// Links, deduplicated (a < b), in sorted order so the DOT output is
-	// byte-identical across runs.
-	keys := slices.SortedFunc(maps.Keys(t.links), func(x, y linkKey) int {
-		if c := cmp.Compare(x.a, y.a); c != 0 {
-			return c
+	// Links, deduplicated (a < b), in (a, b) order: the adjacency lists
+	// are sorted, so the DOT output is byte-identical across runs.
+	for a, nbs := range t.neighbors {
+		for _, b := range nbs {
+			if NodeID(a) < b {
+				write("  n%d -- n%d;\n", a, b)
+			}
 		}
-		return cmp.Compare(x.b, y.b)
-	})
-	for _, key := range keys {
-		write("  n%d -- n%d;\n", key.a, key.b)
 	}
 	write("}\n")
 	if err := bw.Flush(); err != nil {

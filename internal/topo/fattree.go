@@ -18,13 +18,11 @@ func NewFatTree(k int) (*Topology, error) {
 		return nil, fmt.Errorf("fat-tree arity %d (need even ≥ 2): %w", k, ErrInvalidParam)
 	}
 	half := k / 2
-	// Preallocate everything from the closed-form counts: (k/2)² cores,
-	// k·k/2 aggs and ToRs, k·(k/2)² hosts, and 3·k·(k/2)² links. At k=32
-	// (8192 hosts, 9472 nodes, 24576 links) incremental growth would
-	// otherwise dominate construction.
+	// Preallocate the node tables from the closed-form counts: (k/2)²
+	// cores, k·k/2 aggs and ToRs, and k·(k/2)² hosts. At k=32 (8192 hosts,
+	// 9472 nodes) incremental growth would otherwise dominate construction.
 	hostsTotal := k * half * half
 	t := &Topology{
-		links: make(map[linkKey]struct{}, 3*hostsTotal),
 		pods:  k,
 		racks: k * half,
 		name:  fmt.Sprintf("fat-tree(k=%d)", k),
@@ -127,7 +125,6 @@ func NewSimpleTree(aggs, torsPerAgg, hostsPerToR int) (*Topology, error) {
 		return nil, fmt.Errorf("simple tree %d/%d/%d: %w", aggs, torsPerAgg, hostsPerToR, ErrInvalidParam)
 	}
 	t := &Topology{
-		links: make(map[linkKey]struct{}),
 		pods:  aggs,
 		racks: aggs * torsPerAgg,
 		name:  fmt.Sprintf("simple-tree(%d,%d,%d)", aggs, torsPerAgg, hostsPerToR),

@@ -15,16 +15,15 @@ import "fmt"
 // switches); anything else falls back to a deterministic BFS. On error
 // buf comes back unextended.
 func (t *Topology) RouteInto(buf []NodeID, x, y NodeID, hash uint64) ([]NodeID, error) {
-	if _, err := t.Node(x); err != nil {
-		return buf, err
-	}
-	if _, err := t.Node(y); err != nil {
-		return buf, err
+	for _, id := range [2]NodeID{x, y} {
+		if int(id) < 0 || int(id) >= len(t.nodes) {
+			return buf, fmt.Errorf("node %d: %w", id, ErrUnknownNode)
+		}
 	}
 	if x == y {
 		return append(buf, x), nil
 	}
-	nx, ny := t.nodes[x], t.nodes[y]
+	nx, ny := &t.nodes[x], &t.nodes[y]
 
 	// Down-path: x is a switch covering y.
 	if nx.Kind == KindSwitch && t.Contains(x, y) {
@@ -53,8 +52,8 @@ func (t *Topology) RouteInto(buf []NodeID, x, y NodeID, hash uint64) ([]NodeID, 
 // downPath appends the nodes after s on the down-path from switch s to
 // node n, assuming Contains(s, n); buf must already end with s.
 func (t *Topology) downPath(buf []NodeID, s, n NodeID, hash uint64) ([]NodeID, error) {
-	sw := t.nodes[s]
-	nd := t.nodes[n]
+	sw := &t.nodes[s]
+	nd := &t.nodes[n]
 	switch sw.Tier {
 	case TierToR:
 		if n == s {
@@ -107,7 +106,7 @@ func (t *Topology) downPath(buf []NodeID, s, n NodeID, hash uint64) ([]NodeID, e
 // rendezvous appends up-path(x→m) + down-path(m→y) for a meeting switch m
 // chosen by ECMP. It reports ok=false when the analytic cases do not apply.
 func (t *Topology) rendezvous(buf []NodeID, x, y NodeID, hash uint64) ([]NodeID, bool, error) {
-	nx, ny := t.nodes[x], t.nodes[y]
+	nx, ny := &t.nodes[x], &t.nodes[y]
 	// Both endpoints must hang off racks (hosts or ToRs) or be aggs for
 	// the analytic approach; cores were handled by Contains above.
 	if nx.Tier == TierCore || ny.Tier == TierCore {
@@ -161,7 +160,7 @@ func sameIDs(a, b []NodeID) bool {
 
 // coreCandidates returns the cores reachable on a pure up-path from n.
 func (t *Topology) coreCandidates(n NodeID) []NodeID {
-	nd := t.nodes[n]
+	nd := &t.nodes[n]
 	switch nd.Tier {
 	case TierAgg:
 		return t.up[n]
@@ -193,8 +192,8 @@ func (t *Topology) upPath(buf []NodeID, n, m NodeID) ([]NodeID, error) {
 	if n == m {
 		return append(buf, n), nil
 	}
-	nd := t.nodes[n]
-	mw := t.nodes[m]
+	nd := &t.nodes[n]
+	mw := &t.nodes[m]
 	switch mw.Tier {
 	case TierToR:
 		if nd.Kind == KindHost && t.torByRack[nd.Rack] == m {

@@ -462,9 +462,9 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
-// TestWriteDOTDeterministic pins the link section to sorted order: the
-// links live in a map, and before the edges were sorted the DOT bytes
-// differed between runs of the same binary.
+// TestWriteDOTDeterministic pins the link section to sorted (a, b) order,
+// stable across runs of the same binary; an earlier map-backed link set
+// made the DOT bytes differ between runs.
 func TestWriteDOTDeterministic(t *testing.T) {
 	ft := mustFatTree(t, 4)
 	render := func() string {

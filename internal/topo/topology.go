@@ -9,6 +9,7 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -75,10 +76,10 @@ var (
 // Topology is an immutable multi-tier tree network.
 type Topology struct {
 	nodes []Node
-	// adjacency, kept sorted by neighbor ID for deterministic iteration.
+	// adjacency, kept sorted by neighbor ID for deterministic iteration
+	// and binary-searched by Linked.
 	neighbors [][]NodeID
 	up        [][]NodeID // neighbors one tier closer to the core
-	links     map[linkKey]struct{}
 
 	hosts []NodeID
 	tors  []NodeID
@@ -98,15 +99,9 @@ type Topology struct {
 	name  string
 }
 
-type linkKey struct{ a, b NodeID }
-
 func (t *Topology) addLink(a, b NodeID) {
 	t.neighbors[a] = append(t.neighbors[a], b)
 	t.neighbors[b] = append(t.neighbors[b], a)
-	if a > b {
-		a, b = b, a
-	}
-	t.links[linkKey{a, b}] = struct{}{}
 }
 
 // finish sorts adjacency lists and derives the routing tables. It must be
@@ -206,10 +201,10 @@ func (t *Topology) AggsInPod(pod int) ([]NodeID, error) {
 
 // Linked reports whether two nodes are directly connected.
 func (t *Topology) Linked(a, b NodeID) bool {
-	if a > b {
-		a, b = b, a
+	if int(a) < 0 || int(a) >= len(t.nodes) {
+		return false
 	}
-	_, ok := t.links[linkKey{a, b}]
+	_, ok := slices.BinarySearch(t.neighbors[a], b)
 	return ok
 }
 
@@ -245,8 +240,8 @@ func (t *Topology) TrafficTier(a, b NodeID) (int, error) {
 // n — core switches cover everything, aggregation switches their pod, and
 // ToR switches their rack.
 func (t *Topology) Contains(s, n NodeID) bool {
-	sw := t.nodes[s]
-	nd := t.nodes[n]
+	sw := &t.nodes[s]
+	nd := &t.nodes[n]
 	switch sw.Tier {
 	case TierCore:
 		return sw.Kind == KindSwitch
