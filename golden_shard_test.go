@@ -88,3 +88,50 @@ func TestGoldenShardDigest(t *testing.T) {
 func cacheCounters(r Result) [5]uint64 {
 	return [5]uint64{r.CacheHits, r.CacheMisses, r.CacheAdmissions, r.CacheEvictions, r.CacheInvalidations}
 }
+
+// TestShardedDeployAtFirstCompletion pins the completion-count triggers'
+// tie at P > 1: with one warmup request, (warmup+1)/2 puts the ILP deploy
+// at the first completion, the same instant as the monitor reset, and the
+// deploy must run first at every shard count. A 150 µs accelerator makes
+// capacity bind, so a plan solved from the reset (empty) window differs
+// from one solved from the first completion's traffic and the order shows
+// in the digest. The epochs case adds the controller loop the deploy arms.
+func TestShardedDeployAtFirstCompletion(t *testing.T) {
+	seeds := []uint64{1, 2, 3}
+	for _, tc := range []struct {
+		name     string
+		interval Time
+	}{
+		{name: "single-solve"},
+		{name: "epochs", interval: 50 * Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := goldenConfig(SchemeNetRSILP)
+			cfg.WarmupFraction = 0.0006 // int(0.0006 × 2500) = 1 warmup request
+			cfg.ControllerInterval = tc.interval
+			cfg.Fabric.AccelService = 150 * Microsecond
+			var want uint64
+			for _, shards := range []int{1, 2, 4} {
+				cfg.Shards = shards
+				results, merged, err := RunRepeatedWith(cfg, seeds, RunOptions{Parallelism: 1})
+				if err != nil {
+					t.Fatalf("shards %d: %v", shards, err)
+				}
+				got := epochDigest(results, merged)
+				if shards == 1 {
+					want = got
+					for i, res := range results {
+						if tc.interval > 0 && len(res.Epochs) == 0 {
+							t.Fatalf("seed %d recorded no epochs; the epochs case would be vacuous", seeds[i])
+						}
+					}
+					continue
+				}
+				if got != want {
+					t.Errorf("shards %d: digest = %#016x, want the shards-1 run's %#016x", shards, got, want)
+				}
+			}
+		})
+	}
+}
