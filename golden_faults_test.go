@@ -138,3 +138,29 @@ func TestFaultRunDegradesAndReconverges(t *testing.T) {
 		}
 	}
 }
+
+// TestRSNodeCrashBeforeILPDeploy pins the one deploy path: an RSNode that
+// crashes before the ILP deploy stays failed through it. The solve gives
+// the crashed operator no capacity, so the plan serves every group from
+// live RSNodes, and the failure record survives, so the later recovery
+// applies instead of reporting that nothing failed.
+func TestRSNodeCrashBeforeILPDeploy(t *testing.T) {
+	cfg := goldenConfig(SchemeNetRSILP)
+	cfg.Scenario.Faults = []FaultEvent{
+		{Kind: FaultRSNodeCrash, AtMs: 1, RSNode: "1"},
+		{Kind: FaultRSNodeRecover, AtFraction: 0.6, RSNode: FaultTargetFailed},
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Errors) != 0 {
+		t.Fatalf("fault errors %v, want none", res.Errors)
+	}
+	// The ToR plan puts no group on operator 1, so once no solve can
+	// either, no request is ever steered to the crashed RSNode.
+	if res.DegradedResponses != 0 || res.DegradedGroups != 0 {
+		t.Fatalf("%d degraded responses, %d degraded groups; want none",
+			res.DegradedResponses, res.DegradedGroups)
+	}
+}

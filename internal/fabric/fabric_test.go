@@ -528,7 +528,12 @@ func TestControllerRecoveryRestoresAssignments(t *testing.T) {
 	}
 }
 
-func TestControllerDeployClearsFailureRecords(t *testing.T) {
+// TestControllerDeployPrunesFailureRecords pins the one deploy path for a
+// crash before a traffic solve: the solve gives the failed operator no
+// capacity, so the group lands on a live operator, and the failure record
+// survives (shrunk to the groups still in DRS), so the crash can still be
+// recovered.
+func TestControllerDeployPrunesFailureRecords(t *testing.T) {
 	h := newHarness(t, nil)
 	if err := h.ctrl.InstallToRPlan(); err != nil {
 		t.Fatal(err)
@@ -537,16 +542,23 @@ func TestControllerDeployClearsFailureRecords(t *testing.T) {
 	if err := h.ctrl.HandleOperatorFailure(torOp); err != nil {
 		t.Fatal(err)
 	}
-	torOp.Recover() // clear the operator flag so redeploy routes normally
-	if err := h.ctrl.InstallToRPlan(); err != nil {
+	plan, err := h.ctrl.UpdateRSPWithTraffic(map[int][3]float64{0: {1000, 0, 0}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.ctrl.FailedOperators(); len(got) != 0 {
-		t.Fatalf("FailedOperators after redeploy = %v, want none", got)
+	if oi := plan.Assignment[0]; oi == -1 || uint16(h.ctrl.problem.Operators[oi].ID) == torOp.id {
+		t.Fatalf("redeploy assigned the group to operator index %d, want a live operator", oi)
 	}
-	// The old failure record is gone: recovery now reports an error.
-	if err := h.ctrl.HandleOperatorRecovery(torOp); !errors.Is(err, ErrInvalidParam) {
-		t.Fatalf("recovery after redeploy err = %v, want ErrInvalidParam", err)
+	if got := h.ctrl.FailedOperators(); len(got) != 1 || got[0] != torOp.id {
+		t.Fatalf("FailedOperators after redeploy = %v, want [%d]", got, torOp.id)
+	}
+	// Recovery re-admits the operator but restores nothing: the new plan
+	// superseded the pre-failure binding.
+	if err := h.ctrl.HandleOperatorRecovery(torOp); err != nil {
+		t.Fatalf("recovery after redeploy: %v", err)
+	}
+	if cur, _ := h.ctrl.CurrentPlan(); cur.Assignment[0] != plan.Assignment[0] {
+		t.Fatalf("recovery moved the group %d → %d", plan.Assignment[0], cur.Assignment[0])
 	}
 }
 
