@@ -141,9 +141,8 @@ type Selector struct {
 	// blocks hold the server states, slot i at
 	// blocks[i/stateBlock][i%stateBlock]. Blocks are fixed-size arrays
 	// that never move, so the state pointers handed out stay valid, and a
-	// fleet of selectors (one per client, times two when a sharded run
-	// replays its pilot) costs one heap object per stateBlock states
-	// instead of one per state. states counts the slots in use.
+	// fleet of selectors (one per client) costs one heap object per
+	// stateBlock states instead of one per state. states counts the slots in use.
 	blocks []*[stateBlock]serverState
 	states int
 
@@ -189,9 +188,8 @@ func NewSelectorWithClock(cfg Config, clock Clock) (*Selector, error) {
 		return nil, fmt.Errorf("nil clock: %w", ErrInvalidParam)
 	}
 	// The slot index and the state blocks grow lazily in state(): a
-	// hyperscale run constructs thousands of selectors (one per client,
-	// twice when a sharded run replays its pilot), many of which see few
-	// servers.
+	// hyperscale run constructs thousands of selectors (one per client),
+	// many of which see few servers.
 	return &Selector{cfg: cfg, clock: clock}, nil
 }
 

@@ -64,12 +64,12 @@ func NewRing(servers, rf, vnodes int, seed uint64) (*Ring, error) {
 	})
 
 	// Enumerate the distinct replica groups, one per ring segment. A ring
-	// is built per run (a sharded run's pilot shares it) over
-	// servers×vnodes points, and at hyperscale most segments carry a
-	// distinct group, so this loop must not allocate per point or per
-	// group: the walk reuses one scratch slice, member lists are carved
-	// from shared arena blocks, and the dedup key is a comparable
-	// fixed-size array (a map insert allocates nothing beyond buckets).
+	// is built per run over servers×vnodes points, and at hyperscale most
+	// segments carry a distinct group, so this loop must not allocate per
+	// point or per group: the walk reuses one scratch slice, member lists
+	// are carved from shared arena blocks, and the dedup key is a
+	// comparable fixed-size array (a map insert allocates nothing beyond
+	// buckets).
 	// Every member list has exactly rf entries, so the zero-padded array
 	// key collides exactly when the ordered lists are equal and group IDs
 	// are assigned in the same first-encounter order as ever.

@@ -106,11 +106,8 @@ var (
 )
 
 // event is one arena slot: a scheduled handler plus the slot's generation.
-// seq breaks ties between events that share a timestamp so execution order
-// is the scheduling order.
+// The (time, seq) ordering key lives in the event's heap entry.
 type event struct {
-	at    Time
-	seq   uint64
 	fn    Handler
 	argFn ArgHandler
 	arg   any
@@ -256,14 +253,12 @@ func (e *Engine) scheduleAt(at Time, fn Handler, argFn ArgHandler, arg any) (Eve
 	}
 	idx := e.alloc()
 	ev := &e.arena[idx]
-	ev.at = at
-	ev.seq = e.seq
 	ev.fn = fn
 	ev.argFn = argFn
 	ev.arg = arg
+	e.heapPush(heapEntry{at: at, seq: e.seq, idx: idx})
 	e.seq++
 	e.scheduled++
-	e.heapPush(heapEntry{at: at, seq: ev.seq, idx: idx})
 	return EventRef{eng: e, idx: idx, gen: ev.gen}, nil
 }
 
