@@ -17,24 +17,45 @@ func mallocsOfRun(t *testing.T, cfg Config) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestNetRSAllocsPerRequest caps the heap allocations a NetRS-ILP request
-// costs once the pools are warm. Two runs that differ only in request
-// count share their set-up, so the difference of their allocation counts
-// over the difference of their requests is the per-request cost. The
-// request path reuses pooled packets, contexts and server records, ranks
-// into a scratch buffer and keeps no per-request map entries; what is
-// left (about 0.16 per request) is the server queue's entries and the
-// pools' growth. A per-request allocation anywhere on the path reads as
-// 1 or more.
-func TestNetRSAllocsPerRequest(t *testing.T) {
-	short := smallConfig(SchemeNetRSILP)
-	long := short
+// allocsPerRequest returns the heap allocations one request of cfg costs
+// once the pools are warm. Two runs that differ only in request count
+// share their set-up, so the difference of their allocation counts over
+// the difference of their requests is the per-request cost.
+func allocsPerRequest(t *testing.T, cfg Config) float64 {
+	t.Helper()
+	long := cfg
 	long.Requests *= 3
-	a := mallocsOfRun(t, short)
+	a := mallocsOfRun(t, cfg)
 	b := mallocsOfRun(t, long)
-	perReq := (float64(b) - float64(a)) / float64(long.Requests-short.Requests)
-	if perReq > 0.5 {
-		t.Fatalf("NetRS-ILP allocates %.3f times per request (runs of %d and %d requests: %d and %d), want at most 0.5",
-			perReq, short.Requests, long.Requests, a, b)
+	return (float64(b) - float64(a)) / float64(long.Requests-cfg.Requests)
+}
+
+// TestNetRSAllocsPerRequest caps the heap allocations a NetRS-ILP request
+// costs. The request path reuses pooled packets, contexts and server
+// records, ranks into a scratch buffer and keeps no per-request map
+// entries; what is left (about 0.16 per request) is the server queue's
+// entries and the pools' growth. A per-request allocation anywhere on the
+// path reads as 1 or more.
+func TestNetRSAllocsPerRequest(t *testing.T) {
+	if perReq := allocsPerRequest(t, smallConfig(SchemeNetRSILP)); perReq > 0.5 {
+		t.Fatalf("NetRS-ILP allocates %.3f times per request, want at most 0.5", perReq)
+	}
+}
+
+// TestCliRSR95AllocsPerRequest caps the same cost for CliRS-R95, with and
+// without cross-server cancellation. Its duplicate timers hold their
+// request records until they fire, and a withdrawn duplicate's server
+// record returns to its pool, so neither grows with the request count.
+// What is left is the server queue's entries, the duplicates' candidate
+// lists and the ticket map.
+func TestCliRSR95AllocsPerRequest(t *testing.T) {
+	for _, cancel := range []bool{false, true} {
+		cfg := smallConfig(SchemeCliRSR95)
+		cfg.CancelDuplicates = cancel
+		perReq := allocsPerRequest(t, cfg)
+		t.Logf("cancel %v: %.3f allocations per request", cancel, perReq)
+		if perReq > 0.5 {
+			t.Errorf("CliRS-R95 (cancel %v) allocates %.3f times per request, want at most 0.5", cancel, perReq)
+		}
 	}
 }

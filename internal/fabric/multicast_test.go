@@ -143,7 +143,7 @@ func checkFanoutMatchesRoutes(t *testing.T, k, workers int) {
 			invalidated[tor]++
 			eng := net.EngineOf(tor)
 			probe := func(at sim.Time, want uint64) {
-				if _, err := eng.ScheduleAt(at, func() {
+				if err := eng.ScheduleAt(at, func() {
 					if got := op.Cache().Stats().Invalidations; got != want {
 						t.Errorf("case %d: ToR %d has %d invalidations at %v, want %d", i, tor, got, at, want)
 					}
@@ -156,7 +156,7 @@ func checkFanoutMatchesRoutes(t *testing.T, k, workers int) {
 		}
 		edges += uint64(len(prefixes))
 
-		if _, err := net.EngineOf(c.host).ScheduleAt(c.at, func() {
+		if err := net.EngineOf(c.host).ScheduleAt(c.at, func() {
 			if err := net.SendInvalidations(c.host, c.reqID, c.key, c.tors); err != nil {
 				t.Errorf("case %d: %v", i, err)
 			}

@@ -5,7 +5,7 @@
 // declare a timeline of typed fault events — RSNode crash and recovery,
 // server slowdown/brownout, server crash and restart, link-delay spikes —
 // in configuration or a JSON schedule file, validates them up front, and
-// executes them on the simulation timeline through the arena scheduler.
+// executes them on the simulation timeline through the event engine.
 //
 // Events are positioned either at an absolute simulated time (AtMs) or at a
 // completed-request fraction (AtFraction); a fraction-positioned event

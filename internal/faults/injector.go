@@ -87,7 +87,7 @@ func NewInjector(eng *sim.Engine, acts Actions, total int, events []Event, repor
 func (in *Injector) Start() error {
 	for _, e := range in.timed {
 		ev := e
-		if _, err := in.eng.ScheduleAt(sim.FromMs(ev.AtMs), func() { in.apply(ev) }); err != nil {
+		if err := in.eng.ScheduleAt(sim.FromMs(ev.AtMs), func() { in.apply(ev) }); err != nil {
 			return fmt.Errorf("faults: schedule %s: %w", ev, err)
 		}
 	}

@@ -526,10 +526,13 @@ func (g *Graph) walkCall(p *Package, f *File, cur *Node, call *ast.CallExpr, loo
 
 // recordScheduleCall handles a call of a sim scheduling method: its
 // function-value arguments become handler roots, and the call site itself
-// may carry hot-path allocation effects.
+// may carry hot-path allocation effects. Calls inside the engine package
+// only forward one scheduling surface to another (ScheduleAt hands its
+// Handler to ScheduleArgAt through a trampoline): the event is already
+// rooted where the model scheduled it, so they register nothing.
 func (g *Graph) recordScheduleCall(p *Package, f *File, cur *Node, call *ast.CallExpr, callee *types.Func, loopDepth int) {
 	recv := callee.Type().(*types.Signature).Recv()
-	if recv == nil || callee.Pkg() == nil || !simPackagePath(callee.Pkg().Path()) {
+	if recv == nil || callee.Pkg() == nil || !simPackagePath(callee.Pkg().Path()) || simPackagePath(p.Path) {
 		return
 	}
 	name := callee.Name()

@@ -61,3 +61,16 @@ func Cold(n int) []int {
 	}
 	return grown
 }
+
+// Start schedules tick as a plain Handler: hotalloc covers ArgHandler
+// roots only, so tick's allocations stay clean even though the engine
+// runs every Handler through an ArgHandler trampoline.
+func (h *Hot) Start() { h.eng.Schedule(1, h.tick) }
+
+func (h *Hot) tick() {
+	var grown []int
+	for i := 0; i < len(h.out); i++ {
+		grown = append(grown, i)
+	}
+	h.out = grown
+}

@@ -6,19 +6,23 @@ type Handler func()
 // ArgHandler is a scheduled function plus one boxed argument.
 type ArgHandler func(arg any)
 
-// Engine is a miniature of the real arena scheduler: just enough surface
-// for the fixtures to register handler roots with the call-graph builder.
+// Engine is a miniature of the real scheduler: just enough surface for
+// the fixtures to register handler roots with the call-graph builder.
 type Engine struct {
-	handlers []Handler
-	argFns   []ArgHandler
-	args     []any
+	argFns []ArgHandler
+	args   []any
 }
 
 // NewEngine builds an empty engine.
 func NewEngine() *Engine { return &Engine{} }
 
-// Schedule registers a Handler after a delay.
-func (e *Engine) Schedule(delay int, fn Handler) { e.handlers = append(e.handlers, fn) }
+// Schedule registers a Handler after a delay. Like the real engine, it
+// forwards to ScheduleArg through a trampoline; that inner call must not
+// make every Handler an ArgHandler root.
+func (e *Engine) Schedule(delay int, fn Handler) { e.ScheduleArg(delay, callHandler, fn) }
+
+// callHandler runs a Handler carried as an event argument.
+func callHandler(arg any) { arg.(Handler)() }
 
 // MustSchedule is Schedule with the real engine's panic contract.
 func (e *Engine) MustSchedule(delay int, fn Handler) { e.Schedule(delay, fn) }

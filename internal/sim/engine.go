@@ -7,13 +7,16 @@
 //
 // # Engine internals
 //
-// The scheduler is built for a zero-allocation steady state: events live in
-// a per-engine arena (a slab of event slots recycled through a free list),
-// the priority queue is a 4-ary min-heap of int32 indices into that arena,
-// and EventRef handles carry an {index, generation} pair instead of a
-// pointer — each slot's generation counter is bumped when the slot is
-// recycled, so a stale handle to an executed or canceled event can neither
-// cancel nor observe its slot's next occupant. Once the arena and heap have
+// Events are fire-and-forget: once scheduled, an event runs at its
+// instant, and nothing can withdraw it. A model that may no longer want an
+// event's work checks its own state in the handler (a tombstone), and the
+// skipped event has still taken its sequence number, so the order of every
+// other event is the same as if it had been withdrawn. Every pending event
+// is one inline entry {at, seq, fn, arg}: the (time, seq) ordering key
+// beside the handler and its argument. The priority queue is a 4-ary
+// min-heap of those entries, so there is no slab of event records, free
+// list or handle beside it. A plain Handler rides as the argument of one
+// shared trampoline, so both APIs store the same entry. Once the heap has
 // grown to the simulation's high-water mark, scheduling and executing
 // events performs no heap allocations at all; the closure-free ScheduleArg
 // variant extends that to call sites that would otherwise allocate a
@@ -29,25 +32,9 @@
 // among the heap top and the lane heads. Keys are unique, so the merged
 // order is exactly the order one heap holding every event would produce:
 // moving a call site from ScheduleArg onto a lane changes no execution
-// order. Lane events cannot be canceled and hold no arena slot. The heap
-// keeps everything else — cancellable timers, variable delays, absolute
-// ScheduleAt instants, and the shard exchange's cross-partition deliveries,
-// whose instants are not monotone in the destination engine.
-//
-// # Compaction policy
-//
-// Cancel marks an event dead in place; dead events are normally discarded
-// lazily when they reach the top of the heap. To keep a cancel-heavy
-// workload (for example C3 timeout timers that almost always cancel) from
-// bloating the agenda, the engine compacts eagerly as well: whenever the
-// number of dead events on the agenda exceeds half its length (and the
-// agenda is at least compactMinAgenda long, to avoid thrashing tiny
-// agendas), every dead event is dropped and the heap is rebuilt in place in
-// O(n). Compaction never changes execution order — order is fully
-// determined by the (time, sequence) key, which is unique per event — so
-// lazy and eager discarding produce bit-identical runs. Pending reports the
-// raw agenda length including not-yet-discarded dead events; Live reports
-// only the events that will actually execute.
+// order. The heap keeps everything else — variable delays, absolute
+// ScheduleAt instants, and the shard exchange's cross-partition
+// deliveries, whose instants are not monotone in the destination engine.
 package sim
 
 import (
@@ -105,207 +92,110 @@ var (
 	ErrNilHandler = errors.New("sim: nil handler")
 )
 
-// event is one arena slot: a scheduled handler plus the slot's generation.
-// The (time, seq) ordering key lives in the event's heap entry.
-type event struct {
-	fn    Handler
-	argFn ArgHandler
-	arg   any
-	gen   uint32
-	dead  bool
+// entry is one pending event, on the heap or on a lane: the (time, seq)
+// ordering key beside the handler and its argument.
+type entry struct {
+	at  Time
+	seq uint64
+	fn  ArgHandler
+	arg any
 }
 
-// EventRef identifies a scheduled event so it can be canceled. The zero
-// value refers to no event. A ref is a generation-checked handle: once its
-// event has executed (or its canceled slot has been recycled), the ref goes
-// permanently dead even if the arena slot is reused for a later event.
-type EventRef struct {
-	eng *Engine
-	idx int32
-	gen uint32
-}
-
-// Cancel marks the referenced event as dead; a dead event is skipped when
-// its time comes (or dropped earlier by compaction). Canceling an
-// already-executed, already-canceled, or zero ref is a no-op. It reports
-// whether the event was live before the call.
-func (r EventRef) Cancel() bool {
-	if r.eng == nil {
-		return false
-	}
-	ev := &r.eng.arena[r.idx]
-	if ev.gen != r.gen || ev.dead {
-		return false
-	}
-	ev.dead = true
-	// Dead events keep no work alive.
-	ev.fn = nil
-	ev.argFn = nil
-	ev.arg = nil
-	r.eng.deadInHeap++
-	r.eng.maybeCompact()
-	return true
-}
-
-// Live reports whether the referenced event is still pending.
-func (r EventRef) Live() bool {
-	if r.eng == nil {
-		return false
-	}
-	ev := &r.eng.arena[r.idx]
-	return ev.gen == r.gen && !ev.dead
-}
-
-// compactMinAgenda is the agenda length below which eager compaction is
-// skipped: lazy top-of-heap discarding handles small agendas at no cost.
-const compactMinAgenda = 64
+// callHandler is the trampoline that runs a plain Handler carried as an
+// entry's argument. A func value is pointer-shaped, so storing it in the
+// argument allocates nothing.
+func callHandler(arg any) { arg.(Handler)() }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; simulations are deterministic single-goroutine programs.
 type Engine struct {
 	now Time
-	seq uint64
+	seq uint64 // the next event's sequence number: events scheduled so far
 
-	arena []event     // slab of event slots
-	free  []int32     // recycled slot indices (LIFO)
-	heap  []heapEntry // 4-ary min-heap keyed by (at, seq), arena index payload
-
-	deadInHeap int // canceled events not yet discarded from the heap
+	heap []entry // 4-ary min-heap keyed by (at, seq)
 
 	lanes   []*Lane // fixed-delay FIFOs beside the heap, one per delay
 	laneLen int     // pending events across all lanes
 
-	executed  uint64
-	scheduled uint64
-	stopped   bool
+	executed uint64
+	stopped  bool
 }
 
 // NewEngine returns an engine with the clock at zero and an empty agenda.
 func NewEngine() *Engine {
-	return &Engine{
-		arena: make([]event, 0, 1024),
-		heap:  make([]heapEntry, 0, 1024),
-	}
+	return &Engine{heap: make([]entry, 0, 1024)}
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the raw agenda length: lane events plus heap events,
-// live or canceled but not yet discarded (lazily at the heap top, or
-// eagerly by compaction). Use Live for the number of events that will
-// actually run.
+// Pending returns the number of events waiting to run, heap and lanes.
 func (e *Engine) Pending() int { return len(e.heap) + e.laneLen }
-
-// Live returns the number of pending events that will actually execute,
-// excluding canceled events awaiting discard.
-func (e *Engine) Live() int { return len(e.heap) - e.deadInHeap + e.laneLen }
 
 // Executed returns how many events have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Scheduled returns how many events have been scheduled so far.
-func (e *Engine) Scheduled() uint64 { return e.scheduled }
+func (e *Engine) Scheduled() uint64 { return e.seq }
 
 // Schedule runs fn after delay ticks of simulated time. A zero delay runs fn
-// after all handlers already scheduled for the current instant. It returns a
-// reference usable to cancel the event and an error for negative delays.
-func (e *Engine) Schedule(delay Time, fn Handler) (EventRef, error) {
+// after all handlers already scheduled for the current instant. Negative
+// delays are an error.
+func (e *Engine) Schedule(delay Time, fn Handler) error {
 	if delay < 0 {
-		return EventRef{}, ErrNegativeDelay
+		return ErrNegativeDelay
 	}
 	return e.ScheduleAt(e.now+delay, fn)
 }
 
 // ScheduleAt runs fn at the absolute instant at. Scheduling in the past is
 // an error.
-func (e *Engine) ScheduleAt(at Time, fn Handler) (EventRef, error) {
+func (e *Engine) ScheduleAt(at Time, fn Handler) error {
 	if fn == nil {
-		return EventRef{}, ErrNilHandler
+		return ErrNilHandler
 	}
-	return e.scheduleAt(at, fn, nil, nil)
+	return e.ScheduleArgAt(at, callHandler, fn)
 }
 
 // ScheduleArg runs fn(arg) after delay ticks of simulated time. It is the
 // closure-free variant of Schedule: with a long-lived fn value and a
 // pointer-typed arg, scheduling allocates nothing, where an equivalent
 // capturing closure would allocate on every call.
-func (e *Engine) ScheduleArg(delay Time, fn ArgHandler, arg any) (EventRef, error) {
+func (e *Engine) ScheduleArg(delay Time, fn ArgHandler, arg any) error {
 	if delay < 0 {
-		return EventRef{}, ErrNegativeDelay
+		return ErrNegativeDelay
 	}
 	return e.ScheduleArgAt(e.now+delay, fn, arg)
 }
 
 // ScheduleArgAt runs fn(arg) at the absolute instant at.
-func (e *Engine) ScheduleArgAt(at Time, fn ArgHandler, arg any) (EventRef, error) {
+func (e *Engine) ScheduleArgAt(at Time, fn ArgHandler, arg any) error {
 	if fn == nil {
-		return EventRef{}, ErrNilHandler
+		return ErrNilHandler
 	}
-	return e.scheduleAt(at, nil, fn, arg)
-}
-
-// scheduleAt allocates an arena slot for the event and pushes it on the
-// agenda. Exactly one of fn and argFn is non-nil.
-func (e *Engine) scheduleAt(at Time, fn Handler, argFn ArgHandler, arg any) (EventRef, error) {
 	if at < e.now {
-		return EventRef{}, fmt.Errorf("sim: schedule at %v before now %v: %w", at, e.now, ErrNegativeDelay)
+		return fmt.Errorf("sim: schedule at %v before now %v: %w", at, e.now, ErrNegativeDelay)
 	}
-	idx := e.alloc()
-	ev := &e.arena[idx]
-	ev.fn = fn
-	ev.argFn = argFn
-	ev.arg = arg
-	e.heapPush(heapEntry{at: at, seq: e.seq, idx: idx})
+	e.heapPush(entry{at: at, seq: e.seq, fn: fn, arg: arg})
 	e.seq++
-	e.scheduled++
-	return EventRef{eng: e, idx: idx, gen: ev.gen}, nil
-}
-
-// alloc returns a free arena slot, growing the slab when the free list is
-// empty.
-func (e *Engine) alloc() int32 {
-	if n := len(e.free); n > 0 {
-		idx := e.free[n-1]
-		e.free = e.free[:n-1]
-		return idx
-	}
-	e.arena = append(e.arena, event{})
-	return int32(len(e.arena) - 1)
-}
-
-// release recycles an arena slot: the generation bump invalidates every
-// outstanding EventRef to the slot's previous occupant, and the handler
-// fields are cleared so the garbage collector can reclaim captured state.
-func (e *Engine) release(idx int32) {
-	ev := &e.arena[idx]
-	ev.gen++
-	ev.fn = nil
-	ev.argFn = nil
-	ev.arg = nil
-	ev.dead = false
-	e.free = append(e.free, idx)
+	return nil
 }
 
 // MustSchedule is Schedule for callers that guarantee a nonnegative delay,
 // which is the common case inside simulation code. It panics on negative
 // delay, which indicates a programming error rather than a runtime
 // condition.
-func (e *Engine) MustSchedule(delay Time, fn Handler) EventRef {
-	ref, err := e.Schedule(delay, fn)
-	if err != nil {
+func (e *Engine) MustSchedule(delay Time, fn Handler) {
+	if err := e.Schedule(delay, fn); err != nil {
 		panic(err)
 	}
-	return ref
 }
 
 // MustScheduleArg is ScheduleArg with the MustSchedule error contract.
-func (e *Engine) MustScheduleArg(delay Time, fn ArgHandler, arg any) EventRef {
-	ref, err := e.ScheduleArg(delay, fn, arg)
-	if err != nil {
+func (e *Engine) MustScheduleArg(delay Time, fn ArgHandler, arg any) {
+	if err := e.ScheduleArg(delay, fn, arg); err != nil {
 		panic(err)
 	}
-	return ref
 }
 
 // Stop makes the current Run, RunUntil or RunBefore call return after the
@@ -338,12 +228,10 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 // number of events executed by this call.
 func (e *Engine) RunBefore(end Time) uint64 { return e.runThrough(end - 1) }
 
-// runThrough is the engine's one dispatch loop: it executes live events in
+// runThrough is the engine's one dispatch loop: it executes events in
 // (time, seq) order while their timestamps are not after last and Stop has
 // not been called. Each event costs one next() selection among the heap
-// top and the lane heads. A heap event's arena slot is recycled before its
-// handler runs, so a handler observing its own ref sees Live() == false.
-// It returns the number of events executed.
+// top and the lane heads. It returns the number of events executed.
 func (e *Engine) runThrough(last Time) uint64 {
 	e.stopped = false
 	start := e.executed
@@ -354,65 +242,43 @@ func (e *Engine) runThrough(last Time) uint64 {
 		}
 		e.now = at
 		e.executed++
+		var ent entry
 		if lane != nil {
-			ent := lane.pop()
-			ent.fn(ent.arg)
-			continue
-		}
-		idx := e.heapPop()
-		ev := &e.arena[idx]
-		fn, argFn, arg := ev.fn, ev.argFn, ev.arg
-		e.release(idx)
-		if fn != nil {
-			fn()
+			ent = lane.pop()
 		} else {
-			argFn(arg)
+			ent = e.heapPop()
 		}
+		ent.fn(ent.arg)
 	}
 	return e.executed - start
 }
 
-// NextEventAt returns the earliest live pending event's timestamp, heap or
-// lane, if any. Dead events encountered at the heap top are discarded as a
-// side effect.
-func (e *Engine) NextEventAt() (Time, bool) { return e.peekLive() }
-
-// AdvanceTo lifts the clock to t without executing anything. Advancing past
-// a live pending event would rewind causality, so it panics — callers
-// (barrier synchronization in the sharded engine) must have executed every
-// event before t first. Advancing to the past is a no-op.
-func (e *Engine) AdvanceTo(t Time) {
-	if t <= e.now {
-		return
-	}
-	if at, ok := e.peekLive(); ok && at < t {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) with live event pending at %v", t, at))
-	}
-	e.now = t
-}
-
-// peekLive returns the earliest live event's timestamp, if any, discarding
-// dead events from the top of the heap.
-func (e *Engine) peekLive() (Time, bool) {
+// NextEventAt returns the earliest pending event's timestamp, heap or
+// lane, if any.
+func (e *Engine) NextEventAt() (Time, bool) {
 	_, at, ok := e.next()
 	return at, ok
 }
 
-// next discards dead events from the top of the heap, then picks the
-// earliest live event by (time, seq) among the heap top and the lane
-// heads. lane is the lane holding it, nil when it is the heap top; ok is
-// false when nothing is pending. Keys are unique per event, so the pick is
-// the one a single heap holding every event would pop.
-func (e *Engine) next() (lane *Lane, at Time, ok bool) {
-	for len(e.heap) > 0 {
-		top := e.heap[0]
-		if !e.arena[top.idx].dead {
-			break
-		}
-		e.heapPop()
-		e.deadInHeap--
-		e.release(top.idx)
+// AdvanceTo lifts the clock to t without executing anything. Advancing past
+// a pending event would rewind causality, so it panics — callers (barrier
+// synchronization in the sharded engine) must have executed every event
+// before t first. Advancing to the past is a no-op.
+func (e *Engine) AdvanceTo(t Time) {
+	if t <= e.now {
+		return
 	}
+	if at, ok := e.NextEventAt(); ok && at < t {
+		panic(fmt.Sprintf("sim: AdvanceTo(%v) with event pending at %v", t, at))
+	}
+	e.now = t
+}
+
+// next picks the earliest pending event by (time, seq) among the heap top
+// and the lane heads. lane is the lane holding it, nil when it is the heap
+// top; ok is false when nothing is pending. Keys are unique per event, so
+// the pick is the one a single heap holding every event would pop.
+func (e *Engine) next() (lane *Lane, at Time, ok bool) {
 	var seq uint64
 	if len(e.heap) > 0 {
 		at, seq, ok = e.heap[0].at, e.heap[0].seq, true
@@ -430,34 +296,4 @@ func (e *Engine) next() (lane *Lane, at Time, ok bool) {
 		}
 	}
 	return lane, at, ok
-}
-
-// maybeCompact applies the compaction policy documented in the package
-// comment: drop every dead event and rebuild the heap once dead events
-// outnumber live ones on a non-trivial agenda.
-func (e *Engine) maybeCompact() {
-	if len(e.heap) < compactMinAgenda || 2*e.deadInHeap <= len(e.heap) {
-		return
-	}
-	e.compact()
-}
-
-// compact removes all dead events from the agenda and re-establishes the
-// heap invariant in place, in O(n). The (time, seq) key is unique per
-// event, so the rebuilt heap pops in exactly the order the lazy path would
-// have produced.
-func (e *Engine) compact() {
-	kept := e.heap[:0]
-	for _, ent := range e.heap {
-		if e.arena[ent.idx].dead {
-			e.release(ent.idx)
-			continue
-		}
-		kept = append(kept, ent)
-	}
-	e.heap = kept
-	e.deadInHeap = 0
-	for i := (len(kept) - 2) / heapArity; i >= 0; i-- {
-		e.heapDown(i)
-	}
 }

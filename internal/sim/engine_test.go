@@ -59,35 +59,13 @@ func TestEngineZeroDelayRunsAfterCurrentInstant(t *testing.T) {
 
 func TestEngineNegativeDelay(t *testing.T) {
 	e := NewEngine()
-	if _, err := e.Schedule(-1, func() {}); !errors.Is(err, ErrNegativeDelay) {
+	if err := e.Schedule(-1, func() {}); !errors.Is(err, ErrNegativeDelay) {
 		t.Fatalf("Schedule(-1) error = %v, want ErrNegativeDelay", err)
 	}
 	e.MustSchedule(10, func() {})
 	e.Run()
-	if _, err := e.ScheduleAt(5, func() {}); !errors.Is(err, ErrNegativeDelay) {
+	if err := e.ScheduleAt(5, func() {}); !errors.Is(err, ErrNegativeDelay) {
 		t.Fatalf("ScheduleAt(past) error = %v, want ErrNegativeDelay", err)
-	}
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	ref := e.MustSchedule(3, func() { ran = true })
-	if !ref.Live() {
-		t.Fatal("event should be live before cancel")
-	}
-	if !ref.Cancel() {
-		t.Fatal("first cancel should report true")
-	}
-	if ref.Cancel() {
-		t.Fatal("second cancel should report false")
-	}
-	e.Run()
-	if ran {
-		t.Fatal("canceled event still ran")
-	}
-	if ref.Live() {
-		t.Fatal("canceled event reports live")
 	}
 }
 
@@ -139,19 +117,19 @@ func TestEngineRunUntil(t *testing.T) {
 		t.Fatalf("RunBefore(26): %d events, clock %v; want 0, 25", n, e.Now())
 	}
 	// An event exactly at the deadline runs; the one after it waits.
-	if n := e.RunUntil(30); n != 2 || e.Now() != 30 || e.Live() != 1 {
-		t.Fatalf("RunUntil(30): %d events, clock %v, %d live; want 2, 30, 1", n, e.Now(), e.Live())
+	if n := e.RunUntil(30); n != 2 || e.Now() != 30 || e.Pending() != 1 {
+		t.Fatalf("RunUntil(30): %d events, clock %v, %d pending; want 2, 30, 1", n, e.Now(), e.Pending())
 	}
 	// A Stop mid-run leaves the clock at the stopping instant, not the
 	// deadline, and the later events pending.
 	e.MustSchedule(5, func() { times = append(times, e.Now()); e.Stop() })
-	if n := e.RunUntil(100); n != 1 || e.Now() != 35 || e.Live() != 1 {
-		t.Fatalf("RunUntil(100) with Stop at 35: %d events, clock %v, %d live; want 1, 35, 1", n, e.Now(), e.Live())
+	if n := e.RunUntil(100); n != 1 || e.Now() != 35 || e.Pending() != 1 {
+		t.Fatalf("RunUntil(100) with Stop at 35: %d events, clock %v, %d pending; want 1, 35, 1", n, e.Now(), e.Pending())
 	}
 	// A lane handler's Stop does the same.
 	e.Lane(3).ScheduleArg(func(any) { times = append(times, e.Now()); e.Stop() }, nil)
-	if n := e.RunUntil(100); n != 1 || e.Now() != 38 || e.Live() != 1 {
-		t.Fatalf("RunUntil(100) with lane Stop at 38: %d events, clock %v, %d live; want 1, 38, 1", n, e.Now(), e.Live())
+	if n := e.RunUntil(100); n != 1 || e.Now() != 38 || e.Pending() != 1 {
+		t.Fatalf("RunUntil(100) with lane Stop at 38: %d events, clock %v, %d pending; want 1, 38, 1", n, e.Now(), e.Pending())
 	}
 	e.Run()
 	want := []Time{10, 20, 25, 26, 30, 35, 38, 40}
@@ -177,12 +155,15 @@ func TestAdvanceToPanicsOnPendingLaneEvent(t *testing.T) {
 	e.AdvanceTo(6)
 }
 
-// TestLanePanics pins the lane's MustScheduleArg-style contract.
+// TestLanePanics pins the lane's MustScheduleArg-style contract, and
+// the engine's own Must* methods beside it.
 func TestLanePanics(t *testing.T) {
 	e := NewEngine()
 	for name, fn := range map[string]func(){
-		"Lane(-1)":         func() { e.Lane(-1) },
-		"ScheduleArg(nil)": func() { e.Lane(1).ScheduleArg(nil, nil) },
+		"Lane(-1)":            func() { e.Lane(-1) },
+		"ScheduleArg(nil)":    func() { e.Lane(1).ScheduleArg(nil, nil) },
+		"MustSchedule(-1)":    func() { e.MustSchedule(-1, func() {}) },
+		"MustScheduleArg(-1)": func() { e.MustScheduleArg(-1, func(any) {}, nil) },
 	} {
 		func() {
 			defer func() {

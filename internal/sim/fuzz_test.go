@@ -13,9 +13,6 @@ var fuzzLaneDelays = [...]Time{0, 5, 17}
 // the engine (as the handler's argument) and the reference executor.
 type fuzzEvent struct {
 	at, seq uint64
-	dead    bool
-	done    bool
-	lane    bool
 	// child, when nonzero, is a schedule op the handler issues when it
 	// runs: it exercises lanes fed from inside handlers, where the clock
 	// moves between schedules.
@@ -25,16 +22,15 @@ type fuzzEvent struct {
 // fuzzKey is an executed event's (at, seq) key.
 type fuzzKey struct{ at, seq uint64 }
 
-// fuzzRef is the slice reference executor: every event by seq, plus one
-// unordered slice of the live pending ones, scanned for the smallest
-// (at, seq) key one event at a time.
+// fuzzRef is the slice reference executor: one unordered slice of the
+// pending events, scanned for the smallest (at, seq) key one event at a
+// time.
 type fuzzRef struct {
 	now     Time
-	events  []*fuzzEvent // by seq
 	pending []*fuzzEvent
 }
 
-// next returns the pending index of the earliest live event, or -1.
+// next returns the pending index of the earliest event, or -1.
 func (r *fuzzRef) next() int {
 	best := -1
 	for i, ev := range r.pending {
@@ -46,7 +42,7 @@ func (r *fuzzRef) next() int {
 	return best
 }
 
-// remove drops an executed or canceled event from the pending slice.
+// remove drops an executed event from the pending slice.
 func (r *fuzzRef) remove(ev *fuzzEvent) {
 	for i, p := range r.pending {
 		if p == ev {
@@ -63,10 +59,10 @@ type fuzzScript struct {
 	e      *Engine
 	lanes  []*Lane
 	ref    fuzzRef
-	refs   []EventRef // by seq; zero for lane events
-	trace  []fuzzKey  // (at, seq) in engine execution order
-	stopIn int        // the stopIn-th next handler calls Stop (0 = never)
-	refHit int        // the reference's copy of stopIn
+	seq    uint64    // the next event's sequence number
+	trace  []fuzzKey // (at, seq) in engine execution order
+	stopIn int       // the stopIn-th next handler calls Stop (0 = never)
+	refHit int       // the reference's copy of stopIn
 	fn     ArgHandler
 }
 
@@ -94,18 +90,17 @@ func newFuzzScript() *fuzzScript {
 // schedule issues one schedule op on both sides: op picks a lane or a heap
 // delay, child is the op the new event's handler issues in turn.
 func (s *fuzzScript) schedule(op, child byte) {
-	ev := &fuzzEvent{seq: uint64(len(s.refs)), child: child}
+	ev := &fuzzEvent{seq: s.seq, child: child}
+	s.seq++
 	if op&1 == 0 {
 		l := s.lanes[int(op>>1)%len(s.lanes)]
-		ev.at, ev.lane = uint64(s.e.Now()+l.delay), true
+		ev.at = uint64(s.e.Now() + l.delay)
 		l.ScheduleArg(s.fn, ev)
-		s.refs = append(s.refs, EventRef{})
 	} else {
 		d := Time(op>>2) % 64
 		ev.at = uint64(s.e.Now() + d)
-		s.refs = append(s.refs, s.e.MustScheduleArg(d, s.fn, ev))
+		s.e.MustScheduleArg(d, s.fn, ev)
 	}
-	s.ref.events = append(s.ref.events, ev)
 	s.ref.pending = append(s.ref.pending, ev)
 }
 
@@ -119,12 +114,11 @@ func (s *fuzzScript) refRun(last Time) ([]fuzzKey, bool) {
 			return ran, false
 		}
 		ev := s.ref.pending[i]
-		ev.done = true
 		s.ref.remove(ev)
 		s.ref.now = Time(ev.at)
 		ran = append(ran, fuzzKey{ev.at, ev.seq})
 		// The engine side already ran this handler, whose child schedule
-		// appended the child to ref.events; only the countdown is
+		// appended the child to ref.pending; only the countdown is
 		// mirrored here.
 		if s.refHit > 0 {
 			s.refHit--
@@ -140,32 +134,18 @@ func (s *fuzzScript) run(script []byte) error {
 	for len(script) >= 2 {
 		op, x := script[0], script[1]
 		script = script[2:]
-		switch op % 7 {
+		switch op % 6 {
 		case 0, 1, 2:
 			s.schedule(x, op>>3)
 		case 3:
-			if len(s.refs) == 0 {
-				continue
-			}
-			k := int(x) % len(s.refs)
-			ev := s.ref.events[k]
-			want := !ev.lane && !ev.done && !ev.dead
-			if got := s.refs[k].Cancel(); got != want {
-				return fmt.Errorf("Cancel(seq %d) = %v, reference %v", k, got, want)
-			}
-			if want {
-				ev.dead = true
-				s.ref.remove(ev)
-			}
-		case 4:
 			if err := s.runOp(s.e.Now()+Time(x%64), true); err != nil {
 				return err
 			}
-		case 5:
+		case 4:
 			if err := s.runOp(s.e.Now()+Time(x%64)+1, false); err != nil {
 				return err
 			}
-		case 6:
+		case 5:
 			s.stopIn = 1 + int(x%8)
 			s.refHit = s.stopIn
 		}
@@ -201,9 +181,9 @@ func (s *fuzzScript) runOp(bound Time, until bool) error {
 	if s.e.Now() != s.ref.now {
 		return fmt.Errorf("run to %v: clock %v, reference %v", bound, s.e.Now(), s.ref.now)
 	}
-	if s.e.Live() != len(s.ref.pending) || s.e.Scheduled() != uint64(len(s.refs)) {
-		return fmt.Errorf("run to %v: live %d scheduled %d, reference %d/%d",
-			bound, s.e.Live(), s.e.Scheduled(), len(s.ref.pending), len(s.refs))
+	if s.e.Pending() != len(s.ref.pending) || s.e.Scheduled() != s.seq {
+		return fmt.Errorf("run to %v: pending %d scheduled %d, reference %d/%d",
+			bound, s.e.Pending(), s.e.Scheduled(), len(s.ref.pending), s.seq)
 	}
 	at, ok := s.e.NextEventAt()
 	if i := s.ref.next(); ok != (i >= 0) || ok && uint64(at) != s.ref.pending[i].at {
@@ -212,17 +192,17 @@ func (s *fuzzScript) runOp(bound Time, until bool) error {
 	return nil
 }
 
-// FuzzEngineOrder decodes a byte script of schedule, lane-schedule, cancel,
+// FuzzEngineOrder decodes a byte script of schedule, lane-schedule,
 // RunUntil, RunBefore and Stop operations and requires the engine's
 // execution trace — every event's (at, seq) — to equal the sorted-slice
 // reference's. Scheduled handlers may themselves schedule, so lanes are
 // also fed while the clock moves.
 func FuzzEngineOrder(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 1, 0, 2, 4, 10, 0, 0})
+	f.Add([]byte{0, 0, 1, 1, 0, 2, 3, 10, 0, 0})
 	// A heap event and a lane event due at one instant: seq alone orders.
 	f.Add([]byte{0, 21, 0, 2, 1, 2, 0, 69})
-	f.Add([]byte{8, 0, 9, 3, 16, 4, 2, 21, 3, 1, 6, 2, 4, 40, 0, 0, 1, 9, 5, 5})
-	f.Add([]byte{0, 2, 0, 4, 1, 1, 1, 5, 3, 3, 3, 1, 6, 0, 5, 17, 255, 6, 250, 1, 4, 63})
+	f.Add([]byte{12, 0, 13, 3, 18, 4, 2, 21, 5, 2, 3, 40, 0, 0, 1, 9, 4, 5})
+	f.Add([]byte{0, 2, 0, 4, 1, 1, 1, 5, 5, 0, 4, 17, 4, 1, 3, 63})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 1024 {
 			script = script[:1024]

@@ -4,24 +4,15 @@ import "fmt"
 
 // Lane is a fixed-delay FIFO beside the agenda heap; the package comment's
 // "Fixed-delay lanes" section says why its order needs no sift and merges
-// exactly with the heap's. Lane events are fire-and-forget: they cannot be
-// canceled, and they hold no arena slot. Each entry lives inline in a ring
-// buffer that grows to the lane's high-water mark and is then reused, so a
+// exactly with the heap's. Each entry lives inline in a ring buffer that
+// grows to the lane's high-water mark and is then reused, so a
 // steady-state schedule→execute cycle allocates nothing.
 type Lane struct {
 	eng   *Engine
 	delay Time
-	buf   []laneEntry // ring buffer; len is zero or a power of two
-	head  int         // index of the oldest entry
-	n     int         // pending entries
-}
-
-// laneEntry is one pending lane event.
-type laneEntry struct {
-	at  Time
-	seq uint64
-	fn  ArgHandler
-	arg any
+	buf   []entry // ring buffer; len is zero or a power of two
+	head  int     // index of the oldest entry
+	n     int     // pending entries
 }
 
 // Lane returns the engine's FIFO lane for events delayed by exactly delay,
@@ -42,8 +33,8 @@ func (e *Engine) Lane(delay Time) *Lane {
 	return l
 }
 
-// ScheduleArg runs fn(arg) after the lane's delay. It is MustScheduleArg
-// without an EventRef: a nil fn panics, and the event cannot be canceled.
+// ScheduleArg runs fn(arg) after the lane's delay. Like MustScheduleArg,
+// it panics on a nil fn.
 func (l *Lane) ScheduleArg(fn ArgHandler, arg any) {
 	if fn == nil {
 		panic(ErrNilHandler)
@@ -52,16 +43,15 @@ func (l *Lane) ScheduleArg(fn ArgHandler, arg any) {
 		l.grow()
 	}
 	e := l.eng
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = laneEntry{at: e.now + l.delay, seq: e.seq, fn: fn, arg: arg}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = entry{at: e.now + l.delay, seq: e.seq, fn: fn, arg: arg}
 	l.n++
 	e.seq++
-	e.scheduled++
 	e.laneLen++
 }
 
 // grow doubles the ring, unrolling the pending entries to its front.
 func (l *Lane) grow() {
-	buf := make([]laneEntry, max(16, 2*len(l.buf)))
+	buf := make([]entry, max(16, 2*len(l.buf)))
 	for i := 0; i < l.n; i++ {
 		buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
 	}
@@ -71,10 +61,10 @@ func (l *Lane) grow() {
 
 // pop removes and returns the lane's head; the vacated slot drops its
 // handler and argument so the garbage collector can reclaim them.
-func (l *Lane) pop() laneEntry {
+func (l *Lane) pop() entry {
 	slot := &l.buf[l.head]
 	ent := *slot
-	*slot = laneEntry{}
+	*slot = entry{}
 	l.head = (l.head + 1) & (len(l.buf) - 1)
 	l.n--
 	l.eng.laneLen--

@@ -3,7 +3,7 @@ package sim
 // Sharded conservative parallel discrete-event simulation.
 //
 // A ShardSet partitions one logical simulation across N sub-engines
-// (partitions), each with its own arena, heap, and clock. Partitions are a
+// (partitions), each with its own agenda and clock. Partitions are a
 // property of the model (for the fat-tree fabric: one per pod, plus one for
 // the core switches and the controller), not of the machine — the worker
 // count only decides how many partitions execute concurrently, so the
@@ -44,7 +44,7 @@ package sim
 // Cross-partition messages travel through per-(src,dst) append-only slab
 // buffers, written only by the sending partition's worker during a window
 // and drained only by the coordinator at barriers. Slabs are recycled like
-// the event arena: the drain poisons consumed entries and re-slices to
+// the engine's heap: the drain poisons consumed entries and re-slices to
 // length zero keeping capacity, so the steady-state exchange allocates
 // nothing. The drain schedules each destination's messages in (time,
 // source shard, source buffer position) order, which is deterministic
@@ -210,8 +210,7 @@ func (s *ShardSet) Workers() int { return s.workers }
 // at ≥ src.Now() + lookahead. Same-partition sends are scheduled directly.
 func (s *ShardSet) Send(src, dst int, at Time, fn ArgHandler, arg any) error {
 	if src == dst {
-		_, err := s.engines[dst].ScheduleArgAt(at, fn, arg)
-		return err
+		return s.engines[dst].ScheduleArgAt(at, fn, arg)
 	}
 	if min := s.engines[src].Now() + s.lookahead; at < min {
 		return fmt.Errorf("%w: at %v < %v (src %d now %v + lookahead %v)",
@@ -312,8 +311,7 @@ func (s *ShardSet) Run(deadline Time, afterWindow func(end Time) bool) error {
 		for i, e := range s.engines {
 			// A partition's earliest event can only have moved if its
 			// window ran or something was scheduled on it since the last
-			// read. A cancel only moves it later: the stale time makes the
-			// partition active, and its empty window refreshes it.
+			// read (by a global, the Run hook or the exchange drain).
 			if s.nexts[i] < s.ends[i] || e.seq != s.seqs[i] {
 				at, ok := e.NextEventAt()
 				if !ok {
@@ -529,7 +527,7 @@ func (s *ShardSet) drain() error {
 		eng := s.engines[dst]
 		var err error
 		for i := range merged {
-			if _, serr := eng.ScheduleArgAt(merged[i].at, merged[i].fn, merged[i].arg); serr != nil {
+			if serr := eng.ScheduleArgAt(merged[i].at, merged[i].fn, merged[i].arg); serr != nil {
 				err = fmt.Errorf("sim: exchange delivery to shard %d: %w", dst, serr)
 				break
 			}

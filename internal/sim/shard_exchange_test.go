@@ -142,7 +142,7 @@ func TestExchangeStalePayloadPoisoning(t *testing.T) {
 }
 
 // TestExchangeSteadyStateAllocs bounds the steady-state window loop: with
-// the slabs, the engine arenas, and the message records warm, a full
+// the slabs, the engine agendas, and the message records warm, a full
 // burst — scheduling, window execution, exchange, barriers — allocates
 // nothing per run.
 func TestExchangeSteadyStateAllocs(t *testing.T) {

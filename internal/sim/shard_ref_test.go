@@ -9,11 +9,11 @@ import (
 // The sharded engine's contract is that the logical execution — which
 // events run, when, and in what per-partition order — is identical to the
 // single-engine reference for any worker count. This test drives a
-// randomized schedule/cancel/cross-send workload over a fixed set of four
+// randomized schedule/tombstone/cross-send workload over a fixed set of four
 // logical partitions through (a) one plain Engine (the reference model:
 // all partitions share the agenda) and (b) a ShardSet at 1, 2, and 4
 // workers, and asserts identical event-order digests — mirroring the
-// reference-model test that pinned the arena engine in PR 3.
+// single-engine reference-model test in agenda_test.go.
 
 const (
 	refParts     = 4
@@ -23,28 +23,31 @@ const (
 // shardModel abstracts the two executions: partition-local scheduling,
 // lookahead-respecting cross-partition sends, and per-partition clocks.
 type shardModel interface {
-	schedule(p int, delay Time, arg *shardRefEvent) EventRef
+	schedule(p int, delay Time, arg *shardRefEvent)
 	send(src, dst int, delay Time, arg *shardRefEvent)
 	now(p int) Time
 	run() error
 }
 
 // shardRefEvent is the workload's unit: one logical event pinned to a
-// partition, carrying a unique id and a remaining spawn budget.
+// partition, carrying a unique id, a remaining spawn budget, and a
+// tombstone that makes its handler skip its work.
 type shardRefEvent struct {
 	p     int
 	id    uint64
 	depth int
+	dead  bool
 }
 
 // refWorkload holds the per-partition deterministic state shared by both
-// models: RNG streams, id counters, cancelable refs, and execution logs.
+// models: RNG streams, id counters, scheduled local events, and execution
+// logs.
 type refWorkload struct {
 	t     *testing.T
 	model shardModel
 	rngs  []*RNG
 	next  []uint64
-	refs  [][]EventRef
+	local [][]*shardRefEvent
 	logs  [][]uint64 // alternating id, at pairs
 }
 
@@ -54,7 +57,7 @@ func newRefWorkload(t *testing.T, m shardModel) *refWorkload {
 		model: m,
 		rngs:  make([]*RNG, refParts),
 		next:  make([]uint64, refParts),
-		refs:  make([][]EventRef, refParts),
+		local: make([][]*shardRefEvent, refParts),
 		logs:  make([][]uint64, refParts),
 	}
 	for p := 0; p < refParts; p++ {
@@ -68,11 +71,15 @@ func (w *refWorkload) newID(p int) uint64 {
 	return uint64(p)<<32 | w.next[p]
 }
 
-// handle is the event body: log, then (budget permitting) spawn local
-// children, cancel a random earlier local event, and cross-send. All
+// handle is the event body: unless tombstoned, log, then (budget
+// permitting) spawn local children, tombstone a random earlier local
+// event, and cross-send. All
 // random draws come from the partition's own stream, so the draw sequence
 // depends only on the partition's event order — the property under test.
 func (w *refWorkload) handle(ev *shardRefEvent) {
+	if ev.dead {
+		return
+	}
 	p := ev.p
 	w.logs[p] = append(w.logs[p], ev.id, uint64(w.model.now(p)))
 	if ev.depth <= 0 {
@@ -85,12 +92,12 @@ func (w *refWorkload) handle(ev *shardRefEvent) {
 	// trajectory; same-partition ties remain covered by FIFO order.
 	for n := rng.Intn(3); n > 0; n-- {
 		child := &shardRefEvent{p: p, id: w.newID(p), depth: ev.depth - 1}
-		ref := w.model.schedule(p, Time(rng.Intn(120_000)*2+1), child)
-		w.refs[p] = append(w.refs[p], ref)
+		w.model.schedule(p, Time(rng.Intn(120_000)*2+1), child)
+		w.local[p] = append(w.local[p], child)
 	}
-	// Cancel a deterministic earlier ref (often already executed).
-	if len(w.refs[p]) > 0 && rng.Intn(3) == 0 {
-		w.refs[p][rng.Intn(len(w.refs[p]))].Cancel()
+	// Tombstone a deterministic earlier event (often already executed).
+	if len(w.local[p]) > 0 && rng.Intn(3) == 0 {
+		w.local[p][rng.Intn(len(w.local[p]))].dead = true
 	}
 	// Cross-partition send, at least a lookahead away.
 	if rng.Intn(2) == 0 {
@@ -104,8 +111,8 @@ func (w *refWorkload) seed() {
 	for p := 0; p < refParts; p++ {
 		for i := 0; i < 40; i++ {
 			ev := &shardRefEvent{p: p, id: w.newID(p), depth: 4}
-			ref := w.model.schedule(p, Time(w.rngs[p].Intn(200_000)*2+1), ev)
-			w.refs[p] = append(w.refs[p], ref)
+			w.model.schedule(p, Time(w.rngs[p].Intn(200_000)*2+1), ev)
+			w.local[p] = append(w.local[p], ev)
 		}
 	}
 }
@@ -131,8 +138,8 @@ type singleModel struct {
 	fn  ArgHandler
 }
 
-func (m *singleModel) schedule(p int, delay Time, arg *shardRefEvent) EventRef {
-	return m.eng.MustScheduleArg(delay, m.fn, arg)
+func (m *singleModel) schedule(p int, delay Time, arg *shardRefEvent) {
+	m.eng.MustScheduleArg(delay, m.fn, arg)
 }
 func (m *singleModel) send(src, dst int, delay Time, arg *shardRefEvent) {
 	m.eng.MustScheduleArg(delay, m.fn, arg)
@@ -146,8 +153,8 @@ type shardedModel struct {
 	fn  ArgHandler
 }
 
-func (m *shardedModel) schedule(p int, delay Time, arg *shardRefEvent) EventRef {
-	return m.set.Engine(p).MustScheduleArg(delay, m.fn, arg)
+func (m *shardedModel) schedule(p int, delay Time, arg *shardRefEvent) {
+	m.set.Engine(p).MustScheduleArg(delay, m.fn, arg)
 }
 func (m *shardedModel) send(src, dst int, delay Time, arg *shardRefEvent) {
 	m.set.MustSend(src, dst, m.set.Engine(src).Now()+delay, m.fn, arg)
@@ -197,6 +204,9 @@ func TestShardSendLookaheadViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if set.Partitions() != 2 || set.Workers() != 1 || set.Lookahead() != refLookahead {
+		t.Fatalf("accessors: %d partitions, %d workers, lookahead %v", set.Partitions(), set.Workers(), set.Lookahead())
+	}
 	fn := ArgHandler(func(any) {})
 	if err := set.Send(0, 1, refLookahead-1, fn, nil); err == nil {
 		t.Fatal("lookahead violation accepted")
@@ -227,29 +237,52 @@ func TestShardGlobalOrdering(t *testing.T) {
 	}
 }
 
-// TestShardGlobalCancel pins the cached window bounds against a cancel
-// made between windows: a global cancels partition 1's only event, so the
-// time the coordinator last read for it is stale. The run must still skip
-// the canceled event, run the rest, and terminate, stepped or not.
-func TestShardGlobalCancel(t *testing.T) {
-	for _, stepping := range []bool{false, true} {
-		set, err := NewShardSet(2, 1, Microsecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var order []string
-		set.Engine(0).MustScheduleArg(10*Microsecond, func(any) { order = append(order, "p0@10") }, nil)
-		ref := set.Engine(1).MustScheduleArg(20*Microsecond, func(any) { order = append(order, "p1@20") }, nil)
-		set.Engine(0).MustScheduleArg(30*Microsecond, func(any) { order = append(order, "p0@30") }, nil)
-		if err := set.ScheduleGlobal(15*Microsecond, func() { ref.Cancel() }); err != nil {
-			t.Fatal(err)
-		}
-		set.SetStepping(stepping)
-		if err := set.Run(Second, nil); err != nil {
-			t.Fatal(err)
-		}
-		if want := []string{"p0@10", "p0@30"}; !slices.Equal(order, want) {
-			t.Fatalf("stepping %v: order %v, want %v", stepping, order, want)
+// TestShardGlobalScheduleRefreshesNextEvent guards the coordinator's
+// cached next-event time (ShardSet.seqs): a global schedules an event into
+// partition 1 that is earlier than the time cached for it, and that event
+// sends to partition 0 at exactly the lookahead. The coordinator must see
+// the new event through the partition's sequence counter: with the stale
+// time, partition 0 would run past the message's instant before partition
+// 1 sends it. Each partition logs into its own slice, so two workers may
+// run them concurrently.
+func TestShardGlobalScheduleRefreshesNextEvent(t *testing.T) {
+	const L = Microsecond
+	for _, workers := range []int{1, 2} {
+		for _, stepping := range []bool{false, true} {
+			set, err := NewShardSet(2, workers, L)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logs := make([][]Time, 2)
+			logFn := func(p int) ArgHandler {
+				return func(any) { logs[p] = append(logs[p], set.Engine(p).Now()) }
+			}
+			log0, log1 := logFn(0), logFn(1)
+			set.Engine(0).MustScheduleArg(10*Microsecond, log0, nil)
+			set.Engine(0).MustScheduleArg(30*Microsecond, log0, nil)
+			set.Engine(1).MustScheduleArg(100*Microsecond, log1, nil)
+			send := func(any) {
+				log1(nil)
+				set.MustSend(1, 0, set.Engine(1).Now()+L, log0, nil)
+			}
+			ranGlobal := false
+			err = set.ScheduleGlobal(15*Microsecond, func() {
+				ranGlobal = true
+				set.Engine(1).MustScheduleArg(5*Microsecond, send, nil)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			set.SetStepping(stepping)
+			if err := set.Run(Second, nil); err != nil {
+				t.Fatalf("workers %d stepping %v: %v", workers, stepping, err)
+			}
+			want0 := []Time{10 * Microsecond, 21 * Microsecond, 30 * Microsecond}
+			want1 := []Time{20 * Microsecond, 100 * Microsecond}
+			if !ranGlobal || !slices.Equal(logs[0], want0) || !slices.Equal(logs[1], want1) {
+				t.Fatalf("workers %d stepping %v: global ran %v, partition 0 ran at %v, partition 1 at %v; want %v and %v",
+					workers, stepping, ranGlobal, logs[0], logs[1], want0, want1)
+			}
 		}
 	}
 }

@@ -8,9 +8,10 @@ import (
 
 // TestShardSetStepInstants pins stepping: every barrier follows exactly
 // one instant. At each hook call every event executed since the previous
-// call ran at end-1, at least one did, and no partition still holds an
-// event before end, so the window ran all of instant end-1 and nothing
-// later. The barriers count the distinct execution instants, and the
+// call (tombstoned ones included) ran at end-1, at least one did, and no
+// partition still holds an event before end, so the window ran all of
+// instant end-1 and nothing later. The barriers count the distinct
+// execution instants, and the
 // per-partition execution order equals the unstepped run's (which
 // TestShardExchangeReferenceModel holds to the single-engine reference).
 func TestShardSetStepInstants(t *testing.T) {
@@ -26,7 +27,12 @@ func TestShardSetStepInstants(t *testing.T) {
 		}
 		m := &shardedModel{set: set}
 		w := newRefWorkload(t, m)
-		m.fn = func(arg any) { w.handle(arg.(*shardRefEvent)) }
+		execs := make([][]Time, refParts) // per partition, every executed event's instant
+		m.fn = func(arg any) {
+			ev := arg.(*shardRefEvent)
+			execs[ev.p] = append(execs[ev.p], set.Engine(ev.p).Now())
+			w.handle(ev)
+		}
 		w.seed()
 		set.SetStepping(true)
 		seen := make([]int, refParts)
@@ -34,14 +40,14 @@ func TestShardSetStepInstants(t *testing.T) {
 		err = set.Run(Time(1)<<50, func(end Time) bool {
 			barriers++
 			ran := 0
-			for p := range w.logs {
-				for i := seen[p]; i < len(w.logs[p]); i += 2 {
-					if at := Time(w.logs[p][i+1]); at != end-1 {
+			for p := range execs {
+				for _, at := range execs[p][seen[p]:] {
+					if at != end-1 {
 						t.Fatalf("workers=%d: window ending %v ran an event at %v", workers, end, at)
 					}
 					ran++
 				}
-				seen[p] = len(w.logs[p])
+				seen[p] = len(execs[p])
 				if at, ok := set.Engine(p).NextEventAt(); ok && at < end {
 					t.Fatalf("workers=%d: partition %d holds an event at %v after the window ending %v", workers, p, at, end)
 				}
@@ -54,10 +60,10 @@ func TestShardSetStepInstants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		instants := map[uint64]bool{}
-		for _, log := range w.logs {
-			for i := 1; i < len(log); i += 2 {
-				instants[log[i]] = true
+		instants := map[Time]bool{}
+		for _, ats := range execs {
+			for _, at := range ats {
+				instants[at] = true
 			}
 		}
 		if barriers != len(instants) {

@@ -6,8 +6,10 @@
 # Prints `go test -cover` for every package, then enforces floors on the
 # packages at the heart of the control plane and the experiment runner:
 # internal/fabric and internal/cluster must not drop below the baselines
-# recorded when the fault-schedule engine landed. Raise a floor when new
-# tests push coverage up; never lower one to make a PR pass.
+# recorded when the fault-schedule engine landed, and internal/sim and
+# internal/kv below theirs from when events became fire-and-forget.
+# Raise a floor when new tests push coverage up; never lower one to make
+# a PR pass.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -37,5 +39,7 @@ check_floor netrs/internal/workload 90.0
 check_floor netrs/internal/selection 90.0
 check_floor netrs/internal/scenario 95.0
 check_floor netrs/internal/cache 90.0
+check_floor netrs/internal/sim 93.9
+check_floor netrs/internal/kv 88.6
 
 echo "== OK (cover)"
