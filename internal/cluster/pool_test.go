@@ -16,7 +16,10 @@ import (
 // every live context once the run stops — then again after running on past
 // the stop, so the timers still armed fire through the check too. The
 // perpetual processes keep the agenda from ever emptying, so the run-on is
-// one simulated second: far past any duplicate timer.
+// one simulated second: far past any duplicate timer. By then every
+// svcReq is back in its pool, a cancelled duplicate's included: the pool
+// is seeded larger than the run needs, so the run allocates none and the
+// count must come back whole.
 func TestPooledRecordsStayDead(t *testing.T) {
 	r95 := smallConfig(SchemeCliRSR95)
 	r95.Utilization = 1.0 // deep queues make losers cancelable
@@ -60,6 +63,10 @@ func TestPooledRecordsStayDead(t *testing.T) {
 				}
 			}
 
+			const svcPool = 1 << 13
+			for range svcPool {
+				st.svcFree = append(st.svcFree, new(svcReq))
+			}
 			if err := r.start(); err != nil {
 				t.Fatal(err)
 			}
@@ -69,6 +76,9 @@ func TestPooledRecordsStayDead(t *testing.T) {
 			checkLive("at stop")
 			r.eng.RunUntil(r.eng.Now() + sim.Second)
 			checkLive("after drain")
+			if len(st.svcFree) != svcPool {
+				t.Errorf("%d of %d svcReq records are back in the pool after the drain", len(st.svcFree), svcPool)
+			}
 
 			if len(st.pendFree) == 0 {
 				t.Fatal("no pending was recycled; the check is vacuous")

@@ -3,6 +3,7 @@ package kv
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -363,6 +364,43 @@ func TestServerCancelHeadOfQueue(t *testing.T) {
 		t.Fatalf("served %d, want 2 (head skipped)", served)
 	}
 	_ = tail
+}
+
+// TestServerCancelAfterServiceStarts pins that a ticket stops cancelling
+// once its request leaves the queue for service, whether a completion or
+// Resume dequeued it: the request will still be served and answered, so
+// Cancel must report false and count nothing.
+func TestServerCancelAfterServiceStarts(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := ServerConfig{Parallelism: 1, MeanServiceTime: sim.Millisecond}
+	s, err := NewServer(0, eng, cfg, sim.NewRNG(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done []int
+	submit := func(id int) Ticket {
+		return s.Submit(Request{Done: func(any, sim.Time) {
+			done = append(done, id)
+			eng.Stop()
+		}})
+	}
+	submit(0)
+	t1 := submit(1)
+	eng.Run() // request 0 completes; its completion starts request 1
+	if t1.Cancel() {
+		t.Fatal("cancelled a request that a completion had started")
+	}
+	s.Pause()
+	t2 := submit(2)
+	eng.Run() // request 1 completes; request 2 waits out the outage
+	s.Resume()
+	if t2.Cancel() {
+		t.Fatal("cancelled a request that Resume had started")
+	}
+	eng.Run()
+	if !slices.Equal(done, []int{0, 1, 2}) || s.Cancelled() != 0 || s.Served() != 3 {
+		t.Fatalf("served %v (%d), cancelled %d; want [0 1 2], none cancelled", done, s.Served(), s.Cancelled())
+	}
 }
 
 func TestServerSlowdownScalesServiceTimes(t *testing.T) {
