@@ -28,7 +28,6 @@ import (
 
 	"netrs/internal/kv"
 	"netrs/internal/sim"
-	"netrs/internal/stats"
 )
 
 // ErrInvalidParam reports a configuration value outside its domain.
@@ -106,17 +105,23 @@ type Clock interface {
 	Now() sim.Time
 }
 
-// serverState is the per-server view of one C3 instance. The EWMAs are
-// embedded by value: every RSNode keeps three per server, and a sharded
-// run keeps a full selector per partition, so the pointer indirection
-// would triple the allocation count of selector construction.
-type serverState struct {
-	outstanding int
-	respTime    stats.EWMA // R̄, ns
-	svcTime     stats.EWMA // S̄, ns
-	queueSize   stats.EWMA // q̄
+// rankState is the part of a server's state that score reads on every
+// ranking: the three averages and the selector's own outstanding count.
+// It fills 32 bytes, so two servers share a cache line. The averages are
+// EWMAs with the selector-wide Config.Alpha: OnResponse folds one
+// observation into all three at once, so they share one observation count
+// (the first observation sets each average directly).
+type rankState struct {
+	respTime    float64 // R̄, ns
+	svcTime     float64 // S̄, ns
+	queueSize   float64 // q̄
+	outstanding int32
+	observed    uint32 // observations folded into the averages, saturating
+}
 
-	// Rate control.
+// rateState is the cubic rate controller's per-server record. Only the
+// server a Pick settles on, or a response comes back from, touches it.
+type rateState struct {
 	rate        float64 // allowance per interval
 	wMax        float64 // rate before the last decrease
 	lastDrop    sim.Time
@@ -125,6 +130,19 @@ type serverState struct {
 	backlog     int   // sends booked into future intervals
 	recvCur     int   // responses in the current interval
 	everDropped bool
+}
+
+// stateBlock is how many server states one allocation block holds. Most
+// client selectors at k=32 see a few dozen servers, so a small block
+// wastes little on each of them.
+const stateBlock = 16
+
+// block holds the states of stateBlock servers: one heap object, with the
+// rank records packed together so a ranking reads none of the
+// rate-control fields.
+type block struct {
+	rank [stateBlock]rankState
+	rate [stateBlock]rateState
 }
 
 // Selector is one C3 instance: the replica-selection state an RSNode keeps.
@@ -138,12 +156,12 @@ type Selector struct {
 	// is a dense table sized by the largest server ID seen: two bytes per
 	// ID cost less than a hash map's entries, and a lookup is one index.
 	slotOf []uint16
-	// blocks hold the server states, slot i at
-	// blocks[i/stateBlock][i%stateBlock]. Blocks are fixed-size arrays
-	// that never move, so the state pointers handed out stay valid, and a
-	// fleet of selectors (one per client) costs one heap object per
-	// stateBlock states instead of one per state. states counts the slots in use.
-	blocks []*[stateBlock]serverState
+	// blocks hold the server states, slot i at index i%stateBlock of
+	// blocks[i/stateBlock]. Blocks never move, so the state pointers
+	// handed out stay valid, and a fleet of selectors (one per client)
+	// costs one heap object per stateBlock servers instead of one per
+	// server. states counts the slots in use.
+	blocks []*block
 	states int
 
 	// rank is the reusable scratch Rank and Pick sort into; servers are
@@ -155,17 +173,13 @@ type Selector struct {
 	decreases uint64
 }
 
-// scoredServer pairs a candidate with its Ψ score for sorting without a
-// side map.
+// scoredServer pairs a candidate with its Ψ score and state slot, for
+// sorting without a side map and reserving without a second slot lookup.
 type scoredServer struct {
-	server int
 	score  float64
+	server int32
+	slot   int32
 }
-
-// stateBlock is how many server states one allocation block holds. Most
-// client selectors at k=32 see a few dozen servers, so a small block
-// wastes little on each of them.
-const stateBlock = 16
 
 // MaxServers bounds the server IDs a selector accepts: IDs lie in
 // [0, MaxServers), so a slot + 1 always fits the uint16 slot index.
@@ -187,7 +201,7 @@ func NewSelectorWithClock(cfg Config, clock Clock) (*Selector, error) {
 	if clock == nil {
 		return nil, fmt.Errorf("nil clock: %w", ErrInvalidParam)
 	}
-	// The slot index and the state blocks grow lazily in state(): a
+	// The slot index and the state blocks grow lazily in slot(): a
 	// hyperscale run constructs thousands of selectors (one per client),
 	// many of which see few servers.
 	return &Selector{cfg: cfg, clock: clock}, nil
@@ -196,42 +210,42 @@ func NewSelectorWithClock(cfg Config, clock Clock) (*Selector, error) {
 // validServer reports whether a server ID can index the dense tables.
 func validServer(server int) bool { return server >= 0 && server < MaxServers }
 
-// state returns the server's state, creating it on first sight. The ID
-// must satisfy validServer.
-func (s *Selector) state(server int) *serverState {
+// slot returns the server's state slot, creating the state on first
+// sight. The ID must satisfy validServer.
+func (s *Selector) slot(server int) int {
 	if server >= len(s.slotOf) {
 		s.slotOf = append(s.slotOf, make([]uint16, server+1-len(s.slotOf))...)
 	}
 	if slot := int(s.slotOf[server]); slot != 0 {
-		return &s.blocks[(slot-1)/stateBlock][(slot-1)%stateBlock]
+		return slot - 1
 	}
 	if s.states%stateBlock == 0 {
-		s.blocks = append(s.blocks, new([stateBlock]serverState))
+		s.blocks = append(s.blocks, new(block))
 	}
-	ewma, _ := stats.MakeEWMA(s.cfg.Alpha) // alpha validated at construction
-	st := &s.blocks[s.states/stateBlock][s.states%stateBlock]
-	*st = serverState{
-		respTime:  ewma,
-		svcTime:   ewma,
-		queueSize: ewma,
-		rate:      s.cfg.InitialRate,
-		wMax:      s.cfg.InitialRate,
+	slot := s.states
+	// A fresh block is zeroed and slots are never reused, so the rank
+	// record already reads as unobserved; only the rate starts nonzero.
+	s.blocks[slot/stateBlock].rate[slot%stateBlock] = rateState{
+		rate: s.cfg.InitialRate,
+		wMax: s.cfg.InitialRate,
 	}
 	s.states++
 	s.slotOf[server] = uint16(s.states)
-	return st
+	return slot
+}
+
+// at returns the rank and rate records of a slot.
+func (s *Selector) at(slot int) (*rankState, *rateState) {
+	b := s.blocks[slot/stateBlock]
+	return &b.rank[slot%stateBlock], &b.rate[slot%stateBlock]
 }
 
 // score returns the C3 ranking function Ψ for a server; lower is better.
 // q̂³ is two multiplications: for q̂ ≥ 1 they round exactly as
 // math.Pow(q̂, 3) does, so the scores match a Pow-based Ψ bit for bit.
-func (s *Selector) score(server int) float64 {
-	st := s.state(server)
-	rBar := st.respTime.Value()
-	sBar := st.svcTime.Value()
-	qBar := st.queueSize.Value()
-	qHat := 1 + float64(st.outstanding)*s.cfg.ConcurrencyWeight + qBar
-	return rBar - sBar + qHat*qHat*qHat*sBar
+func (s *Selector) score(st *rankState) float64 {
+	qHat := 1 + float64(st.outstanding)*s.cfg.ConcurrencyWeight + st.queueSize
+	return st.respTime - st.svcTime + qHat*qHat*qHat*st.svcTime
 }
 
 // rankInto checks the candidates, then scores and stably sorts them into
@@ -246,7 +260,9 @@ func (s *Selector) rankInto(candidates []int) ([]scoredServer, error) {
 	}
 	r := s.rank[:0]
 	for _, c := range candidates {
-		r = append(r, scoredServer{server: c, score: s.score(c)})
+		slot := s.slot(c)
+		rk, _ := s.at(slot)
+		r = append(r, scoredServer{score: s.score(rk), server: int32(c), slot: int32(slot)})
 	}
 	slices.SortStableFunc(r, func(a, b scoredServer) int {
 		// Ordered comparisons only: ==/!= on scores is banned in the core,
@@ -278,7 +294,7 @@ func (s *Selector) Rank(dst, candidates []int) []int {
 		return dst
 	}
 	for _, sc := range r {
-		dst = append(dst, sc.server)
+		dst = append(dst, int(sc.server))
 	}
 	return dst
 }
@@ -300,44 +316,43 @@ func (s *Selector) Pick(candidates []int) (int, sim.Time, error) {
 	}
 	s.picks++
 	if !s.cfg.RateControl {
-		s.reserve(ranked[0].server, false)
-		return ranked[0].server, 0, nil
+		s.reserve(int(ranked[0].slot), false)
+		return int(ranked[0].server), 0, nil
 	}
 	best := -1
 	var bestDelay sim.Time
-	for _, sc := range ranked {
-		c := sc.server
-		d := s.sendDelay(c)
+	for i, sc := range ranked {
+		d := s.sendDelay(int(sc.slot))
 		if d == 0 {
-			s.reserve(c, false)
-			return c, 0, nil
+			s.reserve(int(sc.slot), false)
+			return int(sc.server), 0, nil
 		}
 		if best == -1 || d < bestDelay {
-			best, bestDelay = c, d
+			best, bestDelay = i, d
 		}
 	}
 	s.delayed++
-	s.reserve(best, true)
-	return best, bestDelay, nil
+	s.reserve(int(ranked[best].slot), true)
+	return int(ranked[best].server), bestDelay, nil
 }
 
 // reserve books a send: into the current interval when it goes out now, or
 // into the backlog when the limiter holds it. Held sends are accounted in
 // the interval they actually leave, so the limiter's own queue never
 // masquerades as server overload.
-func (s *Selector) reserve(server int, held bool) {
-	st := s.state(server)
-	s.roll(st)
+func (s *Selector) reserve(slot int, held bool) {
+	rk, st := s.at(slot)
+	s.roll(rk, st)
 	if held {
 		st.backlog++
 	} else {
 		st.sentCur++
 	}
-	st.outstanding++
+	rk.outstanding++
 }
 
 // allowance is the integral per-interval send budget.
-func (s *Selector) allowance(st *serverState) int {
+func (s *Selector) allowance(st *rateState) int {
 	a := int(st.rate)
 	if a < 1 {
 		a = 1
@@ -347,9 +362,9 @@ func (s *Selector) allowance(st *serverState) int {
 
 // sendDelay computes how long a new send to the server must wait under the
 // current allowance, without reserving anything.
-func (s *Selector) sendDelay(server int) sim.Time {
-	st := s.state(server)
-	s.roll(st)
+func (s *Selector) sendDelay(slot int) sim.Time {
+	rk, st := s.at(slot)
+	s.roll(rk, st)
 	a := s.allowance(st)
 	if st.backlog == 0 && st.sentCur < a {
 		return 0
@@ -368,7 +383,7 @@ func (s *Selector) sendDelay(server int) sim.Time {
 // roll lazily advances the per-server rate-accounting window to the
 // current engine time: it drains backlog into the skipped intervals and
 // applies the congestion-control rate update once per roll.
-func (s *Selector) roll(st *serverState) {
+func (s *Selector) roll(rk *rankState, st *rateState) {
 	if !s.cfg.RateControl {
 		return
 	}
@@ -385,7 +400,7 @@ func (s *Selector) roll(st *serverState) {
 	// reason).
 	overloaded := st.sentCur > 0 &&
 		float64(st.recvCur)*1.25+2 < float64(st.sentCur) &&
-		st.outstanding > 0
+		rk.outstanding > 0
 	switch {
 	case overloaded:
 		// Multiplicative decrease toward the observed receive rate.
@@ -436,7 +451,7 @@ func (s *Selector) roll(st *serverState) {
 // cubicRate evaluates the CUBIC window at the current time:
 // W(t) = γ·(t − K)³ + Wmax with K = ∛(Wmax·β/γ), t in intervals since the
 // last decrease.
-func (s *Selector) cubicRate(st *serverState) float64 {
+func (s *Selector) cubicRate(st *rateState) float64 {
 	t := float64(s.clock.Now()-st.lastDrop) / float64(s.cfg.RateInterval)
 	k := math.Cbrt(st.wMax * s.cfg.CubicBeta / s.cfg.CubicGamma)
 	w := s.cfg.CubicGamma*math.Pow(t-k, 3) + st.wMax
@@ -453,14 +468,23 @@ func (s *Selector) OnResponse(server int, latency sim.Time, status kv.Status) {
 	if !validServer(server) {
 		return
 	}
-	st := s.state(server)
-	s.roll(st)
-	if st.outstanding > 0 {
-		st.outstanding--
+	rk, st := s.at(s.slot(server))
+	s.roll(rk, st)
+	if rk.outstanding > 0 {
+		rk.outstanding--
 	}
-	st.respTime.Observe(float64(latency))
-	st.svcTime.Observe(status.ServiceTimeNs)
-	st.queueSize.Observe(float64(status.QueueSize))
+	r, sv, q := float64(latency), status.ServiceTimeNs, float64(status.QueueSize)
+	if rk.observed == 0 {
+		rk.respTime, rk.svcTime, rk.queueSize = r, sv, q
+	} else {
+		a := s.cfg.Alpha
+		rk.respTime = a*r + (1-a)*rk.respTime
+		rk.svcTime = a*sv + (1-a)*rk.svcTime
+		rk.queueSize = a*q + (1-a)*rk.queueSize
+	}
+	if rk.observed < math.MaxUint32 {
+		rk.observed++
+	}
 	st.recvCur++
 }
 
@@ -471,9 +495,9 @@ func (s *Selector) OnAbandon(server int) {
 	if !validServer(server) {
 		return
 	}
-	st := s.state(server)
-	if st.outstanding > 0 {
-		st.outstanding--
+	rk, _ := s.at(s.slot(server))
+	if rk.outstanding > 0 {
+		rk.outstanding--
 	}
 }
 
@@ -505,7 +529,8 @@ func (s *Selector) Outstanding(server int) int {
 	if !validServer(server) {
 		return 0
 	}
-	return s.state(server).outstanding
+	rk, _ := s.at(s.slot(server))
+	return int(rk.outstanding)
 }
 
 // Rate returns the current per-interval send allowance for a server
@@ -515,7 +540,8 @@ func (s *Selector) Rate(server int) float64 {
 	if !validServer(server) {
 		return 0
 	}
-	return s.state(server).rate
+	_, st := s.at(s.slot(server))
+	return st.rate
 }
 
 // Stats reports counters useful for tests and instrumentation.

@@ -38,11 +38,13 @@ type Zipf struct {
 	rng      *sim.RNG
 	scramble bool
 
-	// YCSB inverse-CDF state (theta < 1).
-	alpha float64
-	zetan float64
-	zeta2 float64
-	eta   float64
+	// YCSB inverse-CDF state (theta < 1). rank1Below is 1 + 0.5^theta,
+	// the scaled uniform below which a draw is rank 0 or 1; it is constant
+	// per generator, so the pow runs once here rather than on every draw.
+	alpha      float64
+	zetan      float64
+	rank1Below float64
+	eta        float64
 
 	// Rejection-inversion state (theta >= 1): cached H(1.5)-1, H(n+0.5)
 	// and the acceptance shortcut threshold s.
@@ -71,7 +73,7 @@ func NewZipf(n uint64, theta float64, rng *sim.RNG) (*Zipf, error) {
 	zeta2 := zeta(2, theta)
 	z.alpha = 1 / (1 - theta)
 	z.zetan = zetan
-	z.zeta2 = zeta2
+	z.rank1Below = 1 + math.Pow(0.5, theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2/zetan)
 	return z, nil
 }
@@ -101,7 +103,7 @@ func (z *Zipf) Draw() uint64 {
 		switch {
 		case uz < 1:
 			rank = 0
-		case uz < 1+math.Pow(0.5, z.theta):
+		case uz < z.rank1Below:
 			rank = 1
 		default:
 			rank = uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +14,7 @@ import (
 func TestRingValidation(t *testing.T) {
 	cases := []struct{ servers, rf, vnodes int }{
 		{0, 1, 1}, {3, 0, 1}, {2, 3, 1}, {3, 1, 0},
+		{1 << 17, 1, 1 << 16}, // 2^33 points overflow the uint32 bucket index
 	}
 	for _, c := range cases {
 		if _, err := NewRing(c.servers, c.rf, c.vnodes, 1); !errors.Is(err, ErrInvalidParam) {
@@ -530,4 +532,57 @@ func BenchmarkServerThroughput(b *testing.B) {
 		}
 	}
 	eng.Run()
+}
+
+// TestGroupOfKeyMatchesSearch checks the bucket index against a binary
+// search over the sorted points, on every point's exact position and its
+// neighbours (bucket edges, ties) plus both ends of the hash space (the
+// wrap past the last point). The rf = 9 ring takes NewRing's string-key
+// enumeration path.
+func TestGroupOfKeyMatchesSearch(t *testing.T) {
+	rings := []struct{ servers, rf, vnodes int }{
+		{1, 1, 1}, {17, 3, 16}, {100, 3, 64}, {800, 3, 64}, {20, 9, 8},
+	}
+	for _, c := range rings {
+		r, err := NewRing(c.servers, c.rf, c.vnodes, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		search := func(h uint64) int {
+			i := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= h })
+			if i == len(r.points) {
+				i = 0
+			}
+			return r.groupOf[i]
+		}
+		hashes := []uint64{0, math.MaxUint64}
+		for _, p := range r.points {
+			hashes = append(hashes, p.pos-1, p.pos, p.pos+1)
+		}
+		for _, h := range hashes {
+			if got, want := r.groupOfHash(h), search(h); got != want {
+				t.Fatalf("ring %+v: groupOfHash(%#x) = %d, binary search = %d", c, h, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkGroupOfKey times one key lookup on the paper's ring (100
+// servers, rf 3, 64 virtual nodes); a lookup must not allocate.
+func BenchmarkGroupOfKey(b *testing.B) {
+	r, err := NewRing(100, 3, 64, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := uint64(0)
+	if allocs := testing.AllocsPerRun(100, func() { key += uint64(r.GroupOfKey(key)) + 1 }); allocs != 0 {
+		b.Fatalf("GroupOfKey allocates %v times", allocs)
+	}
+	sink := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += r.GroupOfKey(uint64(i) * 0x9e3779b97f4a7c15)
+	}
+	_ = sink
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 )
@@ -30,6 +31,14 @@ type Ring struct {
 	points  []ringPoint // sorted by position
 	groups  [][]int     // group id -> replica server ids
 	groupOf []int       // point index -> group id
+
+	// index maps the top bits of a hash to the first point at or past
+	// that bucket's start, so a lookup is one table load and a short
+	// forward scan instead of a binary search. The table has the largest
+	// power-of-two size not above the point count: at most one entry per
+	// point, and one to two points per bucket on average.
+	index []uint32
+	shift uint // 64 − log2(len(index)); a hash's bucket is h >> shift
 }
 
 // memberArenaBlock is how many server IDs one replica-group arena block
@@ -43,9 +52,10 @@ type ringPoint struct {
 }
 
 // NewRing places servers on a ring with the given replication factor and
-// virtual-node count per server. servers must be ≥ rf ≥ 1 and vnodes ≥ 1.
+// virtual-node count per server. servers must be ≥ rf ≥ 1 and vnodes ≥ 1,
+// with at most math.MaxUint32 points in all.
 func NewRing(servers, rf, vnodes int, seed uint64) (*Ring, error) {
-	if servers < 1 || rf < 1 || rf > servers || vnodes < 1 {
+	if servers < 1 || rf < 1 || rf > servers || vnodes < 1 || servers > math.MaxUint32/vnodes {
 		return nil, fmt.Errorf("ring servers=%d rf=%d vnodes=%d: %w", servers, rf, vnodes, ErrInvalidParam)
 	}
 	r := &Ring{servers: servers, rf: rf}
@@ -62,6 +72,7 @@ func NewRing(servers, rf, vnodes int, seed uint64) (*Ring, error) {
 		}
 		return r.points[i].server < r.points[j].server
 	})
+	r.buildIndex()
 
 	// Enumerate the distinct replica groups, one per ring segment. A ring
 	// is built per run over servers×vnodes points, and at hyperscale most
@@ -127,6 +138,21 @@ func NewRing(servers, rf, vnodes int, seed uint64) (*Ring, error) {
 	return r, nil
 }
 
+// buildIndex fills the bucket table over the sorted points.
+func (r *Ring) buildIndex() {
+	logSize := bits.Len(uint(len(r.points))) - 1
+	r.shift = uint(64 - logSize)
+	r.index = make([]uint32, 1<<logSize)
+	i := 0
+	for b := range r.index {
+		// A shift of 64 yields 0: a one-bucket table holds every point.
+		for i < len(r.points) && r.points[i].pos>>r.shift < uint64(b) {
+			i++
+		}
+		r.index[b] = uint32(i)
+	}
+}
+
 // walk collects rf distinct servers clockwise from point index i into the
 // scratch slice. rf is small (3 in the paper), so duplicate detection is a
 // linear scan.
@@ -158,12 +184,22 @@ func (r *Ring) Groups() int { return len(r.groups) }
 
 // GroupOfKey returns the replica group ID owning a key.
 func (r *Ring) GroupOfKey(key uint64) int {
-	h := pointHash(0x243f6a8885a308d3, key, 0)
-	idx := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= h })
-	if idx == len(r.points) {
-		idx = 0
+	return r.groupOfHash(pointHash(0x243f6a8885a308d3, key, 0))
+}
+
+// groupOfHash returns the group of the first point at or clockwise past
+// ring position h, wrapping past the last point to the first. Every point
+// before index[bucket] lies in an earlier bucket, below h, so the scan
+// from there finds the same point as a binary search over all of them.
+func (r *Ring) groupOfHash(h uint64) int {
+	i := int(r.index[h>>r.shift])
+	for i < len(r.points) && r.points[i].pos < h {
+		i++
 	}
-	return r.groupOf[idx]
+	if i == len(r.points) {
+		i = 0
+	}
+	return r.groupOf[i]
 }
 
 // Replicas returns the server IDs of a replica group. The slice must not

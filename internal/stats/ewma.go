@@ -5,9 +5,9 @@ import (
 	"math"
 )
 
-// EWMA is an exponentially weighted moving average. The C3 algorithm keeps
-// one per (RSNode, server) pair for response times and piggybacked service
-// times / queue sizes.
+// EWMA is an exponentially weighted moving average, kept per server by the
+// replica servers' status smoothing and the DynamicSnitch and Tars
+// baselines.
 type EWMA struct {
 	alpha float64
 	value float64
@@ -18,21 +18,10 @@ type EWMA struct {
 // alpha weights recent observations more heavily. The first observation
 // initializes the average directly.
 func NewEWMA(alpha float64) (*EWMA, error) {
-	e, err := MakeEWMA(alpha)
-	if err != nil {
-		return nil, err
-	}
-	return &e, nil
-}
-
-// MakeEWMA is NewEWMA returning a value instead of a pointer, for callers
-// that embed the average in a larger per-server record (C3 keeps three per
-// server across every RSNode, so the indirection is worth avoiding).
-func MakeEWMA(alpha float64) (EWMA, error) {
 	if alpha <= 0 || alpha > 1 || math.IsNaN(alpha) {
-		return EWMA{}, fmt.Errorf("stats: ewma alpha %v out of (0, 1]", alpha)
+		return nil, fmt.Errorf("stats: ewma alpha %v out of (0, 1]", alpha)
 	}
-	return EWMA{alpha: alpha}, nil
+	return &EWMA{alpha: alpha}, nil
 }
 
 // Observe folds one observation into the average.

@@ -6,8 +6,10 @@
 # Prints `go test -cover` for every package, then enforces floors on the
 # packages at the heart of the control plane and the experiment runner:
 # internal/fabric and internal/cluster must not drop below the baselines
-# recorded when the fault-schedule engine landed, and internal/sim and
-# internal/kv below theirs from when events became fire-and-forget.
+# recorded when the fault-schedule engine landed, internal/sim below its
+# baseline from when events became fire-and-forget, and internal/c3,
+# internal/dist and internal/kv below theirs from when C3's state split
+# and the hash ring gained its bucket index.
 # Raise a floor when new tests push coverage up; never lower one to make
 # a PR pass.
 set -eu
@@ -40,6 +42,8 @@ check_floor netrs/internal/selection 90.0
 check_floor netrs/internal/scenario 95.0
 check_floor netrs/internal/cache 90.0
 check_floor netrs/internal/sim 93.9
-check_floor netrs/internal/kv 88.6
+check_floor netrs/internal/kv 96.9
+check_floor netrs/internal/c3 93.4
+check_floor netrs/internal/dist 95.7
 
 echo "== OK (cover)"
