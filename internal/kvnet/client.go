@@ -3,6 +3,7 @@ package kvnet
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"time"
 
 	"netrs/internal/sim"
@@ -18,13 +19,20 @@ func simTime(d time.Duration) sim.Time { return sim.Time(d) }
 // never names a server — it only carries the key's replica group ID, the
 // in-network selector does the rest (§I's "keep things in network").
 //
+// Each Get stamps a fresh sequence number in its request's RV, which the
+// operator writes back into the response. Get accepts only a datagram
+// from the operator carrying that RV, so the late answer to a timed-out
+// Get, or a datagram from any other socket, is discarded, not returned.
+//
 // A Client reuses its marshal and receive buffers across Gets and is
 // therefore not safe for concurrent use; open one Client per goroutine.
+// A Get allocates only its result's Value.
 type Client struct {
 	conn     *net.UDPConn
-	operator *net.UDPAddr
+	operator netip.AddrPort
 	timeout  time.Duration
 	groupOf  func(key string) uint32
+	seq      uint16 // RV of the latest Get's request
 
 	out []byte // reusable request marshal buffer
 	in  []byte // reusable receive buffer
@@ -46,7 +54,7 @@ func NewClient(operator *net.UDPAddr, groupOf func(key string) uint32, timeout t
 	}
 	return &Client{
 		conn:     conn,
-		operator: operator,
+		operator: addrPortOf(operator),
 		timeout:  timeout,
 		groupOf:  groupOf,
 		in:       make([]byte, maxPacket),
@@ -58,6 +66,8 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // GetResult carries a response's payload and piggybacked metadata.
 type GetResult struct {
+	// Value is the caller's own copy of the payload; the Client keeps no
+	// reference to it.
 	Value []byte
 	// RID identifies the RSNode that selected the replica.
 	RID uint16
@@ -70,10 +80,12 @@ type GetResult struct {
 }
 
 // Get reads one key through the in-network path. A missing key returns
-// ErrNotFound.
+// ErrNotFound, and no matching response within the timeout ErrTimeout.
 func (c *Client) Get(key string) (GetResult, error) {
+	c.seq++
 	req := wire.Request{
 		Magic:   wire.MagicRequest,
+		RV:      c.seq,
 		RGID:    c.groupOf(key) & 0xffffff,
 		Payload: []byte(key),
 	}
@@ -83,21 +95,13 @@ func (c *Client) Get(key string) (GetResult, error) {
 	}
 	c.out = buf
 	start := time.Now()
-	if _, err := c.conn.WriteToUDP(buf, c.operator); err != nil {
+	if _, err := c.conn.WriteToUDPAddrPort(buf, c.operator); err != nil {
 		return GetResult{}, fmt.Errorf("send: %w", err)
 	}
 	if err := c.conn.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
 		return GetResult{}, err
 	}
-	in := c.in
-	n, _, err := c.conn.ReadFromUDP(in)
-	if err != nil {
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			return GetResult{}, fmt.Errorf("get %q: %w", key, ErrTimeout)
-		}
-		return GetResult{}, fmt.Errorf("get %q: %w", key, err)
-	}
-	resp, err := wire.UnmarshalResponse(in[:n])
+	resp, err := c.await()
 	if err != nil {
 		return GetResult{}, fmt.Errorf("get %q: %w", key, err)
 	}
@@ -105,10 +109,35 @@ func (c *Client) Get(key string) (GetResult, error) {
 		return GetResult{}, fmt.Errorf("get %q: %w", key, ErrNotFound)
 	}
 	return GetResult{
-		Value:  resp.Payload,
+		Value:  append([]byte(nil), resp.Payload...),
 		RID:    resp.RID,
 		Status: resp.Status,
 		Source: resp.Source,
 		RTT:    time.Since(start),
 	}, nil
+}
+
+// await reads until the response to the latest Get arrives: from the
+// operator and carrying c.seq in its RV. Anything else is discarded. The
+// response's Payload aliases the receive buffer.
+func (c *Client) await() (wire.Response, error) {
+	for {
+		n, from, err := c.conn.ReadFromUDPAddrPort(c.in)
+		if err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				return wire.Response{}, ErrTimeout
+			}
+			return wire.Response{}, err
+		}
+		if from != c.operator {
+			continue
+		}
+		resp, err := wire.UnmarshalResponse(c.in[:n])
+		if err != nil {
+			return wire.Response{}, err
+		}
+		if resp.RV == c.seq {
+			return resp, nil
+		}
+	}
 }

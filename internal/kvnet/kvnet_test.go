@@ -1,6 +1,7 @@
 package kvnet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -8,12 +9,14 @@ import (
 	"time"
 
 	"netrs/internal/c3"
+	"netrs/internal/selection"
 	"netrs/internal/wire"
 )
 
-// deployCluster spins up n replica servers, one operator, and a client on
-// loopback, with every key in replica group 1 served by all servers.
-func deployCluster(t *testing.T, n int, delays []time.Duration) (*Operator, *Client, []*Server) {
+// deployCluster spins up n replica servers, one operator running sel (nil:
+// the default selector), and a client on loopback, with every key in
+// replica group 1 served by all servers.
+func deployCluster(t testing.TB, n int, delays []time.Duration, sel selection.Selector) (*Operator, *Client, []*Server) {
 	t.Helper()
 	servers := make([]*Server, n)
 	for i := 0; i < n; i++ {
@@ -35,7 +38,7 @@ func deployCluster(t *testing.T, n int, delays []time.Duration) (*Operator, *Cli
 		t.Cleanup(func() { _ = srv.Close() })
 	}
 
-	op, err := NewOperator("127.0.0.1:0", OperatorConfig{ID: 7})
+	op, err := NewOperator("127.0.0.1:0", OperatorConfig{ID: 7, Selector: sel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +63,7 @@ func deployCluster(t *testing.T, n int, delays []time.Duration) (*Operator, *Cli
 }
 
 func TestEndToEndGet(t *testing.T) {
-	_, cli, servers := deployCluster(t, 3, nil)
+	_, cli, servers := deployCluster(t, 3, nil, nil)
 	for _, srv := range servers {
 		srv.Store().Set("alpha", []byte("beta"))
 	}
@@ -80,7 +83,7 @@ func TestEndToEndGet(t *testing.T) {
 }
 
 func TestMissReturnsNotFound(t *testing.T) {
-	_, cli, _ := deployCluster(t, 2, nil)
+	_, cli, _ := deployCluster(t, 2, nil, nil)
 	if _, err := cli.Get("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
@@ -90,7 +93,7 @@ func TestSelectionAvoidsSlowReplica(t *testing.T) {
 	// Server 0 is 30 ms slow; 1 and 2 are fast. After warmup, the
 	// least-outstanding selector should route most traffic to the fast
 	// replicas.
-	_, cli, servers := deployCluster(t, 3, []time.Duration{30 * time.Millisecond, 0, 0})
+	_, cli, servers := deployCluster(t, 3, []time.Duration{30 * time.Millisecond, 0, 0}, nil)
 	for _, srv := range servers {
 		srv.Store().Set("k", []byte("v"))
 	}
@@ -111,7 +114,7 @@ func TestSelectionAvoidsSlowReplica(t *testing.T) {
 }
 
 func TestOperatorStatsAndMagicFlow(t *testing.T) {
-	op, cli, servers := deployCluster(t, 2, nil)
+	op, cli, servers := deployCluster(t, 2, nil, nil)
 	servers[0].Store().Set("x", []byte("1"))
 	servers[1].Store().Set("x", []byte("1"))
 	const total = 5
@@ -137,7 +140,7 @@ func TestOperatorStatsAndMagicFlow(t *testing.T) {
 
 func TestClientSeesMonitorMagic(t *testing.T) {
 	// Drive the wire by hand to assert the delivered magic field.
-	op, _, servers := deployCluster(t, 1, nil)
+	op, _, servers := deployCluster(t, 1, nil, nil)
 	servers[0].Store().Set("k", []byte("v"))
 	cli, err := NewClient(op.Addr(), func(string) uint32 { return 1 }, time.Second)
 	if err != nil {
@@ -169,7 +172,7 @@ func TestClientSeesMonitorMagic(t *testing.T) {
 }
 
 func TestServerStatusPiggyback(t *testing.T) {
-	_, cli, servers := deployCluster(t, 1, []time.Duration{2 * time.Millisecond})
+	_, cli, servers := deployCluster(t, 1, []time.Duration{2 * time.Millisecond}, nil)
 	servers[0].Store().Set("k", []byte("v"))
 	var last GetResult
 	for i := 0; i < 5; i++ {
@@ -263,7 +266,7 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	_, _, servers := deployCluster(t, 3, nil)
+	_, _, servers := deployCluster(t, 3, nil, nil)
 	op := serversOperator(t, servers)
 	for _, srv := range servers {
 		for i := 0; i < 20; i++ {
@@ -300,48 +303,14 @@ func TestC3SelectorOverRealNetwork(t *testing.T) {
 	// The full C3 algorithm (wall-clock rate control included) driving
 	// the UDP operator: the slow replica must receive a minority of the
 	// traffic.
-	servers := make([]*Server, 3)
-	for i := range servers {
-		var delay time.Duration
-		if i == 0 {
-			delay = 25 * time.Millisecond
-		}
-		store := NewStore()
-		store.Set("k", []byte("v"))
-		srv, err := NewServer("127.0.0.1:0", ServerConfig{Workers: 2, ProcessingDelay: delay, Rack: uint16(i)}, store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers[i] = srv
-		t.Cleanup(func() { _ = srv.Close() })
-	}
-	cfg := c3.NewDefaultConfig()
-	sel, err := NewC3Selector(cfg)
+	sel, err := NewC3Selector(c3.NewDefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := NewOperator("127.0.0.1:0", OperatorConfig{ID: 2, Selector: sel})
-	if err != nil {
-		t.Fatal(err)
+	_, cli, servers := deployCluster(t, 3, []time.Duration{25 * time.Millisecond}, sel)
+	for _, srv := range servers {
+		srv.Store().Set("k", []byte("v"))
 	}
-	t.Cleanup(func() { _ = op.Close() })
-	ids := make([]int, len(servers))
-	for i, srv := range servers {
-		ids[i] = i
-		if err := op.RegisterServer(i, srv.Addr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := op.RegisterGroup(1, ids); err != nil {
-		t.Fatal(err)
-	}
-
-	cli, err := NewClient(op.Addr(), func(string) uint32 { return 1 }, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = cli.Close() })
-
 	const total = 30
 	for i := 0; i < total; i++ {
 		if _, err := cli.Get("k"); err != nil {
@@ -417,4 +386,182 @@ func serversOperator(t *testing.T, servers []*Server) *Operator {
 		t.Fatal(err)
 	}
 	return op
+}
+
+// TestLateResponseNotReturnedToNextGet: the answer to a timed-out Get
+// reaches the client while its next Get is waiting. The operator writes
+// each request's RV back into its response, so the next Get recognises
+// the late answer as not its own and keeps waiting for its value.
+func TestLateResponseNotReturnedToNextGet(t *testing.T) {
+	_, cli, servers := deployCluster(t, 1, []time.Duration{150 * time.Millisecond}, nil)
+	servers[0].Store().Set("a", []byte("A"))
+	servers[0].Store().Set("b", []byte("B"))
+	cli.timeout = 100 * time.Millisecond
+	if _, err := cli.Get("a"); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Get(a) err = %v, want ErrTimeout", err)
+	}
+	cli.timeout = 2 * time.Second
+	res, err := cli.Get("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(res.Value) != "B" {
+		t.Fatalf("Get(b) = %q, want %q", res.Value, "B")
+	}
+}
+
+// TestGetIgnoresForeignDatagrams: a well-formed response with the right RV
+// that did not come from the operator is not an answer.
+func TestGetIgnoresForeignDatagrams(t *testing.T) {
+	_, cli, servers := deployCluster(t, 1, nil, nil)
+	servers[0].Store().Set("k", []byte("real"))
+	forger, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer forger.Close()
+	forged, err := wire.AppendResponse(nil, wire.Response{
+		RID: 7, Magic: wire.MagicMonitor, RV: cli.seq + 1, Payload: []byte("forged"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Queued before the Get, so it is the first datagram the Get reads.
+	if _, err := forger.WriteToUDP(forged, cli.conn.LocalAddr().(*net.UDPAddr)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cli.Get("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(res.Value) != "real" {
+		t.Fatalf("Get = %q, want %q", res.Value, "real")
+	}
+}
+
+// TestMappedIPv4Addresses: net.IPv4 and net.ResolveUDPAddr give the
+// 16-byte form of an IPv4 address, which an AF_INET socket refuses unless
+// the operator and client unmap it; an empty IP means this host.
+func TestMappedIPv4Addresses(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	srv.Store().Set("k", []byte("v"))
+	op, err := NewOperator("127.0.0.1:0", OperatorConfig{ID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = op.Close() })
+	if err := op.RegisterServer(0, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: srv.Addr().Port}); err != nil {
+		t.Fatal(err)
+	}
+	if err := op.RegisterGroup(1, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []*net.UDPAddr{
+		{IP: net.IPv4(127, 0, 0, 1), Port: op.Addr().Port},
+		{Port: op.Addr().Port},
+	} {
+		cli, err := NewClient(addr, func(string) uint32 { return 1 }, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cli.Get("k")
+		_ = cli.Close()
+		if err != nil {
+			t.Fatalf("operator %v: %v", addr, err)
+		}
+		if string(res.Value) != "v" {
+			t.Fatalf("operator %v: Get = %q", addr, res.Value)
+		}
+	}
+}
+
+// deployC3 is deployCluster with a real-time C3 operator over n servers, each
+// holding key "k" with a 64-byte value.
+func deployC3(tb testing.TB, n int) *Client {
+	tb.Helper()
+	sel, err := NewC3Selector(c3.NewDefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, cli, servers := deployCluster(tb, n, nil, sel)
+	for _, srv := range servers {
+		srv.Store().Set("k", bytes.Repeat([]byte{'v'}, 64))
+	}
+	return cli
+}
+
+// TestGetAllocs: across the client, the operator and the server, a Get
+// allocates only the caller-owned GetResult.Value.
+func TestGetAllocs(t *testing.T) {
+	cli := deployC3(t, 3)
+	failed := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := cli.Get("k"); err != nil {
+			failed++
+		}
+	})
+	if failed > 0 {
+		t.Fatalf("%d Gets failed", failed)
+	}
+	if allocs > 1 {
+		t.Fatalf("Get made %v allocations, want ≤ 1", allocs)
+	}
+}
+
+// TestStoreSetDuringServe: the server reads stored values in place while
+// Set replaces them. The writer reuses one buffer, so a Set that kept the
+// caller's slice, or wrote into a stored one, would be torn here (and
+// flagged under -race).
+func TestStoreSetDuringServe(t *testing.T) {
+	_, cli, servers := deployCluster(t, 3, nil, nil)
+	const size, letters = 64, 8
+	for _, srv := range servers {
+		srv.Store().Set("k", bytes.Repeat([]byte{'a'}, size))
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, size)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for j := range buf {
+				buf[j] = byte('a' + i%letters)
+			}
+			for _, srv := range servers {
+				srv.Store().Set("k", buf)
+			}
+		}
+	}()
+	t.Cleanup(func() { close(stop); <-done })
+	for i := 0; i < 200; i++ {
+		res, err := cli.Get("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := res.Value
+		if len(v) != size || v[0] < 'a' || v[0] >= 'a'+letters || !bytes.Equal(v, bytes.Repeat(v[:1], size)) {
+			t.Fatalf("Get %d returned %q, not a value written", i, v)
+		}
+	}
+}
+
+// BenchmarkGet measures one Get through a C3 operator and three servers
+// on loopback.
+func BenchmarkGet(b *testing.B) {
+	cli := deployC3(b, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cli.Get("k"); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

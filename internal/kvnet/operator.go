@@ -3,6 +3,7 @@ package kvnet
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -27,9 +28,11 @@ type OperatorConfig struct {
 // NetRS requests, runs replica selection, rewrites the packet (RID, RV,
 // magic = f(Mresp)) and forwards it to the chosen server; responses flow
 // back through it, where it restores the client address from the RV slot,
-// folds the piggybacked status into its selector state, relabels the magic
-// Mmon, and forwards to the client — the exact pipeline of §IV-B/§IV-C
-// realized with NAT-style RV bookkeeping instead of switch forwarding.
+// folds the piggybacked status into its selector state, writes back the RV
+// the client's request carried, relabels the magic Mmon, and forwards to
+// the client — the exact pipeline of §IV-B/§IV-C realized with NAT-style
+// RV bookkeeping instead of switch forwarding. Like a switch pipeline, it
+// rewrites packets in place and allocates nothing per packet.
 type Operator struct {
 	cfg  OperatorConfig
 	conn *net.UDPConn
@@ -37,7 +40,7 @@ type Operator struct {
 	mu       sync.Mutex
 	sel      selection.Selector
 	replicas map[uint32][]int // RGID → server ids
-	servers  map[int]*net.UDPAddr
+	servers  map[int]netip.AddrPort
 	pending  map[uint16]pendingSlot
 	nextRV   uint16
 
@@ -49,12 +52,13 @@ type Operator struct {
 	wg   sync.WaitGroup
 }
 
+// pendingSlot is one in-flight request, keyed by the RV the operator
+// stamped on it: where the response goes back to, and the RV to restore.
 type pendingSlot struct {
-	client *net.UDPAddr
-	server int
-	rv     uint16
-	sentAt time.Time
-	used   bool
+	client   netip.AddrPort
+	clientRV uint16
+	server   int
+	sentAt   time.Time
 }
 
 // NewOperator starts an operator on addr.
@@ -82,7 +86,7 @@ func NewOperator(addr string, cfg OperatorConfig) (*Operator, error) {
 		conn:     conn,
 		sel:      cfg.Selector,
 		replicas: make(map[uint32][]int),
-		servers:  make(map[int]*net.UDPAddr),
+		servers:  make(map[int]netip.AddrPort),
 		pending:  make(map[uint16]pendingSlot),
 		stop:     make(chan struct{}),
 	}
@@ -110,7 +114,7 @@ func (o *Operator) RegisterServer(id int, addr *net.UDPAddr) error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.servers[id] = addr
+	o.servers[id] = addrPortOf(addr)
 	return nil
 }
 
@@ -154,7 +158,7 @@ func (o *Operator) loop() {
 	buf := make([]byte, maxPacket)
 	var out []byte // loop-owned forward marshal buffer
 	for {
-		n, from, err := o.conn.ReadFromUDP(buf)
+		n, from, err := o.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
@@ -167,7 +171,7 @@ func (o *Operator) loop() {
 // handle dispatches one datagram. pkt aliases the loop's receive buffer and
 // must not be retained; out is the loop's reusable marshal buffer, returned
 // (possibly grown) for the next datagram.
-func (o *Operator) handle(pkt []byte, from *net.UDPAddr, out []byte) []byte {
+func (o *Operator) handle(pkt []byte, from netip.AddrPort, out []byte) []byte {
 	magic, err := wire.PeekMagic(pkt)
 	if err != nil {
 		o.drop()
@@ -185,7 +189,7 @@ func (o *Operator) handle(pkt []byte, from *net.UDPAddr, out []byte) []byte {
 }
 
 // handleRequest runs the NetRS selector on an incoming request (§IV-C).
-func (o *Operator) handleRequest(pkt []byte, from *net.UDPAddr, out []byte) []byte {
+func (o *Operator) handleRequest(pkt []byte, from netip.AddrPort, out []byte) []byte {
 	req, err := wire.UnmarshalRequest(pkt)
 	if err != nil {
 		o.drop()
@@ -210,7 +214,7 @@ func (o *Operator) handleRequest(pkt []byte, from *net.UDPAddr, out []byte) []by
 		o.drop()
 		return out
 	}
-	rv := o.allocSlot(from, server)
+	rv := o.allocSlot(from, req.RV, server)
 	o.selections++
 	o.mu.Unlock()
 
@@ -227,7 +231,7 @@ func (o *Operator) handleRequest(pkt []byte, from *net.UDPAddr, out []byte) []by
 		o.drop()
 		return out
 	}
-	if _, err := o.conn.WriteToUDP(fwd, target); err != nil {
+	if _, err := o.conn.WriteToUDPAddrPort(fwd, target); err != nil {
 		o.drop()
 	}
 	return fwd
@@ -235,7 +239,7 @@ func (o *Operator) handleRequest(pkt []byte, from *net.UDPAddr, out []byte) []by
 
 // allocSlot reserves an RV slot for an in-flight request. Callers hold
 // o.mu.
-func (o *Operator) allocSlot(client *net.UDPAddr, server int) uint16 {
+func (o *Operator) allocSlot(client netip.AddrPort, clientRV uint16, server int) uint16 {
 	for i := 0; i < 1<<16; i++ {
 		o.nextRV++
 		if _, busy := o.pending[o.nextRV]; !busy {
@@ -243,12 +247,12 @@ func (o *Operator) allocSlot(client *net.UDPAddr, server int) uint16 {
 		}
 	}
 	rv := o.nextRV
-	o.pending[rv] = pendingSlot{client: client, server: server, rv: rv, sentAt: time.Now(), used: true}
+	o.pending[rv] = pendingSlot{client: client, clientRV: clientRV, server: server, sentAt: time.Now()}
 	return rv
 }
 
-// handleResponse restores the client, updates selector state, and forwards
-// with the Mmon magic.
+// handleResponse restores the client and its RV, updates selector state,
+// and forwards with the Mmon magic.
 func (o *Operator) handleResponse(pkt []byte) {
 	resp, err := wire.UnmarshalResponse(pkt)
 	if err != nil {
@@ -271,11 +275,11 @@ func (o *Operator) handleResponse(pkt []byte) {
 	o.responses++
 	o.mu.Unlock()
 
-	if err := wire.SetMagic(pkt, wire.MagicMonitor); err != nil {
-		o.drop()
-		return
-	}
-	if _, err := o.conn.WriteToUDP(pkt, slot.client); err != nil {
+	// pkt parsed above, so it holds the whole header: neither rewrite can
+	// fail.
+	_ = wire.SetRV(pkt, slot.clientRV)
+	_ = wire.SetMagic(pkt, wire.MagicMonitor)
+	if _, err := o.conn.WriteToUDPAddrPort(pkt, slot.client); err != nil {
 		o.drop()
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +38,21 @@ var (
 // values).
 const maxPacket = 64 * 1024
 
+// addrPortOf converts an address from the exported API, once, into the
+// by-value form the datapath sends to. Unmap turns the 16-byte IPv4 form
+// that net.IPv4 and net.ResolveUDPAddr produce into the 4-byte form an
+// AF_INET socket accepts. An empty or 0.0.0.0 IP means this host, as a
+// UDPConn write treats it; it becomes 127.0.0.1, so the address compares
+// equal to the source of the replies it sends.
+func addrPortOf(a *net.UDPAddr) netip.AddrPort {
+	ap := a.AddrPort()
+	ip := ap.Addr().Unmap()
+	if !ip.IsValid() || ip == netip.IPv4Unspecified() {
+		ip = netip.AddrFrom4([4]byte{127, 0, 0, 1})
+	}
+	return netip.AddrPortFrom(ip, ap.Port())
+}
+
 // Store is the server's in-memory key-value state.
 type Store struct {
 	mu sync.RWMutex
@@ -46,14 +62,17 @@ type Store struct {
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{m: make(map[string][]byte)} }
 
-// Set writes a value.
+// Set writes a copy of value. It always stores a fresh slice and never
+// writes into one already stored, so a slice handed out by lookup stays
+// whole and unchanged after its lock is released; the server reads values
+// in place on that invariant.
 func (s *Store) Set(key string, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.m[key] = append([]byte(nil), value...)
 }
 
-// Get reads a value; ok reports presence.
+// Get reads a copy of a value; ok reports presence.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -62,6 +81,15 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	return append([]byte(nil), v...), true
+}
+
+// lookup returns the stored slice itself (nil on a miss), without copying
+// it and without converting key to a string on the heap. The caller must
+// not write into it (see Set).
+func (s *Store) lookup(key []byte) []byte {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.m[string(key)]
 }
 
 // Len returns the number of keys.
@@ -110,7 +138,7 @@ type Server struct {
 
 type inbound struct {
 	buf  *[]byte
-	from *net.UDPAddr
+	from netip.AddrPort
 }
 
 // NewServer starts a server on addr ("127.0.0.1:0" for an ephemeral port).
@@ -179,7 +207,7 @@ func (s *Server) readLoop() {
 	defer s.wg.Done()
 	buf := make([]byte, maxPacket)
 	for {
-		n, from, err := s.conn.ReadFromUDP(buf)
+		n, from, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // closed
 		}
@@ -228,11 +256,7 @@ func (s *Server) handle(in inbound, out []byte) []byte {
 	if s.cfg.ProcessingDelay > 0 {
 		time.Sleep(s.cfg.ProcessingDelay)
 	}
-	value, ok := s.store.Get(string(req.Payload))
-	payload := value
-	if !ok {
-		payload = nil // empty payload signals a miss
-	}
+	payload := s.store.lookup(req.Payload) // nil: the empty payload signals a miss
 
 	elapsedUs := float64(time.Since(start)) / float64(time.Microsecond)
 	s.observeService(elapsedUs)
@@ -256,7 +280,7 @@ func (s *Server) handle(in inbound, out []byte) []byte {
 	// on the response — and read this counter — before this goroutine is
 	// scheduled again.
 	s.served.Add(1)
-	if _, err := s.conn.WriteToUDP(buf, in.from); err != nil {
+	if _, err := s.conn.WriteToUDPAddrPort(buf, in.from); err != nil {
 		s.served.Add(^uint64(0)) // the send failed; undo
 	}
 	return buf

@@ -185,6 +185,16 @@ func SetMagic(buf []byte, m Magic) error {
 	return nil
 }
 
+// SetRV rewrites the retaining value in place — what an operator does to a
+// response before forwarding it, restoring the RV the request arrived with.
+func SetRV(buf []byte, rv uint16) error {
+	if len(buf) < headerLen {
+		return fmt.Errorf("set RV on %d bytes: %w", len(buf), ErrShortPacket)
+	}
+	binary.BigEndian.PutUint16(buf[8:10], rv)
+	return nil
+}
+
 // Request is a decoded NetRS read request.
 type Request struct {
 	// RID identifies the RSNode assigned to this request (DegradedRID for
@@ -235,7 +245,9 @@ func grow(b []byte, n int) []byte {
 	return append(b, make([]byte, n)...)
 }
 
-// UnmarshalRequest decodes a request packet.
+// UnmarshalRequest decodes a request packet. The returned Payload aliases
+// buf (nil when the packet carries none): it is valid only while buf is,
+// and a caller that keeps it past reusing buf must copy it.
 func UnmarshalRequest(buf []byte) (Request, error) {
 	h, err := parseHeader(buf)
 	if err != nil {
@@ -251,8 +263,7 @@ func UnmarshalRequest(buf []byte) (Request, error) {
 		RGID:  uint32(buf[headerLen])<<16 | uint32(buf[headerLen+1])<<8 | uint32(buf[headerLen+2]),
 	}
 	if rest := buf[requestFixedLen:]; len(rest) > 0 {
-		r.Payload = make([]byte, len(rest))
-		copy(r.Payload, rest)
+		r.Payload = rest
 	}
 	return r, nil
 }
@@ -305,7 +316,8 @@ func AppendResponse(dst []byte, r Response) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalResponse decodes a response packet.
+// UnmarshalResponse decodes a response packet. As with UnmarshalRequest,
+// the returned Payload aliases buf (nil when empty).
 func UnmarshalResponse(buf []byte) (Response, error) {
 	h, err := parseHeader(buf)
 	if err != nil {
@@ -333,8 +345,7 @@ func UnmarshalResponse(buf []byte) (Response, error) {
 		r.Status.ServiceTimeUs = math.Float32frombits(binary.BigEndian.Uint32(ss[2:]))
 	}
 	if rest := buf[responseFixedLen+ssl:]; len(rest) > 0 {
-		r.Payload = make([]byte, len(rest))
-		copy(r.Payload, rest)
+		r.Payload = rest
 	}
 	return r, nil
 }

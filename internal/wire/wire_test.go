@@ -200,6 +200,61 @@ func TestPeekAndRewrite(t *testing.T) {
 	}
 }
 
+// TestSetRV: an operator restores the client's retaining value on a
+// response in place; every other field is left as it was.
+func TestSetRV(t *testing.T) {
+	in := Response{RID: 3, Magic: MagicResponse, RV: 0x1111,
+		Source: SourceMarker{Pod: 1, Rack: 2}, Status: Status{QueueSize: 4, ServiceTimeUs: 5},
+		Payload: []byte("value")}
+	buf, err := AppendResponse(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SetRV(buf, 0xBEEF); err != nil {
+		t.Fatal(err)
+	}
+	out, err := UnmarshalResponse(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := in
+	want.RV = 0xBEEF
+	if out.RID != want.RID || out.Magic != want.Magic || out.RV != want.RV ||
+		out.Source != want.Source || out.Status != want.Status || !bytes.Equal(out.Payload, want.Payload) {
+		t.Fatalf("after SetRV: %+v, want %+v", out, want)
+	}
+	if err := SetRV(make([]byte, headerLen-1), 1); !errors.Is(err, ErrShortPacket) {
+		t.Fatal("SetRV on short accepted")
+	}
+}
+
+// TestUnmarshalAllocFree: both decoders run without a heap allocation,
+// and the decoded Payload shares its backing array with the input.
+func TestUnmarshalAllocFree(t *testing.T) {
+	req, err := AppendRequest(nil, Request{Magic: MagicRequest, RGID: 1, Payload: []byte("key")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := AppendResponse(nil, Response{Magic: MagicMonitor, Payload: []byte("value")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r Request
+	var p Response
+	if n := testing.AllocsPerRun(100, func() { r, _ = UnmarshalRequest(req) }); n != 0 {
+		t.Errorf("UnmarshalRequest: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { p, _ = UnmarshalResponse(resp) }); n != 0 {
+		t.Errorf("UnmarshalResponse: %v allocs, want 0", n)
+	}
+	if &r.Payload[0] != &req[requestFixedLen] {
+		t.Error("request payload does not alias the packet")
+	}
+	if &p.Payload[0] != &resp[responseFixedLen+statusLen] {
+		t.Error("response payload does not alias the packet")
+	}
+}
+
 func TestDegradedRIDIsNotARealOperator(t *testing.T) {
 	// Operator IDs are assigned from 1 upward; the degraded marker must
 	// stay out of that space.
