@@ -228,8 +228,10 @@ type shardState struct {
 	// svcFree the records of requests served in this partition.
 	pendFree []*pending
 	svcFree  []*svcReq
-	// rank is the scratch a NetRS client ranks its DRS backup into.
+	// rank is the scratch a NetRS client ranks its DRS backup into, and
+	// dup the scratch a CliRS-R95 duplicate lists its candidates in.
 	rank []int
+	dup  []int
 
 	// launchFn is the shared handler for rate-control-delayed CliRS sends
 	// in this partition (closure-free scheduling; the packetCtx is the
@@ -1135,18 +1137,18 @@ func (r *runner) armRedundantTimer(st *shardState, p *pending) {
 func (r *runner) fireRedundant(p *pending) {
 	st := r.parts[p.client.part]
 	if !p.done {
-		filtered := make([]int, 0, len(p.replicas))
+		st.dup = st.dup[:0]
 		for _, s := range p.replicas {
 			if s != p.primary {
-				filtered = append(filtered, s)
+				st.dup = append(st.dup, s)
 			}
 		}
-		if len(filtered) > 0 {
+		if len(st.dup) > 0 {
 			st.redundant++
 			if r.timeline != nil {
 				r.timeline.RecordTimeout(st.eng.Now())
 			}
-			r.sendClientPick(st, p, filtered, false)
+			r.sendClientPick(st, p, st.dup, false)
 		}
 	}
 	st.release(p) // the fired timer's reference

@@ -21,7 +21,7 @@ type Accelerator struct {
 	svc      sim.Time
 
 	busy  int
-	queue []*Packet
+	queue sim.FIFO[*Packet]
 
 	// Stored hot-path handlers: every request traverses switch→accelerator
 	// (enterFn), service completion (finishFn), and accelerator→switch
@@ -106,8 +106,8 @@ func (a *Accelerator) enter(p *Packet) {
 		a.startService(p)
 		return
 	}
-	a.queue = append(a.queue, p)
-	if q := len(a.queue) + a.busy; q > a.maxQueue {
+	*a.queue.Push() = p
+	if q := a.queue.Len() + a.busy; q > a.maxQueue {
 		a.maxQueue = q
 	}
 }
@@ -121,10 +121,8 @@ func (a *Accelerator) finishService(p *Packet) {
 	a.busy--
 	a.busyNs += a.svc
 	a.selections++
-	if len(a.queue) > 0 {
-		next := a.queue[0]
-		a.queue = a.queue[1:]
-		a.startService(next)
+	if a.queue.Len() > 0 {
+		a.startService(a.queue.Pop())
 	}
 
 	candidates, err := a.op.groupDB(p.RGID)

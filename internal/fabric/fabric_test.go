@@ -647,6 +647,49 @@ func TestAcceleratorQueueing(t *testing.T) {
 	}
 }
 
+// TestAcceleratorBurstsKeepFIFOOrder sends three bursts into the ToR's
+// 1-core, 5 µs accelerator while it is still busy with the previous
+// ones: 24 requests at 0, 30 at 52.5 µs and 80 at 152.5 µs. Each later
+// burst lands with the queue's head part-way round the ring, so the ring
+// wraps and then grows (16 → 32 → 64 → 128 slots) with its head off slot
+// 0. The spy picks the same server for every request, so responses
+// arrive in selection order, which must be send order; and the queue
+// peaks as the third burst lands: 54 sent − 30 selected + 80 = 104.
+func TestAcceleratorBurstsKeepFIFOOrder(t *testing.T) {
+	h := newHarness(t, nil)
+	if err := h.ctrl.InstallToRPlan(); err != nil {
+		t.Fatal(err)
+	}
+	next := uint64(1)
+	burst := func(n int) {
+		for i := 0; i < n; i++ {
+			h.sendRequest(next)
+			next++
+		}
+	}
+	burst(24)
+	h.eng.MustSchedule(sim.FromUs(52.5), func() { burst(30) })
+	h.eng.MustSchedule(sim.FromUs(152.5), func() { burst(80) })
+	h.eng.Run()
+	total := next - 1
+	if uint64(len(h.got)) != total {
+		t.Fatalf("delivered %d of %d", len(h.got), total)
+	}
+	for id := uint64(2); id <= total; id++ {
+		if h.gotTime[id] <= h.gotTime[id-1] {
+			t.Fatalf("request %d answered at %v, not after request %d at %v: selections left FIFO order",
+				id, h.gotTime[id], id-1, h.gotTime[id-1])
+		}
+	}
+	accel := h.torOperator().Accelerator()
+	if accel.Selections() != total {
+		t.Fatalf("selections = %d, want %d", accel.Selections(), total)
+	}
+	if accel.MaxQueue() != 104 {
+		t.Fatalf("max queue = %d, want 104", accel.MaxQueue())
+	}
+}
+
 func TestRateControlDelayAppliedInNetwork(t *testing.T) {
 	spy := &spySelector{delay: 500 * sim.Microsecond}
 	factory := func(uint16, *sim.Engine) (Selector, error) { return spy, nil }

@@ -524,6 +524,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Submit(Request{})

@@ -52,9 +52,16 @@ type Server struct {
 	slow        float64 // fault-injected service-time multiplier (1 = nominal)
 	paused      bool    // fault-injected outage: service halts, queue grows
 	busy        int
-	queue       []*queued
 	stEWMA      *stats.EWMA
 	fluctOn     bool // the redraw process is running
+
+	// queue holds the waiting requests inline, oldest first. headSeq is
+	// the sequence number of its head entry (numbers start at 1 and count
+	// every queued request), and queueCanceled counts the canceled entries
+	// still in it, so QueueSize needs no scan.
+	queue         sim.FIFO[queued]
+	headSeq       uint64
+	queueCanceled int
 
 	served    uint64
 	cancelled uint64
@@ -71,40 +78,47 @@ type Server struct {
 
 // svcJob carries one in-service request and its drawn service time between
 // startService and the completion event. Jobs are pool-recycled; queued
-// entries are not (Tickets hold bare *queued pointers and have no
-// generation check to detect reuse).
+// requests need no carrier, as they wait inline in the server's ring.
 type svcJob struct {
 	req Request
 	st  sim.Time
 }
 
-// queued is one waiting request, cancelable until service starts.
+// queued is one waiting request, cancelable until service starts. A
+// canceled entry stays in the ring, skipped, until it reaches the head.
 type queued struct {
 	req      Request
 	canceled bool
-	started  bool
 }
 
 // Ticket handles a submitted request: redundant-request schemes use it to
 // cancel a duplicate that is still waiting in the queue (the cross-server
-// cancellation of Dean & Barroso, cited as [9] by the paper). The zero
-// value cancels nothing.
+// cancellation of Dean & Barroso, cited as [9] by the paper). It names
+// the request by its server's queue sequence number, which starts at 1,
+// so the zero value cancels nothing.
 type Ticket struct {
 	srv *Server
-	q   *queued
+	seq uint64
 }
 
 // Cancel removes the request from the server's queue if it has not
 // started service. It reports whether the request was actually removed
 // (false: already serving, already served, already canceled, or a
 // zero Ticket); a removed request is never served, and its Done never
-// runs.
+// runs. A sequence number below the queue head's has left the queue, so
+// its request has started (or, canceled, been skipped).
 func (t Ticket) Cancel() bool {
-	if t.q == nil || t.q.canceled || t.q.started {
+	s := t.srv
+	if s == nil || t.seq < s.headSeq {
 		return false
 	}
-	t.q.canceled = true
-	t.srv.cancelled++
+	q := s.queue.At(int(t.seq - s.headSeq))
+	if q.canceled {
+		return false
+	}
+	q.canceled = true
+	s.queueCanceled++
+	s.cancelled++
 	return true
 }
 
@@ -140,6 +154,7 @@ func NewServer(id int, eng *sim.Engine, cfg ServerConfig, rng *sim.RNG) (*Server
 		rng:         rng,
 		currentMean: float64(cfg.MeanServiceTime),
 		slow:        1,
+		headSeq:     1,
 	}
 	s.finishFn = func(arg any) { s.finishJob(arg.(*svcJob)) }
 	s.redrawFn = s.redrawMode
@@ -216,16 +231,16 @@ func (s *Server) Resume() {
 }
 
 // startNext starts service on the oldest queued request that has not
-// been canceled, marking it started so its ticket can no longer cancel
-// it. It reports whether one started.
+// been canceled; popping it advances headSeq past its ticket, which can
+// then no longer cancel it. It reports whether one started.
 func (s *Server) startNext() bool {
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		s.queue = s.queue[1:]
+	for s.queue.Len() > 0 {
+		next := s.queue.Pop()
+		s.headSeq++
 		if next.canceled {
+			s.queueCanceled--
 			continue
 		}
-		next.started = true
 		s.startService(next.req)
 		return true
 	}
@@ -243,12 +258,12 @@ func (s *Server) Submit(req Request) Ticket {
 		s.startService(req)
 		return Ticket{}
 	}
-	q := &queued{req: req}
-	s.queue = append(s.queue, q)
+	seq := s.headSeq + uint64(s.queue.Len())
+	*s.queue.Push() = queued{req: req}
 	if qs := s.QueueSize(); qs > s.maxQueue {
 		s.maxQueue = qs
 	}
-	return Ticket{srv: s, q: q}
+	return Ticket{srv: s, seq: seq}
 }
 
 func (s *Server) startService(req Request) {
@@ -295,13 +310,7 @@ func (s *Server) finishService(req Request, st sim.Time) {
 // QueueSize returns pending requests: executing plus waiting (canceled
 // entries excluded).
 func (s *Server) QueueSize() int {
-	waiting := 0
-	for _, q := range s.queue {
-		if !q.canceled {
-			waiting++
-		}
-	}
-	return s.busy + waiting
+	return s.busy + s.queue.Len() - s.queueCanceled
 }
 
 // Cancelled returns the number of queue-canceled requests.

@@ -1,7 +1,9 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"netrs/internal/ilp"
@@ -355,102 +357,22 @@ func solveExact(p Problem, active []bool, candidates [][]int, opts Options) (Pla
 	return plan, nil
 }
 
+// heurCand is one eligible group of an operator in solveHeuristic's
+// greedy: its index, its extra-hop cost at that operator and its traffic.
+type heurCand struct {
+	gi        int
+	cost, tot float64
+}
+
 // solveHeuristic packs groups into as few operators as possible: it
 // repeatedly opens the operator able to absorb the most remaining traffic
 // within capacity and hop budget (preferring cheaper-hop assignments),
 // then runs a local-search pass that tries to close each open RSNode by
 // redistributing its groups.
 func solveHeuristic(p Problem, active []bool, candidates [][]int) (Plan, error) {
-	assignment := make([]int, len(p.Groups))
-	for gi := range assignment {
-		assignment[gi] = -1
-	}
-	remaining := 0
-	unassigned := make([]bool, len(p.Groups))
-	for gi, a := range active {
-		if a {
-			unassigned[gi] = true
-			remaining++
-		}
-	}
-	load := make([]float64, len(p.Operators))
-	open := make([]bool, len(p.Operators))
-	hopsLeft := p.ExtraHopBudget
-
-	// groupsPerOp[oi] lists groups eligible for operator oi.
-	groupsPerOp := make([][]int, len(p.Operators))
-	for gi, cands := range candidates {
-		for _, oi := range cands {
-			groupsPerOp[oi] = append(groupsPerOp[oi], gi)
-		}
-	}
-
-	for remaining > 0 {
-		// Evaluate each closed-or-open operator: how many unassigned
-		// groups could it take, greedily by ascending hop cost?
-		bestOp, bestCount, bestTraffic := -1, 0, 0.0
-		var bestTake []int
-		for oi := range p.Operators {
-			slack := p.Operators[oi].MaxTraffic - load[oi]
-			if slack <= 0 {
-				continue
-			}
-			// Candidates sorted by ascending hop cost, then descending
-			// traffic to fill capacity efficiently.
-			cands := make([]int, 0, len(groupsPerOp[oi]))
-			for _, gi := range groupsPerOp[oi] {
-				if unassigned[gi] {
-					cands = append(cands, gi)
-				}
-			}
-			if len(cands) == 0 {
-				continue
-			}
-			sort.Slice(cands, func(a, b int) bool {
-				ca := p.ExtraHopCost(p.Groups[cands[a]], p.Operators[oi])
-				cb := p.ExtraHopCost(p.Groups[cands[b]], p.Operators[oi])
-				switch {
-				case ca < cb:
-					return true
-				case cb < ca:
-					return false
-				}
-				ta, tb := p.Groups[cands[a]].Total(), p.Groups[cands[b]].Total()
-				switch {
-				case ta > tb:
-					return true
-				case tb > ta:
-					return false
-				}
-				return cands[a] < cands[b]
-			})
-			take := make([]int, 0, len(cands))
-			slackLeft, budgetLeft, traffic := slack, hopsLeft, 0.0
-			for _, gi := range cands {
-				tot := p.Groups[gi].Total()
-				cost := p.ExtraHopCost(p.Groups[gi], p.Operators[oi])
-				if tot <= slackLeft+1e-9 && cost <= budgetLeft+1e-9 {
-					take = append(take, gi)
-					slackLeft -= tot
-					budgetLeft -= cost
-					traffic += tot
-				}
-			}
-			if len(take) > bestCount || (len(take) == bestCount && traffic > bestTraffic) {
-				bestOp, bestCount, bestTraffic, bestTake = oi, len(take), traffic, take
-			}
-		}
-		if bestOp == -1 || bestCount == 0 {
-			return Plan{}, fmt.Errorf("heuristic cannot place %d groups: %w", remaining, ErrInfeasible)
-		}
-		open[bestOp] = true
-		for _, gi := range bestTake {
-			assignment[gi] = bestOp
-			unassigned[gi] = false
-			load[bestOp] += p.Groups[gi].Total()
-			hopsLeft -= p.ExtraHopCost(p.Groups[gi], p.Operators[bestOp])
-			remaining--
-		}
+	assignment, load, open, hopsLeft, err := greedyPack(p, active, candidates)
+	if err != nil {
+		return Plan{}, err
 	}
 
 	// Local search: try to close RSNodes with few groups by moving their
@@ -520,4 +442,88 @@ func solveHeuristic(p Problem, active []bool, candidates [][]int) (Plan, error) 
 	}
 
 	return Plan{Assignment: assignment, Method: MethodHeuristic}, nil
+}
+
+// greedyPack is solveHeuristic's packing phase. It returns the group →
+// operator assignment (-1 for inactive groups), each operator's load,
+// which operators it opened, and the extra-hop budget left.
+func greedyPack(p Problem, active []bool, candidates [][]int) (assignment []int, load []float64, open []bool, hopsLeft float64, err error) {
+	assignment = make([]int, len(p.Groups))
+	for gi := range assignment {
+		assignment[gi] = -1
+	}
+	remaining := 0
+	unassigned := make([]bool, len(p.Groups))
+	for gi, a := range active {
+		if a {
+			unassigned[gi] = true
+			remaining++
+		}
+	}
+	load = make([]float64, len(p.Operators))
+	open = make([]bool, len(p.Operators))
+	hopsLeft = p.ExtraHopBudget
+
+	// groupsPerOp[oi] lists the groups eligible for operator oi in the
+	// greedy's preference order: ascending hop cost, then descending
+	// traffic to fill capacity efficiently, then group index. That key is
+	// a total order that never changes between rounds, so each list is
+	// sorted once, with its costs precomputed, and a round only filters
+	// it by unassigned.
+	groupsPerOp := make([][]heurCand, len(p.Operators))
+	for gi, cands := range candidates {
+		for _, oi := range cands {
+			groupsPerOp[oi] = append(groupsPerOp[oi], heurCand{
+				gi: gi, cost: p.ExtraHopCost(p.Groups[gi], p.Operators[oi]), tot: p.Groups[gi].Total(),
+			})
+		}
+	}
+	for _, list := range groupsPerOp {
+		slices.SortFunc(list, func(a, b heurCand) int {
+			return cmp.Or(cmp.Compare(a.cost, b.cost), cmp.Compare(b.tot, a.tot), cmp.Compare(a.gi, b.gi))
+		})
+	}
+
+	// take collects one operator's candidate round; it swaps with bestTake
+	// when it wins, so the best so far is never overwritten.
+	take := make([]int, 0, remaining)
+	bestTake := make([]int, 0, remaining)
+	for remaining > 0 {
+		// Evaluate each closed-or-open operator: how many unassigned
+		// groups could it take, greedily in preference order?
+		bestOp, bestCount, bestTraffic := -1, 0, 0.0
+		bestTake = bestTake[:0]
+		for oi := range p.Operators {
+			slack := p.Operators[oi].MaxTraffic - load[oi]
+			if slack <= 0 {
+				continue
+			}
+			take = take[:0]
+			slackLeft, budgetLeft, traffic := slack, hopsLeft, 0.0
+			for _, c := range groupsPerOp[oi] {
+				if unassigned[c.gi] && c.tot <= slackLeft+1e-9 && c.cost <= budgetLeft+1e-9 {
+					take = append(take, c.gi)
+					slackLeft -= c.tot
+					budgetLeft -= c.cost
+					traffic += c.tot
+				}
+			}
+			if len(take) > bestCount || (len(take) == bestCount && traffic > bestTraffic) {
+				bestOp, bestCount, bestTraffic = oi, len(take), traffic
+				take, bestTake = bestTake, take
+			}
+		}
+		if bestOp == -1 || bestCount == 0 {
+			return nil, nil, nil, 0, fmt.Errorf("heuristic cannot place %d groups: %w", remaining, ErrInfeasible)
+		}
+		open[bestOp] = true
+		for _, gi := range bestTake {
+			assignment[gi] = bestOp
+			unassigned[gi] = false
+			load[bestOp] += p.Groups[gi].Total()
+			hopsLeft -= p.ExtraHopCost(p.Groups[gi], p.Operators[bestOp])
+			remaining--
+		}
+	}
+	return assignment, load, open, hopsLeft, nil
 }

@@ -287,10 +287,10 @@ func (e *Engine) next() (lane *Lane, at Time, ok bool) {
 		return nil, at, ok
 	}
 	for _, l := range e.lanes {
-		if l.n == 0 {
+		if l.q.Len() == 0 {
 			continue
 		}
-		h := &l.buf[l.head]
+		h := l.q.At(0)
 		if !ok || h.at < at || (h.at == at && h.seq < seq) {
 			lane, at, seq, ok = l, h.at, h.seq, true
 		}

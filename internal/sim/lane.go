@@ -4,15 +4,13 @@ import "fmt"
 
 // Lane is a fixed-delay FIFO beside the agenda heap; the package comment's
 // "Fixed-delay lanes" section says why its order needs no sift and merges
-// exactly with the heap's. Each entry lives inline in a ring buffer that
+// exactly with the heap's. Its entries live inline in a FIFO ring that
 // grows to the lane's high-water mark and is then reused, so a
 // steady-state schedule→execute cycle allocates nothing.
 type Lane struct {
 	eng   *Engine
 	delay Time
-	buf   []entry // ring buffer; len is zero or a power of two
-	head  int     // index of the oldest entry
-	n     int     // pending entries
+	q     FIFO[entry]
 }
 
 // Lane returns the engine's FIFO lane for events delayed by exactly delay,
@@ -39,34 +37,15 @@ func (l *Lane) ScheduleArg(fn ArgHandler, arg any) {
 	if fn == nil {
 		panic(ErrNilHandler)
 	}
-	if l.n == len(l.buf) {
-		l.grow()
-	}
 	e := l.eng
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = entry{at: e.now + l.delay, seq: e.seq, fn: fn, arg: arg}
-	l.n++
+	*l.q.Push() = entry{at: e.now + l.delay, seq: e.seq, fn: fn, arg: arg}
 	e.seq++
 	e.laneLen++
 }
 
-// grow doubles the ring, unrolling the pending entries to its front.
-func (l *Lane) grow() {
-	buf := make([]entry, max(16, 2*len(l.buf)))
-	for i := 0; i < l.n; i++ {
-		buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
-	}
-	l.buf = buf
-	l.head = 0
-}
-
-// pop removes and returns the lane's head; the vacated slot drops its
-// handler and argument so the garbage collector can reclaim them.
+// pop removes and returns the lane's head; FIFO.Pop zeroes the vacated
+// slot, so the garbage collector can reclaim its handler and argument.
 func (l *Lane) pop() entry {
-	slot := &l.buf[l.head]
-	ent := *slot
-	*slot = entry{}
-	l.head = (l.head + 1) & (len(l.buf) - 1)
-	l.n--
 	l.eng.laneLen--
-	return ent
+	return l.q.Pop()
 }

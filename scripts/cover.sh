@@ -11,7 +11,8 @@
 # internal/dist and internal/kv below theirs from when C3's state split
 # and the hash ring gained its bucket index, and internal/kvnet and
 # internal/wire below theirs from when the kvnet datapath stopped
-# allocating.
+# allocating, and internal/placement below its baseline from when the
+# heuristic began sorting its candidates once.
 # Raise a floor when new tests push coverage up; never lower one to make
 # a PR pass.
 set -eu
@@ -43,11 +44,12 @@ check_floor netrs/internal/workload 90.0
 check_floor netrs/internal/selection 90.0
 check_floor netrs/internal/scenario 95.0
 check_floor netrs/internal/cache 90.0
-check_floor netrs/internal/sim 93.9
+check_floor netrs/internal/sim 94.0
 check_floor netrs/internal/kv 96.9
 check_floor netrs/internal/c3 93.4
 check_floor netrs/internal/dist 95.7
 check_floor netrs/internal/kvnet 85.9
 check_floor netrs/internal/wire 98.0
+check_floor netrs/internal/placement 87.0
 
 echo "== OK (cover)"
