@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -89,6 +90,12 @@ type Result struct {
 	CacheAdmissions    uint64 `json:"cacheAdmissions,omitempty"`
 	CacheEvictions     uint64 `json:"cacheEvictions,omitempty"`
 	CacheInvalidations uint64 `json:"cacheInvalidations,omitempty"`
+	// Events counts the executed events by the engine queue that held
+	// them (the agenda heap, the fixed-delay lanes, the exchange inbox and
+	// the arrival cursors), summed over partitions. It is diagnostic only
+	// and excluded from golden digests: the split depends on the shard
+	// count, where every other field agrees across it.
+	Events sim.EventCounts `json:"events"`
 }
 
 // CacheHitRate is the fraction of cache-consulted requests answered in
@@ -634,9 +641,10 @@ func (r *runner) setup() error {
 
 // setupArrivals wires the synthetic workload. At P = 1 the live source
 // emits on the engine as the run goes. At P > 1 the arrival sequence is
-// pre-generated for start to schedule. Pre-generating at P = 1 too would
-// hold ~100k extra agenda entries at the default request count and change
-// the tie order the golden digests pin.
+// pre-generated for start to replay. Pre-generating at P = 1 too would
+// change the tie order the golden digests pin: the live source's ticks
+// take their sequence numbers as the run goes, between the model's
+// events, where a replayed sequence takes one block of them at start.
 func (r *runner) setupArrivals(srcCfg workload.SourceConfig, rng *sim.RNG) error {
 	var err error
 	if r.set == nil {
@@ -877,15 +885,33 @@ func (r *runner) start() error {
 		r.source.Start()
 		return nil
 	}
-	// Each arrival goes into its client's partition at its absolute
-	// instant, in arrival order — the FIFO order one engine gives
-	// equal-instant emissions. Each event's argument points into the
-	// arrivals slice: boxing a bare index would cost one allocation per
-	// arrival.
+	// Each partition replays its clients' arrivals in arrival order — the
+	// FIFO order one engine gives equal-instant emissions — through a
+	// cursor over the arrivals slice, which takes the block of sequence
+	// numbers scheduling them one by one would. A partition's list holds
+	// indices into the slice, and each event's argument points into it:
+	// boxing a bare index would cost one allocation per arrival.
+	if len(r.arrivals) > math.MaxInt32 {
+		return fmt.Errorf("%d arrivals exceed the int32 index space: %w", len(r.arrivals), ErrInvalidParam)
+	}
+	counts := make([]int, len(r.parts))
 	for i := range r.arrivals {
-		a := &r.arrivals[i]
-		st := r.parts[r.clients[a.req.Client].part]
-		if err := st.eng.ScheduleArgAt(a.at, r.arriveFn, a); err != nil {
+		counts[r.clients[r.arrivals[i].req.Client].part]++
+	}
+	order := make([][]int32, len(r.parts))
+	for p, n := range counts {
+		order[p] = make([]int32, 0, n)
+	}
+	for i := range r.arrivals {
+		p := r.clients[r.arrivals[i].req.Client].part
+		order[p] = append(order[p], int32(i))
+	}
+	for p, idx := range order {
+		err := r.parts[p].eng.ScheduleSorted(len(idx), r.arriveFn, func(i int) (sim.Time, any) {
+			a := &r.arrivals[idx[i]]
+			return a.at, a
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -969,6 +995,7 @@ func (r *runner) result() (Result, error) {
 		res.DegradedResponses += st.degraded
 		res.RedundantSent += st.redundant
 		res.CancelledDuplicates += st.cancelled
+		res.Events = res.Events.Add(st.eng.Events())
 		// The logical end of the run is the last completion instant, where
 		// P = 1 stops its engine. Partition clocks at P > 1 may overrun it
 		// by up to one window, but only on invisible timers (server

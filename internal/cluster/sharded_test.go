@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"netrs/internal/scenario"
+	"netrs/internal/sim"
 )
 
 // shardedTestConfig is a small experiment exercising the full feature set
@@ -230,5 +231,49 @@ func TestShardedConfigValidation(t *testing.T) {
 	cfg.Shards = -1
 	if err := cfg.validate(); !errors.Is(err, ErrInvalidParam) {
 		t.Errorf("negative shards: validate() = %v, want ErrInvalidParam", err)
+	}
+}
+
+// TestShardedHeapEventsMatchSequential pins where the sharded engine's
+// events run. Pre-generated arrivals replay through cursors and
+// cross-partition hops land in the exchange inbox, so neither touches the
+// agenda heap. At Shards=1 the live source's ticks, one per arrival, are
+// heap events, so the sharded figure counts each cursor event as one too:
+// heap events per request at Shards=2 then stay within 0.5 of the
+// Shards=1 figure. Before the inbox and the cursors, the exchange and the
+// arrivals put the k=32 preset at 7.4 per request against 2.1.
+func TestShardedHeapEventsMatchSequential(t *testing.T) {
+	base := DefaultConfig()
+	base.FatTreeK = 8
+	base.Servers = 32
+	base.Clients = 64
+	base.Generators = 16
+	base.Requests = 4000
+	base.Scheme = SchemeNetRSILP
+	run := func(shards int) sim.EventCounts {
+		t.Helper()
+		cfg := base
+		cfg.Shards = shards
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("shards %d: %v", shards, err)
+		}
+		if res.Emitted == 0 {
+			t.Fatalf("shards %d: no arrivals", shards)
+		}
+		return res.Events
+	}
+	seq, shd := run(1), run(2)
+	arrivals := float64(shd.Cursor)
+	seqHeap := float64(seq.Heap) / arrivals
+	shdHeap := float64(shd.Heap+shd.Cursor) / arrivals
+	if seq.Inbox != 0 || seq.Cursor != 0 {
+		t.Errorf("shards 1: %+v, want no inbox or cursor events", seq)
+	}
+	if want := uint64(base.Requests) + uint64(base.WarmupFraction*float64(base.Requests)); shd.Cursor != want || shd.Inbox == 0 {
+		t.Errorf("shards 2: %+v, want %d cursor events and some inbox ones", shd, want)
+	}
+	if d := shdHeap - seqHeap; d > 0.5 || d < -0.5 {
+		t.Errorf("heap events per request (arrivals included): shards 2 %.3f, shards 1 %.3f; want within 0.5", shdHeap, seqHeap)
 	}
 }

@@ -177,12 +177,16 @@ var schedHandlerNames = map[string]bool{
 // schedArgNames take a sim.ArgHandler plus a boxed `arg any` operand. The
 // match is by method name on any sim receiver, so ScheduleArg covers both
 // (*Engine).ScheduleArg and the fixed-delay (*Lane).ScheduleArg.
+// ScheduleSorted takes an item function in place of the argument: both
+// its func operands become roots, since the engine calls the item
+// function once per event too.
 var schedArgNames = map[string]bool{
 	"ScheduleArg":     true,
 	"ScheduleArgAt":   true,
 	"MustScheduleArg": true,
 	"Send":            true,
 	"MustSend":        true,
+	"ScheduleSorted":  true,
 }
 
 // inModule reports whether a type-checker package belongs to the module

@@ -172,7 +172,8 @@ func TestRunRulesFiltering(t *testing.T) {
 // (Pipeline.Start) stays legal. A fifth finding comes from the exchange
 // root: sim/shard.go's drain is reached by no Schedule call and sits on
 // the concurrency allowlist, yet its bare append is still flagged. The
-// sixth is the lane-only handler of TestLaneHandlerIsRoot.
+// sixth is the lane-only handler of TestLaneHandlerIsRoot, and the last
+// two are the sorted-stream handler's of TestSortedHandlerIsRoot.
 func TestHotPathColdMirror(t *testing.T) {
 	mod := loadFixture(t)
 	diags := Run(mod.Packages)
@@ -183,15 +184,16 @@ func TestHotPathColdMirror(t *testing.T) {
 		}
 		if !strings.HasSuffix(d.Pos.Filename, "fabric/hot.go") &&
 			!strings.HasSuffix(d.Pos.Filename, "fabric/lane.go") &&
+			!strings.HasSuffix(d.Pos.Filename, "fabric/sorted.go") &&
 			!strings.HasSuffix(d.Pos.Filename, "sim/shard.go") {
-			t.Errorf("hotalloc finding outside hot.go/lane.go/shard.go: %s", d)
+			t.Errorf("hotalloc finding outside hot.go/lane.go/sorted.go/shard.go: %s", d)
 		}
 		if len(d.Chain) == 0 {
 			t.Errorf("hotalloc finding lacks a call chain: %s", d)
 		}
 	}
-	if n := len(findDiags(diags, ruleNameHotAlloc, "")); n != 6 {
-		t.Errorf("hotalloc findings = %d, want 6 (closure, 2 boxing, 3 bare appends)", n)
+	if n := len(findDiags(diags, ruleNameHotAlloc, "")); n != 8 {
+		t.Errorf("hotalloc findings = %d, want 8 (closure, 3 boxing, 4 bare appends)", n)
 	}
 
 	// The exchange finding specifically: anchored in shard.go with a chain
@@ -248,5 +250,33 @@ func TestLaneHandlerIsRoot(t *testing.T) {
 	}
 	if boxed != 2 {
 		t.Errorf("boxing findings in hot.go = %d, want 2 (engine and lane ScheduleArg)", boxed)
+	}
+}
+
+// TestSortedHandlerIsRoot checks that Engine.ScheduleSorted registers its
+// handler as an ArgHandler root: replayStep is named nowhere else, yet its
+// bare append and the non-pointer argument it schedules are reported with
+// a chain from it, while the pointer its item function returns is not a
+// boxing finding.
+func TestSortedHandlerIsRoot(t *testing.T) {
+	mod := loadFixture(t)
+	diags := Run(mod.Packages)
+
+	var found []Diagnostic
+	for _, d := range findDiags(diags, ruleNameHotAlloc, "") {
+		if strings.HasSuffix(d.Pos.Filename, "fabric/sorted.go") {
+			found = append(found, d)
+		}
+	}
+	if len(found) != 2 {
+		t.Fatalf("hotalloc findings in sorted.go = %d, want 2: %v", len(found), found)
+	}
+	for i, substr := range []string{"append to grown", "int arg to ScheduleArg boxes"} {
+		if !strings.Contains(found[i].Message, substr) {
+			t.Errorf("finding %d = %q, want it to mention %q", i, found[i].Message, substr)
+		}
+		if got := found[i].ChainString(); got != "internal/fabric.replayStep" {
+			t.Errorf("finding %d chain = %q, want the sorted-stream handler internal/fabric.replayStep", i, got)
+		}
 	}
 }

@@ -36,6 +36,18 @@ func (e *Engine) ScheduleArg(delay int, fn ArgHandler, arg any) {
 // MustScheduleArg is ScheduleArg with the panic contract.
 func (e *Engine) MustScheduleArg(delay int, fn ArgHandler, arg any) { e.ScheduleArg(delay, fn, arg) }
 
+// ScheduleSorted registers n pre-sorted events read through item, each
+// running fn on the argument item returns: the real engine's cursor
+// beside the agenda. Like Lane.ScheduleArg, it never calls back into the
+// Engine's scheduling methods, so only its own name can register fn.
+func (e *Engine) ScheduleSorted(n int, fn ArgHandler, item func(i int) (int, any)) {
+	for i := 0; i < n; i++ {
+		_, arg := item(i)
+		e.argFns = append(e.argFns, fn)
+		e.args = append(e.args, arg)
+	}
+}
+
 // Lane is the real engine's fixed-delay FIFO: fire-and-forget events that
 // skip the agenda heap. Like the real one, it never calls back into the
 // Engine's scheduling methods, so only its own method name can register

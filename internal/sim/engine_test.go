@@ -142,17 +142,35 @@ func TestEngineRunUntil(t *testing.T) {
 }
 
 // TestAdvanceToPanicsOnPendingLaneEvent checks that AdvanceTo sees lane
-// events: lifting the clock past one would run it in the past.
+// events — fixed-delay, inbox and cursor alike: lifting the clock past one
+// would run it in the past.
 func TestAdvanceToPanicsOnPendingLaneEvent(t *testing.T) {
-	e := NewEngine()
-	e.Lane(5).ScheduleArg(func(any) {}, nil)
-	e.AdvanceTo(5) // up to the event's instant is allowed
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AdvanceTo past a pending lane event did not panic")
-		}
-	}()
-	e.AdvanceTo(6)
+	noop := func(any) {}
+	for name, schedule := range map[string]func(e *Engine){
+		"fixed-delay": func(e *Engine) { e.Lane(5).ScheduleArg(noop, nil) },
+		"inbox": func(e *Engine) {
+			if err := e.deliver([]xmsg{{at: 5, fn: noop}}); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"cursor": func(e *Engine) {
+			if err := e.ScheduleSorted(2, noop, func(i int) (Time, any) { return Time(5 + i), nil }); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		e := NewEngine()
+		schedule(e)
+		e.AdvanceTo(5) // up to the event's instant is allowed
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AdvanceTo past a pending lane event did not panic", name)
+				}
+			}()
+			e.AdvanceTo(6)
+		}()
+	}
 }
 
 // TestLanePanics pins the lane's MustScheduleArg-style contract, and

@@ -1,8 +1,8 @@
 package sim
 
 // The agenda heap is a 4-ary min-heap ordered by (time, sequence). It holds
-// every event that is not on a fixed-delay lane (lane.go): variable delays
-// and absolute-instant schedules. Each entry carries its ordering key
+// every event that is not on a lane (lane.go): variable delays and
+// absolute-instant schedules. Each entry carries its ordering key
 // inline with its handler, so the sift loops compare dense heap memory and
 // popping the top needs no second lookup. The 4-ary layout halves the tree
 // depth of a binary heap while keeping each node's children in a few cache

@@ -46,9 +46,9 @@ package sim
 // and drained only by the coordinator at barriers. Slabs are recycled like
 // the engine's heap: the drain poisons consumed entries and re-slices to
 // length zero keeping capacity, so the steady-state exchange allocates
-// nothing. The drain schedules each destination's messages in (time,
-// source shard, source buffer position) order, which is deterministic
-// regardless of worker interleaving.
+// nothing. The drain delivers each destination's messages into its
+// engine's inbox lane in (time, source shard, source buffer position)
+// order, which is deterministic regardless of worker interleaving.
 //
 // Global events (at, fn) run at barriers between windows, sequentially on
 // the coordinator, and may touch any partition's state. A global at g runs
@@ -120,7 +120,7 @@ type ShardSet struct {
 	// xbuf[src][dst] is the (src→dst) message slab. During a window only
 	// src's worker appends; between windows only the coordinator reads.
 	// xtotal[src] counts src's buffered messages across all destinations
-	// (same ownership), so an empty exchange is detected in O(N).
+	// (same ownership), so the drain skips a silent source in O(1).
 	xbuf   [][][]xmsg
 	xtotal []int
 
@@ -136,11 +136,10 @@ type ShardSet struct {
 	// Window-loop scratch, written by the coordinator between windows and
 	// read by workers during one (the wake send publishes them). nexts[p]
 	// is p's earliest pending event as of p's sequence counter seqs[p],
-	// ends[p] its window end; merged is the drain's reusable merge buffer.
-	nexts  []Time
-	seqs   []uint64
-	ends   []Time
-	merged []xmsg
+	// ends[p] its window end.
+	nexts []Time
+	seqs  []uint64
+	ends  []Time
 
 	// Persistent worker pool, live only inside a Run call with workers>1:
 	// claim is the shared partition-claim cursor, wake[w] delivers worker
@@ -480,66 +479,49 @@ func (s *ShardSet) worker(wake <-chan struct{}) {
 }
 
 // drain moves every buffered cross-partition message into its destination
-// engine. Each destination's messages are scheduled in (time, source
-// shard, source buffer position) order: concatenating the buffers in
-// source order and stable-sorting by timestamp leaves equal-time messages
-// in (source, position) order. Scheduling order fixes the engine's FIFO
-// tie-break, making the merged order independent of worker scheduling.
+// engine's inbox. Each destination takes its messages in (time, source
+// shard, source buffer position) order: it takes its sources' slabs in
+// source order, each slab stable-sorted by time (a sender's slab is
+// already sorted whenever its hops share one delay), and the inbox merge
+// puts a message after every queued one due at its instant. That order
+// fixes the engine's FIFO tie-break, making the merged order independent
+// of worker scheduling.
 //
-// The merge scratch and the slabs are reused across windows: consumed
-// entries are cleared (poisoned) so no handler or payload reference
-// outlives its delivery, then the slices are cut back to length zero
-// keeping capacity. Past the high-water mark the exchange allocates
-// nothing.
+// The slabs are reused across windows: consumed entries are cleared
+// (poisoned) so no handler or payload reference outlives its delivery,
+// then the slices are cut back to length zero keeping capacity. Past the
+// high-water mark the exchange allocates nothing.
 func (s *ShardSet) drain() error {
-	pending := 0
-	for _, c := range s.xtotal {
-		pending += c
-	}
-	if pending == 0 {
-		return nil
-	}
-	n := len(s.engines)
-	for dst := 0; dst < n; dst++ {
-		merged := s.merged[:0]
-		for src := 0; src < n; src++ {
-			if s.xtotal[src] == 0 {
-				continue
-			}
-			if buf := s.xbuf[src][dst]; len(buf) > 0 {
-				merged = append(merged, buf...)
-				clear(buf)
-				s.xbuf[src][dst] = buf[:0]
-			}
-		}
-		if len(merged) == 0 {
+	for src, bufs := range s.xbuf {
+		if s.xtotal[src] == 0 {
 			continue
 		}
-		slices.SortStableFunc(merged, func(a, b xmsg) int {
-			switch {
-			case a.at < b.at:
-				return -1
-			case a.at > b.at:
-				return 1
+		s.xtotal[src] = 0
+		for dst, buf := range bufs {
+			if len(buf) == 0 {
+				continue
 			}
-			return 0
-		})
-		eng := s.engines[dst]
-		var err error
-		for i := range merged {
-			if serr := eng.ScheduleArgAt(merged[i].at, merged[i].fn, merged[i].arg); serr != nil {
-				err = fmt.Errorf("sim: exchange delivery to shard %d: %w", dst, serr)
-				break
+			if !slices.IsSortedFunc(buf, cmpXmsg) {
+				slices.SortStableFunc(buf, cmpXmsg)
+			}
+			err := s.engines[dst].deliver(buf)
+			clear(buf)
+			bufs[dst] = buf[:0]
+			if err != nil {
+				return fmt.Errorf("sim: exchange delivery to shard %d: %w", dst, err)
 			}
 		}
-		clear(merged)
-		s.merged = merged[:0]
-		if err != nil {
-			return err
-		}
-	}
-	for i := range s.xtotal {
-		s.xtotal[i] = 0
 	}
 	return nil
+}
+
+// cmpXmsg orders exchange messages by time.
+func cmpXmsg(a, b xmsg) int {
+	switch {
+	case a.at < b.at:
+		return -1
+	case a.at > b.at:
+		return 1
+	}
+	return 0
 }

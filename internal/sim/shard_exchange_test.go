@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // The exchange contract under test (DESIGN.md §11): the per-(src,dst)
-// slabs and the drain's merge scratch are recycled across windows —
+// slabs and the destination inboxes are recycled across windows —
 // consumed entries are poisoned and the slices cut back to length zero
 // keeping capacity — so a steady-state window loop allocates nothing and
 // no handler or payload reference outlives its delivery.
@@ -74,8 +74,8 @@ func (w *exWorkload) burst(t *testing.T, width, hops int) {
 	}
 }
 
-// slabCaps snapshots every (src,dst) buffer capacity plus the merge
-// scratch capacity.
+// slabCaps snapshots every (src,dst) buffer capacity plus every
+// partition's inbox ring capacity.
 func slabCaps(s *ShardSet) []int {
 	var caps []int
 	for src := range s.xbuf {
@@ -83,12 +83,17 @@ func slabCaps(s *ShardSet) []int {
 			caps = append(caps, cap(s.xbuf[src][dst]))
 		}
 	}
-	return append(caps, cap(s.merged))
+	for _, e := range s.engines {
+		if e.inbox != nil {
+			caps = append(caps, len(e.inbox.q.buf))
+		}
+	}
+	return caps
 }
 
 // TestExchangeSlabReuse runs two identical bursts back to back and
-// asserts the second one grows nothing: the slabs and the merge scratch
-// reach their high-water mark in burst one and are reused verbatim.
+// asserts the second one grows nothing: the slabs and the inboxes reach
+// their high-water mark in burst one and are reused verbatim.
 func TestExchangeSlabReuse(t *testing.T) {
 	w := newExWorkload(t, 1)
 	w.burst(t, 32, 12)
@@ -118,9 +123,9 @@ func TestExchangeSlabReuse(t *testing.T) {
 }
 
 // TestExchangeStalePayloadPoisoning asserts that after a run every
-// consumed slab entry and the merge scratch are zeroed: a reference kept
-// past delivery reads nil handlers and nil payloads, never a previous
-// window's message.
+// consumed slab entry and every vacated inbox slot are zeroed: a
+// reference kept past delivery reads nil handlers and nil payloads, never
+// a previous window's message.
 func TestExchangeStalePayloadPoisoning(t *testing.T) {
 	w := newExWorkload(t, 1)
 	w.burst(t, 16, 9)
@@ -138,7 +143,16 @@ func TestExchangeStalePayloadPoisoning(t *testing.T) {
 			checkPoisoned("xbuf", w.set.xbuf[src][dst])
 		}
 	}
-	checkPoisoned("merged", w.set.merged)
+	for p, e := range w.set.engines {
+		if e.inbox == nil {
+			continue
+		}
+		for i, ent := range e.inbox.q.buf {
+			if ent.fn != nil || ent.arg != nil || ent.at != 0 || ent.seq != 0 {
+				t.Errorf("partition %d inbox slot %d not zeroed after the run: %+v", p, i, ent)
+			}
+		}
+	}
 }
 
 // TestExchangeSteadyStateAllocs bounds the steady-state window loop: with
@@ -181,4 +195,47 @@ func TestWindowFusionSkipsQuietStretches(t *testing.T) {
 	if max := 2*events + 2; windows > max {
 		t.Errorf("sparse schedule took %d windows, want <= %d (fusion must skip quiet stretches)", windows, max)
 	}
+}
+
+// BenchmarkShardDrain measures the exchange into the inbox: each op is one
+// window of star traffic over 33 partitions, the fat-tree's shape of 32
+// pods around a core partition. Every leaf sends 4 messages to the hub
+// and the hub 4 to every leaf, each sender's messages in time order and
+// the leaves' interleaved in time, so the hub's inbox merges. drain
+// delivers the 256 messages into the inboxes and the engines run them. It
+// must report 0 allocs/op.
+func BenchmarkShardDrain(b *testing.B) {
+	const (
+		parts  = 33
+		perSrc = 4
+		window = 4 * exLookahead
+	)
+	set, err := NewShardSet(parts, 1, exLookahead)
+	if err != nil {
+		b.Fatal(err)
+	}
+	noop := func(any) {}
+	var arg exMsg
+	round := func(base Time) {
+		for k := 0; k < perSrc; k++ {
+			for leaf := 1; leaf < parts; leaf++ {
+				at := base + exLookahead + Time(k)*window/perSrc + Time(leaf)*Microsecond/10
+				set.MustSend(leaf, 0, at, noop, &arg)
+				set.MustSend(0, leaf, at, noop, &arg)
+			}
+		}
+		if err := set.drain(); err != nil {
+			b.Fatal(err)
+		}
+		for _, e := range set.engines {
+			e.RunUntil(base + window)
+		}
+	}
+	round(0) // grow the slabs and the inboxes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(Time(i+1) * window)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*perSrc*(parts-1)), "ns/msg")
 }
