@@ -50,6 +50,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -60,7 +61,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "netrs-figs:", err)
 		os.Exit(1)
 	}
@@ -92,7 +93,9 @@ func scaledConfig(scale string) (netrs.Config, error) {
 	}
 }
 
-func run(args []string) (retErr error) {
+// run executes the command with args, writing the figures to stdout and
+// progress to os.Stderr.
+func run(args []string, stdout io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("netrs-figs", flag.ContinueOnError)
 	fig := fs.String("fig", "all", "figure to regenerate: all, 4, 5, 6, 7, ablation, resilience, adapt, matrix, cache")
 	requests := fs.Int("requests", 50000, "measured requests per point (paper: 6000000)")
@@ -138,16 +141,16 @@ func run(args []string) (retErr error) {
 	}
 
 	if *fig == "resilience" {
-		return runResilience(base, seeds, *parallel)
+		return runResilience(stdout, base, seeds, *parallel)
 	}
 	if *fig == "adapt" {
-		return runAdapt(base, seeds, *parallel)
+		return runAdapt(stdout, base, seeds, *parallel)
 	}
 	if *fig == "matrix" {
-		return runMatrix(base, seeds, *selectorsFlag, *scenariosFlag, *parallel, *quiet)
+		return runMatrix(stdout, base, seeds, *selectorsFlag, *scenariosFlag, *parallel, *quiet)
 	}
 	if *fig == "cache" {
-		return runCache(base, seeds, *writeFraction, *parallel, *quiet)
+		return runCache(stdout, base, seeds, *writeFraction, *parallel, *quiet)
 	}
 
 	var sweeps []netrs.Sweep
@@ -178,7 +181,7 @@ func run(args []string) (retErr error) {
 			}
 		}
 		res, err := netrs.RunSweepWith(base, sw, seeds, progress, netrs.RunOptions{Parallelism: *parallel})
-		if err := printTable(sw.ID, len(res.Cells), res.Table, err); err != nil {
+		if err := printTable(stdout, sw.ID, len(res.Cells), res.Table, err); err != nil {
 			return err
 		}
 		if *chart {
@@ -187,12 +190,12 @@ func run(args []string) (retErr error) {
 				if err != nil {
 					return err
 				}
-				fmt.Println(drawn)
+				fmt.Fprintln(stdout, drawn)
 			}
 		}
 		// Only a sweep that runs both schemes has a reduction to report.
 		if len(res.Reductions()["Avg."]) > 0 {
-			fmt.Printf("NetRS-ILP vs CliRS: max mean reduction %.1f%%, max p99 reduction %.1f%%\n\n",
+			fmt.Fprintf(stdout, "NetRS-ILP vs CliRS: max mean reduction %.1f%%, max p99 reduction %.1f%%\n\n",
 				res.MaxReduction("Avg."), res.MaxReduction("99th Percentile"))
 		}
 	}
@@ -203,7 +206,7 @@ func run(args []string) (retErr error) {
 // algorithm named by -selectors runs at the RSNodes against every
 // scenario named by -scenarios (built-in names or JSON files), merged
 // across -seeds, and renders the four-panel comparison table.
-func runMatrix(base netrs.Config, seeds []uint64, selectorsArg, scenariosArg string, parallel int, quiet bool) error {
+func runMatrix(stdout io.Writer, base netrs.Config, seeds []uint64, selectorsArg, scenariosArg string, parallel int, quiet bool) error {
 	selectors := splitList(selectorsArg)
 	var scenarios []netrs.Scenario
 	for _, name := range splitList(scenariosArg) {
@@ -218,15 +221,15 @@ func runMatrix(base netrs.Config, seeds []uint64, selectorsArg, scenariosArg str
 			len(selectors), len(scenarios), len(seeds))
 	}
 	res, err := netrs.RunMatrix(base, selectors, scenarios, seeds, netrs.RunOptions{Parallelism: parallel})
-	return printTable("matrix", len(res.Cells), res.Table, err)
+	return printTable(stdout, "matrix", len(res.Cells), res.Table, err)
 }
 
 // printTable prints a study's table and passes its error through. A failed
 // study still prints the cells that completed, then reports itself
 // incomplete, so a long run is not a total loss on one bad cell.
-func printTable(study string, cells int, table func() string, err error) error {
+func printTable(stdout io.Writer, study string, cells int, table func() string, err error) error {
 	if err == nil || cells > 0 {
-		fmt.Println(table())
+		fmt.Fprintln(stdout, table())
 	}
 	if err != nil && cells > 0 {
 		fmt.Fprintf(os.Stderr, "netrs-figs: %s incomplete: %d cells finished\n", study, cells)
@@ -249,7 +252,7 @@ func splitList(arg string) []string {
 // budget for NetCache and NetRS+Cache over the four cacheless baselines,
 // plus the flash-crowd scenario cells, and prints a per-theta verdict on
 // whether NetRS+Cache beats plain NetRS-ToR.
-func runCache(base netrs.Config, seeds []uint64, writeFraction float64, parallel int, quiet bool) error {
+func runCache(stdout io.Writer, base netrs.Config, seeds []uint64, writeFraction float64, parallel int, quiet bool) error {
 	base.WriteFraction = writeFraction
 	thetas := []float64{0.90, 0.99, 1.10}
 	budgets := []int64{8 << 10, 64 << 10, 512 << 10}
@@ -258,24 +261,24 @@ func runCache(base netrs.Config, seeds []uint64, writeFraction float64, parallel
 			len(thetas), len(budgets), len(seeds), 100*writeFraction)
 	}
 	res, err := netrs.RunCacheStudy(base, thetas, budgets, seeds, netrs.RunOptions{Parallelism: parallel})
-	if err := printTable("cache study", len(res.Cells), res.Table, err); err != nil {
+	if err := printTable(stdout, "cache study", len(res.Cells), res.Table, err); err != nil {
 		return err
 	}
 	for _, th := range res.Thetas {
 		if bud, ok := res.CacheWin(th); ok {
-			fmt.Printf("theta %s: NetRS+Cache beats NetRS-ToR on mean AND p99 from budget %s\n", th, bud)
+			fmt.Fprintf(stdout, "theta %s: NetRS+Cache beats NetRS-ToR on mean AND p99 from budget %s\n", th, bud)
 		} else {
-			fmt.Printf("theta %s: NetRS+Cache does NOT beat NetRS-ToR on both mean and p99\n", th)
+			fmt.Fprintf(stdout, "theta %s: NetRS+Cache does NOT beat NetRS-ToR on both mean and p99\n", th)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	return nil
 }
 
 // runAdapt evaluates the controller-epoch adaptation experiment on the
 // first seed: static plan versus periodic epochs through a mid-run demand
 // shift, with a verdict line stating whether the epochs arm re-converged.
-func runAdapt(base netrs.Config, seeds []uint64, parallel int) error {
+func runAdapt(stdout io.Writer, base netrs.Config, seeds []uint64, parallel int) error {
 	base.Seed = seeds[0]
 	base.DemandSkew = 0.9
 	base.Fabric.AccelService = 150 * netrs.Microsecond
@@ -287,26 +290,26 @@ func runAdapt(base netrs.Config, seeds []uint64, parallel int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(res.Table())
+	fmt.Fprintln(stdout, res.Table())
 	epre, epost := res.PhaseMeans(res.Epochs)
 	verdict := "epochs arm re-converged: settled post-shift mean within 25% of pre-shift"
 	if epost > 1.25*epre {
 		verdict = "epochs arm did NOT re-converge within 25% of its pre-shift mean"
 	}
-	fmt.Println(verdict)
+	fmt.Fprintln(stdout, verdict)
 	return nil
 }
 
 // runResilience evaluates the crash/recovery resilience experiment on the
 // first seed and prints the per-scheme timelines plus a degradation-window
 // summary for the schemes that actually served degraded responses.
-func runResilience(base netrs.Config, seeds []uint64, parallel int) error {
+func runResilience(stdout io.Writer, base netrs.Config, seeds []uint64, parallel int) error {
 	base.Seed = seeds[0]
 	res, err := netrs.RunResilience(base, 0.35, 0.65, 50*netrs.Millisecond, netrs.RunOptions{Parallelism: parallel})
 	if err != nil {
 		return err
 	}
-	fmt.Println(res.Table())
+	fmt.Fprintln(stdout, res.Table())
 	for _, run := range res.Runs {
 		first, last, ok := res.DegradedWindow(run.Scheme)
 		if !ok {
@@ -317,7 +320,7 @@ func runResilience(base netrs.Config, seeds []uint64, parallel int) error {
 		if last < total-1 {
 			status = "reconverged before run end"
 		}
-		fmt.Printf("%s: degraded replica selection active in buckets %d-%d of %d (%s)\n",
+		fmt.Fprintf(stdout, "%s: degraded replica selection active in buckets %d-%d of %d (%s)\n",
 			run.Scheme, first, last, total, status)
 	}
 	return nil

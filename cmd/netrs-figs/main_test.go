@@ -1,7 +1,11 @@
 package main
 
 import (
+	"io"
+	"strings"
 	"testing"
+
+	"netrs/internal/golden"
 )
 
 func TestScaledConfigs(t *testing.T) {
@@ -20,18 +24,6 @@ func TestScaledConfigs(t *testing.T) {
 	}
 }
 
-func TestRunOneFigureSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 16 small simulations")
-	}
-	err := run([]string{
-		"-fig", "6", "-requests", "400", "-seeds", "1", "-scale", "small", "-quiet", "-chart",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunBadArgs(t *testing.T) {
 	cases := [][]string{
 		{"-fig", "9"},
@@ -40,51 +32,58 @@ func TestRunBadArgs(t *testing.T) {
 		{"-unknown"},
 	}
 	for _, args := range cases {
-		if err := run(args); err == nil {
+		if err := run(args, io.Discard); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
 	}
 }
 
-func TestParallelFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 16 small simulations")
-	}
-	err := run([]string{
-		"-fig", "6", "-requests", "400", "-seeds", "1,2", "-scale", "small", "-quiet", "-parallel", "4",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunMatrixSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 4 small simulations")
-	}
-	err := run([]string{
-		"-fig", "matrix", "-requests", "400", "-seeds", "1", "-scale", "small", "-quiet",
-		"-selectors", "tars,lor", "-scenarios", "steady,flash-crowd",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunStudyFiguresSmall runs the remaining study figures end to end at
-// tiny scale: the resilience fault schedule, the adapt demand shift and
-// controller epochs, the cache skew × budget grid with its flash-crowd
-// cells, and the five ablation sweeps.
+// TestRunStudyFiguresSmall runs every figure end to end at small scale
+// and compares its output with testdata/golden/<golden>.txt: the four
+// paper sweeps, the ablation sweeps, the resilience fault schedule, the
+// adapt demand shift and controller epochs, the selector × scenario
+// matrix, and the cache skew × budget grid with its flash-crowd cells.
+// Three more cases pin -chart, a matrix narrowed by -selectors and
+// -scenarios, and -parallel 4, whose output must match the default run's.
 func TestRunStudyFiguresSmall(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs about 50 small simulations")
+		t.Skip("runs several hundred small simulations")
 	}
-	for _, fig := range []string{"resilience", "adapt", "cache", "ablation"} {
-		t.Run(fig, func(t *testing.T) {
-			err := run([]string{"-fig", fig, "-scale", "small", "-requests", "400", "-seeds", "1", "-quiet"})
-			if err != nil {
+	// small is the figure scale the goldens pin; tiny keeps the old smoke
+	// runs' arguments.
+	small := func(args ...string) []string {
+		return append(args, "-scale", "small", "-requests", "3000", "-seeds", "1,2", "-quiet")
+	}
+	tiny := func(args ...string) []string {
+		return append(args, "-scale", "small", "-requests", "400", "-seeds", "1", "-quiet")
+	}
+	cases := []struct {
+		name, golden string
+		args         []string
+	}{
+		{name: "4", args: small("-fig", "4")},
+		{name: "5", args: small("-fig", "5")},
+		{name: "6", args: small("-fig", "6")},
+		{name: "7", args: small("-fig", "7")},
+		{name: "ablation", args: small("-fig", "ablation")},
+		{name: "resilience", args: small("-fig", "resilience")},
+		{name: "adapt", args: small("-fig", "adapt")},
+		{name: "matrix", args: small("-fig", "matrix")},
+		{name: "cache", args: small("-fig", "cache")},
+		{name: "6-parallel-4", golden: "6", args: small("-fig", "6", "-parallel", "4")},
+		{name: "6-chart", args: tiny("-fig", "6", "-chart")},
+		{name: "matrix-tars-lor", args: tiny("-fig", "matrix", "-selectors", "tars,lor", "-scenarios", "steady,flash-crowd")},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			if err := run(tc.args, &out); err != nil {
 				t.Fatal(err)
 			}
+			if tc.golden == "" {
+				tc.golden = tc.name
+			}
+			golden.Check(t, tc.golden, out.String())
 		})
 	}
 }
@@ -96,7 +95,7 @@ func TestRunMatrixBadArgs(t *testing.T) {
 		{"-fig", "matrix", "-scale", "small", "-selectors", ""},
 	}
 	for _, args := range cases {
-		if err := run(args); err == nil {
+		if err := run(args, io.Discard); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
 	}
@@ -104,7 +103,7 @@ func TestRunMatrixBadArgs(t *testing.T) {
 
 func TestEnvParallelOverride(t *testing.T) {
 	t.Setenv("NETRS_PARALLEL", "zero")
-	if err := run([]string{"-fig", "4", "-scale", "small", "-quiet"}); err == nil {
+	if err := run([]string{"-fig", "4", "-scale", "small", "-quiet"}, io.Discard); err == nil {
 		t.Fatal("bad NETRS_PARALLEL accepted")
 	}
 }
