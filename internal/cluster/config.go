@@ -269,7 +269,7 @@ type Config struct {
 	// fixed by the topology, so every Shards value above one produces the
 	// same event order — the worker count changes wall time only. Zero or
 	// one runs the same runner on a single partition: one plain engine with
-	// no barriers, in the event order the golden digests pin. The two agree
+	// no barriers, in the event order the golden files pin. The two agree
 	// except where events of different partitions tie at the exact same
 	// nanosecond, which partitions may order differently (DESIGN.md §11).
 	// Above one, every scheme but CliRS-R95 runs (with epochs, demand

@@ -16,7 +16,7 @@ import (
 // per link. Each edge is a link like any other: LinkLatency plus any fault
 // extra, looked up when the edge leaves its node, and the exchange when it
 // crosses partitions. DESIGN.md §14 argues why the event order, and so
-// every digest, is the unicast fan-out's.
+// every golden file, is the unicast fan-out's.
 //
 // A write's trie is cut at its partition-crossing edges into segments, one
 // per connected piece inside a partition. The sending partition fills every
