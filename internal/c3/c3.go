@@ -57,6 +57,11 @@ type Config struct {
 	InitialRate float64
 	// MaxRate caps the per-server send allowance per interval.
 	MaxRate float64
+	// Servers is a capacity hint: the caller presents server IDs in
+	// [0, Servers), so the slot index is allocated at that size on the
+	// selector's first server instead of growing with each larger ID. A
+	// larger ID still works; 0 grows the index on demand.
+	Servers int
 }
 
 // NewDefaultConfig returns the C3 parameters used throughout the
@@ -80,6 +85,9 @@ func (c Config) validate() error {
 	}
 	if c.ConcurrencyWeight < 0 {
 		return fmt.Errorf("concurrency weight %v: %w", c.ConcurrencyWeight, ErrInvalidParam)
+	}
+	if c.Servers < 0 || c.Servers > MaxServers {
+		return fmt.Errorf("servers %d outside [0, %d]: %w", c.Servers, MaxServers, ErrInvalidParam)
 	}
 	if c.RateControl {
 		if c.RateInterval <= 0 {
@@ -120,7 +128,8 @@ type rankState struct {
 }
 
 // rateState is the cubic rate controller's per-server record. Only the
-// server a Pick settles on, or a response comes back from, touches it.
+// server a Pick settles on, or a response comes back from, touches it, and
+// only with rate control on: a selector without it has no rate records.
 type rateState struct {
 	rate        float64 // allowance per interval
 	wMax        float64 // rate before the last decrease
@@ -137,12 +146,20 @@ type rateState struct {
 // wastes little on each of them.
 const stateBlock = 16
 
-// block holds the states of stateBlock servers: one heap object, with the
-// rank records packed together so a ranking reads none of the
-// rate-control fields.
+// block holds the states of stateBlock servers under rate control: one
+// heap object, with the rank records packed together so a ranking reads
+// none of the rate-control fields.
 type block struct {
 	rank [stateBlock]rankState
 	rate [stateBlock]rateState
+}
+
+// blockRef locates one block's records. Under rate control both point into
+// one block; without it the selector allocates the rank records alone and
+// rate is nil.
+type blockRef struct {
+	rank *[stateBlock]rankState
+	rate *[stateBlock]rateState
 }
 
 // Selector is one C3 instance: the replica-selection state an RSNode keeps.
@@ -153,15 +170,17 @@ type Selector struct {
 	clock Clock
 
 	// slotOf maps a server ID to its state's slot + 1 (0: never seen). It
-	// is a dense table sized by the largest server ID seen: two bytes per
-	// ID cost less than a hash map's entries, and a lookup is one index.
+	// is a dense table, allocated on the first server seen at
+	// Config.Servers entries (or that ID + 1, if larger) and grown only by
+	// a larger ID: two bytes per ID cost less than a hash map's entries,
+	// and a lookup is one index.
 	slotOf []uint16
 	// blocks hold the server states, slot i at index i%stateBlock of
 	// blocks[i/stateBlock]. Blocks never move, so the state pointers
 	// handed out stay valid, and a fleet of selectors (one per client)
 	// costs one heap object per stateBlock servers instead of one per
 	// server. states counts the slots in use.
-	blocks []*block
+	blocks []blockRef
 	states int
 
 	// rank is the reusable scratch Rank and Pick sort into; servers are
@@ -201,43 +220,63 @@ func NewSelectorWithClock(cfg Config, clock Clock) (*Selector, error) {
 	if clock == nil {
 		return nil, fmt.Errorf("nil clock: %w", ErrInvalidParam)
 	}
-	// The slot index and the state blocks grow lazily in slot(): a
-	// hyperscale run constructs thousands of selectors (one per client),
-	// many of which see few servers.
+	// The slot index and the state blocks are allocated lazily in slot():
+	// a hyperscale run constructs thousands of selectors (one per client),
+	// many of which see few servers or none.
 	return &Selector{cfg: cfg, clock: clock}, nil
 }
 
 // validServer reports whether a server ID can index the dense tables.
 func validServer(server int) bool { return server >= 0 && server < MaxServers }
 
+// lookup returns the server's state slot without creating it; ok is false
+// for a server the selector has never seen. The ID must satisfy
+// validServer.
+func (s *Selector) lookup(server int) (slot int, ok bool) {
+	if server >= len(s.slotOf) || s.slotOf[server] == 0 {
+		return 0, false
+	}
+	return int(s.slotOf[server]) - 1, true
+}
+
 // slot returns the server's state slot, creating the state on first
 // sight. The ID must satisfy validServer.
 func (s *Selector) slot(server int) int {
-	if server >= len(s.slotOf) {
+	if slot, ok := s.lookup(server); ok {
+		return slot
+	}
+	switch {
+	case s.slotOf == nil:
+		s.slotOf = make([]uint16, max(server+1, s.cfg.Servers))
+	case server >= len(s.slotOf):
 		s.slotOf = append(s.slotOf, make([]uint16, server+1-len(s.slotOf))...)
-	}
-	if slot := int(s.slotOf[server]); slot != 0 {
-		return slot - 1
-	}
-	if s.states%stateBlock == 0 {
-		s.blocks = append(s.blocks, new(block))
 	}
 	slot := s.states
 	// A fresh block is zeroed and slots are never reused, so the rank
 	// record already reads as unobserved; only the rate starts nonzero.
-	s.blocks[slot/stateBlock].rate[slot%stateBlock] = rateState{
-		rate: s.cfg.InitialRate,
-		wMax: s.cfg.InitialRate,
+	if s.cfg.RateControl {
+		if slot%stateBlock == 0 {
+			b := new(block)
+			s.blocks = append(s.blocks, blockRef{rank: &b.rank, rate: &b.rate})
+		}
+		*s.rateAt(slot) = rateState{rate: s.cfg.InitialRate, wMax: s.cfg.InitialRate}
+	} else if slot%stateBlock == 0 {
+		s.blocks = append(s.blocks, blockRef{rank: new([stateBlock]rankState)})
 	}
 	s.states++
 	s.slotOf[server] = uint16(s.states)
 	return slot
 }
 
-// at returns the rank and rate records of a slot.
-func (s *Selector) at(slot int) (*rankState, *rateState) {
-	b := s.blocks[slot/stateBlock]
-	return &b.rank[slot%stateBlock], &b.rate[slot%stateBlock]
+// rankAt returns the rank record of a slot.
+func (s *Selector) rankAt(slot int) *rankState {
+	return &s.blocks[slot/stateBlock].rank[slot%stateBlock]
+}
+
+// rateAt returns the rate record of a slot. Only the rate-control paths
+// call it: without rate control the selector has no rate records.
+func (s *Selector) rateAt(slot int) *rateState {
+	return &s.blocks[slot/stateBlock].rate[slot%stateBlock]
 }
 
 // score returns the C3 ranking function Ψ for a server; lower is better.
@@ -261,8 +300,7 @@ func (s *Selector) rankInto(candidates []int) ([]scoredServer, error) {
 	r := s.rank[:0]
 	for _, c := range candidates {
 		slot := s.slot(c)
-		rk, _ := s.at(slot)
-		r = append(r, scoredServer{score: s.score(rk), server: int32(c), slot: int32(slot)})
+		r = append(r, scoredServer{score: s.score(s.rankAt(slot)), server: int32(c), slot: int32(slot)})
 	}
 	sortScored(r)
 	s.rank = r
@@ -341,7 +379,7 @@ func (s *Selector) Pick(candidates []int) (int, sim.Time, error) {
 	}
 	s.picks++
 	if !s.cfg.RateControl {
-		s.reserve(int(ranked[0].slot), false)
+		s.rankAt(int(ranked[0].slot)).outstanding++
 		return int(ranked[0].server), 0, nil
 	}
 	best := -1
@@ -361,12 +399,12 @@ func (s *Selector) Pick(candidates []int) (int, sim.Time, error) {
 	return int(ranked[best].server), bestDelay, nil
 }
 
-// reserve books a send: into the current interval when it goes out now, or
-// into the backlog when the limiter holds it. Held sends are accounted in
-// the interval they actually leave, so the limiter's own queue never
-// masquerades as server overload.
+// reserve books a rate-controlled send: into the current interval when it
+// goes out now, or into the backlog when the limiter holds it. Held sends
+// are accounted in the interval they actually leave, so the limiter's own
+// queue never masquerades as server overload.
 func (s *Selector) reserve(slot int, held bool) {
-	rk, st := s.at(slot)
+	rk, st := s.rankAt(slot), s.rateAt(slot)
 	s.roll(rk, st)
 	if held {
 		st.backlog++
@@ -388,7 +426,7 @@ func (s *Selector) allowance(st *rateState) int {
 // sendDelay computes how long a new send to the server must wait under the
 // current allowance, without reserving anything.
 func (s *Selector) sendDelay(slot int) sim.Time {
-	rk, st := s.at(slot)
+	rk, st := s.rankAt(slot), s.rateAt(slot)
 	s.roll(rk, st)
 	a := s.allowance(st)
 	if st.backlog == 0 && st.sentCur < a {
@@ -407,11 +445,9 @@ func (s *Selector) sendDelay(slot int) sim.Time {
 
 // roll lazily advances the per-server rate-accounting window to the
 // current engine time: it drains backlog into the skipped intervals and
-// applies the congestion-control rate update once per roll.
+// applies the congestion-control rate update once per roll. Only the
+// rate-control paths call it.
 func (s *Selector) roll(rk *rankState, st *rateState) {
-	if !s.cfg.RateControl {
-		return
-	}
 	cur := int64(s.clock.Now() / s.cfg.RateInterval)
 	if cur == st.interval {
 		return
@@ -493,8 +529,13 @@ func (s *Selector) OnResponse(server int, latency sim.Time, status kv.Status) {
 	if !validServer(server) {
 		return
 	}
-	rk, st := s.at(s.slot(server))
-	s.roll(rk, st)
+	slot := s.slot(server)
+	rk := s.rankAt(slot)
+	if s.cfg.RateControl {
+		st := s.rateAt(slot)
+		s.roll(rk, st)
+		st.recvCur++
+	}
 	if rk.outstanding > 0 {
 		rk.outstanding--
 	}
@@ -510,18 +551,21 @@ func (s *Selector) OnResponse(server int, latency sim.Time, status kv.Status) {
 	if rk.observed < math.MaxUint32 {
 		rk.observed++
 	}
-	st.recvCur++
 }
 
 // OnAbandon releases the outstanding slot of a request that will never be
 // answered: a canceled duplicate or a request lost to a failed operator.
-// A server ID outside [0, MaxServers) is ignored.
+// A server ID outside [0, MaxServers), or one the selector has never seen,
+// is ignored.
 func (s *Selector) OnAbandon(server int) {
 	if !validServer(server) {
 		return
 	}
-	rk, _ := s.at(s.slot(server))
-	if rk.outstanding > 0 {
+	slot, ok := s.lookup(server)
+	if !ok {
+		return
+	}
+	if rk := s.rankAt(slot); rk.outstanding > 0 {
 		rk.outstanding--
 	}
 }
@@ -548,25 +592,32 @@ func (s *Selector) SetConcurrencyWeight(w float64) error {
 	return nil
 }
 
-// Outstanding returns the selector's in-flight count for a server, 0 for
-// an ID outside [0, MaxServers).
+// Outstanding returns the selector's in-flight count for a server: 0 for
+// an ID outside [0, MaxServers) or one the selector has never seen.
 func (s *Selector) Outstanding(server int) int {
 	if !validServer(server) {
 		return 0
 	}
-	rk, _ := s.at(s.slot(server))
-	return int(rk.outstanding)
+	slot, ok := s.lookup(server)
+	if !ok {
+		return 0
+	}
+	return int(s.rankAt(slot).outstanding)
 }
 
 // Rate returns the current per-interval send allowance for a server
-// (meaningful only with rate control enabled), 0 for an ID outside
-// [0, MaxServers).
+// (meaningful only with rate control enabled): Config.InitialRate without
+// rate control or for a server the selector has never seen, 0 for an ID
+// outside [0, MaxServers).
 func (s *Selector) Rate(server int) float64 {
 	if !validServer(server) {
 		return 0
 	}
-	_, st := s.at(s.slot(server))
-	return st.rate
+	slot, ok := s.lookup(server)
+	if !ok || !s.cfg.RateControl {
+		return s.cfg.InitialRate
+	}
+	return s.rateAt(slot).rate
 }
 
 // Stats reports counters useful for tests and instrumentation.

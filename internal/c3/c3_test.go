@@ -3,6 +3,7 @@ package c3
 import (
 	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -36,6 +37,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.CubicGamma = 0 },
 		func(c *Config) { c.InitialRate = 0 },
 		func(c *Config) { c.MaxRate = 1; c.InitialRate = 10 },
+		func(c *Config) { c.Servers = -1 },
+		func(c *Config) { c.Servers = MaxServers + 1 },
 	}
 	for i, mod := range mods {
 		cfg := NewDefaultConfig()
@@ -487,5 +490,137 @@ func TestOutOfRangeServerIDs(t *testing.T) {
 	}
 	if srv, _, err := s.Pick([]int{MaxServers - 1}); err != nil || srv != MaxServers-1 {
 		t.Fatalf("largest valid ID: server %d, err %v", srv, err)
+	}
+}
+
+// TestReadsDoNotCreateState checks that Outstanding, Rate and OnAbandon
+// only look a server up: on IDs the selector has never seen, below and
+// past its slot index, they read 0 outstanding and the initial rate, and
+// leave the state count and the heap as they were.
+func TestReadsDoNotCreateState(t *testing.T) {
+	for _, rateControl := range []bool{true, false} {
+		s, _ := newSelector(t, func(c *Config) { c.RateControl = rateControl })
+		if _, _, err := s.Pick([]int{3, 9}); err != nil {
+			t.Fatal(err)
+		}
+		states, index := s.states, len(s.slotOf)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 1000; i++ {
+			server := i * 7 // never 3 or 9, the servers seen
+			s.OnAbandon(server)
+			if s.Outstanding(server) != 0 || s.Rate(server) != s.cfg.InitialRate {
+				t.Fatalf("rate=%v: unseen server %d reads %d outstanding, rate %v",
+					rateControl, server, s.Outstanding(server), s.Rate(server))
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if s.states != states || len(s.slotOf) != index {
+			t.Errorf("rate=%v: reads took states %d → %d, index %d → %d",
+				rateControl, states, s.states, index, len(s.slotOf))
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d != 0 {
+			t.Errorf("rate=%v: reads of unseen servers allocated %d bytes", rateControl, d)
+		}
+	}
+}
+
+// TestSelectorStateBytes pins what a client-sized selector costs on the
+// heap: 1000 selectors with an 800-server hint each rank 60 distinct
+// servers. Without rate control a selector holds the slot index (two
+// bytes per ID, allocated once) and four rank-only blocks of 512 B; with
+// it, the index and four 1536 B blocks. The fixed overhead covers the
+// Selector itself, its block handles, its ranking scratch and the
+// allocator's size-class rounding of the index.
+func TestSelectorStateBytes(t *testing.T) {
+	const (
+		selectors = 1000
+		servers   = 800
+		seen      = 60
+		index     = 2 * servers
+		overhead  = 768
+	)
+	rng := sim.NewRNG(5)
+	ids := rng.Perm(servers)[:seen]
+	sets := make([][]int, seen/3)
+	for i := range sets {
+		sets[i] = ids[3*i : 3*i+3]
+	}
+	eng := sim.NewEngine()
+	fleet := make([]*Selector, selectors)
+	buf := make([]int, 0, 3)
+	for _, tc := range []struct {
+		rateControl bool
+		block       int
+	}{{false, 512}, {true, 1536}} {
+		cfg := NewDefaultConfig()
+		cfg.RateControl = tc.rateControl
+		cfg.Servers = servers
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range fleet {
+			s, err := NewSelector(cfg, eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range sets {
+				buf = s.Rank(buf[:0], c)
+			}
+			fleet[i] = s
+		}
+		runtime.ReadMemStats(&after)
+		perSelector := float64(after.TotalAlloc-before.TotalAlloc) / selectors
+		budget := float64(index + (seen+stateBlock-1)/stateBlock*tc.block + overhead)
+		t.Logf("rate=%v: %.0f B per selector (budget %.0f)", tc.rateControl, perSelector, budget)
+		if perSelector > budget {
+			t.Errorf("rate=%v: a selector costs %.0f B, budget %.0f", tc.rateControl, perSelector, budget)
+		}
+		for _, s := range fleet {
+			if s.states != seen || len(s.slotOf) != servers {
+				t.Fatalf("rate=%v: %d states, index of %d", tc.rateControl, s.states, len(s.slotOf))
+			}
+		}
+	}
+}
+
+// BenchmarkRankerFleet is the client side of a k=32 NetRS run: 4000
+// feedback-fed rankers without rate control over an 800-server bound,
+// each ranking 3-replica candidate sets and taking a response from its
+// first choice. One op builds and drives the whole fleet, so B/op is the
+// fleet's state and allocs/op its heap objects.
+func BenchmarkRankerFleet(b *testing.B) {
+	const (
+		selectors = 4000
+		servers   = 800
+		perRanker = 16
+	)
+	eng := sim.NewEngine()
+	cfg := NewDefaultConfig()
+	cfg.RateControl = false
+	cfg.Servers = servers
+	rng := sim.NewRNG(3)
+	sets := make([][]int, selectors*perRanker)
+	for i := range sets {
+		a := rng.Intn(servers)
+		sets[i] = []int{a, (a + 1) % servers, (a + 2) % servers}
+	}
+	status := kv.Status{QueueSize: 2, ServiceTimeNs: float64(sim.Millisecond)}
+	fleet := make([]*Selector, selectors)
+	buf := make([]int, 0, 3)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := range fleet {
+			s, err := NewSelector(cfg, eng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, c := range sets[j*perRanker : (j+1)*perRanker] {
+				buf = s.Rank(buf[:0], c)
+				s.OnResponse(buf[0], 2*sim.Millisecond, status)
+			}
+			fleet[j] = s
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package c3
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -178,9 +179,12 @@ func (c *manualClock) Now() sim.Time { return c.now }
 
 // TestSplitStateMatchesEWMAReference drives the selector and the
 // reference through the same random mix of Pick, Rank, OnResponse and
-// OnAbandon calls, with rate control on and off, and after every call
-// requires each server's Ψ to match bit for bit, and its outstanding count
-// and rate to be equal. It also pins the rank record at half a cache line.
+// OnAbandon calls, and after every call requires each server's Ψ to match
+// bit for bit, and its outstanding count and rate to be equal. It runs 40
+// servers, three state blocks, with rate control on and off (rank-only
+// blocks), and with the Servers hint unset, exact, and below the IDs in
+// use, so the slot index also grows past the hint. It also pins the record
+// and block sizes.
 func TestSplitStateMatchesEWMAReference(t *testing.T) {
 	if got := unsafe.Sizeof(rankState{}); got != 32 {
 		t.Fatalf("rankState is %d bytes, want 32", got)
@@ -188,69 +192,102 @@ func TestSplitStateMatchesEWMAReference(t *testing.T) {
 	if got := unsafe.Sizeof(rateState{}); got > 64 {
 		t.Fatalf("rateState is %d bytes, want at most 64", got)
 	}
-	const servers = 6
+	if got := unsafe.Sizeof([stateBlock]rankState{}); got != 512 {
+		t.Fatalf("a rank-only block is %d bytes, want 512", got)
+	}
+	if got := unsafe.Sizeof(block{}); got > 1536 {
+		t.Fatalf("a block is %d bytes, want at most 1536", got)
+	}
+	const servers = 40
 	for _, rateControl := range []bool{true, false} {
-		clock := &manualClock{}
-		cfg := NewDefaultConfig()
-		cfg.RateControl = rateControl
-		cfg.InitialRate = 2
-		cfg.ConcurrencyWeight = 3
-		s, err := NewSelectorWithClock(cfg, clock)
-		if err != nil {
-			t.Fatal(err)
+		for _, hint := range []int{0, servers, 10} {
+			t.Run(fmt.Sprintf("rate=%v/servers=%d", rateControl, hint), func(t *testing.T) {
+				checkAgainstReference(t, servers, rateControl, hint)
+			})
 		}
-		ref := &refSelector{cfg: cfg, clock: clock, servers: map[int]*refServer{}}
-		rng := sim.NewRNG(7)
-		var rankBuf []int
-		for op := 0; op < 2000; op++ {
-			clock.now += sim.Time(rng.Intn(1500)) * sim.Microsecond
-			server := rng.Intn(servers)
-			switch u := rng.Float64(); {
-			case u < 0.45:
-				candidates := []int{server, (server + 1 + rng.Intn(servers-1)) % servers, rng.Intn(servers)}
-				got, gotDelay, err := s.Pick(candidates)
-				want, wantDelay := ref.pick(candidates)
-				if err != nil || got != want || gotDelay != wantDelay {
-					t.Fatalf("rate=%v op %d: Pick(%v) = %d, %v, %v; reference %d, %v",
-						rateControl, op, candidates, got, gotDelay, err, want, wantDelay)
-				}
-			case u < 0.55:
-				candidates := []int{server, (server + 2) % servers, (server + 4) % servers}
-				rankBuf = s.Rank(rankBuf[:0], candidates)
-				if want := ref.rank(candidates); !slices.Equal(rankBuf, want) {
-					t.Fatalf("rate=%v op %d: Rank(%v) = %v, reference %v", rateControl, op, candidates, rankBuf, want)
-				}
-			case u < 0.9:
-				latency := sim.Time(1+rng.Intn(8000)) * sim.Microsecond
-				status := kv.Status{QueueSize: rng.Intn(12), ServiceTimeNs: float64(rng.Intn(3_000_000))}
-				s.OnResponse(server, latency, status)
-				ref.onResponse(server, latency, status)
-			default:
-				s.OnAbandon(server)
-				ref.onAbandon(server)
+	}
+}
+
+func checkAgainstReference(t *testing.T, servers int, rateControl bool, hint int) {
+	clock := &manualClock{}
+	cfg := NewDefaultConfig()
+	cfg.RateControl = rateControl
+	cfg.InitialRate = 2
+	cfg.ConcurrencyWeight = 3
+	cfg.Servers = hint
+	s, err := NewSelectorWithClock(cfg, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &refSelector{cfg: cfg, clock: clock, servers: map[int]*refServer{}}
+	rng := sim.NewRNG(7)
+	// draw skews toward low IDs, so a few servers carry enough picks to
+	// reach the rate limiter, while every ID still turns up.
+	draw := func() int { return rng.Intn(1 + rng.Intn(servers)) }
+	var rankBuf []int
+	for op := 0; op < 4000; op++ {
+		clock.now += sim.Time(rng.Intn(200)) * sim.Microsecond
+		server := draw()
+		switch u := rng.Float64(); {
+		case u < 0.45:
+			candidates := []int{server, (server + 1 + rng.Intn(servers-1)) % servers, draw()}
+			got, gotDelay, err := s.Pick(candidates)
+			want, wantDelay := ref.pick(candidates)
+			if err != nil || got != want || gotDelay != wantDelay {
+				t.Fatalf("op %d: Pick(%v) = %d, %v, %v; reference %d, %v",
+					op, candidates, got, gotDelay, err, want, wantDelay)
 			}
-			for srv := 0; srv < servers; srv++ {
-				rk, _ := s.at(s.slot(srv))
-				if got, want := s.score(rk), ref.score(srv); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("rate=%v op %d: server %d Ψ = %v, reference %v", rateControl, op, srv, got, want)
-				}
-				if got, want := s.Outstanding(srv), ref.state(srv).outstanding; got != want {
-					t.Fatalf("rate=%v op %d: server %d outstanding = %d, reference %d", rateControl, op, srv, got, want)
-				}
-				if got, want := s.Rate(srv), ref.state(srv).rate; math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("rate=%v op %d: server %d rate = %v, reference %v", rateControl, op, srv, got, want)
-				}
+		case u < 0.55:
+			candidates := []int{server, (server + 2) % servers, (server + 4) % servers}
+			rankBuf = s.Rank(rankBuf[:0], candidates)
+			if want := ref.rank(candidates); !slices.Equal(rankBuf, want) {
+				t.Fatalf("op %d: Rank(%v) = %v, reference %v", op, candidates, rankBuf, want)
+			}
+		case u < 0.9:
+			latency := sim.Time(1+rng.Intn(8000)) * sim.Microsecond
+			status := kv.Status{QueueSize: rng.Intn(12), ServiceTimeNs: float64(rng.Intn(3_000_000))}
+			s.OnResponse(server, latency, status)
+			ref.onResponse(server, latency, status)
+		default:
+			s.OnAbandon(server)
+			ref.onAbandon(server)
+		}
+		for srv := 0; srv < servers; srv++ {
+			// An unseen server scores as a zero record, as a fresh one does.
+			var rk rankState
+			if slot, ok := s.lookup(srv); ok {
+				rk = *s.rankAt(slot)
+			}
+			if got, want := s.score(&rk), ref.score(srv); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("op %d: server %d Ψ = %v, reference %v", op, srv, got, want)
+			}
+			if got, want := s.Outstanding(srv), ref.state(srv).outstanding; got != want {
+				t.Fatalf("op %d: server %d outstanding = %d, reference %d", op, srv, got, want)
+			}
+			if got, want := s.Rate(srv), ref.state(srv).rate; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("op %d: server %d rate = %v, reference %v", op, srv, got, want)
 			}
 		}
-		picks, delayed, decreases := s.Stats()
-		if picks != ref.picks || delayed != ref.delayed || decreases != ref.decreases {
-			t.Fatalf("rate=%v: stats %d/%d/%d, reference %d/%d/%d",
-				rateControl, picks, delayed, decreases, ref.picks, ref.delayed, ref.decreases)
+	}
+	if s.states != servers || len(s.blocks) != (servers+stateBlock-1)/stateBlock {
+		t.Fatalf("%d states in %d blocks, want every one of %d servers seen", s.states, len(s.blocks), servers)
+	}
+	if want := max(servers, hint); len(s.slotOf) < want {
+		t.Fatalf("slot index holds %d IDs, want at least %d", len(s.slotOf), want)
+	}
+	for _, b := range s.blocks {
+		if (b.rate != nil) != rateControl {
+			t.Fatalf("rate records allocated = %v with rate control %v", b.rate != nil, rateControl)
 		}
-		// The mix must reach the limiter's hold and decrease paths, or
-		// the rate comparison proves little.
-		if rateControl && (delayed == 0 || decreases == 0) {
-			t.Fatalf("rate control exercised too little: %d delayed, %d decreases", delayed, decreases)
-		}
+	}
+	picks, delayed, decreases := s.Stats()
+	if picks != ref.picks || delayed != ref.delayed || decreases != ref.decreases {
+		t.Fatalf("stats %d/%d/%d, reference %d/%d/%d",
+			picks, delayed, decreases, ref.picks, ref.delayed, ref.decreases)
+	}
+	// The mix must reach the limiter's hold and decrease paths, or the
+	// rate comparison proves little.
+	if rateControl && (delayed == 0 || decreases == 0) {
+		t.Fatalf("rate control exercised too little: %d delayed, %d decreases", delayed, decreases)
 	}
 }

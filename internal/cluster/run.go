@@ -749,6 +749,7 @@ func (r *runner) operatorSelectorFactory(root *sim.RNG, aggregateRate float64) f
 	return func(_ uint16, eng *sim.Engine) (fabric.Selector, error) {
 		cfg := c3.NewDefaultConfig()
 		cfg.RateControl = r.cfg.RateControl
+		cfg.Servers = r.cfg.Servers
 		perServerPerInterval := aggregateRate *
 			(float64(cfg.RateInterval) / float64(sim.Second)) / float64(r.cfg.Servers)
 		if perServerPerInterval > cfg.InitialRate {
@@ -768,6 +769,7 @@ func (r *runner) clientSelector(eng *sim.Engine) (selection.Selector, error) {
 	cfg := c3.NewDefaultConfig()
 	cfg.ConcurrencyWeight = float64(r.cfg.Clients)
 	cfg.RateControl = r.cfg.RateControl && !r.netrs
+	cfg.Servers = r.cfg.Servers
 	return selection.NewC3(cfg, eng)
 }
 
