@@ -1,7 +1,7 @@
 package netrs
 
 // Golden runs across shard counts. One runner executes every run over P
-// partitions: P = 1 when Shards ≤ 1, a single plain engine whose event
+// partitions: P = 1 when Shards ≤ 1, a single partition whose event
 // order is the one the golden files were taken from, and the topology's
 // pod partitions otherwise, where the shard count only sizes the worker
 // pool. Every row must reproduce its golden file at shards 2 and 4: the

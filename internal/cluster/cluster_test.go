@@ -474,27 +474,27 @@ func TestQueueOscillationMetric(t *testing.T) {
 // clients and writes it as a trace file, returning the file's path.
 func recordTestTrace(t *testing.T) string {
 	t.Helper()
-	eng := sim.NewEngine()
-	srcCfg := workload.SourceConfig{
+	arrivals, err := pregenerate(workload.SourceConfig{
 		Generators: 10,
 		RatePerSec: 18000,
 		Clients:    40,
 		Keys:       1 << 20,
 		ZipfTheta:  0.99,
 		Total:      3000,
-	}
-	rec, err := workload.NewRecordingSource(srcCfg, eng, sim.NewRNG(5), func(workload.Request) {})
+	}, sim.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Start()
-	eng.Run()
+	entries := make([]workload.TraceEntry, len(arrivals))
+	for i, a := range arrivals {
+		entries[i] = workload.TraceEntry{At: a.at, Client: a.req.Client, Key: a.req.Key}
+	}
 	path := filepath.Join(t.TempDir(), "trace.csv")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.WriteTrace(f, rec.Entries()); err != nil {
+	if err := workload.WriteTrace(f, entries); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -268,10 +268,10 @@ type Config struct {
 	// executing partition windows concurrently. The partition structure is
 	// fixed by the topology, so every Shards value above one produces the
 	// same event order — the worker count changes wall time only. Zero or
-	// one runs the same runner on a single partition: one plain engine with
-	// no barriers, in the event order the golden files pin. The two agree
-	// except where events of different partitions tie at the exact same
-	// nanosecond, which partitions may order differently (DESIGN.md §11).
+	// one runs the same runner on a single partition (Shards ≤ 1), in the
+	// event order the golden files pin. The two agree except where events
+	// of different partitions tie at the exact same nanosecond, which
+	// partitions may order differently (DESIGN.md §11).
 	// Above one, every scheme but CliRS-R95 runs (with epochs, demand
 	// shifts, bounded stats, trace replay, and shard-safe scenarios);
 	// validate rejects the features that need a single partition: the
@@ -286,7 +286,7 @@ func (c Config) IsCacheScheme() bool {
 }
 
 // EffectiveShards is the normalized Shards knob: zero (unset) and one
-// both mean a single partition on one engine, so every dispatch site —
+// both mean a single partition (Shards ≤ 1), so every dispatch site —
 // the runner's partition count, the trial-worker division in the facade —
 // asks this one method instead of re-deciding what "unset" means.
 func (c Config) EffectiveShards() int {
@@ -411,13 +411,13 @@ func (c Config) validate() error {
 		// partition stay at Shards ≤ 1.
 		switch {
 		case c.Scheme == SchemeCliRSR95:
-			return fmt.Errorf("shards: scheme %s needs the single-engine runner: %w", c.Scheme, ErrInvalidParam)
+			return fmt.Errorf("shards: scheme %s needs a single partition (Shards ≤ 1): %w", c.Scheme, ErrInvalidParam)
 		case c.KeepLatencyTrace:
-			return fmt.Errorf("shards: latency trace needs the single-engine runner: %w", ErrInvalidParam)
+			return fmt.Errorf("shards: latency trace needs a single partition (Shards ≤ 1): %w", ErrInvalidParam)
 		case c.TimelineBucket > 0:
-			return fmt.Errorf("shards: timeline needs the single-engine runner: %w", ErrInvalidParam)
+			return fmt.Errorf("shards: timeline needs a single partition (Shards ≤ 1): %w", ErrInvalidParam)
 		case !c.Scenario.ShardSafe():
-			return fmt.Errorf("shards: fault injection needs the single-engine runner: %w", ErrInvalidParam)
+			return fmt.Errorf("shards: fault injection needs a single partition (Shards ≤ 1): %w", ErrInvalidParam)
 		}
 	}
 	return nil

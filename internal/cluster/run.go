@@ -212,8 +212,8 @@ type timedRequest struct {
 }
 
 // shardState is one partition's slice of the per-request state. Each
-// instance is touched only by its own partition's events, so at P > 1
-// workers never contend; at P = 1 there is exactly one.
+// instance is touched only by its own partition's events, so workers never
+// contend.
 type shardState struct {
 	part int
 	eng  *sim.Engine
@@ -329,15 +329,13 @@ func (st *shardState) drop(ctx *packetCtx) {
 	st.release(p)
 }
 
-// runner holds one experiment's live state over P partitions: P = 1 when
-// Shards ≤ 1, where everything runs on one plain sim.Engine with no
-// ShardSet, barriers, or exchange, and the topology's pod partitions (plus
-// the control partition) otherwise — DESIGN.md §11. Per-request state lives
-// in the partitions; everything else exists once.
+// runner holds one experiment's live state over the P partitions of a
+// sim.ShardSet: a single partition when Shards ≤ 1, the topology's pod
+// partitions (plus the control partition) otherwise — DESIGN.md §11.
+// Per-request state lives in the partitions; everything else exists once.
 type runner struct {
 	cfg Config
-	// eng is the control engine: the only engine at P = 1, the control
-	// partition's at P > 1. set is nil exactly at P = 1.
+	// eng is the control partition's engine, the only one at P = 1.
 	eng *sim.Engine
 	set *sim.ShardSet
 	ft  *topo.Topology
@@ -361,7 +359,6 @@ type runner struct {
 	// is enabled. Only R95 sends duplicates, and R95 runs at P = 1, so no
 	// two partitions share it.
 	tickets map[uint64]queuedSvc
-	nextPID uint64
 
 	total, warmup int
 	// deployAt is the completion count that deploys the ILP plan (0:
@@ -495,28 +492,20 @@ func (r *runner) setup() error {
 
 	// The in-network layer. CliRS runs over the same fabric with inert
 	// operators (its packets are non-NetRS and are simply forwarded).
-	// Every node schedules on its partition's engine: the one engine at
-	// P = 1, its pod's (or the control partition's) at P > 1.
-	factory := r.operatorSelectorFactory(root, rate)
-	var engs []*sim.Engine
-	if shards := cfg.EffectiveShards(); shards > 1 {
-		if r.set, err = sim.NewShardSet(r.ft.PodPartitions(), shards, cfg.Fabric.LinkLatency); err != nil {
-			return err
-		}
-		for p := 0; p < r.set.Partitions(); p++ {
-			engs = append(engs, r.set.Engine(p))
-		}
-		r.net, err = fabric.NewShardedNetwork(r.set, r.ft, cfg.Fabric, factory)
-	} else {
-		engs = []*sim.Engine{sim.NewEngine()}
-		r.net, err = fabric.NewNetwork(engs[0], r.ft, cfg.Fabric, factory)
+	// Every node schedules on its partition's engine.
+	shards, parts := cfg.EffectiveShards(), 1
+	if shards > 1 {
+		parts = r.ft.PodPartitions()
 	}
-	if err != nil {
+	if r.set, err = sim.NewShardSet(parts, shards, cfg.Fabric.LinkLatency); err != nil {
+		return err
+	}
+	if r.net, err = fabric.NewNetwork(r.set, r.ft, cfg.Fabric, r.operatorSelectorFactory(root, rate)); err != nil {
 		return err
 	}
 	r.eng = r.net.Engine()
-	for p, eng := range engs {
-		st := &shardState{part: p, eng: eng}
+	for p := range parts {
+		st := &shardState{part: p, eng: r.set.Engine(p)}
 		st.launchFn = func(arg any) { r.launchPick(st, arg.(*packetCtx)) }
 		r.parts = append(r.parts, st)
 	}
@@ -639,15 +628,17 @@ func (r *runner) setup() error {
 	return nil
 }
 
-// setupArrivals wires the synthetic workload. At P = 1 the live source
-// emits on the engine as the run goes. At P > 1 the arrival sequence is
-// pre-generated for start to replay. Pre-generating at P = 1 too would
-// change the tie order the golden files pin: the live source's ticks
-// take their sequence numbers as the run goes, between the model's
-// events, where a replayed sequence takes one block of them at start.
+// setupArrivals wires the synthetic workload: the one choice the runner
+// makes by partition count. At P = 1 the live source emits on the engine as
+// the run goes. At P > 1 the arrival sequence is pre-generated for start to
+// replay through per-partition cursors. Pre-generating at P = 1 too gives
+// the same golden files but holds every arrival at once, about 45 B each:
+// a default-config NetRS-ILP run of 50k requests (52.5k arrivals) measured
+// 6.92 MB/op with the live source and 9.28 MB/op pre-generated
+// (go test -benchmem; 2 vCPUs, go1.24.0).
 func (r *runner) setupArrivals(srcCfg workload.SourceConfig, rng *sim.RNG) error {
 	var err error
-	if r.set == nil {
+	if r.set.Partitions() == 1 {
 		r.source, err = workload.NewSource(srcCfg, r.eng, rng, r.onArrival)
 		return err
 	}
@@ -863,11 +854,9 @@ func setOperatorWeights(net *fabric.Network, rsnodes int) {
 
 // start arms the run: the servers, the queue sampler, the fault schedule,
 // and the arrivals — the live source at P = 1, the pre-generated schedule
-// otherwise. At P > 1 a pending completion-count trigger turns stepping on.
+// otherwise. A pending completion-count trigger turns stepping on.
 func (r *runner) start() error {
-	if r.set != nil {
-		r.set.SetStepping(r.deployAt > 0)
-	}
+	r.set.SetStepping(r.triggerPending())
 	for _, srv := range r.servers {
 		srv.Start()
 	}
@@ -925,16 +914,8 @@ func (r *runner) drive() error {
 	// Generous watchdog: tens of times the expected span.
 	expected := float64(r.total) / r.rate
 	deadline := sim.FromSeconds(expected*20 + 30)
-	// P = 1 runs its engine until the last completion's handler stops it.
-	// P > 1 runs windows until the completion count, read at a barrier
-	// where every worker has joined, reaches the total.
-	if r.set == nil {
-		r.eng.RunUntil(deadline)
-	} else {
-		err := r.set.Run(deadline, r.barrier)
-		if err != nil && !errors.Is(err, sim.ErrDeadline) {
-			return err
-		}
+	if err := r.set.Run(deadline, r.barrier); err != nil && !errors.Is(err, sim.ErrDeadline) {
+		return err
 	}
 	if n := r.completedTotal(); n < r.total {
 		return fmt.Errorf("cluster: %d of %d requests completed by watchdog deadline %v",
@@ -943,26 +924,34 @@ func (r *runner) drive() error {
 	return nil
 }
 
-// barrier is the Run hook at P > 1. While a completion-count trigger is
-// pending the ShardSet steps, so a barrier whose window ran completions
-// follows exactly the instant end-1 they happened at: the hook lifts every
-// clock there and fires the triggers at the cut where all of that
-// instant's events have run. Stepping stops once none is pending.
+// barrier is the Run hook. While a completion-count trigger is pending the
+// ShardSet steps, so a barrier whose window ran completions follows
+// exactly the instant end-1 they happened at: the hook lifts every clock
+// there and fires the triggers at the cut where all of that instant's
+// events have run. Stepping stops once none is pending. The run ends at
+// the barrier that sees the last completion.
 func (r *runner) barrier(end sim.Time) bool {
 	n := r.completedTotal()
-	if r.counted < r.deployAt && n > r.counted {
+	if r.triggerPending() && n > r.counted {
 		now := end - 1
 		for _, st := range r.parts {
 			st.eng.AdvanceTo(now)
 		}
 		r.onCompletion(n, now)
-		r.set.SetStepping(r.counted < r.deployAt)
+		r.set.SetStepping(r.triggerPending())
 	}
 	return n >= r.total
 }
 
-// completedTotal sums the partition completion counters. At P > 1 it is
-// only read at barriers (globals and the Run hook).
+// triggerPending reports whether a completion-count trigger has yet to
+// fire: the ILP deploy (with the monitor reset before it) or a fault
+// threshold.
+func (r *runner) triggerPending() bool {
+	return r.counted < r.deployAt || (r.injector != nil && r.injector.Pending())
+}
+
+// completedTotal sums the partition completion counters. It is only read
+// at barriers (globals and the Run hook).
 func (r *runner) completedTotal() int {
 	n := 0
 	for _, st := range r.parts {
@@ -998,11 +987,10 @@ func (r *runner) result() (Result, error) {
 		res.RedundantSent += st.redundant
 		res.CancelledDuplicates += st.cancelled
 		res.Events = res.Events.Add(st.eng.Events())
-		// The logical end of the run is the last completion instant, where
-		// P = 1 stops its engine. Partition clocks at P > 1 may overrun it
-		// by up to one window, but only on invisible timers (server
-		// fluctuation redraws): at the last completion nothing is in
-		// flight.
+		// The logical end of the run is the last completion instant. At
+		// P > 1 partition clocks may overrun it by up to one window, but
+		// only on invisible timers (server fluctuation redraws): at the
+		// last completion nothing is in flight.
 		if st.lastDone > res.SimulatedSpan {
 			res.SimulatedSpan = st.lastDone
 		}
@@ -1086,16 +1074,11 @@ func (r *runner) onArrival(req workload.Request) {
 	st.release(p) // this handler's reference
 }
 
-// packetID names a new packet of p. At P = 1 a run counter hands out IDs,
-// which CliRS-R95 duplicates need. At P > 1 no partition can read a shared
-// counter mid-window; every request sends exactly one packet there (R95
-// is refused), so the arrival index reproduces the counter's sequence.
+// packetID names a new packet of p from its arrival index, so no partition
+// reads a shared counter: a primary gets Index+1 and a CliRS-R95 duplicate
+// Index+1+total, which keeps IDs unique across the run.
 func (r *runner) packetID(p *pending) uint64 {
-	if r.set == nil {
-		r.nextPID++
-		return r.nextPID
-	}
-	return uint64(p.logicalIdx) + 1
+	return uint64(p.logicalIdx) + 1 + uint64(p.nhandles)*uint64(r.total)
 }
 
 // sendClientPick realizes the CliRS flow: the client's own C3 instance
@@ -1347,18 +1330,19 @@ func (r *runner) complete(st *shardState, p *pending, degraded bool, now sim.Tim
 	}
 	st.completed++
 	st.lastDone = now
-	// The completion-count triggers fire inline at P = 1. At P > 1 no
-	// partition sees the run-wide count mid-window: the barrier hook
-	// fires them and stops the run.
-	if r.set == nil {
-		r.onCompletion(st.completed, now)
+	// A partition holding every completion stops at the last one, before
+	// the rest of its window: the perpetual processes (server fluctuation)
+	// stay armed but never run again, and no CliRS-R95 loser is served
+	// after it. The barrier hook then ends the run.
+	if st.completed == r.total {
+		st.eng.Stop()
 	}
 }
 
 // onCompletion fires every completion-count trigger that the run-wide
-// count n has crossed since the last call, each once, at instant now. At
-// P = 1 n grows by one per call; at P > 1 the barrier hook passes the
-// count after a whole instant, which may cross several thresholds.
+// count n has crossed since the last call, each once, at instant now. The
+// barrier hook passes the count after a whole instant, which may cross
+// several thresholds.
 func (r *runner) onCompletion(n int, now sim.Time) {
 	prev := r.counted
 	r.counted = n
@@ -1380,12 +1364,6 @@ func (r *runner) onCompletion(n int, now sim.Time) {
 	}
 	if r.injector != nil {
 		r.injector.OnCompletion(n)
-	}
-	// At P = 1 the last completion ends the run: RunUntil returns after
-	// this handler, so the perpetual processes (server fluctuation,
-	// periodic timers) stay armed but never run again.
-	if r.set == nil && n == r.total {
-		r.eng.Stop()
 	}
 }
 
@@ -1554,7 +1532,7 @@ func normalizeRates(rates map[int][3]float64, target float64) float64 {
 // deployILPPlan solves the placement from the warmup window's monitor
 // statistics and deploys it (the NetRS controller's initial RSP update,
 // §II). The measured rates are normalized so their total matches the known
-// offered load (see normalizeRates). At P > 1 it runs as a global, where
+// offered load (see normalizeRates). It runs from the barrier hook, where
 // the control engine reads the deploy instant.
 func (r *runner) deployILPPlan() {
 	rates := r.ctl.CollectTraffic()
@@ -1577,22 +1555,10 @@ func (r *runner) deployILPPlan() {
 	}
 }
 
-// every runs fn one period from now and every period after, until the run
-// ends. At P = 1 it is a self-re-arming engine event, left pending when
-// the engine stops; at P > 1 a ShardSet global that lapses once the last
-// completion is in. The engine event is armed a full period early, so at
-// its instant it runs before that instant's other events — exactly a
-// global's position.
+// every runs fn one period from now and every period after, as a ShardSet
+// global that lapses once the last completion is in. A global runs before
+// every partition event at its instant.
 func (r *runner) every(period sim.Time, fn func()) {
-	if r.set == nil {
-		var tick func()
-		tick = func() {
-			fn()
-			r.eng.MustSchedule(period, tick)
-		}
-		r.eng.MustSchedule(period, tick)
-		return
-	}
 	at := r.eng.Now()
 	var tick func()
 	arm := func() {

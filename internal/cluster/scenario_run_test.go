@@ -6,6 +6,7 @@ import (
 
 	"netrs/internal/faults"
 	"netrs/internal/scenario"
+	"netrs/internal/sim"
 )
 
 // TestScenarioBuiltinsRun executes every built-in scenario end to end
@@ -122,5 +123,109 @@ func TestScenarioConfigValidation(t *testing.T) {
 	cfg.Scenario = scenario.Scenario{SlowRacks: []scenario.SlowRack{{Rack: 9999, ExtraMs: 1}}}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("out-of-topology rack accepted")
+	}
+}
+
+// faultProbe is the runner's fault surface with a note of the completion
+// count, the clock and the last completion instant at each applied fault.
+type faultProbe struct {
+	*runner
+	applied []faultAt
+}
+
+type faultAt struct {
+	count    int
+	at, last sim.Time
+}
+
+func (f *faultProbe) note() {
+	last := sim.Time(0)
+	for _, st := range f.parts {
+		last = max(last, st.lastDone)
+	}
+	f.applied = append(f.applied, faultAt{f.completedTotal(), f.eng.Now(), last})
+}
+
+func (f *faultProbe) CrashRSNode(target string) (uint16, error) {
+	f.note()
+	return f.runner.CrashRSNode(target)
+}
+
+func (f *faultProbe) RecoverRSNode(target string) (uint16, error) {
+	f.note()
+	return f.runner.RecoverRSNode(target)
+}
+
+func (f *faultProbe) SetServerSlowdown(server int, mult float64) error {
+	f.note()
+	return f.runner.SetServerSlowdown(server, mult)
+}
+
+func (f *faultProbe) CrashServer(server int) error {
+	f.note()
+	return f.runner.CrashServer(server)
+}
+
+func (f *faultProbe) RestartServer(server int) error {
+	f.note()
+	return f.runner.RestartServer(server)
+}
+
+func (f *faultProbe) SetRackLinkDelay(rack int, extra sim.Time) error {
+	f.note()
+	return f.runner.SetRackLinkDelay(rack, extra)
+}
+
+// TestFaultThresholdsFireAtCompletionInstant runs every fault kind at
+// completion fractions on a single partition. The barrier hook fires each
+// threshold at the instant of the completion that crossed it, after that
+// instant's events (the run steps while one is pending), with the
+// run-wide count at or past the threshold; two thresholds on one count
+// fire at the same barrier in declaration order. Every fault applies, and
+// none is pending when the run ends.
+func TestFaultThresholdsFireAtCompletionInstant(t *testing.T) {
+	events := []faults.Event{
+		{Kind: faults.KindServerSlowdown, AtFraction: 0.2, Server: 1, Multiplier: 3},
+		{Kind: faults.KindServerCrash, AtFraction: 0.3, Server: 2},
+		{Kind: faults.KindLinkDelay, AtFraction: 0.3, Rack: 0, ExtraMs: 0.2},
+		{Kind: faults.KindRSNodeCrash, AtFraction: 0.4, RSNode: faults.TargetBusiest},
+		{Kind: faults.KindRSNodeRecover, AtFraction: 0.5, RSNode: faults.TargetFailed},
+		{Kind: faults.KindServerRestart, AtFraction: 0.6, Server: 2},
+	}
+	cfg := smallConfig(SchemeNetRSILP)
+	cfg.Scenario = scenario.Scenario{Faults: events}
+	r := &runner{cfg: cfg}
+	if err := r.setup(); err != nil {
+		t.Fatal(err)
+	}
+	probe := &faultProbe{runner: r}
+	var err error
+	if r.injector, err = faults.NewInjector(r.eng, probe, r.total, events, r.recordError); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.drive(); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.errs) > 0 {
+		t.Fatalf("faults failed to apply: %v", r.errs)
+	}
+	if r.injector.Pending() {
+		t.Fatal("a threshold is still pending after the run")
+	}
+	if len(probe.applied) != len(events) {
+		t.Fatalf("%d faults applied, want %d", len(probe.applied), len(events))
+	}
+	for i, ev := range events {
+		got, threshold := probe.applied[i], int(ev.AtFraction*float64(r.total))
+		if got.count < threshold || got.at != got.last {
+			t.Errorf("%s at %v: count %d (threshold %d), last completion at %v; want the crossing completion's instant",
+				ev.Kind, got.at, got.count, threshold, got.last)
+		}
+	}
+	if probe.applied[1] != probe.applied[2] {
+		t.Errorf("thresholds on one count fired apart: %+v and %+v", probe.applied[1], probe.applied[2])
 	}
 }

@@ -66,11 +66,23 @@ func installDBs(net *Network, db GroupDB, loc ServerLocator) {
 	}
 }
 
+// singlePartition builds the one-partition shard set a fabric runs on when
+// it is not sharded, and returns it with its engine.
+func singlePartition(tb testing.TB) (*sim.ShardSet, *sim.Engine) {
+	tb.Helper()
+	set, err := sim.NewShardSet(1, 1, NewDefaultConfig().LinkLatency)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return set, set.Engine(0)
+}
+
 func newHarness(t *testing.T, factory func(uint16, *sim.Engine) (Selector, error)) *harness {
 	t.Helper()
+	set, eng := singlePartition(t)
 	h := &harness{
 		t:       t,
-		eng:     sim.NewEngine(),
+		eng:     eng,
 		got:     make(map[uint64]*Packet),
 		gotTime: make(map[uint64]sim.Time),
 		spies:   make(map[uint16]*spySelector),
@@ -87,7 +99,7 @@ func newHarness(t *testing.T, factory func(uint16, *sim.Engine) (Selector, error
 			return s, nil
 		}
 	}
-	net, err := NewNetwork(h.eng, ft, NewDefaultConfig(), factory)
+	net, err := NewNetwork(set, ft, NewDefaultConfig(), factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,21 +199,21 @@ func (h *harness) torOperator() *Operator {
 }
 
 func TestNetworkConstructionValidation(t *testing.T) {
-	eng := sim.NewEngine()
+	set, _ := singlePartition(t)
 	ft, err := topo.NewFatTree(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	factory := func(uint16, *sim.Engine) (Selector, error) { return &spySelector{}, nil }
 	if _, err := NewNetwork(nil, ft, NewDefaultConfig(), factory); !errors.Is(err, ErrInvalidParam) {
-		t.Error("nil engine accepted")
+		t.Error("nil shard set accepted")
 	}
 	bad := NewDefaultConfig()
 	bad.AccelCores = 0
-	if _, err := NewNetwork(eng, ft, bad, factory); !errors.Is(err, ErrInvalidParam) {
+	if _, err := NewNetwork(set, ft, bad, factory); !errors.Is(err, ErrInvalidParam) {
 		t.Error("zero cores accepted")
 	}
-	net, err := NewNetwork(eng, ft, NewDefaultConfig(), factory)
+	net, err := NewNetwork(set, ft, NewDefaultConfig(), factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -772,9 +784,10 @@ func TestSelectorIntegrationWithC3(t *testing.T) {
 		return selection.New(selection.AlgoC3NoRate, nil, nil)
 	}
 	// selection.New needs the engine for C3; build harness manually.
+	set, eng := singlePartition(t)
 	h := &harness{
 		t:       t,
-		eng:     sim.NewEngine(),
+		eng:     eng,
 		got:     make(map[uint64]*Packet),
 		gotTime: make(map[uint64]sim.Time),
 		spies:   make(map[uint16]*spySelector),
@@ -787,7 +800,7 @@ func TestSelectorIntegrationWithC3(t *testing.T) {
 	factory = func(uint16, *sim.Engine) (Selector, error) {
 		return selection.New(selection.AlgoC3NoRate, h.eng, nil)
 	}
-	net, err := NewNetwork(h.eng, ft, NewDefaultConfig(), factory)
+	net, err := NewNetwork(set, ft, NewDefaultConfig(), factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -883,12 +896,12 @@ func TestFailedRSNodeLeavesNoPerRequestState(t *testing.T) {
 // (six links, five switch pipelines) per iteration. It reports ns per
 // forwarded hop; steady state allocates nothing.
 func BenchmarkForwardHop(b *testing.B) {
-	eng := sim.NewEngine()
+	set, eng := singlePartition(b)
 	ft, err := topo.NewFatTree(8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, err := NewNetwork(eng, ft, NewDefaultConfig(), func(uint16, *sim.Engine) (Selector, error) {
+	net, err := NewNetwork(set, ft, NewDefaultConfig(), func(uint16, *sim.Engine) (Selector, error) {
 		return &spySelector{}, nil
 	})
 	if err != nil {

@@ -30,9 +30,10 @@ type invariantWorld struct {
 
 func newInvariantWorld(t *testing.T, seed uint64, schemeILP bool) *invariantWorld {
 	t.Helper()
+	set, eng := singlePartition(t)
 	w := &invariantWorld{
 		t:         t,
-		eng:       sim.NewEngine(),
+		eng:       eng,
 		delivered: make(map[uint64]*Packet),
 		rng:       sim.NewRNG(seed),
 	}
@@ -44,7 +45,7 @@ func newInvariantWorld(t *testing.T, seed uint64, schemeILP bool) *invariantWorl
 	factory := func(uint16, *sim.Engine) (Selector, error) {
 		return selection.New(selection.AlgoC3NoRate, w.eng, nil)
 	}
-	net, err := NewNetwork(w.eng, ft, NewDefaultConfig(), factory)
+	net, err := NewNetwork(set, ft, NewDefaultConfig(), factory)
 	if err != nil {
 		t.Fatal(err)
 	}

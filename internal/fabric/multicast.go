@@ -29,8 +29,8 @@ import (
 // maxFreeSegs bounds a partition's segment free list. Segments flow from
 // the sending pod partitions toward the core partition, which never sends
 // a fan-out; past the bound a released segment is left to the garbage
-// collector instead of piling up there. A single engine's list stays far
-// below it.
+// collector instead of piling up there. A single partition's list stays
+// far below it.
 const maxFreeSegs = 256
 
 // mcastNode is one trie node: the source host at the root, a switch below

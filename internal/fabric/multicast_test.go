@@ -19,9 +19,9 @@ type fanoutCase struct {
 }
 
 // newFanoutNetwork builds a k-ary fat-tree fabric with a hot-key cache on
-// every ToR: a single engine when workers is 0, else a sharded network
-// over the topology's pod partitions with that many workers. run drives
-// it until every scheduled event has executed.
+// every ToR: on a single partition when workers is 0, else over the
+// topology's pod partitions with that many workers. run drives it until
+// every scheduled event has executed.
 func newFanoutNetwork(tb testing.TB, k, workers int) (net *Network, run func()) {
 	tb.Helper()
 	ft, err := topo.NewFatTree(k)
@@ -30,24 +30,20 @@ func newFanoutNetwork(tb testing.TB, k, workers int) (net *Network, run func()) 
 	}
 	cfg := NewDefaultConfig()
 	factory := func(uint16, *sim.Engine) (Selector, error) { return &spySelector{}, nil }
+	parts := ft.PodPartitions()
 	if workers == 0 {
-		eng := sim.NewEngine()
-		if net, err = NewNetwork(eng, ft, cfg, factory); err != nil {
+		parts = 1
+	}
+	set, err := sim.NewShardSet(parts, workers, cfg.LinkLatency)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if net, err = NewNetwork(set, ft, cfg, factory); err != nil {
+		tb.Fatal(err)
+	}
+	run = func() {
+		if err := set.Run(10*sim.Second, nil); err != nil {
 			tb.Fatal(err)
-		}
-		run = func() { eng.Run() }
-	} else {
-		set, err := sim.NewShardSet(ft.PodPartitions(), workers, cfg.LinkLatency)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if net, err = NewShardedNetwork(set, ft, cfg, factory); err != nil {
-			tb.Fatal(err)
-		}
-		run = func() {
-			if err := set.Run(10*sim.Second, nil); err != nil {
-				tb.Fatal(err)
-			}
 		}
 	}
 	for _, tor := range ft.ToRs() {

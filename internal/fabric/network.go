@@ -137,8 +137,8 @@ type partCounters struct {
 // Network simulates the data-center fabric: topology-aware hop-by-hop
 // forwarding with NetRS operators on every switch.
 //
-// In single-engine mode every node lives in partition 0 and eng drives
-// everything. In sharded mode (NewShardedNetwork) each node schedules on
+// On a single partition every node lives in partition 0 and eng drives
+// everything. Over the topology's pod partitions each node schedules on
 // its home partition's engine, and hops whose endpoints live in different
 // partitions — exclusively aggregation↔core links — travel through the
 // shard set's exchange instead of a direct Schedule call. eng is then the
@@ -149,9 +149,9 @@ type Network struct {
 	topo *topo.Topology
 	cfg  Config
 
-	// set is the shard coordinator, nil in single-engine mode. engs[p] is
-	// partition p's engine ([eng] in single-engine mode); partOf maps nodes
-	// to partitions (nil means everything is partition 0).
+	// set is the shard coordinator and engs[p] partition p's engine;
+	// partOf maps nodes to partitions (nil on a single partition, where
+	// everything is partition 0).
 	set    *sim.ShardSet
 	engs   []*sim.Engine
 	partOf []int
@@ -189,30 +189,25 @@ type Network struct {
 
 // NewNetwork builds a fabric over the topology with one NetRS operator per
 // switch, as §III-B requires ("every programmable switch must have a
-// network accelerator"), every node scheduling on eng. selectorFactory
-// builds the replica-selection state for each operator's accelerator; its
-// engine argument is always eng here.
-func NewNetwork(eng *sim.Engine, t *topo.Topology, cfg Config, selectorFactory func(op uint16, eng *sim.Engine) (Selector, error)) (*Network, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("nil engine: %w", ErrInvalidParam)
+// network accelerator"). The set has either a single partition, which
+// drives every node, or one per topology partition (topo.PodPartitions):
+// then each node schedules on its home partition's engine
+// (topo.PartitionOf) and cross-partition hops travel through the set's
+// exchange. The lookahead must not exceed the link latency — the latency
+// of the only cross-partition hops. selectorFactory builds the
+// replica-selection state for each operator's accelerator on the engine of
+// the partition the operator is pinned to, so clock-reading selectors
+// observe their own partition's time.
+func NewNetwork(set *sim.ShardSet, t *topo.Topology, cfg Config, selectorFactory func(op uint16, eng *sim.Engine) (Selector, error)) (*Network, error) {
+	if set == nil || t == nil || selectorFactory == nil {
+		return nil, fmt.Errorf("nil shard set, topology or factory: %w", ErrInvalidParam)
 	}
-	return newNetwork(t, cfg, nil, []*sim.Engine{eng}, selectorFactory)
-}
-
-// NewShardedNetwork builds a fabric whose nodes schedule on their home
-// partition's engine (topo.PartitionOf) and whose cross-partition hops
-// travel through the shard set's exchange. The set must have one engine
-// per topology partition, and its lookahead must not exceed the link
-// latency — the latency of the only cross-partition hops. selectorFactory
-// receives the engine of the partition the operator is pinned to, so
-// clock-reading selectors observe their own partition's time.
-func NewShardedNetwork(set *sim.ShardSet, t *topo.Topology, cfg Config, selectorFactory func(op uint16, eng *sim.Engine) (Selector, error)) (*Network, error) {
-	if set == nil || t == nil {
-		return nil, fmt.Errorf("nil shard set or topology: %w", ErrInvalidParam)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	if set.Partitions() != t.PodPartitions() {
+	if parts := set.Partitions(); parts != 1 && parts != t.PodPartitions() {
 		return nil, fmt.Errorf("%d shard partitions for %d topology partitions: %w",
-			set.Partitions(), t.PodPartitions(), ErrInvalidParam)
+			parts, t.PodPartitions(), ErrInvalidParam)
 	}
 	if set.Lookahead() > cfg.LinkLatency {
 		return nil, fmt.Errorf("lookahead %v exceeds link latency %v: %w",
@@ -221,19 +216,6 @@ func NewShardedNetwork(set *sim.ShardSet, t *topo.Topology, cfg Config, selector
 	engs := make([]*sim.Engine, set.Partitions())
 	for p := range engs {
 		engs[p] = set.Engine(p)
-	}
-	return newNetwork(t, cfg, set, engs, selectorFactory)
-}
-
-// newNetwork is both constructors' body: engs holds one engine per
-// partition, and set is nil exactly when there is a single one, which
-// leaves partOf nil so every node resolves to partition 0.
-func newNetwork(t *topo.Topology, cfg Config, set *sim.ShardSet, engs []*sim.Engine, selectorFactory func(op uint16, eng *sim.Engine) (Selector, error)) (*Network, error) {
-	if t == nil || selectorFactory == nil {
-		return nil, fmt.Errorf("nil topology or factory: %w", ErrInvalidParam)
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
 	}
 	n := &Network{
 		eng:       engs[0],
@@ -252,7 +234,7 @@ func newNetwork(t *topo.Topology, cfg Config, set *sim.ShardSet, engs []*sim.Eng
 	for p, eng := range engs {
 		n.linkLanes[p] = eng.Lane(cfg.LinkLatency)
 	}
-	if set != nil {
+	if len(engs) > 1 {
 		n.eng = engs[t.ControlPartition()]
 		n.partOf = make([]int, t.Size())
 		for id := range n.partOf {
@@ -282,7 +264,7 @@ func newNetwork(t *topo.Topology, cfg Config, set *sim.ShardSet, engs []*sim.Eng
 	return n, nil
 }
 
-// PartitionOf returns a node's home partition (0 in single-engine mode).
+// PartitionOf returns a node's home partition (0 on a single partition).
 func (n *Network) PartitionOf(id topo.NodeID) int {
 	if n.partOf == nil {
 		return 0
@@ -366,11 +348,10 @@ func (n *Network) hop(p *Packet) {
 }
 
 // link sends fn(arg) across the link from a to b and counts one forward.
-// In sharded mode a link whose endpoints live in different partitions goes
-// through the exchange; the link latency covers the lookahead by
-// NewShardedNetwork's check, and fault-injected extras only widen the
-// margin. A same-partition link rides the partition's LinkLatency lane
-// unless a fault extra lengthens it.
+// A link whose endpoints live in different partitions goes through the
+// exchange; the link latency covers the lookahead by NewNetwork's check,
+// and fault-injected extras only widen the margin. A same-partition link
+// rides the partition's LinkLatency lane unless a fault extra lengthens it.
 func (n *Network) link(a, b topo.NodeID, fn sim.ArgHandler, arg any) {
 	src := n.PartitionOf(a)
 	n.counters[src].forwards++
@@ -492,7 +473,7 @@ func (n *Network) release(p *Packet) {
 }
 
 // packetPartition returns the partition of the node a packet currently
-// sits at: where the event handling it executes (0 in single-engine mode,
+// sits at: where the event handling it executes (0 on a single partition,
 // or once the packet has left its path).
 func (n *Network) packetPartition(p *Packet) int {
 	if p.idx >= len(p.path) {

@@ -149,8 +149,8 @@ type Operator struct {
 	// pod and rack locate the switch (rack is -1 above the ToR tier).
 	pod, rack int
 	net       *Network
-	// eng drives this operator's events: the switch's home-partition engine
-	// in sharded mode, the network's single engine otherwise.
+	// eng drives this operator's events: the switch's home-partition
+	// engine.
 	eng *sim.Engine
 
 	rules   *Rules

@@ -11,8 +11,8 @@ import (
 
 // TestShardedNetworkMatchesSingle drives the same cross-pod NetRS flow —
 // client in pod 0, RSNode on a core switch (the control partition), server
-// in the last pod — through a single-engine Network and a sharded one at
-// several worker counts, asserting identical per-request delivery times
+// in the last pod — through a Network on a single partition and one over
+// the pod partitions at several worker counts, asserting identical per-request delivery times
 // and counters. Every aggregation↔core hop of the sharded run crosses a
 // partition boundary and therefore rides the exchange.
 func TestShardedNetworkMatchesSingle(t *testing.T) {
@@ -32,32 +32,23 @@ func TestShardedNetworkMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := NewDefaultConfig()
-		var net *Network
-		var drive func()
+		parts := ft.PodPartitions()
 		if workers == 0 {
-			eng := sim.NewEngine()
-			net, err = NewNetwork(eng, ft, cfg, func(uint16, *sim.Engine) (Selector, error) {
-				return &spySelector{}, nil
-			})
-			if err != nil {
+			parts = 1
+		}
+		set, err := sim.NewShardSet(parts, workers, cfg.LinkLatency)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := NewNetwork(set, ft, cfg, func(uint16, *sim.Engine) (Selector, error) {
+			return &spySelector{}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive := func() {
+			if err := set.Run(sim.Second, nil); err != nil {
 				t.Fatal(err)
-			}
-			drive = func() { eng.Run() }
-		} else {
-			set, err := sim.NewShardSet(ft.PodPartitions(), workers, cfg.LinkLatency)
-			if err != nil {
-				t.Fatal(err)
-			}
-			net, err = NewShardedNetwork(set, ft, cfg, func(_ uint16, _ *sim.Engine) (Selector, error) {
-				return &spySelector{}, nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			drive = func() {
-				if err := set.Run(sim.Second, nil); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 
@@ -173,7 +164,7 @@ func TestShardedPacketPoolReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := NewShardedNetwork(set, ft, cfg, func(_ uint16, _ *sim.Engine) (Selector, error) {
+	net, err := NewNetwork(set, ft, cfg, func(_ uint16, _ *sim.Engine) (Selector, error) {
 		return &spySelector{}, nil
 	})
 	if err != nil {
@@ -299,7 +290,7 @@ func TestShardedNetworkValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewShardedNetwork(set, ft, cfg, factory); !errors.Is(err, ErrInvalidParam) {
+	if _, err := NewNetwork(set, ft, cfg, factory); !errors.Is(err, ErrInvalidParam) {
 		t.Error("partition-count mismatch accepted")
 	}
 
@@ -307,7 +298,7 @@ func TestShardedNetworkValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewShardedNetwork(set, ft, cfg, factory); !errors.Is(err, ErrInvalidParam) {
+	if _, err := NewNetwork(set, ft, cfg, factory); !errors.Is(err, ErrInvalidParam) {
 		t.Error("lookahead exceeding link latency accepted")
 	}
 }

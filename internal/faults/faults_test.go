@@ -200,8 +200,15 @@ func TestInjectorFractionThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewInjector: %v", err)
 	}
+	if !in.Pending() {
+		t.Fatal("Pending false before the first completion")
+	}
 	for completed := 1; completed <= 10; completed++ {
 		in.OnCompletion(completed)
+		// The last threshold, 0.6 of 10, fires at the sixth completion.
+		if got, want := in.Pending(), completed < 6; got != want {
+			t.Fatalf("Pending = %v after completion %d, want %v", got, completed, want)
+		}
 	}
 	want := []string{"crash-server(0)", "crash-rsnode(busiest)", "recover-rsnode(failed)"}
 	if len(acts.calls) != len(want) {
@@ -211,6 +218,50 @@ func TestInjectorFractionThresholds(t *testing.T) {
 		if acts.calls[i] != want[i] {
 			t.Errorf("call %d = %q, want %q", i, acts.calls[i], want[i])
 		}
+	}
+}
+
+// TestInjectorThresholdsCrossedAtOnce hands the injector the count after a
+// whole instant's completions, as the runner's barrier does: one call that
+// crosses three thresholds fires all three in declaration order, and
+// Pending turns false after the last. A time-positioned event does not
+// count as pending, and a schedule without fractions never is.
+func TestInjectorThresholdsCrossedAtOnce(t *testing.T) {
+	eng := sim.NewEngine()
+	acts := &fakeActions{}
+	events := []Event{
+		{Kind: KindServerCrash, AtFraction: 0.2, Server: 0},
+		{Kind: KindServerSlowdown, AtFraction: 0.5, Server: 1, Multiplier: 2},
+		{Kind: KindLinkDelay, AtMs: 1, Rack: 0, ExtraMs: 1},
+		{Kind: KindServerRestart, AtFraction: 0.5, Server: 0},
+	}
+	in, err := NewInjector(eng, acts, 10, events, nil)
+	if err != nil {
+		t.Fatalf("NewInjector: %v", err)
+	}
+	in.OnCompletion(1)
+	if len(acts.calls) != 0 || !in.Pending() {
+		t.Fatalf("after 1 completion: calls %v, Pending %v; want none fired and pending", acts.calls, in.Pending())
+	}
+	in.OnCompletion(7)
+	want := []string{"crash-server(0)", "slowdown(1,x2)", "restart-server(0)"}
+	if fmt.Sprint(acts.calls) != fmt.Sprint(want) {
+		t.Fatalf("calls = %v, want %v", acts.calls, want)
+	}
+	if in.Pending() {
+		t.Fatal("Pending after every threshold fired")
+	}
+	in.OnCompletion(10)
+	if len(acts.calls) != len(want) {
+		t.Fatalf("calls = %v after the run's last completion, want no more", acts.calls)
+	}
+
+	timed, err := NewInjector(eng, acts, 10, events[2:3], nil)
+	if err != nil {
+		t.Fatalf("NewInjector: %v", err)
+	}
+	if timed.Pending() {
+		t.Fatal("a schedule without fraction events reports Pending")
 	}
 }
 

@@ -39,8 +39,8 @@ type threshold struct {
 
 // Injector executes a validated fault schedule against a run. Time-positioned
 // events are placed on the engine agenda by Start; fraction-positioned events
-// fire synchronously from OnCompletion once the completion count reaches
-// the fraction of the run's total, rounded down and at least one.
+// fire from OnCompletion once the completion count reaches the fraction of
+// the run's total, rounded down and at least one.
 type Injector struct {
 	eng    *sim.Engine
 	acts   Actions
@@ -95,8 +95,9 @@ func (in *Injector) Start() error {
 }
 
 // OnCompletion fires every fraction-positioned event whose threshold the
-// completion count has reached. The runner calls it once per completed
-// measured request with the running count.
+// completion count has reached, in threshold order (equal thresholds in
+// declaration order). The runner calls it with the count after a whole
+// instant's completions, which may cross several thresholds at once.
 func (in *Injector) OnCompletion(completed int) {
 	for in.next < len(in.thresholds) && in.thresholds[in.next].count <= completed {
 		ev := in.thresholds[in.next].ev
@@ -104,6 +105,9 @@ func (in *Injector) OnCompletion(completed int) {
 		in.apply(ev)
 	}
 }
+
+// Pending reports whether a fraction-positioned event has yet to fire.
+func (in *Injector) Pending() bool { return in.next < len(in.thresholds) }
 
 // Fired returns how many events (including duration-scheduled inverses) have
 // been applied so far.

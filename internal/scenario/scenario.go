@@ -26,8 +26,8 @@
 // Workload and static fabric/server hooks consume no scheduler events and
 // no root RNG streams, so scenarios are shard-safe: a sharded run's
 // pre-generated arrivals replay the shaped source, or the trace, exactly.
-// Fault events inherit the fault injector's single-engine restriction (see
-// Scenario.ShardSafe).
+// Fault events inherit the fault injector's restriction to a single
+// partition (Shards ≤ 1; see Scenario.ShardSafe).
 package scenario
 
 import (
@@ -114,8 +114,8 @@ type Scenario struct {
 	// ReplayTracePath replays a recorded workload trace instead of the
 	// synthetic source.
 	ReplayTracePath string `json:"replayTracePath,omitempty"`
-	// Faults is the run's fault schedule (single-engine only; see
-	// internal/faults).
+	// Faults is the run's fault schedule (a single partition, Shards ≤ 1,
+	// only; see internal/faults).
 	Faults []faults.Event `json:"faults,omitempty"`
 }
 
@@ -195,8 +195,8 @@ func (s Scenario) ShapesWorkload() bool {
 
 // ShardSafe reports whether the scenario can run on the sharded engine.
 // Workload shaping, trace replay, and static fabric/server hooks replay
-// bit-identically at any shard count; fault events need the single engine
-// (the same restriction the fault injector carries).
+// bit-identically at any shard count; fault events need a single partition
+// (Shards ≤ 1, the same restriction the fault injector carries).
 func (s Scenario) ShardSafe() bool {
 	return len(s.Faults) == 0
 }

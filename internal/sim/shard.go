@@ -54,8 +54,7 @@ package sim
 // the coordinator, and may touch any partition's state. A global at g runs
 // before every partition event at g (windows are bounded to end at g).
 // Globals model the run-level control actions — periodic samplers and
-// controller epochs — that in the sequential engine are ordinary events
-// but in the sharded engine must observe a consistent cross-partition cut.
+// controller epochs — that must observe a consistent cross-partition cut.
 //
 // # Stepping
 //
@@ -296,6 +295,12 @@ func satAdd(a, b Time) Time {
 // no partition event can precede it (at ≤ m1+L), the same cut the unfused
 // schedule used; while stepping, only once no event precedes it at all
 // (at ≤ m1), so the hook of the instant before it runs first.
+//
+// A partition event's Engine.Stop ends that partition's window after the
+// event. The barrier that follows runs the hook, with the window's
+// horizon, but no global: the stopped partition has not reached the cut a
+// global needs. A hook that does not end the run resumes the partition
+// where it stopped, in the next window.
 func (s *ShardSet) Run(deadline Time, afterWindow func(end Time) bool) error {
 	if s.workers > 1 && len(s.engines) > 1 {
 		s.startWorkers()
@@ -379,7 +384,11 @@ func (s *ShardSet) Run(deadline Time, afterWindow func(end Time) bool) error {
 		if err := s.drain(); err != nil {
 			return err
 		}
-		if gi >= 0 && barrier <= reach {
+		cut := false
+		for i, e := range s.engines {
+			cut = cut || (s.nexts[i] < s.ends[i] && e.stopped)
+		}
+		if gi >= 0 && barrier <= reach && !cut {
 			g := s.globals[gi]
 			// Remove before running so a re-arm appended by fn is fresh.
 			s.globals = append(s.globals[:gi], s.globals[gi+1:]...)

@@ -5,17 +5,20 @@
 #
 # Prints `go test -cover` for every package, then enforces floors on the
 # packages at the heart of the control plane and the experiment runner:
-# internal/fabric and internal/cluster must not drop below the baselines
-# recorded when the fault-schedule engine landed, internal/sim below its
-# baseline from when events became fire-and-forget, and internal/c3,
+# internal/fabric, internal/cluster and internal/faults must not drop below
+# the baselines recorded when every run became a ShardSet run (a single
+# partition at Shards ≤ 1) and the fault thresholds moved to its barrier
+# hook, internal/sim below its baseline from when events became
+# fire-and-forget, and internal/c3,
 # internal/dist and internal/kv below theirs from when C3's state split
 # and the hash ring gained its bucket index, and internal/kvnet and
 # internal/wire below theirs from when the kvnet datapath stopped
 # allocating, and internal/placement below its baseline from when the
 # heuristic began sorting its candidates once. The internal/sim floor was
 # last raised when the exchange inbox and the arrival cursors left the
-# agenda heap, and the internal/c3 floor when selectors without rate
-# control dropped their rate records. The root netrs package and
+# agenda heap, and again when the one-partition ShardSet contract got its
+# own test, and the internal/c3 floor when selectors without rate control
+# dropped their rate records. The root netrs package and
 # cmd/netrs-figs hold theirs from when the golden runs and the figure
 # tables became plain-text golden files.
 # Raise a floor when new tests push coverage up; never lower one to make
@@ -43,13 +46,14 @@ check_floor() {
 	echo "cover: $pkg ${pct}% (floor ${floor}%)"
 }
 
-check_floor netrs/internal/fabric 80.0
-check_floor netrs/internal/cluster 80.3
+check_floor netrs/internal/fabric 87.0
+check_floor netrs/internal/cluster 88.7
+check_floor netrs/internal/faults 91.9
 check_floor netrs/internal/workload 90.0
 check_floor netrs/internal/selection 90.0
 check_floor netrs/internal/scenario 95.0
 check_floor netrs/internal/cache 90.0
-check_floor netrs/internal/sim 94.8
+check_floor netrs/internal/sim 95.4
 check_floor netrs/internal/kv 96.9
 check_floor netrs/internal/c3 94.1
 check_floor netrs/internal/dist 95.7
