@@ -55,7 +55,6 @@ func genCmd(args []string) error {
 		return err
 	}
 
-	eng := sim.NewEngine()
 	cfg := workload.SourceConfig{
 		Generators:  *generators,
 		RatePerSec:  *rate,
@@ -66,25 +65,27 @@ func genCmd(args []string) error {
 		ZipfTheta:   *theta,
 		Total:       *requests,
 	}
-	rec, err := workload.NewRecordingSource(cfg, eng, sim.NewRNG(*seed), func(workload.Request) {})
+	src, err := workload.NewSource(cfg, sim.NewRNG(*seed))
 	if err != nil {
 		return err
 	}
-	rec.Start()
-	eng.Run()
+	entries := make([]workload.TraceEntry, 0, *requests)
+	for at, req, ok := src.Next(); ok; at, req, ok = src.Next() {
+		entries = append(entries, workload.TraceEntry{At: at, Client: req.Client, Key: req.Key})
+	}
 
 	f, err := os.Create(*out)
 	if err != nil {
 		return fmt.Errorf("create %s: %w", *out, err)
 	}
-	if err := workload.WriteTrace(f, rec.Entries()); err != nil {
+	if err := workload.WriteTrace(f, entries); err != nil {
 		_ = f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d requests over %v to %s\n", len(rec.Entries()), eng.Now(), *out)
+	fmt.Printf("wrote %d requests over %v to %s\n", len(entries), entries[len(entries)-1].At, *out)
 	return nil
 }
 

@@ -474,7 +474,7 @@ func TestQueueOscillationMetric(t *testing.T) {
 // clients and writes it as a trace file, returning the file's path.
 func recordTestTrace(t *testing.T) string {
 	t.Helper()
-	arrivals, err := pregenerate(workload.SourceConfig{
+	src, err := workload.NewSource(workload.SourceConfig{
 		Generators: 10,
 		RatePerSec: 18000,
 		Clients:    40,
@@ -485,10 +485,16 @@ func recordTestTrace(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := make([]workload.TraceEntry, len(arrivals))
-	for i, a := range arrivals {
-		entries[i] = workload.TraceEntry{At: a.at, Client: a.req.Client, Key: a.req.Key}
+	var entries []workload.TraceEntry
+	for at, req, ok := src.Next(); ok; at, req, ok = src.Next() {
+		entries = append(entries, workload.TraceEntry{At: at, Client: req.Client, Key: req.Key})
 	}
+	return writeTestTrace(t, entries)
+}
+
+// writeTestTrace writes entries as a trace file and returns its path.
+func writeTestTrace(t *testing.T, entries []workload.TraceEntry) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.csv")
 	f, err := os.Create(path)
 	if err != nil {

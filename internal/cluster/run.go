@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -92,7 +91,7 @@ type Result struct {
 	CacheInvalidations uint64 `json:"cacheInvalidations,omitempty"`
 	// Events counts the executed events by the engine queue that held
 	// them (the agenda heap, the fixed-delay lanes, the exchange inbox and
-	// the arrival cursors), summed over partitions. It is diagnostic only
+	// the arrival streams), summed over partitions. It is diagnostic only
 	// and left out of the golden files (golden:"-"): the split depends on
 	// the shard count, where every other field agrees across it.
 	Events sim.EventCounts `json:"events" golden:"-"`
@@ -205,7 +204,7 @@ type queuedSvc struct {
 	req    *svcReq
 }
 
-// timedRequest is one pre-generated workload arrival.
+// timedRequest is one workload arrival in the refill buffer.
 type timedRequest struct {
 	at  sim.Time
 	req workload.Request
@@ -217,6 +216,9 @@ type timedRequest struct {
 type shardState struct {
 	part int
 	eng  *sim.Engine
+	// arrivals is the stream the partition's clients' arrivals are pushed
+	// onto; nil when the partition has no clients.
+	arrivals *sim.Stream
 
 	rec *stats.Recorder
 
@@ -348,11 +350,15 @@ type runner struct {
 
 	clients []*client
 	parts   []*shardState
-	// source is the live synthetic source (P = 1); arrivals is the
-	// pre-generated schedule otherwise — a replayed trace at any P, the
-	// synthetic sequence at P > 1. Exactly one is set.
-	source   *workload.Source
-	arrivals []timedRequest
+	// next pulls the workload's arrivals in emission order, from the
+	// synthetic source or a replayed trace. refill pushes them onto the
+	// partitions' streams a chunk at a time: chunk is the one buffer the
+	// pushed arrivals' arguments point into, and head the first arrival
+	// not yet pushed, if more is set.
+	next  func() (sim.Time, workload.Request, bool)
+	chunk []timedRequest
+	head  timedRequest
+	more  bool
 
 	// tickets holds the server queue entries of CliRS-R95 packets, with
 	// their records, for cross-server cancellation, and is nil unless that
@@ -386,11 +392,13 @@ type runner struct {
 	queueCV stats.Welford // samples of cross-server queue-length CV
 	epochs  []EpochRecord
 
-	// arriveFn delivers a pre-generated arrival (the argument is a
-	// *timedRequest), redundantFn fires a CliRS-R95 duplicate timer (the
-	// argument is the pending request).
+	// arriveFn delivers an arrival (the argument is a *timedRequest in
+	// the refill buffer), redundantFn fires a CliRS-R95 duplicate timer (the
+	// argument is the pending request), and refillFn is refill as one func
+	// value, so that re-arming it allocates nothing.
 	arriveFn    sim.ArgHandler
 	redundantFn sim.ArgHandler
+	refillFn    func()
 
 	netrs bool
 }
@@ -431,6 +439,7 @@ func (r *runner) setup() error {
 	}
 	r.arriveFn = func(arg any) { r.onArrival(arg.(*timedRequest).req) }
 	r.redundantFn = func(arg any) { r.fireRedundant(arg.(*pending)) }
+	r.refillFn = r.refill
 
 	var err error
 	if r.ft, err = topo.NewFatTree(cfg.FatTreeK); err != nil {
@@ -469,13 +478,20 @@ func (r *runner) setup() error {
 		if len(traceEntries) == 0 {
 			return fmt.Errorf("trace %s has no entries: %w", tracePath, ErrInvalidParam)
 		}
-		r.arrivals = make([]timedRequest, len(traceEntries))
 		for i, e := range traceEntries {
 			if e.Client >= cfg.Clients {
 				return fmt.Errorf("trace entry %d references client %d of %d: %w",
 					i, e.Client, cfg.Clients, ErrInvalidParam)
 			}
-			r.arrivals[i] = timedRequest{at: e.At, req: workload.Request{Index: i, Client: e.Client, Key: e.Key}}
+		}
+		i := 0
+		r.next = func() (sim.Time, workload.Request, bool) {
+			if i == len(traceEntries) {
+				return 0, workload.Request{}, false
+			}
+			e := traceEntries[i]
+			i++
+			return e.At, workload.Request{Index: i - 1, Client: e.Client, Key: e.Key}, true
 		}
 	}
 	rate, err := workload.UtilizationRate(cfg.Utilization, cfg.Servers, cfg.Parallelism, cfg.MeanServiceTime)
@@ -575,9 +591,11 @@ func (r *runner) setup() error {
 			Modulation:    cfg.Scenario.RateModulation(),
 			Spike:         cfg.Scenario.KeySpike(),
 		}
-		if err := r.setupArrivals(srcCfg, root.Stream(3)); err != nil {
+		src, err := workload.NewSource(srcCfg, root.Stream(3))
+		if err != nil {
 			return err
 		}
+		r.next = src.Next
 	}
 	if cfg.Scheme == SchemeNetRSILP {
 		r.deployAt = (r.warmup + 1) / 2
@@ -626,50 +644,6 @@ func (r *runner) setup() error {
 		r.invalidationToRs = tors
 	}
 	return nil
-}
-
-// setupArrivals wires the synthetic workload: the one choice the runner
-// makes by partition count. At P = 1 the live source emits on the engine as
-// the run goes. At P > 1 the arrival sequence is pre-generated for start to
-// replay through per-partition cursors. Pre-generating at P = 1 too gives
-// the same golden files but holds every arrival at once, about 45 B each:
-// a default-config NetRS-ILP run of 50k requests (52.5k arrivals) measured
-// 6.92 MB/op with the live source and 9.28 MB/op pre-generated
-// (go test -benchmem; 2 vCPUs, go1.24.0).
-func (r *runner) setupArrivals(srcCfg workload.SourceConfig, rng *sim.RNG) error {
-	var err error
-	if r.set.Partitions() == 1 {
-		r.source, err = workload.NewSource(srcCfg, r.eng, rng, r.onArrival)
-		return err
-	}
-	if r.arrivals, err = pregenerate(srcCfg, rng); err != nil {
-		return err
-	}
-	if len(r.arrivals) != r.total {
-		return fmt.Errorf("pre-generated %d arrivals, want %d: %w", len(r.arrivals), r.total, ErrInvalidParam)
-	}
-	return nil
-}
-
-// pregenerate runs the synthetic source against a scratch engine that
-// carries nothing else and records the emission sequence. The source's
-// tick times and draws depend only on its own streams (per-generator
-// Poisson processes; key and client draws in emission order), and the
-// relative order of equal-instant ticks reduces to the order of their
-// scheduling instants, which the scratch engine reproduces — so the
-// sequence is identical to what the live source emits inside a full run.
-func pregenerate(srcCfg workload.SourceConfig, rng *sim.RNG) ([]timedRequest, error) {
-	eng := sim.NewEngine()
-	out := make([]timedRequest, 0, srcCfg.Total)
-	src, err := workload.NewSource(srcCfg, eng, rng, func(req workload.Request) {
-		out = append(out, timedRequest{at: eng.Now(), req: req})
-	})
-	if err != nil {
-		return nil, err
-	}
-	src.Start()
-	eng.Run()
-	return out, nil
 }
 
 // installOperatorDBs installs the ring-backed replica-group database and
@@ -853,8 +827,8 @@ func setOperatorWeights(net *fabric.Network, rsnodes int) {
 }
 
 // start arms the run: the servers, the queue sampler, the fault schedule,
-// and the arrivals — the live source at P = 1, the pre-generated schedule
-// otherwise. A pending completion-count trigger turns stepping on.
+// and the arrival streams with their first chunk. A pending
+// completion-count trigger turns stepping on.
 func (r *runner) start() error {
 	r.set.SetStepping(r.triggerPending())
 	for _, srv := range r.servers {
@@ -872,41 +846,59 @@ func (r *runner) start() error {
 			return err
 		}
 	}
-	if r.source != nil {
-		r.source.Start()
-		return nil
-	}
-	// Each partition replays its clients' arrivals in arrival order — the
-	// FIFO order one engine gives equal-instant emissions — through a
-	// cursor over the arrivals slice, which takes the block of sequence
-	// numbers scheduling them one by one would. A partition's list holds
-	// indices into the slice, and each event's argument points into it:
-	// boxing a bare index would cost one allocation per arrival.
-	if len(r.arrivals) > math.MaxInt32 {
-		return fmt.Errorf("%d arrivals exceed the int32 index space: %w", len(r.arrivals), ErrInvalidParam)
-	}
-	counts := make([]int, len(r.parts))
-	for i := range r.arrivals {
-		counts[r.clients[r.arrivals[i].req.Client].part]++
-	}
-	order := make([][]int32, len(r.parts))
-	for p, n := range counts {
-		order[p] = make([]int32, 0, n)
-	}
-	for i := range r.arrivals {
-		p := r.clients[r.arrivals[i].req.Client].part
-		order[p] = append(order[p], int32(i))
-	}
-	for p, idx := range order {
-		err := r.parts[p].eng.ScheduleSorted(len(idx), r.arriveFn, func(i int) (sim.Time, any) {
-			a := &r.arrivals[idx[i]]
-			return a.at, a
-		})
-		if err != nil {
-			return err
+	// Each partition with clients opens a stream over the run's arrival
+	// indices: arrival Index takes the stream's Index-th sequence number,
+	// so at equal instants the partition runs its arrivals in arrival
+	// order and before every event scheduled from here on.
+	for _, c := range r.clients {
+		if st := r.parts[c.part]; st.arrivals == nil {
+			var err error
+			if st.arrivals, err = st.eng.Stream(r.total, r.arriveFn); err != nil {
+				return err
+			}
 		}
 	}
+	r.chunk = make([]timedRequest, 0, arrivalChunk)
+	r.head.at, r.head.req, r.more = r.next()
+	r.refill()
 	return nil
+}
+
+// arrivalChunk is how many arrivals a refill pushes, before it extends
+// the chunk over the arrivals tied at the chunk's last instant. It is
+// small because the buffer and each stream lane's ring grow to a chunk,
+// and a refill costs only one barrier (DESIGN.md §11).
+const arrivalChunk = 256
+
+// refill pushes the next chunk of arrivals onto their clients'
+// partitions' streams and re-arms itself as a global at the first arrival
+// it left out; the last chunk closes the streams instead. Every chunk
+// reuses one buffer: a refill runs before the events at its instant and
+// after every earlier one, so every arrival of the previous chunk, which
+// is due earlier, has run.
+func (r *runner) refill() {
+	r.chunk = r.chunk[:0]
+	for r.more && (len(r.chunk) < arrivalChunk || r.head.at == r.chunk[len(r.chunk)-1].at) {
+		r.chunk = append(r.chunk, r.head)
+		r.head.at, r.head.req, r.more = r.next()
+	}
+	for i := range r.chunk {
+		a := &r.chunk[i]
+		if err := r.parts[r.clients[a.req.Client].part].arrivals.Push(a.req.Index, a.at, a); err != nil {
+			panic(fmt.Sprintf("cluster: push arrival: %v", err))
+		}
+	}
+	if !r.more {
+		for _, st := range r.parts {
+			if st.arrivals != nil {
+				st.arrivals.Close()
+			}
+		}
+		return
+	}
+	if err := r.set.ScheduleGlobal(r.head.at, r.refillFn); err != nil {
+		panic(fmt.Sprintf("cluster: schedule global: %v", err))
+	}
 }
 
 // drive runs the experiment to its last completion.

@@ -176,17 +176,19 @@ var schedHandlerNames = map[string]bool{
 
 // schedArgNames take a sim.ArgHandler plus a boxed `arg any` operand. The
 // match is by method name on any sim receiver, so ScheduleArg covers both
-// (*Engine).ScheduleArg and the fixed-delay (*Lane).ScheduleArg.
-// ScheduleSorted takes an item function in place of the argument: both
-// its func operands become roots, since the engine calls the item
-// function once per event too.
+// (*Engine).ScheduleArg and the fixed-delay (*Lane).ScheduleArg. A
+// stream splits the pair: Engine.Stream takes the handler, which becomes
+// a root, and Stream.Push each event's argument. Only an `any` last
+// parameter is checked for boxing, so the name Stream, which RNG shares,
+// reports no RNG stream index.
 var schedArgNames = map[string]bool{
 	"ScheduleArg":     true,
 	"ScheduleArgAt":   true,
 	"MustScheduleArg": true,
 	"Send":            true,
 	"MustSend":        true,
-	"ScheduleSorted":  true,
+	"Stream":          true,
+	"Push":            true,
 }
 
 // inModule reports whether a type-checker package belongs to the module
@@ -564,7 +566,8 @@ func (g *Graph) recordScheduleCall(p *Package, f *File, cur *Node, call *ast.Cal
 			}
 		}
 	}
-	if kind == rootArgHandler && len(call.Args) > 0 {
+	if params := callee.Type().(*types.Signature).Params(); kind == rootArgHandler && params.Len() > 0 &&
+		len(call.Args) == params.Len() && types.IsInterface(params.At(params.Len()-1).Type()) {
 		arg := call.Args[len(call.Args)-1]
 		if desc := boxedArgDesc(p, arg); desc != "" {
 			cur.addEffect(effBoxedArg, arg.Pos(),

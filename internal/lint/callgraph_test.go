@@ -253,11 +253,11 @@ func TestLaneHandlerIsRoot(t *testing.T) {
 	}
 }
 
-// TestSortedHandlerIsRoot checks that Engine.ScheduleSorted registers its
-// handler as an ArgHandler root: replayStep is named nowhere else, yet its
-// bare append and the non-pointer argument it schedules are reported with
-// a chain from it, while the pointer its item function returns is not a
-// boxing finding.
+// TestSortedHandlerIsRoot checks that Engine.Stream registers its handler
+// as an ArgHandler root: replayStep is named nowhere else, yet its bare
+// append and the non-pointer argument it schedules are reported with a
+// chain from it, while neither the pointer Stream.Push carries nor the
+// index of an RNG's Stream is a boxing finding.
 func TestSortedHandlerIsRoot(t *testing.T) {
 	mod := loadFixture(t)
 	diags := Run(mod.Packages)

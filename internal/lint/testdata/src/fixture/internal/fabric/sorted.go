@@ -1,7 +1,7 @@
-// Sorted-stream fixtures: replayStep is named only at a sim.Engine's
-// ScheduleSorted call, and no ArgHandler-typed variable or field holds
-// it, so that call alone must make it an ArgHandler root whose per-event
-// allocations are findings.
+// Stream fixtures: replayStep is named only at a sim.Engine's Stream
+// call, and no ArgHandler-typed variable or field holds it, so that call
+// alone must make it an ArgHandler root whose per-event allocations are
+// findings.
 package fabric
 
 import "fixture/internal/sim"
@@ -9,22 +9,24 @@ import "fixture/internal/sim"
 // replayItem is one pre-sorted event's argument.
 type replayItem struct {
 	eng *sim.Engine
+	rng *sim.RNG
 	at  int
 	n   int
 }
 
-// Replay replays a pre-sorted schedule through a cursor.
+// Replay replays a pre-sorted schedule through a stream.
 type Replay struct {
 	eng   *sim.Engine
 	items []replayItem
 }
 
-// Start hands the schedule to the engine: a pointer into items per event,
-// so no boxing finding here.
+// Start pushes the schedule onto a stream: a pointer into items per
+// event, so no boxing finding here.
 func (r *Replay) Start() {
-	r.eng.ScheduleSorted(len(r.items), replayStep, func(i int) (int, any) {
-		return r.items[i].at, &r.items[i]
-	})
+	str := r.eng.Stream(len(r.items), replayStep)
+	for i := range r.items {
+		str.Push(i, r.items[i].at, &r.items[i])
+	}
 }
 
 func replayStep(arg any) {
@@ -34,6 +36,7 @@ func replayStep(arg any) {
 		grown = append(grown, i) // want:hotalloc
 	}
 	it.eng.ScheduleArg(1, replayDone, it.n) // want:hotalloc
+	it.rng = it.rng.Stream(uint64(it.n))    // an RNG stream index boxes nothing
 	it.n = len(grown)
 }
 

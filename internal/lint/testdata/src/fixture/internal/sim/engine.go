@@ -36,17 +36,32 @@ func (e *Engine) ScheduleArg(delay int, fn ArgHandler, arg any) {
 // MustScheduleArg is ScheduleArg with the panic contract.
 func (e *Engine) MustScheduleArg(delay int, fn ArgHandler, arg any) { e.ScheduleArg(delay, fn, arg) }
 
-// ScheduleSorted registers n pre-sorted events read through item, each
-// running fn on the argument item returns: the real engine's cursor
-// beside the agenda. Like Lane.ScheduleArg, it never calls back into the
-// Engine's scheduling methods, so only its own name can register fn.
-func (e *Engine) ScheduleSorted(n int, fn ArgHandler, item func(i int) (int, any)) {
-	for i := 0; i < n; i++ {
-		_, arg := item(i)
-		e.argFns = append(e.argFns, fn)
-		e.args = append(e.args, arg)
-	}
+// Stream opens a stream of n events, each running fn on the argument it
+// is pushed with: the real engine's appendable lane beside the agenda.
+// Like Lane.ScheduleArg, it never calls back into the Engine's scheduling
+// methods, so only its own name can register fn.
+func (e *Engine) Stream(n int, fn ArgHandler) *Stream { return &Stream{fn: fn} }
+
+// Stream is the events pushed onto one stream.
+type Stream struct {
+	fn     ArgHandler
+	argFns []ArgHandler
+	args   []any
 }
+
+// Push appends event i, due at instant at, with its argument.
+func (s *Stream) Push(i, at int, arg any) {
+	s.argFns = append(s.argFns, s.fn)
+	s.args = append(s.args, arg)
+}
+
+// RNG is a random source; its Stream derives a child by index, so the
+// name it shares with Engine.Stream must not make the index a boxing
+// finding.
+type RNG struct{ state uint64 }
+
+// Stream derives child stream k.
+func (r *RNG) Stream(k uint64) *RNG { return &RNG{state: r.state ^ k} }
 
 // Lane is the real engine's fixed-delay FIFO: fire-and-forget events that
 // skip the agenda heap. Like the real one, it never calls back into the

@@ -19,13 +19,13 @@
 //   - Heterogeneous — per-class server service-time multipliers, applied
 //     through kv.Server.SetSlowdown before the run starts.
 //   - ReplayTracePath — replays a recorded trace through the runner's
-//     pre-generated arrival schedule instead of the synthetic source.
+//     arrival streams instead of the synthetic source.
 //   - Faults — the run's one fault schedule, executed by the fault
 //     injector (see internal/faults).
 //
 // Workload and static fabric/server hooks consume no scheduler events and
 // no root RNG streams, so scenarios are shard-safe: a sharded run's
-// pre-generated arrivals replay the shaped source, or the trace, exactly.
+// arrival streams replay the shaped source, or the trace, exactly.
 // Fault events inherit the fault injector's restriction to a single
 // partition (Shards ≤ 1; see Scenario.ShardSafe).
 package scenario

@@ -175,9 +175,8 @@ func TestScheduleArgErrors(t *testing.T) {
 }
 
 // TestPendingLiveAccounting pins Pending across the heap, the lanes, the
-// inbox and a cursor: every scheduled event counts until it runs (a
-// cursor's whole stream, though it holds one event loaded), and every
-// pending event runs.
+// inbox and a stream: every scheduled or pushed event counts until it
+// runs, and every pending event runs.
 func TestPendingLiveAccounting(t *testing.T) {
 	e := NewEngine()
 	const n, laned, inboxed, streamed = 256, 10, 6, 20
@@ -188,7 +187,7 @@ func TestPendingLiveAccounting(t *testing.T) {
 	for i := 0; i < laned; i++ {
 		e.Lane(Time(i%3)).ScheduleArg(noopArg, nil)
 	}
-	// Inbox events at 50..55 and 150..155, cursor events at 0, 10, ..., 190.
+	// Inbox events at 50..55 and 150..155, stream events at 0, 10, ..., 190.
 	for _, base := range []Time{150, 50} {
 		batch := make([]xmsg, inboxed/2)
 		for i := range batch {
@@ -198,15 +197,21 @@ func TestPendingLiveAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.ScheduleSorted(streamed, noopArg, func(i int) (Time, any) { return Time(10 * i), nil }); err != nil {
+	str, err := e.Stream(streamed, noopArg)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < streamed; i++ {
+		if err := str.Push(i, Time(10*i), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const total = n + laned + inboxed + streamed
 	if e.Pending() != total || e.Scheduled() != total {
 		t.Fatalf("pending=%d scheduled=%d, want %d/%d", e.Pending(), e.Scheduled(), total, total)
 	}
 	// The lane events (delays 0..2), the heap events at 1..100, the first
-	// inbox batch and the cursor events at 0..100 run.
+	// inbox batch and the stream events at 0..100 run.
 	if ran := e.RunUntil(100); ran != 100+laned+inboxed/2+11 || e.Pending() != total-int(ran) {
 		t.Fatalf("RunUntil(100): ran %d pending %d, want %d/%d", ran, e.Pending(), 100+laned+inboxed/2+11, total-int(ran))
 	}
@@ -221,11 +226,11 @@ func TestPendingLiveAccounting(t *testing.T) {
 	if got := e.Events(); got != want {
 		t.Fatalf("drain: events %+v, want %+v", got, want)
 	}
-	// The exhausted cursor's lane is dropped; the three fixed-delay lanes
-	// and the inbox stay.
+	// The stream is complete (its last index was pushed), so its lane is
+	// dropped once empty; the three fixed-delay lanes and the inbox stay.
 	for _, l := range e.lanes {
-		if l.cur != nil {
-			t.Fatal("drain: an exhausted cursor's lane is still dispatched")
+		if l.str != nil {
+			t.Fatal("drain: a complete stream's lane is still dispatched")
 		}
 	}
 	if len(e.lanes) != 4 {

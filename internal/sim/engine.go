@@ -39,14 +39,15 @@
 //     deliveries (ShardSet.drain). A batch arrives sorted with fresh,
 //     consecutive seqs; it is appended when it starts no earlier than the
 //     inbox's tail and merged in from the tail otherwise.
-//   - A cursor per pre-sorted stream (Engine.ScheduleSorted): the stream
-//     reserves a block of seqs up front, and the lane holds only its head,
-//     loading the next item when the head is popped. The lane is dropped
-//     once the stream is exhausted.
+//   - A lane per stream (Engine.Stream): the stream reserves a block of
+//     seqs when it opens, and its owner pushes items in index order and
+//     nondecreasing time, in batches, taking the item's seq from the
+//     block. The lane holds only what has been pushed, and is dropped
+//     once the stream is closed and empty.
 //
 // The heap keeps everything else: variable delays and absolute ScheduleAt
 // instants. An engine that never receives an exchange delivery or a
-// sorted stream has no inbox or cursor lane, so they cost it nothing.
+// stream has no inbox or stream lane, so they cost it nothing.
 package sim
 
 import (
@@ -102,8 +103,11 @@ var (
 	ErrNegativeDelay = errors.New("sim: negative delay")
 	// ErrNilHandler reports a schedule call without a handler.
 	ErrNilHandler = errors.New("sim: nil handler")
-	// ErrNegativeCount reports a sorted stream of negative length.
+	// ErrNegativeCount reports a stream of negative length.
 	ErrNegativeCount = errors.New("sim: negative event count")
+	// ErrStreamIndex reports a stream item pushed out of index order,
+	// beyond the stream's length, or after the stream was closed.
+	ErrStreamIndex = errors.New("sim: stream index out of order")
 )
 
 // entry is one pending event, on the heap or on a lane: the (time, seq)
@@ -129,13 +133,13 @@ type Engine struct {
 	heap []entry // 4-ary min-heap keyed by (at, seq)
 
 	lanes   []*Lane // sorted FIFOs beside the heap: see Sorted queues
-	laneLen int     // pending events across all lanes, cursors' unloaded ones included
+	laneLen int     // pending events across all lanes
 	inbox   *Lane   // the exchange's deliveries; nil until the first
 
-	// heapRan and delivered count the events executed off the heap and
-	// the messages delivered into the inbox, and cursorRan the events of
-	// the sorted streams already exhausted and dropped, for Events.
-	heapRan, delivered, cursorRan uint64
+	// heapRan, delivered and streamed count the events executed off the
+	// heap, the messages delivered into the inbox and the items pushed
+	// onto streams, for Events.
+	heapRan, delivered, streamed uint64
 
 	executed uint64
 	stopped  bool
@@ -150,13 +154,19 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of events waiting to run, heap and lanes
-// (the inbox and every cursor's whole remaining stream included).
+// (the inbox and the items pushed onto streams included).
 func (e *Engine) Pending() int { return len(e.heap) + e.laneLen }
+
+// stamp changes whenever an event is scheduled or pushed onto a stream,
+// so a cached earliest-event time taken at an equal stamp is still valid
+// unless events have run since.
+func (e *Engine) stamp() uint64 { return e.seq + e.streamed }
 
 // Executed returns how many events have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Scheduled returns how many events have been scheduled so far.
+// Scheduled returns how many events have been scheduled so far, counting
+// every sequence number a stream reserved.
 func (e *Engine) Scheduled() uint64 { return e.seq }
 
 // EventCounts splits an engine's executed events by the queue that held
@@ -165,7 +175,7 @@ type EventCounts struct {
 	Heap   uint64 `json:"heap"`
 	Lanes  uint64 `json:"lanes"`  // fixed-delay lanes
 	Inbox  uint64 `json:"inbox"`  // exchange deliveries
-	Cursor uint64 `json:"cursor"` // sorted streams
+	Cursor uint64 `json:"cursor"` // streams
 }
 
 // Add returns the sum of two counts.
@@ -175,13 +185,13 @@ func (c EventCounts) Add(o EventCounts) EventCounts {
 
 // Events returns the executed events by queue. They sum to Executed.
 func (e *Engine) Events() EventCounts {
-	c := EventCounts{Heap: e.heapRan, Inbox: e.delivered, Cursor: e.cursorRan}
+	c := EventCounts{Heap: e.heapRan, Inbox: e.delivered, Cursor: e.streamed}
 	for _, l := range e.lanes {
 		switch {
 		case l == e.inbox:
 			c.Inbox -= uint64(l.q.Len())
-		case l.cur != nil:
-			c.Cursor += uint64(l.cur.next - l.q.Len())
+		case l.str != nil:
+			c.Cursor -= uint64(l.q.Len())
 		}
 	}
 	c.Lanes = e.executed - c.Heap - c.Inbox - c.Cursor
@@ -281,9 +291,8 @@ func (e *Engine) RunBefore(end Time) uint64 { return e.runThrough(end - 1) }
 // runThrough is the engine's one dispatch loop: it executes events in
 // (time, seq) order while their timestamps are not after last and Stop has
 // not been called. Each event costs one next() selection among the heap
-// top and the lane heads; popping a cursor's head loads its next item, and
-// popping its last drops the cursor's lane. It returns the number of
-// events executed.
+// top and the lane heads; popping the last item of a closed stream drops
+// the stream's lane. It returns the number of events executed.
 func (e *Engine) runThrough(last Time) uint64 {
 	e.stopped = false
 	start := e.executed
@@ -297,8 +306,8 @@ func (e *Engine) runThrough(last Time) uint64 {
 		var ent entry
 		if lane != nil {
 			ent = lane.pop()
-			if lane.cur != nil && !lane.cur.load() {
-				e.dropCursor(lane)
+			if s := lane.str; s != nil && s.next == s.n && lane.q.Len() == 0 {
+				e.dropLane(lane)
 			}
 		} else {
 			e.heapRan++
@@ -331,7 +340,7 @@ func (e *Engine) AdvanceTo(t Time) {
 }
 
 // next picks the earliest pending event by (time, seq) among the heap top
-// and the lane heads (inbox and cursors included). lane is the lane
+// and the lane heads (inbox and streams included). lane is the lane
 // holding it, nil when it is the heap top; ok is false when nothing is
 // pending. Keys are unique per event, so the pick is the one a single
 // heap holding every event would pop.

@@ -142,7 +142,7 @@ func TestEngineRunUntil(t *testing.T) {
 }
 
 // TestAdvanceToPanicsOnPendingLaneEvent checks that AdvanceTo sees lane
-// events — fixed-delay, inbox and cursor alike: lifting the clock past one
+// events — fixed-delay, inbox and stream alike: lifting the clock past one
 // would run it in the past.
 func TestAdvanceToPanicsOnPendingLaneEvent(t *testing.T) {
 	noop := func(any) {}
@@ -153,8 +153,12 @@ func TestAdvanceToPanicsOnPendingLaneEvent(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"cursor": func(e *Engine) {
-			if err := e.ScheduleSorted(2, noop, func(i int) (Time, any) { return Time(5 + i), nil }); err != nil {
+		"stream": func(e *Engine) {
+			str, err := e.Stream(2, noop)
+			if err == nil {
+				err = str.Push(1, 5, nil)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		},

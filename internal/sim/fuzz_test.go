@@ -64,6 +64,16 @@ type fuzzScript struct {
 	stopIn int       // the stopIn-th next handler calls Stop (0 = never)
 	refHit int       // the reference's copy of stopIn
 	fn     ArgHandler
+	// held are the open streams' items not pushed yet: runOp pushes them
+	// after its run, so a stream's items straddle Run calls.
+	held []fuzzHeld
+}
+
+// fuzzHeld is a stream item whose push runOp defers.
+type fuzzHeld struct {
+	str *Stream
+	i   int
+	ev  *fuzzEvent
 }
 
 func newFuzzScript() *fuzzScript {
@@ -129,14 +139,22 @@ func (s *fuzzScript) refRun(last Time) ([]fuzzKey, bool) {
 	}
 }
 
-// sorted issues one inbox-batch (inbox) or cursor op on both sides: up to
+// sorted issues one inbox-batch (inbox) or stream op on both sides: up to
 // four events from now+x%32 on, each a step of 0..2 after the one before,
 // so batches and streams tie with each other, the heap and the lanes.
-// Each event's handler issues child.
+// Each event's handler issues child. A stream pushes its first half now
+// and holds the rest for runOp to push after its run.
 func (s *fuzzScript) sorted(x, child byte, inbox bool) error {
 	n := int(x>>5) % 5
 	if inbox && n == 0 {
 		n = 1
+	}
+	var str *Stream
+	if !inbox {
+		var err error
+		if str, err = s.e.Stream(n, s.fn); err != nil {
+			return err
+		}
 	}
 	evs := make([]*fuzzEvent, n)
 	at := uint64(s.e.Now()) + uint64(x%32)
@@ -144,12 +162,46 @@ func (s *fuzzScript) sorted(x, child byte, inbox bool) error {
 		at += uint64(i+int(x>>2)) % 3
 		evs[i] = &fuzzEvent{at: at, seq: s.seq, child: child}
 		s.seq++
+		if str != nil && i >= (n+1)/2 {
+			s.held = append(s.held, fuzzHeld{str, i, evs[i]})
+			continue
+		}
 		s.ref.pending = append(s.ref.pending, evs[i])
+		if str != nil {
+			if err := str.Push(i, Time(at), evs[i]); err != nil {
+				return err
+			}
+		}
 	}
-	if !inbox {
-		return s.e.ScheduleSorted(n, s.fn, func(i int) (Time, any) { return Time(evs[i].at), evs[i] })
+	if inbox {
+		return s.deliver(evs)
 	}
-	batch := make([]xmsg, n)
+	if (n+1)/2 == n {
+		str.Close() // nothing held
+	}
+	return nil
+}
+
+// pushHeld pushes every held stream item, moved to now if the clock has
+// passed it, and closes the streams.
+func (s *fuzzScript) pushHeld() error {
+	for _, h := range s.held {
+		h.ev.at = max(h.ev.at, uint64(s.e.Now()))
+		if err := h.str.Push(h.i, Time(h.ev.at), h.ev); err != nil {
+			return err
+		}
+		s.ref.pending = append(s.ref.pending, h.ev)
+	}
+	for _, h := range s.held {
+		h.str.Close()
+	}
+	s.held = s.held[:0]
+	return nil
+}
+
+// deliver hands evs to the engine's inbox as one exchange batch.
+func (s *fuzzScript) deliver(evs []*fuzzEvent) error {
+	batch := make([]xmsg, len(evs))
 	for i, ev := range evs {
 		batch[i] = xmsg{at: Time(ev.at), fn: s.fn, arg: ev}
 	}
@@ -181,7 +233,10 @@ func (s *fuzzScript) run(script []byte) error {
 			}
 		}
 	}
-	return s.runOp(maxTime, false)
+	if err := s.runOp(maxTime, false); err != nil {
+		return err
+	}
+	return s.runOp(maxTime, false) // what the last run's pushes added
 }
 
 // runOp runs RunUntil(bound) (until) or RunBefore(bound) on the engine and
@@ -220,12 +275,11 @@ func (s *fuzzScript) runOp(bound Time, until bool) error {
 	if i := s.ref.next(); ok != (i >= 0) || ok && uint64(at) != s.ref.pending[i].at {
 		return fmt.Errorf("run to %v: NextEventAt %v %v disagrees with the reference", bound, at, ok)
 	}
-	return nil
+	return s.pushHeld()
 }
 
 // FuzzEngineOrder decodes a byte script of schedule, lane-schedule,
-// inbox-batch, sorted-stream (cursor), RunUntil, RunBefore and Stop
-// operations and requires the engine's execution trace — every event's
+// inbox-batch, stream, RunUntil, RunBefore and Stop operations and requires the engine's execution trace — every event's
 // (at, seq) — to equal the sorted-slice reference's. Scheduled handlers
 // may themselves schedule, so lanes are also fed while the clock moves.
 func FuzzEngineOrder(f *testing.F) {
@@ -235,8 +289,8 @@ func FuzzEngineOrder(f *testing.F) {
 	// Schedules whose handlers schedule one, one and two children.
 	f.Add([]byte{8, 0, 9, 3, 16, 4, 2, 21, 5, 2, 3, 40, 0, 0, 1, 9, 4, 5})
 	f.Add([]byte{0, 2, 0, 4, 1, 1, 1, 5, 5, 0, 4, 17, 4, 1, 3, 63})
-	// Inbox batches, the second overlapping the first's tail, a cursor
-	// stream tying with both, and a heap event among them.
+	// Inbox batches, the second overlapping the first's tail, a stream
+	// tying with both, and a heap event among them.
 	f.Add([]byte{6, 0x6a, 6, 0x63, 7, 0x85, 1, 9, 4, 12, 14, 0x41, 3, 40})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 1024 {

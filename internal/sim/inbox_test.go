@@ -7,8 +7,8 @@ import (
 )
 
 // inboxPair drives two engines through the same schedule: sut spreads its
-// events over the heap, fixed-delay lanes, the exchange inbox and sorted
-// cursors; ref puts every one on its heap with ScheduleArgAt, in the same
+// events over the heap, fixed-delay lanes, the exchange inbox and
+// streams; ref puts every one on its heap with ScheduleArgAt, in the same
 // order, so each event takes the same sequence number on both. Keys are
 // unique, so the two must execute the same events in the same order.
 type inboxPair struct {
@@ -129,20 +129,23 @@ func (p *inboxPair) batchOp() (merged bool) {
 	return merged
 }
 
-// cursorOp installs one sorted stream.
-func (p *inboxPair) cursorOp() {
+// streamOp opens one stream, pushes every item and closes it.
+func (p *inboxPair) streamOp() {
 	n := p.rng.Intn(10)
-	evs := make([]*inboxEv, n)
-	at := p.sut.Now()
-	for i := range evs {
-		at += Time(p.rng.Intn(6))
-		evs[i] = p.newEv(at)
-		p.ref.MustScheduleArg(at-p.ref.Now(), p.fnRef, evs[i])
-	}
-	err := p.sut.ScheduleSorted(n, p.fnSut, func(i int) (Time, any) { return evs[i].at, evs[i] })
+	str, err := p.sut.Stream(n, p.fnSut)
 	if err != nil {
 		panic(err)
 	}
+	at := p.sut.Now()
+	for i := 0; i < n; i++ {
+		at += Time(p.rng.Intn(6))
+		ev := p.newEv(at)
+		p.ref.MustScheduleArg(at-p.ref.Now(), p.fnRef, ev)
+		if err := str.Push(i, at, ev); err != nil {
+			panic(err)
+		}
+	}
+	str.Close()
 }
 
 // check compares the two engines' traces and accounting.
@@ -172,7 +175,7 @@ func (p *inboxPair) check(t *testing.T, when string) {
 }
 
 // TestEngineInboxMatchesHeap runs random mixes of heap, lane, inbox-batch
-// and cursor schedules, with handlers scheduling children onto lanes and
+// and stream schedules, with handlers scheduling children onto lanes and
 // the heap, against one reference heap holding every event, checking the
 // execution order, the clock and the accounting after every run call.
 func TestEngineInboxMatchesHeap(t *testing.T) {
@@ -191,7 +194,7 @@ func TestEngineInboxMatchesHeap(t *testing.T) {
 						merged++
 					}
 				case 3:
-					p.cursorOp()
+					p.streamOp()
 				}
 			}
 			end := p.sut.Now() + Time(p.rng.Intn(25))
@@ -216,44 +219,80 @@ func TestEngineInboxMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestScheduleSortedErrors pins ScheduleSorted's checks: nothing is
-// scheduled unless every instant is sorted and not in the past.
-func TestScheduleSortedErrors(t *testing.T) {
+// TestStreamErrors pins Stream's and Push's checks, and what a stream
+// does between them: a failed call schedules nothing, a pushed item runs
+// with its reserved sequence number (before a heap event scheduled after
+// the opening at its instant, although pushed later), indices may skip,
+// and a closed stream takes no item and leaves the dispatch loop once it
+// is empty.
+func TestStreamErrors(t *testing.T) {
 	e := NewEngine()
 	e.AdvanceTo(10)
-	noop := func(any) {}
-	item := func(ats ...Time) func(int) (Time, any) {
-		return func(i int) (Time, any) { return ats[i], nil }
-	}
+	var ran []string
+	logFn := func(arg any) { ran = append(ran, arg.(string)) }
 	for name, err := range map[string]error{
-		"nil fn":   e.ScheduleSorted(1, nil, item(10)),
-		"nil item": e.ScheduleSorted(1, noop, nil),
-		"past":     e.ScheduleSorted(2, noop, item(9, 12)),
-		"unsorted": e.ScheduleSorted(3, noop, item(10, 12, 11)),
-		"negative": e.ScheduleSorted(-1, noop, item(10)),
+		"nil fn":   func() error { _, err := e.Stream(1, nil); return err }(),
+		"negative": func() error { _, err := e.Stream(-1, logFn); return err }(),
 	} {
-		if !errors.Is(err, ErrNilHandler) && !errors.Is(err, ErrNegativeDelay) && !errors.Is(err, ErrNegativeCount) {
+		if !errors.Is(err, ErrNilHandler) && !errors.Is(err, ErrNegativeCount) {
 			t.Errorf("%s: error %v", name, err)
 		}
 	}
 	if e.Pending() != 0 || e.Scheduled() != 0 || len(e.lanes) != 0 {
-		t.Fatalf("failed calls left pending=%d scheduled=%d lanes=%d", e.Pending(), e.Scheduled(), len(e.lanes))
+		t.Fatalf("failed opens left pending=%d scheduled=%d lanes=%d", e.Pending(), e.Scheduled(), len(e.lanes))
 	}
-	if err := e.ScheduleSorted(0, noop, item()); err != nil || len(e.lanes) != 0 {
-		t.Fatalf("empty stream: error %v, %d lanes", err, len(e.lanes))
+	empty, err := e.Stream(0, logFn)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := e.deliver([]xmsg{{at: 9, fn: noop}}); !errors.Is(err, ErrNegativeDelay) || e.Pending() != 0 {
+	empty.Close()
+	if len(e.lanes) != 0 {
+		t.Fatalf("a closed empty stream left %d lanes", len(e.lanes))
+	}
+	str, err := e.Stream(4, logFn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.MustScheduleArg(2, logFn, "heap")
+	if err := str.Push(1, 12, "stream"); err != nil {
+		t.Fatal(err)
+	}
+	for name, err := range map[string]error{
+		"past":     str.Push(2, 9, "x"),
+		"unsorted": str.Push(2, 11, "x"),
+		"repeated": str.Push(1, 12, "x"),
+		"beyond":   str.Push(4, 12, "x"),
+	} {
+		if !errors.Is(err, ErrNegativeDelay) && !errors.Is(err, ErrStreamIndex) {
+			t.Errorf("%s: error %v", name, err)
+		}
+	}
+	str.Close()
+	if err := str.Push(3, 20, "x"); !errors.Is(err, ErrStreamIndex) {
+		t.Errorf("push after close: error %v", err)
+	}
+	if e.Pending() != 2 || e.Scheduled() != 5 || str.Len() != 1 {
+		t.Fatalf("pending=%d scheduled=%d stream len=%d, want 2/5/1", e.Pending(), e.Scheduled(), str.Len())
+	}
+	e.Run()
+	if !slices.Equal(ran, []string{"stream", "heap"}) {
+		t.Fatalf("ran %v, want the stream item before the later-scheduled heap event", ran)
+	}
+	if len(e.lanes) != 0 || e.Events().Cursor != 1 {
+		t.Fatalf("after the drain: %d lanes, events %+v; want the closed stream dropped", len(e.lanes), e.Events())
+	}
+	if err := e.deliver([]xmsg{{at: 9, fn: logFn}}); !errors.Is(err, ErrNegativeDelay) || e.Pending() != 0 {
 		t.Fatalf("deliver into the past: error %v, pending %d", err, e.Pending())
 	}
 	// The engine's own lanes have negative delays, so Lane never returns
 	// them.
-	if err := e.ScheduleSorted(1, noop, item(10)); err != nil {
+	if _, err := e.Stream(1, logFn); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.deliver([]xmsg{{at: 10, fn: noop}}); err != nil {
+	if err := e.deliver([]xmsg{{at: 12, fn: logFn, arg: "inbox"}}); err != nil {
 		t.Fatal(err)
 	}
-	if l := e.Lane(0); l == e.inbox || l.cur != nil || len(e.lanes) != 3 {
-		t.Fatal("Lane(0) handed out the inbox or a cursor")
+	if l := e.Lane(0); l == e.inbox || l.str != nil || len(e.lanes) != 3 {
+		t.Fatal("Lane(0) handed out the inbox or a stream")
 	}
 }

@@ -11,27 +11,26 @@ import "fmt"
 // Most lanes are fixed-delay lanes (Engine.Lane). The engine also keeps
 // two kinds of lane it feeds itself, both with a negative delay so that
 // Engine.Lane never hands them out: the shard exchange's inbox
-// (Engine.deliver) and one cursor per pre-sorted stream
-// (Engine.ScheduleSorted).
+// (Engine.deliver) and one lane per stream (Engine.Stream).
 type Lane struct {
 	eng   *Engine
-	delay Time // the fixed delay; negative on the inbox and the cursors
+	delay Time // the fixed delay; negative on the inbox and the streams
 	q     FIFO[entry]
-	// cur is set on a cursor lane, whose q holds only the stream's head.
-	cur *cursor
+	// str is set on a stream's lane.
+	str *Stream
 }
 
-// cursor is the unread rest of a pre-sorted event stream: item i runs
-// fn(arg) at the instant at that item(i) returns, with the i-th sequence
-// number of the block ScheduleSorted reserved. The dispatch loop loads
-// the next item as it pops the head.
-type cursor struct {
+// Stream is an appendable sorted lane: a block of n sequence numbers
+// reserved when Engine.Stream opened it, and the events pushed so far.
+// Item i runs fn(arg) with the block's i-th sequence number, so it orders
+// exactly as the i-th of n ScheduleArgAt calls made at the opening would,
+// while the lane holds only what has been pushed and not yet run.
+type Stream struct {
 	lane *Lane
 	fn   ArgHandler
-	item func(i int) (Time, any)
-	next int    // the next item to load into the lane
-	n    int    // the stream's length
-	seq  uint64 // item next's sequence number
+	base uint64 // item 0's sequence number
+	next int    // the smallest index Push accepts; n once closed
+	n    int
 }
 
 // Lane returns the engine's FIFO lane for events delayed by exactly delay,
@@ -76,24 +75,10 @@ func (l *Lane) pop() entry {
 	return l.q.Pop()
 }
 
-// load moves the stream's next item, if any, into the lane. It reports
-// false when the stream has no item left to load.
-func (c *cursor) load() bool {
-	if c.next == c.n {
-		return false
-	}
-	at, arg := c.item(c.next)
-	*c.lane.q.Push() = entry{at: at, seq: c.seq, fn: c.fn, arg: arg}
-	c.next++
-	c.seq++
-	return true
-}
-
-// dropCursor removes an exhausted cursor's empty lane from the dispatch
-// loop's list, so that next() scans no dead head for the rest of the run.
-// Keys are unique, so the list's order is immaterial to next().
-func (e *Engine) dropCursor(l *Lane) {
-	e.cursorRan += uint64(l.cur.n)
+// dropLane removes a closed stream's empty lane from the dispatch loop's
+// list, so that next() scans no dead head for the rest of the run. Keys
+// are unique, so the list's order is immaterial to next().
+func (e *Engine) dropLane(l *Lane) {
 	for i, x := range e.lanes {
 		if x == l {
 			last := len(e.lanes) - 1
@@ -105,40 +90,58 @@ func (e *Engine) dropCursor(l *Lane) {
 	}
 }
 
-// ScheduleSorted schedules n events whose instants are already sorted:
-// event i runs fn(arg) at instant at, where at, arg = item(i). It orders
-// them exactly as n ScheduleArgAt calls in index order would, taking the
-// same block of n sequence numbers, but holds them as a cursor over item
-// rather than as n agenda entries: the engine keeps one event loaded and
-// calls item(i) once more as event i becomes the head. item must return
-// the same values every time it is called with an index, until the event
-// has run. The instants must be nondecreasing and not before now; it
-// checks them all, and that n is not negative, before scheduling any. The
-// cursor's lane is dropped once its last event has run.
-func (e *Engine) ScheduleSorted(n int, fn ArgHandler, item func(i int) (Time, any)) error {
-	if fn == nil || item == nil {
-		return ErrNilHandler
+// Stream opens a stream of up to n events, each running fn(arg) at the
+// instant it is pushed with: it reserves the next n sequence numbers, so
+// events pushed later order, at equal instants, before every event
+// scheduled after the opening. The caller pushes the items in index
+// order, in as many batches as it likes, and closes the stream; its lane
+// is dropped once it is closed and empty.
+func (e *Engine) Stream(n int, fn ArgHandler) (*Stream, error) {
+	if fn == nil {
+		return nil, ErrNilHandler
 	}
 	if n < 0 {
-		return fmt.Errorf("sim: sorted stream of %d events: %w", n, ErrNegativeCount)
+		return nil, fmt.Errorf("sim: stream of %d events: %w", n, ErrNegativeCount)
 	}
-	prev := e.now
-	for i := 0; i < n; i++ {
-		at, _ := item(i)
-		if at < prev {
-			return fmt.Errorf("sim: sorted event %d at %v before %v: %w", i, at, prev, ErrNegativeDelay)
-		}
-		prev = at
-	}
-	if n == 0 {
-		return nil
-	}
-	c := &cursor{lane: e.addLane(-1), fn: fn, item: item, n: n, seq: e.seq}
-	c.lane.cur = c
-	c.load()
+	s := &Stream{lane: e.addLane(-1), fn: fn, base: e.seq, n: n}
+	s.lane.str = s
 	e.seq += uint64(n)
-	e.laneLen += n
+	return s, nil
+}
+
+// Push appends item i, due at instant at with argument arg. The index must
+// exceed every index pushed before and be below the stream's length (so
+// nothing can be pushed once the stream is closed), and the instant must
+// be neither before the last one pushed nor before now.
+func (s *Stream) Push(i int, at Time, arg any) error {
+	if i < s.next || i >= s.n {
+		return fmt.Errorf("sim: stream item %d outside [%d, %d): %w", i, s.next, s.n, ErrStreamIndex)
+	}
+	l := s.lane
+	last := l.eng.now
+	if q := &l.q; q.Len() > 0 && q.At(q.Len()-1).at > last {
+		last = q.At(q.Len() - 1).at
+	}
+	if at < last {
+		return fmt.Errorf("sim: stream item %d at %v before %v: %w", i, at, last, ErrNegativeDelay)
+	}
+	*l.q.Push() = entry{at: at, seq: s.base + uint64(i), fn: s.fn, arg: arg}
+	s.next = i + 1
+	l.eng.laneLen++
+	l.eng.streamed++
 	return nil
+}
+
+// Len returns how many pushed items have yet to run.
+func (s *Stream) Len() int { return s.lane.q.Len() }
+
+// Close ends the stream: nothing more can be pushed, and the lane is
+// dropped as soon as its last pushed item has run.
+func (s *Stream) Close() {
+	s.next = s.n
+	if s.lane.q.Len() == 0 {
+		s.lane.eng.dropLane(s.lane)
+	}
 }
 
 // deliver schedules a batch of cross-partition messages, which must be

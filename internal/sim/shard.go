@@ -134,11 +134,11 @@ type ShardSet struct {
 
 	// Window-loop scratch, written by the coordinator between windows and
 	// read by workers during one (the wake send publishes them). nexts[p]
-	// is p's earliest pending event as of p's sequence counter seqs[p],
-	// ends[p] its window end.
-	nexts []Time
-	seqs  []uint64
-	ends  []Time
+	// is p's earliest pending event as of p's stamp stamps[p], ends[p]
+	// its window end.
+	nexts  []Time
+	stamps []uint64
+	ends   []Time
 
 	// Persistent worker pool, live only inside a Run call with workers>1:
 	// claim is the shared partition-claim cursor, wake[w] delivers worker
@@ -176,7 +176,7 @@ func NewShardSet(n int, workers int, lookahead Time) (*ShardSet, error) {
 		workers:   workers,
 		xtotal:    make([]int, n),
 		nexts:     make([]Time, n),
-		seqs:      make([]uint64, n),
+		stamps:    make([]uint64, n),
 		ends:      make([]Time, n),
 	}
 	for i := range s.engines {
@@ -316,12 +316,12 @@ func (s *ShardSet) Run(deadline Time, afterWindow func(end Time) bool) error {
 			// A partition's earliest event can only have moved if its
 			// window ran or something was scheduled on it since the last
 			// read (by a global, the Run hook or the exchange drain).
-			if s.nexts[i] < s.ends[i] || e.seq != s.seqs[i] {
+			if s.nexts[i] < s.ends[i] || e.stamp() != s.stamps[i] {
 				at, ok := e.NextEventAt()
 				if !ok {
 					at = maxTime
 				}
-				s.nexts[i], s.seqs[i] = at, e.seq
+				s.nexts[i], s.stamps[i] = at, e.stamp()
 			}
 			at := s.nexts[i]
 			switch {

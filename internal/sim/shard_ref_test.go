@@ -238,10 +238,12 @@ func TestShardGlobalOrdering(t *testing.T) {
 }
 
 // TestShardGlobalScheduleRefreshesNextEvent guards the coordinator's
-// cached next-event time (ShardSet.seqs): a global schedules an event into
-// partition 1 that is earlier than the time cached for it, and that event
-// sends to partition 0 at exactly the lookahead. The coordinator must see
-// the new event through the partition's sequence counter: with the stale
+// cached next-event time (ShardSet.stamps): a global schedules an event
+// into partition 1, or pushes one onto a stream opened there before Run,
+// that is earlier than the time cached for it, and that event sends to
+// partition 0 at exactly the lookahead. The coordinator must see the new
+// event through the partition's stamp, which a push moves though it takes
+// no new sequence number: with the stale
 // time, partition 0 would run past the message's instant before partition
 // 1 sends it. Each partition logs into its own slice, so two workers may
 // run them concurrently.
@@ -249,39 +251,49 @@ func TestShardGlobalScheduleRefreshesNextEvent(t *testing.T) {
 	const L = Microsecond
 	for _, workers := range []int{1, 2} {
 		for _, stepping := range []bool{false, true} {
-			set, err := NewShardSet(2, workers, L)
-			if err != nil {
-				t.Fatal(err)
-			}
-			logs := make([][]Time, 2)
-			logFn := func(p int) ArgHandler {
-				return func(any) { logs[p] = append(logs[p], set.Engine(p).Now()) }
-			}
-			log0, log1 := logFn(0), logFn(1)
-			set.Engine(0).MustScheduleArg(10*Microsecond, log0, nil)
-			set.Engine(0).MustScheduleArg(30*Microsecond, log0, nil)
-			set.Engine(1).MustScheduleArg(100*Microsecond, log1, nil)
-			send := func(any) {
-				log1(nil)
-				set.MustSend(1, 0, set.Engine(1).Now()+L, log0, nil)
-			}
-			ranGlobal := false
-			err = set.ScheduleGlobal(15*Microsecond, func() {
-				ranGlobal = true
-				set.Engine(1).MustScheduleArg(5*Microsecond, send, nil)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			set.SetStepping(stepping)
-			if err := set.Run(Second, nil); err != nil {
-				t.Fatalf("workers %d stepping %v: %v", workers, stepping, err)
-			}
-			want0 := []Time{10 * Microsecond, 21 * Microsecond, 30 * Microsecond}
-			want1 := []Time{20 * Microsecond, 100 * Microsecond}
-			if !ranGlobal || !slices.Equal(logs[0], want0) || !slices.Equal(logs[1], want1) {
-				t.Fatalf("workers %d stepping %v: global ran %v, partition 0 ran at %v, partition 1 at %v; want %v and %v",
-					workers, stepping, ranGlobal, logs[0], logs[1], want0, want1)
+			for _, push := range []bool{false, true} {
+				set, err := NewShardSet(2, workers, L)
+				if err != nil {
+					t.Fatal(err)
+				}
+				logs := make([][]Time, 2)
+				logFn := func(p int) ArgHandler {
+					return func(any) { logs[p] = append(logs[p], set.Engine(p).Now()) }
+				}
+				log0, log1 := logFn(0), logFn(1)
+				set.Engine(0).MustScheduleArg(10*Microsecond, log0, nil)
+				set.Engine(0).MustScheduleArg(30*Microsecond, log0, nil)
+				set.Engine(1).MustScheduleArg(100*Microsecond, log1, nil)
+				send := func(any) {
+					log1(nil)
+					set.MustSend(1, 0, set.Engine(1).Now()+L, log0, nil)
+				}
+				str, err := set.Engine(1).Stream(1, send)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ranGlobal := false
+				err = set.ScheduleGlobal(15*Microsecond, func() {
+					ranGlobal = true
+					if !push {
+						set.Engine(1).MustScheduleArg(5*Microsecond, send, nil)
+					} else if err := str.Push(0, 20*Microsecond, nil); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				set.SetStepping(stepping)
+				if err := set.Run(Second, nil); err != nil {
+					t.Fatalf("workers %d stepping %v push %v: %v", workers, stepping, push, err)
+				}
+				want0 := []Time{10 * Microsecond, 21 * Microsecond, 30 * Microsecond}
+				want1 := []Time{20 * Microsecond, 100 * Microsecond}
+				if !ranGlobal || !slices.Equal(logs[0], want0) || !slices.Equal(logs[1], want1) {
+					t.Fatalf("workers %d stepping %v push %v: global ran %v, partition 0 ran at %v, partition 1 at %v; want %v and %v",
+						workers, stepping, push, ranGlobal, logs[0], logs[1], want0, want1)
+				}
 			}
 		}
 	}

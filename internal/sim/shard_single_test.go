@@ -17,7 +17,7 @@ type loneRec struct {
 const tickID = -1
 
 // loneModel drives one engine with every queue a partition has: heap
-// events at random delays, a fixed-delay lane and a sorted cursor. Every
+// events at random delays, a fixed-delay lane and a stream. Every
 // delay is shorter than the tick period, so the events at a tick instant
 // were all scheduled after the tick that instant was armed by.
 type loneModel struct {
@@ -35,6 +35,7 @@ const (
 	lonePeriod    = 100
 	loneLaneDelay = 61
 	loneArrivals  = 60
+	loneChunk     = 8    // arrivals a refill pushes; even, so no tie is split
 	loneCap       = 3000 // events scheduled before the model stops spawning
 	loneStopAfter = 1500 // executed events before the model calls Stop
 )
@@ -64,17 +65,37 @@ func (m *loneModel) handle(id int) {
 	}
 }
 
-// seed schedules the sorted arrivals: pairs at equal odd instants, never
-// on an (even) tick instant.
-func (m *loneModel) seed(t *testing.T) {
+// seed opens the arrivals' stream: pairs at equal odd instants, never on
+// an (even) tick instant. With a nil set it pushes them all at once;
+// otherwise a refill global pushes them loneChunk at a time, at the first
+// arrival the last refill left out, as the cluster runner does.
+func (m *loneModel) seed(t *testing.T, set *ShardSet) {
 	base := m.ids
-	err := m.eng.ScheduleSorted(loneArrivals, m.fn, func(i int) (Time, any) {
-		return Time(i/2*34 + 1), base + i
-	})
+	str, err := m.eng.Stream(loneArrivals, m.fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.ids += loneArrivals
+	at := func(i int) Time { return Time(i/2*34 + 1) }
+	next := 0
+	var refill func()
+	refill = func() {
+		end := loneArrivals
+		if set != nil {
+			end = min(next+loneChunk, loneArrivals)
+		}
+		for ; next < end; next++ {
+			if err := str.Push(next, at(next), base+next); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if next == loneArrivals {
+			str.Close()
+		} else if err := set.ScheduleGlobal(at(next), refill); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refill()
 }
 
 // TestShardSetSinglePartition pins the one-partition contract the cluster
@@ -85,10 +106,11 @@ func (m *loneModel) seed(t *testing.T) {
 // the hook ends Run, cuts it at the same event. A periodic global runs
 // where a self-re-arming engine event armed one period earlier runs,
 // because every other event at its instant was scheduled after that
-// arming.
+// arming. Arrivals a refill global pushes onto a stream a chunk at a time
+// run where the plain engine runs them, pushed all at once.
 func TestShardSetSinglePartition(t *testing.T) {
 	ref := newLoneModel(NewEngine())
-	ref.seed(t)
+	ref.seed(t, nil)
 	var tick func()
 	tick = func() {
 		ref.log = append(ref.log, loneRec{ref.eng.Now(), tickID})
@@ -105,7 +127,7 @@ func TestShardSetSinglePartition(t *testing.T) {
 		t.Fatalf("one-partition set reports %d workers, want 1", set.Workers())
 	}
 	m := newLoneModel(set.Engine(0))
-	m.seed(t)
+	m.seed(t, set)
 	at := Time(0)
 	var global func()
 	arm := func() {

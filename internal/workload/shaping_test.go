@@ -7,23 +7,21 @@ import (
 	"netrs/internal/sim"
 )
 
-// emitAll runs a source to completion and returns the emitted requests
+// emitAll pulls a source to completion and returns the emitted requests
 // plus the arrival instant of each.
 func emitAll(t *testing.T, cfg SourceConfig, seed uint64) ([]Request, []sim.Time) {
 	t.Helper()
-	eng := sim.NewEngine()
-	var reqs []Request
-	var at []sim.Time
-	src, err := NewSource(cfg, eng, sim.NewRNG(seed), func(r Request) {
-		reqs = append(reqs, r)
-		at = append(at, eng.Now())
-	})
+	src, err := NewSource(cfg, sim.NewRNG(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.Start()
-	eng.Run()
-	return reqs, at
+	var reqs []Request
+	var ats []sim.Time
+	for at, req, ok := src.Next(); ok; at, req, ok = src.Next() {
+		reqs = append(reqs, req)
+		ats = append(ats, at)
+	}
+	return reqs, ats
 }
 
 // TestModulationPreservesDrawSequences is the bit-identical contract of
@@ -127,7 +125,7 @@ func TestShapingValidation(t *testing.T) {
 	bad(func(c *SourceConfig) { c.Spike = &KeySpike{At: 0.1, Duration: 0.1, Share: 0} })
 	bad(func(c *SourceConfig) { c.Spike = &KeySpike{At: 0.1, Duration: 0.1, Share: 0.5, Key: 1 << 20} })
 	for i, c := range cases {
-		if _, err := NewSource(c, sim.NewEngine(), sim.NewRNG(1), func(Request) {}); !errors.Is(err, ErrInvalidParam) {
+		if _, err := NewSource(c, sim.NewRNG(1)); !errors.Is(err, ErrInvalidParam) {
 			t.Errorf("case %d: want ErrInvalidParam, got %v", i, err)
 		}
 	}

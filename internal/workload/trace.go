@@ -75,31 +75,36 @@ func ReadTrace(r io.Reader) ([]TraceEntry, error) {
 	return entries, nil
 }
 
-// RecordingSource wraps a Source, capturing every emitted request with
-// its arrival time so a synthetic run can be saved and replayed.
+// RecordingSource captures every request a Source emits with its arrival
+// time, so a synthetic run can be saved and replayed.
 type RecordingSource struct {
-	inner   *Source
-	eng     *sim.Engine
+	src     *Source
+	emit    func(Request)
 	entries []TraceEntry
 }
 
-// NewRecordingSource builds a Poisson source whose emissions are both
-// forwarded to emit and recorded.
+// NewRecordingSource builds a Poisson source whose emissions Start both
+// records and forwards to emit. The source times its arrivals itself, so
+// eng, kept for the callers that pass one, is not used.
 func NewRecordingSource(cfg SourceConfig, eng *sim.Engine, rng *sim.RNG, emit func(Request)) (*RecordingSource, error) {
-	rs := &RecordingSource{eng: eng}
-	inner, err := NewSource(cfg, eng, rng, func(r Request) {
-		rs.entries = append(rs.entries, TraceEntry{At: eng.Now(), Client: r.Client, Key: r.Key})
-		emit(r)
-	})
+	if emit == nil {
+		return nil, fmt.Errorf("nil emit: %w", ErrInvalidParam)
+	}
+	src, err := NewSource(cfg, rng)
 	if err != nil {
 		return nil, err
 	}
-	rs.inner = inner
-	return rs, nil
+	return &RecordingSource{src: src, emit: emit}, nil
 }
 
-// Start starts the underlying source.
-func (s *RecordingSource) Start() { s.inner.Start() }
+// Start generates the whole workload: each request, in emission order, is
+// recorded and then forwarded to emit.
+func (s *RecordingSource) Start() {
+	for at, req, ok := s.src.Next(); ok; at, req, ok = s.src.Next() {
+		s.entries = append(s.entries, TraceEntry{At: at, Client: req.Client, Key: req.Key})
+		s.emit(req)
+	}
+}
 
 // Entries returns the recorded trace so far.
 func (s *RecordingSource) Entries() []TraceEntry { return s.entries }

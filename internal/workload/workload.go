@@ -224,11 +224,16 @@ func (c SourceConfig) validate() error {
 	return nil
 }
 
-// Source drives the open-loop workload on a simulation engine.
+// Source is the open-loop workload as a pull iterator: Next returns the
+// arrivals one by one in emission order. The generators tick on a private
+// engine, which merges them by (instant, scheduling order) and stops after
+// each emission, so the sequence is the one the generators would emit
+// ticking on a simulation's own engine: their instants and draws depend
+// only on the source's streams, and equal-instant ticks run in the order
+// they were scheduled there too.
 type Source struct {
 	cfg     SourceConfig
 	eng     *sim.Engine
-	emit    func(Request)
 	zipf    *dist.Zipf
 	clients *dist.Alias
 	// shifted is the post-shift client distribution, drawn from once
@@ -246,21 +251,20 @@ type Source struct {
 	writeRNG *sim.RNG
 	procs    []*dist.Poisson
 	emitted  int
-	// tickFn is the shared arrival handler: one func value for every
+	// req is the request the last tick emitted.
+	req Request
+	// tickFn is the shared tick handler: one func value for every
 	// generator tick, so per-arrival scheduling stays allocation-free.
 	tickFn sim.ArgHandler
 }
 
-// NewSource builds a request source. emit is invoked at each arrival
-// instant, in emission order.
-func NewSource(cfg SourceConfig, eng *sim.Engine, rng *sim.RNG, emit func(Request)) (*Source, error) {
+// NewSource builds a request source with every generator's first tick
+// scheduled.
+func NewSource(cfg SourceConfig, rng *sim.RNG) (*Source, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if eng == nil || emit == nil {
-		return nil, fmt.Errorf("nil engine or emit: %w", ErrInvalidParam)
-	}
-	s := &Source{cfg: cfg, eng: eng, emit: emit}
+	s := &Source{cfg: cfg, eng: sim.NewEngine()}
 	s.tickFn = func(arg any) { s.tick(arg.(*dist.Poisson)) }
 
 	z, err := dist.NewZipf(cfg.Keys, cfg.ZipfTheta, rng.Stream(1))
@@ -331,15 +335,19 @@ func NewSource(cfg SourceConfig, eng *sim.Engine, rng *sim.RNG, emit func(Reques
 			return nil, err
 		}
 		s.procs = append(s.procs, proc)
+		s.eng.MustScheduleArg(s.nextGap(proc), s.tickFn, proc)
 	}
 	return s, nil
 }
 
-// Start schedules every generator's first arrival.
-func (s *Source) Start() {
-	for _, proc := range s.procs {
-		s.eng.MustScheduleArg(s.nextGap(proc), s.tickFn, proc)
+// Next returns the next arrival's instant and request, or false once
+// Total requests have been emitted.
+func (s *Source) Next() (sim.Time, Request, bool) {
+	if s.emitted >= s.cfg.Total {
+		return 0, Request{}, false
 	}
+	s.eng.Run() // through the tick that emits, which stops the engine
+	return s.eng.Now(), s.req, true
 }
 
 // nextGap draws proc's next interarrival and applies rate modulation. The
@@ -357,10 +365,9 @@ func (s *Source) nextGap(proc *dist.Poisson) sim.Time {
 	return d
 }
 
+// tick emits one request into s.req, schedules proc's next tick unless
+// the source is drained, and stops the engine.
 func (s *Source) tick(proc *dist.Poisson) {
-	if s.emitted >= s.cfg.Total {
-		return // the source has drained; let the engine wind down
-	}
 	table := s.clients
 	if s.shifted != nil && s.emitted >= s.shiftIndex {
 		table = s.shifted
@@ -380,14 +387,12 @@ func (s *Source) tick(proc *dist.Poisson) {
 		req.Write = true
 	}
 	s.emitted++
-	s.emit(req)
+	s.req = req
 	if s.emitted < s.cfg.Total {
 		s.eng.MustScheduleArg(s.nextGap(proc), s.tickFn, proc)
 	}
+	s.eng.Stop()
 }
-
-// Emitted returns how many requests have been generated.
-func (s *Source) Emitted() int { return s.emitted }
 
 // UtilizationRate converts a target system utilization into the aggregate
 // arrival rate A of §V-B: utilization = tkv·A/(Ns·Np), hence

@@ -97,16 +97,21 @@ func sourceConfig(total int) SourceConfig {
 }
 
 func TestSourceEmitsExactlyTotal(t *testing.T) {
-	eng := sim.NewEngine()
-	var got []Request
-	src, err := NewSource(sourceConfig(5000), eng, sim.NewRNG(3), func(r Request) { got = append(got, r) })
+	src, err := NewSource(sourceConfig(5000), sim.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.Start()
-	eng.Run()
-	if len(got) != 5000 || src.Emitted() != 5000 {
-		t.Fatalf("emitted %d, want 5000", len(got))
+	var got []Request
+	prev := sim.Time(0)
+	for at, req, ok := src.Next(); ok; at, req, ok = src.Next() {
+		if at < prev {
+			t.Fatalf("request %d at %v, before the one before it at %v", len(got), at, prev)
+		}
+		prev = at
+		got = append(got, req)
+	}
+	if _, _, ok := src.Next(); len(got) != 5000 || ok {
+		t.Fatalf("emitted %d, want 5000 and then nothing", len(got))
 	}
 	for i, r := range got {
 		if r.Index != i {
@@ -122,31 +127,20 @@ func TestSourceEmitsExactlyTotal(t *testing.T) {
 }
 
 func TestSourceRate(t *testing.T) {
-	eng := sim.NewEngine()
-	count := 0
-	cfg := sourceConfig(20000)
-	src, err := NewSource(cfg, eng, sim.NewRNG(4), func(Request) { count++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.Start()
-	eng.Run()
+	_, ats := emitAll(t, sourceConfig(20000), 4)
 	// 20000 requests at 100k/s should take ≈ 0.2 simulated seconds.
-	span := float64(eng.Now()) / float64(sim.Second)
+	span := float64(ats[len(ats)-1]) / float64(sim.Second)
 	if math.Abs(span-0.2)/0.2 > 0.1 {
 		t.Fatalf("span = %vs, want ~0.2s", span)
 	}
 }
 
 func TestSourceUniformDemand(t *testing.T) {
-	eng := sim.NewEngine()
 	counts := make([]int, 50)
-	src, err := NewSource(sourceConfig(100000), eng, sim.NewRNG(5), func(r Request) { counts[r.Client]++ })
-	if err != nil {
-		t.Fatal(err)
+	reqs, _ := emitAll(t, sourceConfig(100000), 5)
+	for _, r := range reqs {
+		counts[r.Client]++
 	}
-	src.Start()
-	eng.Run()
 	for c, n := range counts {
 		if n < 1400 || n > 2600 {
 			t.Fatalf("client %d issued %d of 100000 (want ~2000)", c, n)
@@ -155,17 +149,14 @@ func TestSourceUniformDemand(t *testing.T) {
 }
 
 func TestSourceDemandSkew(t *testing.T) {
-	eng := sim.NewEngine()
 	cfg := sourceConfig(100000)
 	cfg.DemandSkew = 0.9
 	cfg.HotFraction = 0.2
 	counts := make([]int, 50)
-	src, err := NewSource(cfg, eng, sim.NewRNG(6), func(r Request) { counts[r.Client]++ })
-	if err != nil {
-		t.Fatal(err)
+	reqs, _ := emitAll(t, cfg, 6)
+	for _, r := range reqs {
+		counts[r.Client]++
 	}
-	src.Start()
-	eng.Run()
 	hot := 0
 	for c := 0; c < 10; c++ {
 		hot += counts[c]
@@ -177,9 +168,7 @@ func TestSourceDemandSkew(t *testing.T) {
 }
 
 func TestSourceValidation(t *testing.T) {
-	eng := sim.NewEngine()
 	rng := sim.NewRNG(1)
-	emit := func(Request) {}
 	bad := []SourceConfig{
 		{},
 		{Generators: 1, RatePerSec: 1, Clients: 1, Keys: 10, ZipfTheta: 0.99}, // Total 0
@@ -189,16 +178,12 @@ func TestSourceValidation(t *testing.T) {
 		{Generators: 1, RatePerSec: 1, Clients: 1, Keys: 10, ZipfTheta: 0.99, Total: 1, DemandSkew: 0.5},
 	}
 	for i, cfg := range bad {
-		if _, err := NewSource(cfg, eng, rng, emit); !errors.Is(err, ErrInvalidParam) {
+		if _, err := NewSource(cfg, rng); !errors.Is(err, ErrInvalidParam) {
 			t.Errorf("config %d accepted", i)
 		}
 	}
-	good := sourceConfig(1)
-	if _, err := NewSource(good, nil, rng, emit); !errors.Is(err, ErrInvalidParam) {
-		t.Error("nil engine accepted")
-	}
-	if _, err := NewSource(good, eng, rng, nil); !errors.Is(err, ErrInvalidParam) {
-		t.Error("nil emit accepted")
+	if _, err := NewRecordingSource(sourceConfig(1), nil, rng, nil); !errors.Is(err, ErrInvalidParam) {
+		t.Error("recording source without emit accepted")
 	}
 }
 
@@ -221,7 +206,6 @@ func TestUtilizationRate(t *testing.T) {
 }
 
 func TestSourceDemandShift(t *testing.T) {
-	eng := sim.NewEngine()
 	cfg := sourceConfig(100000)
 	cfg.DemandSkew = 0.9
 	cfg.HotFraction = 0.2
@@ -229,18 +213,14 @@ func TestSourceDemandShift(t *testing.T) {
 	cfg.ShiftFraction = 1
 	pre := make([]int, 50)
 	post := make([]int, 50)
-	src, err := NewSource(cfg, eng, sim.NewRNG(6), func(r Request) {
+	reqs, _ := emitAll(t, cfg, 6)
+	for _, r := range reqs {
 		if r.Index < 50000 {
 			pre[r.Client]++
 		} else {
 			post[r.Client]++
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	src.Start()
-	eng.Run()
 	// Before the shift, clients 0–9 are hot; after it, the hot demand has
 	// relocated half a population away, to clients 25–34.
 	preHot, postOld, postNew := 0, 0, 0
@@ -268,7 +248,6 @@ func TestSourceDemandShift(t *testing.T) {
 // RNG stream).
 func TestSourceShiftPrefixUnchanged(t *testing.T) {
 	run := func(shiftAt float64) []Request {
-		eng := sim.NewEngine()
 		cfg := sourceConfig(20000)
 		cfg.DemandSkew = 0.9
 		cfg.HotFraction = 0.2
@@ -276,13 +255,7 @@ func TestSourceShiftPrefixUnchanged(t *testing.T) {
 		if shiftAt > 0 {
 			cfg.ShiftFraction = 1
 		}
-		var got []Request
-		src, err := NewSource(cfg, eng, sim.NewRNG(7), func(r Request) { got = append(got, r) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		src.Start()
-		eng.Run()
+		got, _ := emitAll(t, cfg, 7)
 		return got
 	}
 	base := run(0)
@@ -305,17 +278,15 @@ func TestSourceShiftPrefixUnchanged(t *testing.T) {
 }
 
 func TestSourceShiftValidation(t *testing.T) {
-	eng := sim.NewEngine()
 	rng := sim.NewRNG(1)
-	emit := func(Request) {}
 	bad := sourceConfig(10)
 	bad.ShiftAt = 1.5
-	if _, err := NewSource(bad, eng, rng, emit); !errors.Is(err, ErrInvalidParam) {
+	if _, err := NewSource(bad, rng); !errors.Is(err, ErrInvalidParam) {
 		t.Error("shift at 1.5 accepted")
 	}
 	bad = sourceConfig(10)
 	bad.ShiftAt = 0.5 // fraction missing
-	if _, err := NewSource(bad, eng, rng, emit); !errors.Is(err, ErrInvalidParam) {
+	if _, err := NewSource(bad, rng); !errors.Is(err, ErrInvalidParam) {
 		t.Error("shift without fraction accepted")
 	}
 }
