@@ -180,7 +180,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 					sw.ID, x, s, time.Since(start).Seconds())
 			}
 		}
-		res, err := netrs.RunSweepWith(base, sw, seeds, progress, netrs.RunOptions{Parallelism: *parallel})
+		res, err := netrs.RunSweep(base, sw, seeds, progress, netrs.RunOptions{Parallelism: *parallel})
 		if err := printTable(stdout, sw.ID, len(res.Cells), res.Table, err); err != nil {
 			return err
 		}

@@ -65,12 +65,11 @@ func run(args []string) (retErr error) {
 	cacheAdmitAfter := fs.Int("cache-admit-after", def.CacheAdmitAfter, "misses a key needs before the ToR cache admits it (0 = package default)")
 	jsonOut := fs.Bool("json", false, "emit the result as JSON")
 	configPath := fs.String("config", "", "load the experiment from a JSON config file (flags are ignored)")
-	faultsPath := fs.String("faults", "", "load a JSON fault schedule (typed crash/recovery/slowdown/link events executed on the sim timeline; enables the resilience timeline)")
 	scenarioArg := fs.String("scenario", "", "built-in scenario name or JSON scenario file (see -list-scenarios)")
 	listSelectors := fs.Bool("list-selectors", false, "print the registered replica-selection algorithms, one per line, and exit")
 	listScenarios := fs.Bool("list-scenarios", false, "print the built-in scenario names, one per line, and exit")
 	saveConfig := fs.String("save-config", "", "write the effective config to a JSON file and exit")
-	tracePath := fs.String("trace", "", "write per-request latencies (ms, one per line) to this CSV file")
+	tracePath := fs.String("trace", "", "write the measured requests' latencies (ms, one per line, in arrival order) to this CSV file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 
@@ -127,9 +126,6 @@ func run(args []string) (retErr error) {
 		if err := applyScenario(&cfg, *scenarioArg); err != nil {
 			return err
 		}
-		if err := applyFaults(&cfg, *faultsPath); err != nil {
-			return err
-		}
 		return execute(cfg, seeds, *trialPar, *jsonOut, *tracePath)
 	}
 
@@ -165,9 +161,6 @@ func run(args []string) (retErr error) {
 	}
 	cfg.Scheme = s
 	if err := applyScenario(&cfg, *scenarioArg); err != nil {
-		return err
-	}
-	if err := applyFaults(&cfg, *faultsPath); err != nil {
 		return err
 	}
 
@@ -233,23 +226,6 @@ func applyTopoPreset(cfg *netrs.Config, name string, fs *flag.FlagSet) error {
 	cfg.Servers = p.servers
 	cfg.Clients = p.clients
 	cfg.Generators = p.generators
-	return nil
-}
-
-// applyFaults loads a -faults schedule file into the config: its events go
-// ahead of the scenario's fault events, and the resilience timeline is
-// enabled at the schedule's bucket width (50 ms when the file omits it).
-// Apply it after the scenario, which replaces the config's whole scenario.
-func applyFaults(cfg *netrs.Config, path string) error {
-	if path == "" {
-		return nil
-	}
-	sched, err := netrs.LoadFaultSchedule(path)
-	if err != nil {
-		return err
-	}
-	cfg.Scenario.Faults = append(sched.Events, cfg.Scenario.Faults...)
-	cfg.TimelineBucket = sched.BucketWidth(50 * sim.Millisecond)
 	return nil
 }
 
@@ -335,7 +311,7 @@ func execute(cfg netrs.Config, seeds []uint64, parallel int, jsonOut bool, trace
 // executeRepeated runs the experiment once per seed through the parallel
 // executor and prints the per-seed and merged summaries.
 func executeRepeated(cfg netrs.Config, seeds []uint64, parallel int, jsonOut bool) error {
-	runs, merged, err := netrs.RunRepeatedWith(cfg, seeds, netrs.RunOptions{Parallelism: parallel})
+	runs, merged, err := netrs.RunRepeated(cfg, seeds, netrs.RunOptions{Parallelism: parallel})
 	if err != nil {
 		return err
 	}

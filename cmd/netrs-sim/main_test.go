@@ -260,29 +260,36 @@ func TestRunScenarioFlag(t *testing.T) {
 	}
 }
 
-// TestFaultsFlagPrecedesScenarioFaults: -faults events join the scenario's
-// fault list ahead of the scenario's own events, and survive -scenario.
-func TestFaultsFlagPrecedesScenarioFaults(t *testing.T) {
+// TestConfigTimelineWithScenarioFaults drives the resilience path at two
+// shards: the timeline comes from the -config file's timelineBucketNs and
+// the faults from a -scenario file, and -trace writes one latency per
+// measured request. The fault on a missing server prints its error line.
+func TestConfigTimelineWithScenarioFaults(t *testing.T) {
 	dir := t.TempDir()
+	cfg := netrs.DefaultConfig()
+	cfg.FatTreeK, cfg.Servers, cfg.Clients, cfg.Generators, cfg.Requests = 8, 16, 24, 12, 500
+	cfg.Shards = 2
+	cfg.TimelineBucket = 10 * netrs.Millisecond
+	cfgPath := filepath.Join(dir, "cfg.json")
+	if err := netrs.SaveConfig(cfgPath, cfg); err != nil {
+		t.Fatal(err)
+	}
 	scn := filepath.Join(dir, "scn.json")
-	if err := os.WriteFile(scn, []byte(`{"name":"f","faults":[{"kind":"server-crash","atMs":5,"server":1}]}`), 0o644); err != nil {
+	body := `{"name":"f","faults":[{"kind":"server-crash","atMs":5,"server":1,"durationMs":10},{"kind":"server-crash","atMs":6,"server":99}]}`
+	if err := os.WriteFile(scn, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sched := filepath.Join(dir, "faults.json")
-	if err := os.WriteFile(sched, []byte(`{"events":[{"kind":"server-slowdown","atMs":2,"server":0,"multiplier":2}]}`), 0o644); err != nil {
-		t.Fatal(err)
+	trace := filepath.Join(dir, "trace.csv")
+	out := captureStdout(t, func() error { return run([]string{"-config", cfgPath, "-scenario", scn, "-trace", trace}) })
+	if !strings.Contains(out, "\ntimeline\n") || !strings.Contains(out, "fault error fault server-crash(server=99)") {
+		t.Fatalf("output lacks the timeline or the fault error:\n%s", out)
 	}
-	saved := filepath.Join(dir, "cfg.json")
-	if err := run(tinyArgs("-faults", sched, "-scenario", scn, "-save-config", saved)); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := netrs.LoadConfig(saved)
+	data, err := os.ReadFile(trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := cfg.Scenario.Faults
-	if len(got) != 2 || got[0].Kind != netrs.FaultServerSlowdown || got[1].Kind != netrs.FaultServerCrash {
-		t.Fatalf("scenario faults = %+v, want the -faults event, then the scenario's", got)
+	if lines := strings.Count(string(data), "\n"); lines != 1+cfg.Requests {
+		t.Fatalf("trace has %d lines, want a header and %d latencies", lines, cfg.Requests)
 	}
 }
 

@@ -204,7 +204,7 @@ func TestSweepChart(t *testing.T) {
 		},
 		Schemes: []Scheme{SchemeCliRS, SchemeNetRSToR},
 	}
-	res, err := RunSweep(base, sw, []uint64{1}, nil)
+	res, err := RunSweep(base, sw, []uint64{1}, nil, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

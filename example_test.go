@@ -48,7 +48,7 @@ func ExampleRunRepeated() {
 	cfg.VNodes = 16
 	cfg.Scheme = netrs.SchemeNetRSToR
 
-	runs, merged, err := netrs.RunRepeated(cfg, netrs.DefaultSeeds())
+	runs, merged, err := netrs.RunRepeated(cfg, netrs.DefaultSeeds(), netrs.RunOptions{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

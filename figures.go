@@ -181,21 +181,15 @@ type SweepResult struct {
 }
 
 // RunSweep evaluates a figure: every point × every scheme × every seed.
-// Progress (if non-nil) is invoked before each cell's first trial; it must
-// be safe for concurrent use. Trials run in parallel up to
-// runtime.GOMAXPROCS(0); use RunSweepWith to pick the parallelism
-// explicitly. Parallelism never changes the numbers — results are
-// assembled by trial index, bit-identical to a sequential sweep.
-func RunSweep(base Config, sw Sweep, seeds []uint64, progress func(x string, s Scheme)) (SweepResult, error) {
-	return RunSweepWith(base, sw, seeds, progress, RunOptions{})
-}
-
-// RunSweepWith is RunSweep with explicit execution options. Every
-// (point, scheme, seed) triple is one independent trial fanned across the
-// worker pool. On failure it starts no further trial and returns the
-// error together with the partial SweepResult holding every cell whose
-// trials all completed — a long sweep is not a total loss on one bad cell.
-func RunSweepWith(base Config, sw Sweep, seeds []uint64, progress func(x string, s Scheme), opts RunOptions) (SweepResult, error) {
+// Every (point, scheme, seed) triple is one independent trial fanned
+// across the worker pool that opts sizes. Progress (if non-nil) is invoked
+// before each cell's first trial; it must be safe for concurrent use.
+// Parallelism never changes the numbers — results are assembled by trial
+// index, bit-identical to a sequential sweep. On failure it starts no
+// further trial and returns the error together with the partial
+// SweepResult holding every cell whose trials all completed — a long
+// sweep is not a total loss on one bad cell.
+func RunSweep(base Config, sw Sweep, seeds []uint64, progress func(x string, s Scheme), opts RunOptions) (SweepResult, error) {
 	type cellDef struct {
 		pt     SweepPoint
 		scheme Scheme

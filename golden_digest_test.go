@@ -39,7 +39,7 @@ func goldenConfig(scheme Scheme) Config {
 	return cfg
 }
 
-// repeatedRun is what one RunRepeatedWith call returns, as golden.Dump
+// repeatedRun is what one RunRepeated call returns, as golden.Dump
 // renders it.
 type repeatedRun struct {
 	Runs   []Result
@@ -50,7 +50,7 @@ type repeatedRun struct {
 // merged summary.
 func runDump(t *testing.T, cfg Config, seeds []uint64, opts RunOptions) ([]Result, string) {
 	t.Helper()
-	results, merged, err := RunRepeatedWith(cfg, seeds, opts)
+	results, merged, err := RunRepeated(cfg, seeds, opts)
 	if err != nil {
 		t.Fatalf("shards %d, parallelism %d: %v", cfg.Shards, opts.Parallelism, err)
 	}
@@ -121,7 +121,7 @@ func TestCacheDisabledIsBitIdentical(t *testing.T) {
 	}
 	t.Run("NetRS+Cache/zero-budget", func(t *testing.T) {
 		t.Parallel()
-		results, merged, err := RunRepeatedWith(goldenConfig(SchemeNetRSCache), []uint64{1, 2, 3}, RunOptions{Parallelism: 1})
+		results, merged, err := RunRepeated(goldenConfig(SchemeNetRSCache), []uint64{1, 2, 3}, RunOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

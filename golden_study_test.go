@@ -30,7 +30,7 @@ var goldenStudies = []struct {
 		sw := Figure6()
 		sw.Points = []SweepPoint{sw.Points[1], sw.Points[3]}
 		sw.Schemes = []Scheme{SchemeCliRS, SchemeNetRSILP}
-		res, err := RunSweepWith(studyConfig(SchemeCliRS), sw, []uint64{1, 2}, nil, opts)
+		res, err := RunSweep(studyConfig(SchemeCliRS), sw, []uint64{1, 2}, nil, opts)
 		return golden.Dump(res) + res.Table(), err
 	}},
 	{"ablation", func(opts RunOptions) (string, error) {
@@ -40,7 +40,7 @@ var goldenStudies = []struct {
 			if err != nil {
 				return "", err
 			}
-			res, err := RunSweepWith(studyConfig(SchemeCliRS), sw, []uint64{1, 2}, nil, opts)
+			res, err := RunSweep(studyConfig(SchemeCliRS), sw, []uint64{1, 2}, nil, opts)
 			if err != nil {
 				return "", err
 			}
@@ -77,7 +77,7 @@ var goldenStudies = []struct {
 		return golden.Dump(res) + res.Table(), err
 	}},
 	{"repeated", func(opts RunOptions) (string, error) {
-		results, merged, err := RunRepeatedWith(studyConfig(SchemeNetRSToR), []uint64{3, 1, 2}, opts)
+		results, merged, err := RunRepeated(studyConfig(SchemeNetRSToR), []uint64{3, 1, 2}, opts)
 		return golden.Dump(repeatedRun{results, merged}) + merged.String() + "\n", err
 	}},
 }

@@ -221,7 +221,8 @@ type Config struct {
 	// CancelDuplicates adds cross-server cancellation to CliRS-R95: when
 	// the first response of a duplicated request arrives, the loser is
 	// canceled at its server if still queued (Dean & Barroso's
-	// redundancy-overhead reduction, the paper's citation [9]).
+	// redundancy-overhead reduction, the paper's citation [9]). It needs
+	// a single partition (Shards ≤ 1).
 	CancelDuplicates bool `json:"cancelDuplicates,omitempty"`
 
 	// TimelineBucket, when positive, enables the time-bucketed resilience
@@ -241,7 +242,8 @@ type Config struct {
 	ControllerInterval sim.Time `json:"controllerIntervalNs,omitempty"`
 
 	// KeepLatencyTrace records every measured request's latency in
-	// Result.TraceMs (completion order), for external analysis.
+	// Result.TraceMs, in arrival order (the same at every Shards value),
+	// for external analysis.
 	KeepLatencyTrace bool `json:"keepLatencyTrace,omitempty"`
 
 	// StatsSampleCap bounds the latency recorder's memory: the run keeps
@@ -272,10 +274,10 @@ type Config struct {
 	// event order the golden files pin. The two agree except where events
 	// of different partitions tie at the exact same nanosecond, which
 	// partitions may order differently (DESIGN.md §11).
-	// Above one, every scheme but CliRS-R95 runs (with epochs, demand
-	// shifts, bounded stats, trace replay, and shard-safe scenarios);
-	// validate rejects the features that need a single partition: the
-	// latency trace, the timeline, and fault schedules.
+	// Above one, every feature runs but CliRS-R95's CancelDuplicates, which
+	// validate rejects: withdrawing a duplicate's loser reads and edits
+	// another server's queue through one run-wide map, and that server may
+	// sit in another partition.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -406,19 +408,8 @@ func (c Config) validate() error {
 	if err := c.Scenario.Validate(); err != nil {
 		return err
 	}
-	if c.EffectiveShards() > 1 {
-		// Features whose bookkeeping needs the run-wide order of a single
-		// partition stay at Shards ≤ 1.
-		switch {
-		case c.Scheme == SchemeCliRSR95:
-			return fmt.Errorf("shards: scheme %s needs a single partition (Shards ≤ 1): %w", c.Scheme, ErrInvalidParam)
-		case c.KeepLatencyTrace:
-			return fmt.Errorf("shards: latency trace needs a single partition (Shards ≤ 1): %w", ErrInvalidParam)
-		case c.TimelineBucket > 0:
-			return fmt.Errorf("shards: timeline needs a single partition (Shards ≤ 1): %w", ErrInvalidParam)
-		case !c.Scenario.ShardSafe():
-			return fmt.Errorf("shards: fault injection needs a single partition (Shards ≤ 1): %w", ErrInvalidParam)
-		}
+	if c.EffectiveShards() > 1 && c.Scheme == SchemeCliRSR95 && c.CancelDuplicates {
+		return fmt.Errorf("shards: %s duplicate cancellation needs a single partition (Shards ≤ 1): %w", c.Scheme, ErrInvalidParam)
 	}
 	return nil
 }

@@ -67,8 +67,11 @@ type Result struct {
 	// "herd behavior": simultaneous selections concentrate queueing on
 	// momentarily attractive servers, raising the cross-server spread.
 	QueueCVMean float64 `json:"queueCVMean"`
-	// TraceMs holds per-request latencies in completion order when
-	// Config.KeepLatencyTrace is set.
+	// TraceMs holds the measured requests' latencies when
+	// Config.KeepLatencyTrace is set, indexed by measured arrival: entry i
+	// is the latency of the request that arrived i-th after warmup. The
+	// order does not depend on the partition count. A request that never
+	// completes (its server crashed for good) leaves its entry zero.
 	TraceMs []float64 `json:"traceMs,omitempty"`
 	// Timeline is the time-bucketed latency/DRS-share series of the
 	// measured requests, present when Config.TimelineBucket is positive.
@@ -220,7 +223,8 @@ type shardState struct {
 	// onto; nil when the partition has no clients.
 	arrivals *sim.Stream
 
-	rec *stats.Recorder
+	rec      *stats.Recorder
+	timeline *stats.Timeline // nil unless Config.TimelineBucket is positive
 
 	arrived, completed             int
 	lastDone                       sim.Time
@@ -362,8 +366,8 @@ type runner struct {
 
 	// tickets holds the server queue entries of CliRS-R95 packets, with
 	// their records, for cross-server cancellation, and is nil unless that
-	// is enabled. Only R95 sends duplicates, and R95 runs at P = 1, so no
-	// two partitions share it.
+	// is enabled. validate refuses cancellation at Shards > 1, so no two
+	// partitions share it.
 	tickets map[uint64]queuedSvc
 
 	total, warmup int
@@ -379,11 +383,10 @@ type runner struct {
 	// unless a cache scheme runs with a positive budget.
 	invalidationToRs []topo.NodeID
 
-	// The fault injector, the timeline, and the latency trace run at P = 1
-	// only (validate refuses them at P > 1), so they live here rather than
-	// in the partitions.
-	injector     *faults.Injector
-	timeline     *stats.Timeline
+	injector *faults.Injector
+	// trace is Result.TraceMs, allocated once at its final length when
+	// Config.KeepLatencyTrace is set: each measured request's completion
+	// writes its own slot, so partitions never share one.
 	trace        []float64
 	errs         []string
 	failedRSNode uint16
@@ -600,8 +603,9 @@ func (r *runner) setup() error {
 	if cfg.Scheme == SchemeNetRSILP {
 		r.deployAt = (r.warmup + 1) / 2
 	}
-	// One recorder per partition. result folds the others into the first,
-	// so it is sized for the whole run and the fold never regrows it.
+	// One recorder, and one timeline when enabled, per partition. result
+	// folds the others into the first, so the first recorder is sized for
+	// the whole run and the fold never regrows it.
 	measured := r.total - r.warmup
 	for i, st := range r.parts {
 		hint := measured
@@ -613,14 +617,17 @@ func (r *runner) setup() error {
 		} else {
 			st.rec = stats.NewRecorder(hint)
 		}
-	}
-	if cfg.TimelineBucket > 0 {
-		if r.timeline, err = stats.NewTimeline(cfg.TimelineBucket); err != nil {
-			return err
+		if cfg.TimelineBucket > 0 {
+			if st.timeline, err = stats.NewTimeline(cfg.TimelineBucket); err != nil {
+				return err
+			}
 		}
 	}
+	if cfg.KeepLatencyTrace {
+		r.trace = make([]float64, measured)
+	}
 	if len(cfg.Scenario.Faults) > 0 {
-		if r.injector, err = faults.NewInjector(r.eng, r, r.total, cfg.Scenario.Faults, r.recordError); err != nil {
+		if r.injector, err = faults.NewInjector(r.set.ScheduleGlobal, r, r.total, cfg.Scenario.Faults, r.recordError); err != nil {
 			return err
 		}
 	}
@@ -962,15 +969,20 @@ func (r *runner) result() (Result, error) {
 		Epochs:       r.epochs,
 		QueueCVMean:  r.queueCV.Mean(),
 	}
-	// The partition recorders fold into the first: the merged multiset is
-	// the one a single recorder would hold, and the summary is
-	// order-independent (count, integer-sum mean, sorted percentiles, or
-	// histogram buckets once StatsSampleCap is exceeded).
-	rec := r.parts[0].rec
+	// The partition recorders and timelines fold into the first: the
+	// merged multisets are the ones a single partition would hold, and the
+	// summaries are order-independent (count, integer-sum mean, sorted
+	// percentiles, or histogram buckets once StatsSampleCap is exceeded).
+	rec, tl := r.parts[0].rec, r.parts[0].timeline
 	for i, st := range r.parts {
 		if i > 0 {
 			if err := rec.Merge(st.rec); err != nil {
 				return Result{}, err
+			}
+			if tl != nil {
+				if err := tl.Merge(st.timeline); err != nil {
+					return Result{}, err
+				}
 			}
 		}
 		res.Emitted += st.arrived
@@ -1005,8 +1017,8 @@ func (r *runner) result() (Result, error) {
 	} else {
 		res.RSNodes = r.cfg.Clients
 	}
-	if r.timeline != nil {
-		res.Timeline = r.timeline.Buckets()
+	if tl != nil {
+		res.Timeline = tl.Buckets()
 	}
 	var loads stats.Welford
 	for _, srv := range r.servers {
@@ -1149,8 +1161,8 @@ func (r *runner) fireRedundant(p *pending) {
 		}
 		if len(st.dup) > 0 {
 			st.redundant++
-			if r.timeline != nil {
-				r.timeline.RecordTimeout(st.eng.Now())
+			if st.timeline != nil {
+				st.timeline.RecordTimeout(st.eng.Now())
 			}
 			r.sendClientPick(st, p, st.dup, false)
 		}
@@ -1296,7 +1308,7 @@ func (r *runner) complete(st *shardState, p *pending, degraded bool, now sim.Tim
 			if q, ok := r.tickets[sibling.pid]; ok && q.ticket.Cancel() {
 				delete(r.tickets, sibling.pid)
 				// Never served: the record returns to its pool here (the
-				// server's partition is st, as R95 runs at P = 1).
+				// server's partition is st, as cancellation runs at P = 1).
 				st.svcFree = append(st.svcFree, q.req)
 				st.cancelled++
 				if ab, ok := c.sel.(selection.Abandoner); ok && sibling.server >= 0 {
@@ -1313,11 +1325,11 @@ func (r *runner) complete(st *shardState, p *pending, degraded bool, now sim.Tim
 	}
 	if p.logicalIdx >= r.warmup {
 		st.rec.Record(latency)
-		if r.cfg.KeepLatencyTrace {
-			r.trace = append(r.trace, latency.Float64Ms())
+		if r.trace != nil {
+			r.trace[p.logicalIdx-r.warmup] = latency.Float64Ms()
 		}
-		if r.timeline != nil {
-			r.timeline.Record(now, latency, degraded)
+		if st.timeline != nil {
+			st.timeline.Record(now, latency, degraded)
 		}
 	}
 	st.completed++
@@ -1355,7 +1367,7 @@ func (r *runner) onCompletion(n int, now sim.Time) {
 		r.ctl.ResetMonitors(now)
 	}
 	if r.injector != nil {
-		r.injector.OnCompletion(n)
+		r.injector.OnCompletion(n, now)
 	}
 }
 

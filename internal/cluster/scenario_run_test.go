@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"netrs/internal/faults"
@@ -110,13 +111,15 @@ func TestScenarioConfigValidation(t *testing.T) {
 		t.Fatalf("invalid scenario accepted: %v", err)
 	}
 
+	// A fault scenario runs at Shards 2: its events ride the barrier.
 	cfg = smallConfig(SchemeNetRSToR)
+	cfg.Requests = 1000
 	cfg.Shards = 2
 	cfg.Scenario = scenario.Scenario{Faults: []faults.Event{
-		{Kind: faults.KindServerCrash, AtMs: 5, Server: 0},
+		{Kind: faults.KindServerCrash, AtMs: 5, Server: 0, DurationMs: 5},
 	}}
-	if _, err := Run(cfg); !errors.Is(err, ErrInvalidParam) {
-		t.Fatalf("shard-unsafe scenario accepted on shards: %v", err)
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("fault scenario refused at shards 2: %v", err)
 	}
 
 	cfg = smallConfig(SchemeNetRSToR)
@@ -177,13 +180,22 @@ func (f *faultProbe) SetRackLinkDelay(rack int, extra sim.Time) error {
 }
 
 // TestFaultThresholdsFireAtCompletionInstant runs every fault kind at
-// completion fractions on a single partition. The barrier hook fires each
-// threshold at the instant of the completion that crossed it, after that
-// instant's events (the run steps while one is pending), with the
-// run-wide count at or past the threshold; two thresholds on one count
-// fire at the same barrier in declaration order. Every fault applies, and
-// none is pending when the run ends.
+// completion fractions on one partition and on the pod partitions of
+// Shards 2. The barrier hook fires each threshold at the instant of the
+// completion that crossed it, after that instant's events in every
+// partition (the run steps while one is pending), with the run-wide count
+// at or past the threshold; two thresholds on one count fire at the same
+// barrier in declaration order. Every fault applies, and none is pending
+// when the run ends.
 func TestFaultThresholdsFireAtCompletionInstant(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			checkThresholdsFireAtCompletionInstant(t, shards)
+		})
+	}
+}
+
+func checkThresholdsFireAtCompletionInstant(t *testing.T, shards int) {
 	events := []faults.Event{
 		{Kind: faults.KindServerSlowdown, AtFraction: 0.2, Server: 1, Multiplier: 3},
 		{Kind: faults.KindServerCrash, AtFraction: 0.3, Server: 2},
@@ -194,13 +206,14 @@ func TestFaultThresholdsFireAtCompletionInstant(t *testing.T) {
 	}
 	cfg := smallConfig(SchemeNetRSILP)
 	cfg.Scenario = scenario.Scenario{Faults: events}
+	cfg.Shards = shards
 	r := &runner{cfg: cfg}
 	if err := r.setup(); err != nil {
 		t.Fatal(err)
 	}
 	probe := &faultProbe{runner: r}
 	var err error
-	if r.injector, err = faults.NewInjector(r.eng, probe, r.total, events, r.recordError); err != nil {
+	if r.injector, err = faults.NewInjector(r.set.ScheduleGlobal, probe, r.total, events, r.recordError); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.start(); err != nil {

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"netrs/internal/faults"
+	"netrs/internal/golden"
 	"netrs/internal/scenario"
 	"netrs/internal/sim"
 )
@@ -197,40 +199,151 @@ func TestShardedReplayMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardedConfigValidation pins which features stay refused at
-// Shards > 1: each needs bookkeeping that is inherently sequential, and a
-// silent wrong answer would be worse than an explicit error.
+// TestShardedConfigValidation pins the one feature refused at Shards > 1:
+// CliRS-R95 with CancelDuplicates. Cancellation withdraws a duplicate's
+// loser from its server's queue through the run-wide tickets map, and
+// that server may sit in another partition, which no partition may read
+// or edit mid-window. Every other feature is accepted at Shards 2: the
+// duplicates themselves (their packet IDs are Index+1+total, with no
+// shared counter), the latency trace, the timeline and faults.
 func TestShardedConfigValidation(t *testing.T) {
-	mutations := map[string]func(*Config){
-		// Packet IDs feed fabric.flowHash, which picks each packet's ECMP
-		// path. A CliRS-R95 duplicate takes its ID from a counter shared by
-		// the whole run, and no partition can read that counter mid-window,
-		// so a sharded run could not reproduce the duplicates' paths.
-		"r95 scheme":     func(c *Config) { c.Scheme = SchemeCliRSR95 },
+	r95 := func(c *Config) { c.Scheme = SchemeCliRSR95 }
+	cfg := DefaultConfig()
+	cfg.Shards = 2
+	r95(&cfg)
+	cfg.CancelDuplicates = true
+	if err := cfg.validate(); !errors.Is(err, ErrInvalidParam) {
+		t.Errorf("r95 cancellation: validate() = %v, want ErrInvalidParam", err)
+	}
+	cfg.Shards = 1
+	if err := cfg.validate(); err != nil {
+		t.Errorf("r95 cancellation: sequential validate() = %v, want nil", err)
+	}
+
+	accepted := map[string]func(*Config){
+		"r95 scheme":     r95,
 		"latency trace":  func(c *Config) { c.KeepLatencyTrace = true },
 		"timeline":       func(c *Config) { c.TimelineBucket = 1_000_000 },
 		"rsnode failure": func(c *Config) { c.Scenario.Faults = crashBusiestAt(0.5) },
 	}
-	for name, mutate := range mutations {
+	for name, mutate := range accepted {
 		cfg := DefaultConfig()
 		cfg.Shards = 2
 		mutate(&cfg)
-		if err := cfg.validate(); !errors.Is(err, ErrInvalidParam) {
-			t.Errorf("%s: validate() = %v, want ErrInvalidParam", name, err)
-		}
-		// The same feature stays accepted on the sequential path.
-		cfg.Shards = 1
-		if name == "r95 scheme" {
-			continue // needs RedundantPercentile defaults, covered elsewhere
-		}
 		if err := cfg.validate(); err != nil {
-			t.Errorf("%s: sequential validate() = %v, want nil", name, err)
+			t.Errorf("%s: validate() at shards 2 = %v, want nil", name, err)
 		}
 	}
-	cfg := DefaultConfig()
+	cfg = DefaultConfig()
 	cfg.Shards = -1
 	if err := cfg.validate(); !errors.Is(err, ErrInvalidParam) {
 		t.Errorf("negative shards: validate() = %v, want ErrInvalidParam", err)
+	}
+}
+
+// TestShardedFaultsMatchSequential runs the features that used to need a
+// single partition at Shards 1, 2 and 4 over five seeds, and checks that
+// every Result field golden.Dump renders agrees: CliRS-R95 without
+// cancellation, plain and faulted; each paper scheme with the latency
+// trace and the timeline on; every fault kind at a completion fraction,
+// with durations whose inverses land mid-run; and a timed server crash
+// whose restart falls on the servers' first fluctuation redraw (50 ms),
+// together with a second server's crash. A fault global runs before every
+// partition event at its instant, so a tie with a redraw resolves alike
+// at every partition count.
+func TestShardedFaultsMatchSequential(t *testing.T) {
+	withFaults := func(events ...faults.Event) func(*Config) {
+		return func(c *Config) {
+			c.Scenario.Faults = events
+			c.TimelineBucket = 10 * sim.Millisecond
+		}
+	}
+	traced := func(c *Config) {
+		c.KeepLatencyTrace = true
+		c.TimelineBucket = 10 * sim.Millisecond
+	}
+	cases := []struct {
+		name   string
+		scheme Scheme
+		mutate func(*Config)
+	}{
+		{"r95", SchemeCliRSR95, func(*Config) {}},
+		{"r95-faulted", SchemeCliRSR95, withFaults(
+			faults.Event{Kind: faults.KindServerSlowdown, AtFraction: 0.2, Server: 3, Multiplier: 4, DurationMs: 15},
+			faults.Event{Kind: faults.KindServerCrash, AtMs: 12, Server: 5, DurationMs: 10},
+		)},
+		{"trace-CliRS", SchemeCliRS, traced},
+		{"trace-CliRS-R95", SchemeCliRSR95, traced},
+		{"trace-NetRS-ToR", SchemeNetRSToR, traced},
+		{"trace-NetRS-ILP", SchemeNetRSILP, traced},
+		{"fractions", SchemeNetRSILP, withFaults(
+			faults.Event{Kind: faults.KindRSNodeCrash, AtFraction: 0.3, RSNode: faults.TargetBusiest, DurationMs: 10},
+			faults.Event{Kind: faults.KindServerSlowdown, AtFraction: 0.35, Server: 2, Multiplier: 5, DurationMs: 10},
+			faults.Event{Kind: faults.KindServerCrash, AtFraction: 0.4, Server: 6, DurationMs: 8},
+			faults.Event{Kind: faults.KindLinkDelay, AtFraction: 0.45, Rack: 1, ExtraMs: 0.3, DurationMs: 12},
+		)},
+		{"restart-on-redraw", SchemeNetRSToR, withFaults(
+			faults.Event{Kind: faults.KindServerCrash, AtMs: 30, Server: 4, DurationMs: 20},
+			faults.Event{Kind: faults.KindServerCrash, AtMs: 50, Server: 7, DurationMs: 25},
+		)},
+	}
+	seeds := []uint64{1, 2, 3, 4, 5}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			for _, seed := range seeds {
+				cfg := smallConfig(tc.scheme)
+				cfg.Requests = 1500
+				cfg.Seed = seed
+				tc.mutate(&cfg)
+				var want string
+				for _, shards := range []int{1, 2, 4} {
+					cfg.Shards = shards
+					res, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("seed %d shards %d: %v", seed, shards, err)
+					}
+					if shards == 1 {
+						checkFeaturesRan(t, cfg, res)
+						want = golden.Dump(res)
+						continue
+					}
+					if got := golden.Dump(res); got != want {
+						t.Errorf("seed %d: shards %d differs from shards 1:\n%s", seed, shards, golden.Diff(want, got))
+					}
+				}
+			}
+		})
+	}
+}
+
+// checkFeaturesRan fails when a sequential run did not exercise what its
+// config asks for, so that agreement across shard counts is not vacuous.
+func checkFeaturesRan(t *testing.T, cfg Config, res Result) {
+	t.Helper()
+	if len(res.Errors) > 0 {
+		t.Fatalf("seed %d: fault errors %v", cfg.Seed, res.Errors)
+	}
+	if cfg.KeepLatencyTrace {
+		if len(res.TraceMs) != cfg.Requests {
+			t.Fatalf("seed %d: %d trace entries, want %d", cfg.Seed, len(res.TraceMs), cfg.Requests)
+		}
+		for i, v := range res.TraceMs {
+			if v <= 0 {
+				t.Fatalf("seed %d: trace entry %d is %v, never written", cfg.Seed, i, v)
+			}
+		}
+	}
+	if cfg.TimelineBucket > 0 && len(res.Timeline) == 0 {
+		t.Fatalf("seed %d: no timeline", cfg.Seed)
+	}
+	for _, ev := range cfg.Scenario.Faults {
+		if end := sim.FromMs(ev.AtMs + ev.DurationMs); end >= res.SimulatedSpan {
+			t.Fatalf("seed %d: %s ends at %v, after the run's %v", cfg.Seed, ev, end, res.SimulatedSpan)
+		}
+	}
+	if cfg.Scheme == SchemeCliRSR95 && res.RedundantSent == 0 {
+		t.Fatalf("seed %d: no CliRS-R95 duplicates", cfg.Seed)
 	}
 }
 

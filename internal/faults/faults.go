@@ -4,8 +4,8 @@
 // claim needs more than a single hardcoded crash: this package lets a run
 // declare a timeline of typed fault events — RSNode crash and recovery,
 // server slowdown/brownout, server crash and restart, link-delay spikes —
-// in configuration or a JSON schedule file, validates them up front, and
-// executes them on the simulation timeline through the event engine.
+// in a scenario's faults section, validates them up front, and executes
+// them on the simulation timeline as run-level actions at the barrier.
 //
 // Events are positioned either at an absolute simulated time (AtMs) or at a
 // completed-request fraction (AtFraction); a fraction-positioned event
@@ -17,13 +17,10 @@
 package faults
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 
-	"netrs/internal/sim"
 	"netrs/internal/stats"
 )
 
@@ -199,49 +196,4 @@ func ValidateEvents(events []Event) error {
 		}
 	}
 	return nil
-}
-
-// Schedule is the JSON schedule-file format of `netrs-sim -faults`.
-type Schedule struct {
-	// BucketMs sets the run's timeline-recorder bucket width in
-	// milliseconds; zero leaves the caller's default in place.
-	BucketMs float64 `json:"bucketMs,omitempty"`
-	// Events is the fault timeline.
-	Events []Event `json:"events"`
-}
-
-// ParseSchedule decodes and validates a JSON schedule.
-func ParseSchedule(data []byte) (Schedule, error) {
-	var s Schedule
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Schedule{}, fmt.Errorf("faults: parse schedule: %w", err)
-	}
-	if s.BucketMs < 0 {
-		return Schedule{}, fmt.Errorf("bucketMs %v: %w", s.BucketMs, ErrInvalidSchedule)
-	}
-	if len(s.Events) == 0 {
-		return Schedule{}, fmt.Errorf("schedule has no events: %w", ErrInvalidSchedule)
-	}
-	if err := ValidateEvents(s.Events); err != nil {
-		return Schedule{}, err
-	}
-	return s, nil
-}
-
-// LoadSchedule reads and validates a schedule file.
-func LoadSchedule(path string) (Schedule, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Schedule{}, fmt.Errorf("faults: read schedule: %w", err)
-	}
-	return ParseSchedule(data)
-}
-
-// BucketWidth converts the schedule's bucket setting, falling back to def
-// when unset.
-func (s Schedule) BucketWidth(def sim.Time) sim.Time {
-	if s.BucketMs > 0 {
-		return sim.FromMs(s.BucketMs)
-	}
-	return def
 }

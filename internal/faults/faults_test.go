@@ -3,8 +3,7 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 
 	"netrs/internal/sim"
@@ -46,6 +45,47 @@ func (f *fakeActions) RestartServer(server int) error {
 
 func (f *fakeActions) SetRackLinkDelay(rack int, extra sim.Time) error {
 	return f.note("link-delay(%d,%v)", rack, extra)
+}
+
+// clock is a recording scheduler standing in for the run's ShardSet
+// globals: it notes every instant handed to it and runs the scheduled
+// funcs in (instant, registration) order.
+type clock struct {
+	scheduled []sim.Time
+	pending   []pendingFn
+	seq       int
+	err       error
+}
+
+type pendingFn struct {
+	at  sim.Time
+	seq int
+	fn  func()
+}
+
+func (c *clock) schedule(at sim.Time, fn func()) error {
+	if c.err != nil {
+		return c.err
+	}
+	c.scheduled = append(c.scheduled, at)
+	c.pending = append(c.pending, pendingFn{at, c.seq, fn})
+	c.seq++
+	return nil
+}
+
+// run executes every scheduled func, including those scheduled on the way.
+func (c *clock) run() {
+	for len(c.pending) > 0 {
+		best := 0
+		for i, p := range c.pending {
+			if b := c.pending[best]; p.at < b.at || (p.at == b.at && p.seq < b.seq) {
+				best = i
+			}
+		}
+		p := c.pending[best]
+		c.pending = append(c.pending[:best], c.pending[best+1:]...)
+		p.fn()
+	}
 }
 
 func TestEventValidation(t *testing.T) {
@@ -94,60 +134,8 @@ func TestEventValidation(t *testing.T) {
 	}
 }
 
-func TestParseScheduleRoundTrip(t *testing.T) {
-	data := []byte(`{
-		"bucketMs": 50,
-		"events": [
-			{"kind": "rsnode-crash", "atFraction": 0.35, "rsnode": "busiest"},
-			{"kind": "rsnode-recover", "atFraction": 0.65, "rsnode": "failed"},
-			{"kind": "server-slowdown", "atMs": 12.5, "server": 2, "multiplier": 4, "durationMs": 40},
-			{"kind": "link-delay", "atMs": 30, "rack": 1, "extraMs": 0.25}
-		]
-	}`)
-	s, err := ParseSchedule(data)
-	if err != nil {
-		t.Fatalf("ParseSchedule: %v", err)
-	}
-	if len(s.Events) != 4 {
-		t.Fatalf("got %d events, want 4", len(s.Events))
-	}
-	if s.BucketWidth(0) != 50*sim.Millisecond {
-		t.Errorf("BucketWidth = %v, want 50ms", s.BucketWidth(0))
-	}
-	if got := (Schedule{}).BucketWidth(10 * sim.Millisecond); got != 10*sim.Millisecond {
-		t.Errorf("default BucketWidth = %v, want 10ms", got)
-	}
-
-	if _, err := ParseSchedule([]byte(`{"events": []}`)); !errors.Is(err, ErrInvalidSchedule) {
-		t.Errorf("empty schedule: err = %v, want ErrInvalidSchedule", err)
-	}
-	if _, err := ParseSchedule([]byte(`{not json`)); err == nil {
-		t.Error("malformed JSON accepted")
-	}
-	if _, err := ParseSchedule([]byte(`{"bucketMs": -1, "events": [{"kind": "server-crash", "atMs": 1}]}`)); !errors.Is(err, ErrInvalidSchedule) {
-		t.Errorf("negative bucketMs: err = %v, want ErrInvalidSchedule", err)
-	}
-}
-
-func TestLoadSchedule(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "faults.json")
-	if err := os.WriteFile(path, []byte(`{"events": [{"kind": "server-crash", "atMs": 1, "server": 0}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := LoadSchedule(path)
-	if err != nil {
-		t.Fatalf("LoadSchedule: %v", err)
-	}
-	if len(s.Events) != 1 || s.Events[0].Kind != KindServerCrash {
-		t.Fatalf("unexpected schedule %+v", s)
-	}
-	if _, err := LoadSchedule(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
 func TestInjectorTimedEventsAndInverses(t *testing.T) {
-	eng := sim.NewEngine()
+	clk := &clock{}
 	acts := &fakeActions{}
 	events := []Event{
 		{Kind: KindServerSlowdown, AtMs: 10, Server: 2, Multiplier: 4, DurationMs: 5},
@@ -155,14 +143,14 @@ func TestInjectorTimedEventsAndInverses(t *testing.T) {
 		{Kind: KindLinkDelay, AtMs: 30, Rack: 1, ExtraMs: 0.5, DurationMs: 5},
 		{Kind: KindRSNodeCrash, AtMs: 40, RSNode: TargetBusiest, DurationMs: 5},
 	}
-	in, err := NewInjector(eng, acts, 1000, events, nil)
+	in, err := NewInjector(clk.schedule, acts, 1000, events, nil)
 	if err != nil {
 		t.Fatalf("NewInjector: %v", err)
 	}
 	if err := in.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	eng.Run()
+	clk.run()
 	want := []string{
 		"slowdown(2,x4)",
 		"slowdown(2,x1)", // inverse at 15ms
@@ -184,10 +172,21 @@ func TestInjectorTimedEventsAndInverses(t *testing.T) {
 	if in.Fired() != len(want) {
 		t.Errorf("Fired = %d, want %d", in.Fired(), len(want))
 	}
+	// Start schedules the events in declaration order at their instants,
+	// and each inverse goes to its event's instant plus the duration.
+	wantAt := []sim.Time{10, 20, 30, 40, 15, 25, 35, 45}
+	if len(clk.scheduled) != len(wantAt) {
+		t.Fatalf("scheduled %v, want %v ms", clk.scheduled, wantAt)
+	}
+	for i, ms := range wantAt {
+		if clk.scheduled[i] != ms*sim.Millisecond {
+			t.Errorf("schedule %d at %v, want %v", i, clk.scheduled[i], ms*sim.Millisecond)
+		}
+	}
 }
 
 func TestInjectorFractionThresholds(t *testing.T) {
-	eng := sim.NewEngine()
+	clk := &clock{}
 	acts := &fakeActions{}
 	events := []Event{
 		// Declared out of order: must fire sorted by completion count.
@@ -196,7 +195,7 @@ func TestInjectorFractionThresholds(t *testing.T) {
 		// Tiny fraction still clamps up to the first completion.
 		{Kind: KindServerCrash, AtFraction: 0.0001, Server: 0},
 	}
-	in, err := NewInjector(eng, acts, 10, events, nil)
+	in, err := NewInjector(clk.schedule, acts, 10, events, nil)
 	if err != nil {
 		t.Fatalf("NewInjector: %v", err)
 	}
@@ -204,7 +203,7 @@ func TestInjectorFractionThresholds(t *testing.T) {
 		t.Fatal("Pending false before the first completion")
 	}
 	for completed := 1; completed <= 10; completed++ {
-		in.OnCompletion(completed)
+		in.OnCompletion(completed, sim.Time(completed)*sim.Millisecond)
 		// The last threshold, 0.6 of 10, fires at the sixth completion.
 		if got, want := in.Pending(), completed < 6; got != want {
 			t.Fatalf("Pending = %v after completion %d, want %v", got, completed, want)
@@ -227,7 +226,7 @@ func TestInjectorFractionThresholds(t *testing.T) {
 // Pending turns false after the last. A time-positioned event does not
 // count as pending, and a schedule without fractions never is.
 func TestInjectorThresholdsCrossedAtOnce(t *testing.T) {
-	eng := sim.NewEngine()
+	clk := &clock{}
 	acts := &fakeActions{}
 	events := []Event{
 		{Kind: KindServerCrash, AtFraction: 0.2, Server: 0},
@@ -235,15 +234,15 @@ func TestInjectorThresholdsCrossedAtOnce(t *testing.T) {
 		{Kind: KindLinkDelay, AtMs: 1, Rack: 0, ExtraMs: 1},
 		{Kind: KindServerRestart, AtFraction: 0.5, Server: 0},
 	}
-	in, err := NewInjector(eng, acts, 10, events, nil)
+	in, err := NewInjector(clk.schedule, acts, 10, events, nil)
 	if err != nil {
 		t.Fatalf("NewInjector: %v", err)
 	}
-	in.OnCompletion(1)
+	in.OnCompletion(1, sim.Millisecond)
 	if len(acts.calls) != 0 || !in.Pending() {
 		t.Fatalf("after 1 completion: calls %v, Pending %v; want none fired and pending", acts.calls, in.Pending())
 	}
-	in.OnCompletion(7)
+	in.OnCompletion(7, 7*sim.Millisecond)
 	want := []string{"crash-server(0)", "slowdown(1,x2)", "restart-server(0)"}
 	if fmt.Sprint(acts.calls) != fmt.Sprint(want) {
 		t.Fatalf("calls = %v, want %v", acts.calls, want)
@@ -251,12 +250,12 @@ func TestInjectorThresholdsCrossedAtOnce(t *testing.T) {
 	if in.Pending() {
 		t.Fatal("Pending after every threshold fired")
 	}
-	in.OnCompletion(10)
+	in.OnCompletion(10, 10*sim.Millisecond)
 	if len(acts.calls) != len(want) {
 		t.Fatalf("calls = %v after the run's last completion, want no more", acts.calls)
 	}
 
-	timed, err := NewInjector(eng, acts, 10, events[2:3], nil)
+	timed, err := NewInjector(clk.schedule, acts, 10, events[2:3], nil)
 	if err != nil {
 		t.Fatalf("NewInjector: %v", err)
 	}
@@ -266,10 +265,10 @@ func TestInjectorThresholdsCrossedAtOnce(t *testing.T) {
 }
 
 func TestInjectorReportsErrorsWithoutInverse(t *testing.T) {
-	eng := sim.NewEngine()
+	clk := &clock{}
 	acts := &fakeActions{failAll: true}
 	var reports []string
-	in, err := NewInjector(eng, acts, 100, []Event{
+	in, err := NewInjector(clk.schedule, acts, 100, []Event{
 		{Kind: KindServerCrash, AtMs: 1, Server: 0, DurationMs: 10},
 	}, func(msg string) { reports = append(reports, msg) })
 	if err != nil {
@@ -278,20 +277,73 @@ func TestInjectorReportsErrorsWithoutInverse(t *testing.T) {
 	if err := in.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	eng.Run()
+	clk.run()
 	// The failed crash must not schedule its restart inverse.
-	if len(acts.calls) != 1 {
-		t.Fatalf("calls = %v, want only the failed crash", acts.calls)
+	if len(acts.calls) != 1 || len(clk.scheduled) != 1 {
+		t.Fatalf("calls = %v, scheduled at %v; want only the failed crash", acts.calls, clk.scheduled)
 	}
-	if len(reports) != 1 {
-		t.Fatalf("reports = %v, want one error line", reports)
+	// The error line carries the fault's instant.
+	if len(reports) != 1 || !strings.Contains(reports[0], " at "+sim.Millisecond.String()+": ") {
+		t.Fatalf("reports = %v, want one error line at %v", reports, sim.Millisecond)
 	}
 }
 
 func TestInjectorRejectsInvalidEvents(t *testing.T) {
-	eng := sim.NewEngine()
-	_, err := NewInjector(eng, &fakeActions{}, 100, []Event{{Kind: "nope", AtMs: 1}}, nil)
+	clk := &clock{}
+	_, err := NewInjector(clk.schedule, &fakeActions{}, 100, []Event{{Kind: "nope", AtMs: 1}}, nil)
 	if !errors.Is(err, ErrInvalidSchedule) {
 		t.Fatalf("err = %v, want ErrInvalidSchedule", err)
+	}
+}
+
+// TestInjectorThresholdInverseAndScheduleError: a fraction-positioned
+// fault with a duration schedules its inverse at the instant the runner
+// passed plus the duration, and Start returns the scheduler's refusal.
+func TestInjectorThresholdInverseAndScheduleError(t *testing.T) {
+	clk := &clock{}
+	acts := &fakeActions{}
+	in, err := NewInjector(clk.schedule, acts, 10, []Event{
+		{Kind: KindServerCrash, AtFraction: 0.5, Server: 3, DurationMs: 4},
+	}, nil)
+	if err != nil {
+		t.Fatalf("NewInjector: %v", err)
+	}
+	in.OnCompletion(5, 7*sim.Millisecond)
+	if len(clk.scheduled) != 1 || clk.scheduled[0] != 11*sim.Millisecond {
+		t.Fatalf("inverse scheduled at %v, want [%v]", clk.scheduled, 11*sim.Millisecond)
+	}
+	clk.run()
+	if want := "[crash-server(3) restart-server(3)]"; fmt.Sprint(acts.calls) != want {
+		t.Fatalf("calls = %v, want %s", acts.calls, want)
+	}
+
+	refused := &clock{err: errors.New("closed")}
+	timed, err := NewInjector(refused.schedule, acts, 10, []Event{{Kind: KindServerCrash, AtMs: 1, Server: 0}}, nil)
+	if err != nil {
+		t.Fatalf("NewInjector: %v", err)
+	}
+	if err := timed.Start(); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("Start = %v, want the scheduler's error", err)
+	}
+}
+
+// TestEventString pins the compact rendering Result.Errors lines carry:
+// the kind, its target, and the position on the clock or the run.
+func TestEventString(t *testing.T) {
+	for _, tc := range []struct {
+		ev   Event
+		want string
+	}{
+		{Event{Kind: KindRSNodeCrash, AtFraction: 0.35, RSNode: TargetBusiest}, "rsnode-crash(busiest)@35%"},
+		{Event{Kind: KindRSNodeRecover, AtMs: 20, RSNode: "7"}, "rsnode-recover(7)@20.000ms"},
+		{Event{Kind: KindServerSlowdown, AtMs: 1.5, Server: 2, Multiplier: 4}, "server-slowdown(server=2,x4)@1.500ms"},
+		{Event{Kind: KindServerCrash, AtFraction: 0.5, Server: 3}, "server-crash(server=3)@50%"},
+		{Event{Kind: KindServerRestart, AtMs: 9, Server: 3}, "server-restart(server=3)@9.000ms"},
+		{Event{Kind: KindLinkDelay, AtMs: 30, Rack: 1, ExtraMs: 0.25}, "link-delay(rack=1,+0.25ms)@30.000ms"},
+		{Event{Kind: "nope", AtMs: 1}, "nope@1.000ms"},
+	} {
+		if got := tc.ev.String(); got != tc.want {
+			t.Errorf("%+v renders %q, want %q", tc.ev, got, tc.want)
+		}
 	}
 }

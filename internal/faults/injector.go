@@ -37,14 +37,14 @@ type threshold struct {
 	ev    Event
 }
 
-// Injector executes a validated fault schedule against a run. Time-positioned
-// events are placed on the engine agenda by Start; fraction-positioned events
-// fire from OnCompletion once the completion count reaches the fraction of
-// the run's total, rounded down and at least one.
+// Injector executes a validated fault schedule against a run. Start hands
+// the time-positioned events to the run's scheduler; fraction-positioned
+// events fire from OnCompletion once the completion count reaches the
+// fraction of the run's total, rounded down and at least one.
 type Injector struct {
-	eng    *sim.Engine
-	acts   Actions
-	report func(msg string)
+	schedule func(at sim.Time, fn func()) error
+	acts     Actions
+	report   func(msg string)
 
 	timed      []Event
 	thresholds []threshold
@@ -53,16 +53,19 @@ type Injector struct {
 }
 
 // NewInjector compiles events against a run of total measured requests.
+// schedule runs fn at absolute instant at; the cluster runner passes its
+// ShardSet's ScheduleGlobal, so every fault and inverse runs at a barrier,
+// before the partition events at its instant, at any partition count.
 // The report sink receives one deterministic line per fault that fails to
 // apply; nil discards them.
-func NewInjector(eng *sim.Engine, acts Actions, total int, events []Event, report func(msg string)) (*Injector, error) {
+func NewInjector(schedule func(at sim.Time, fn func()) error, acts Actions, total int, events []Event, report func(msg string)) (*Injector, error) {
 	if err := ValidateEvents(events); err != nil {
 		return nil, err
 	}
 	if report == nil {
 		report = func(string) {}
 	}
-	in := &Injector{eng: eng, acts: acts, report: report}
+	in := &Injector{schedule: schedule, acts: acts, report: report}
 	for _, e := range events {
 		if e.AtFraction > 0 {
 			count := int(e.AtFraction * float64(total))
@@ -74,20 +77,20 @@ func NewInjector(eng *sim.Engine, acts Actions, total int, events []Event, repor
 		}
 		in.timed = append(in.timed, e)
 	}
-	// Stable: equal counts keep declaration order, matching the FIFO
-	// tie-break the engine applies to equal-time events.
+	// Stable: equal counts keep declaration order, as timed events due at
+	// one instant run in the order Start schedules them.
 	sort.SliceStable(in.thresholds, func(i, j int) bool {
 		return in.thresholds[i].count < in.thresholds[j].count
 	})
 	return in, nil
 }
 
-// Start places the time-positioned events on the agenda. Call once, before
-// the engine runs.
+// Start schedules the time-positioned events, in declaration order. Call
+// once, before the run starts.
 func (in *Injector) Start() error {
-	for _, e := range in.timed {
-		ev := e
-		if err := in.eng.ScheduleAt(sim.FromMs(ev.AtMs), func() { in.apply(ev) }); err != nil {
+	for _, ev := range in.timed {
+		at := sim.FromMs(ev.AtMs)
+		if err := in.schedule(at, func() { in.apply(ev, at) }); err != nil {
 			return fmt.Errorf("faults: schedule %s: %w", ev, err)
 		}
 	}
@@ -96,13 +99,14 @@ func (in *Injector) Start() error {
 
 // OnCompletion fires every fraction-positioned event whose threshold the
 // completion count has reached, in threshold order (equal thresholds in
-// declaration order). The runner calls it with the count after a whole
-// instant's completions, which may cross several thresholds at once.
-func (in *Injector) OnCompletion(completed int) {
+// declaration order), at instant now. The runner calls it with the count
+// after a whole instant's completions, which may cross several thresholds
+// at once.
+func (in *Injector) OnCompletion(completed int, now sim.Time) {
 	for in.next < len(in.thresholds) && in.thresholds[in.next].count <= completed {
 		ev := in.thresholds[in.next].ev
 		in.next++
-		in.apply(ev)
+		in.apply(ev, now)
 	}
 }
 
@@ -113,9 +117,9 @@ func (in *Injector) Pending() bool { return in.next < len(in.thresholds) }
 // been applied so far.
 func (in *Injector) Fired() int { return in.fired }
 
-// apply dispatches one event and, on success, schedules its inverse when a
-// duration is set.
-func (in *Injector) apply(ev Event) {
+// apply dispatches one event at instant now and, on success, schedules its
+// inverse DurationMs later when a duration is set.
+func (in *Injector) apply(ev Event, now sim.Time) {
 	in.fired++
 	var inverse *Event
 	var err error
@@ -147,11 +151,13 @@ func (in *Injector) apply(ev Event) {
 		err = fmt.Errorf("unknown event kind %q: %w", ev.Kind, ErrInvalidSchedule)
 	}
 	if err != nil {
-		in.report(fmt.Sprintf("fault %s at %v: %v", ev, in.eng.Now(), err))
+		in.report(fmt.Sprintf("fault %s at %v: %v", ev, now, err))
 		return
 	}
 	if inverse != nil {
-		inv := *inverse
-		in.eng.MustSchedule(sim.FromMs(ev.DurationMs), func() { in.apply(inv) })
+		inv, at := *inverse, now+sim.FromMs(ev.DurationMs)
+		if err := in.schedule(at, func() { in.apply(inv, at) }); err != nil {
+			panic(fmt.Sprintf("faults: schedule %s: %v", inv, err))
+		}
 	}
 }

@@ -24,10 +24,9 @@
 //     injector (see internal/faults).
 //
 // Workload and static fabric/server hooks consume no scheduler events and
-// no root RNG streams, so scenarios are shard-safe: a sharded run's
-// arrival streams replay the shaped source, or the trace, exactly.
-// Fault events inherit the fault injector's restriction to a single
-// partition (Shards ≤ 1; see Scenario.ShardSafe).
+// no root RNG streams, so a sharded run's arrival streams replay the
+// shaped source, or the trace, exactly. Fault events run at the sharded
+// engine's barrier, so every scenario runs at any shard count.
 package scenario
 
 import (
@@ -114,8 +113,7 @@ type Scenario struct {
 	// ReplayTracePath replays a recorded workload trace instead of the
 	// synthetic source.
 	ReplayTracePath string `json:"replayTracePath,omitempty"`
-	// Faults is the run's fault schedule (a single partition, Shards ≤ 1,
-	// only; see internal/faults).
+	// Faults is the run's fault schedule (see internal/faults).
 	Faults []faults.Event `json:"faults,omitempty"`
 }
 
@@ -191,14 +189,6 @@ func (s Scenario) Empty() bool {
 // request stream (and therefore cannot combine with trace replay).
 func (s Scenario) ShapesWorkload() bool {
 	return s.Diurnal != nil || s.FlashCrowd != nil
-}
-
-// ShardSafe reports whether the scenario can run on the sharded engine.
-// Workload shaping, trace replay, and static fabric/server hooks replay
-// bit-identically at any shard count; fault events need a single partition
-// (Shards ≤ 1, the same restriction the fault injector carries).
-func (s Scenario) ShardSafe() bool {
-	return len(s.Faults) == 0
 }
 
 // Label names the scenario in tables: Name when set, "custom" otherwise.

@@ -181,7 +181,7 @@ func TestCompileHooks(t *testing.T) {
 
 func TestPredicates(t *testing.T) {
 	var zero Scenario
-	if !zero.Empty() || !zero.ShardSafe() || zero.ShapesWorkload() {
+	if !zero.Empty() || zero.ShapesWorkload() {
 		t.Fatal("zero-scenario predicates wrong")
 	}
 	if zero.Label() != "custom" {
@@ -192,15 +192,15 @@ func TestPredicates(t *testing.T) {
 		t.Fatal("named empty scenario predicates wrong")
 	}
 	withFaults := Scenario{Faults: []faults.Event{{Kind: faults.KindServerCrash, AtMs: 5, Server: 0}}}
-	if withFaults.ShardSafe() || withFaults.Empty() {
-		t.Fatal("fault scenario must be non-empty and shard-unsafe")
+	if withFaults.Empty() || withFaults.ShapesWorkload() {
+		t.Fatal("fault scenario must be non-empty and leave the workload alone")
 	}
 	withTrace := Scenario{ReplayTracePath: "t.csv"}
-	if !withTrace.ShardSafe() || withTrace.Empty() {
-		t.Fatal("trace scenario must be non-empty and shard-safe")
+	if withTrace.Empty() || withTrace.ShapesWorkload() {
+		t.Fatal("trace scenario must be non-empty and leave the synthetic workload alone")
 	}
 	shaped := Scenario{Diurnal: &Diurnal{Cycles: 1, Amplitude: 0.1}}
-	if !shaped.ShapesWorkload() || !shaped.ShardSafe() || shaped.Empty() {
+	if !shaped.ShapesWorkload() || shaped.Empty() {
 		t.Fatal("diurnal scenario predicates wrong")
 	}
 }

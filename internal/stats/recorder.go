@@ -100,9 +100,6 @@ func (r *Recorder) spill() {
 	r.sorted = false
 }
 
-// Bounded reports whether the recorder has a sample cap.
-func (r *Recorder) Bounded() bool { return r.limit > 0 }
-
 // Exact reports whether percentile queries are still answered from the
 // full sample set (always true for unbounded recorders).
 func (r *Recorder) Exact() bool { return r.hist == nil }

@@ -17,8 +17,9 @@ import (
 // run degrades after a fault and when it re-converges after recovery,
 // rather than one steady-state number that averages the excursion away.
 //
-// Buckets are indexed by completion time. Width must be positive; samples
-// are appended in simulation order, so summaries are deterministic.
+// Buckets are indexed by completion time. Width must be positive. Buckets
+// sorts each bucket's samples, so a summary does not depend on the order
+// samples were recorded or timelines merged.
 type Timeline struct {
 	width   sim.Time
 	buckets []timelineBucket
@@ -88,6 +89,27 @@ func (t *Timeline) Record(at sim.Time, latency sim.Time, degraded bool) {
 // RecordTimeout notes a timeout expiry at instant at.
 func (t *Timeline) RecordTimeout(at sim.Time) {
 	t.bucketAt(at).timeouts++
+}
+
+// Merge folds other into t, which must have the same bucket width. The
+// fold is exact: each bucket's samples are appended and its sum and counts
+// added, so t ends up as the one timeline fed both sample streams would
+// be, in any merge order (Buckets sorts the samples it summarizes).
+func (t *Timeline) Merge(other *Timeline) error {
+	if other.width != t.width {
+		return fmt.Errorf("stats: merge timeline of bucket width %v into width %v", other.width, t.width)
+	}
+	if grow := len(other.buckets) - len(t.buckets); grow > 0 {
+		t.buckets = append(t.buckets, make([]timelineBucket, grow)...)
+	}
+	for i := range other.buckets {
+		b, o := &t.buckets[i], &other.buckets[i]
+		b.samples = append(b.samples, o.samples...)
+		b.sum += o.sum
+		b.degraded += o.degraded
+		b.timeouts += o.timeouts
+	}
+	return nil
 }
 
 // Buckets summarizes the series: one entry per bucket from time zero

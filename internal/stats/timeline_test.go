@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -126,5 +127,90 @@ func TestTimelineMeanSubTickPrecision(t *testing.T) {
 	want := 1.5 / float64(sim.Millisecond)
 	if b.MeanMs != want {
 		t.Fatalf("MeanMs = %v, want %v (1.5 ns, not truncated to 1 ns)", b.MeanMs, want)
+	}
+}
+
+// TestTimelineMergeMatchesSingle splits one sample stream over three
+// timelines of unequal length, with empty buckets, degraded completions
+// and timeouts, and folds them in every order: each fold summarizes to
+// the buckets of the one timeline fed every sample. Timelines of
+// different widths do not merge.
+func TestTimelineMergeMatchesSingle(t *testing.T) {
+	const width = 10 * sim.Millisecond
+	type sample struct {
+		part     int
+		at, lat  sim.Time
+		degraded bool
+		timeout  bool
+	}
+	rng := sim.NewRNG(7)
+	var stream []sample
+	for i := range 300 {
+		// Partition 0 completes only in the first 40 ms, partition 1 only
+		// in 60-120 ms, partition 2 throughout; 40-60 ms stays empty.
+		part := i % 3
+		at := sim.Time(rng.Intn(int(40 * sim.Millisecond)))
+		switch part {
+		case 1:
+			at += 60 * sim.Millisecond
+		case 2:
+			if i%2 == 0 {
+				at += 80 * sim.Millisecond
+			}
+		}
+		stream = append(stream, sample{
+			part:     part,
+			at:       at,
+			lat:      sim.Time(1 + rng.Intn(int(5*sim.Millisecond))),
+			degraded: rng.Float64() < 0.2,
+			timeout:  part > 0 && rng.Float64() < 0.1,
+		})
+	}
+	record := func(tl *Timeline, s sample) {
+		if s.timeout {
+			tl.RecordTimeout(s.at)
+			return
+		}
+		tl.Record(s.at, s.lat, s.degraded)
+	}
+	single, err := NewTimeline(width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stream {
+		record(single, s)
+	}
+	want := single.Buckets()
+	if len(want) != 12 || want[4].Count != 0 || want[5].Count != 0 {
+		t.Fatalf("single timeline %+v; want 12 buckets with 40-60 ms empty", want)
+	}
+
+	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		var parts [3]*Timeline
+		for i := range parts {
+			if parts[i], err = NewTimeline(width); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range stream {
+			record(parts[s.part], s)
+		}
+		merged := parts[order[0]]
+		for _, p := range order[1:] {
+			if err := merged.Merge(parts[p]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := merged.Buckets(); !reflect.DeepEqual(got, want) {
+			t.Errorf("merge order %v:\n got %+v\nwant %+v", order, got, want)
+		}
+	}
+
+	other, err := NewTimeline(2 * width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := single.Merge(other); err == nil {
+		t.Error("timelines of different widths merged")
 	}
 }

@@ -62,9 +62,6 @@ type Summary = stats.Summary
 // internal/faults for event semantics and validation rules.
 type FaultEvent = faults.Event
 
-// FaultSchedule is the JSON schedule-file format of `netrs-sim -faults`.
-type FaultSchedule = faults.Schedule
-
 // TimelineBucket is one bucket of a run's time-resolved latency/DRS-share
 // series (Result.Timeline), produced when Config.TimelineBucket is set.
 type TimelineBucket = stats.TimelineBucket
@@ -86,9 +83,6 @@ const (
 	FaultTargetFailed  = faults.TargetFailed
 )
 
-// LoadFaultSchedule reads and validates a JSON fault-schedule file.
-func LoadFaultSchedule(path string) (FaultSchedule, error) { return faults.LoadSchedule(path) }
-
 // Scenario declares a run's composite stress scenario (diurnal load
 // curve, flash-crowd key spike, slow racks, heterogeneous server speeds,
 // trace replay, the run's fault schedule); see internal/scenario for section
@@ -100,9 +94,6 @@ func ScenarioNames() []string { return scenario.Names() }
 
 // ScenarioByName resolves a built-in scenario.
 func ScenarioByName(name string) (Scenario, error) { return scenario.ByName(name) }
-
-// LoadScenario reads and validates a JSON scenario file.
-func LoadScenario(path string) (Scenario, error) { return scenario.Load(path) }
 
 // ResolveScenario accepts either a built-in scenario name or a JSON
 // scenario file path — the contract of `netrs-sim -scenario` and
@@ -188,16 +179,10 @@ type RunOptions struct {
 // RunRepeated executes the experiment once per seed — the paper repeats
 // every experiment three times with different random deployments — and
 // returns the per-run results plus the merged summary. Seeds run in
-// parallel up to runtime.GOMAXPROCS(0); use RunRepeatedWith to pick the
-// parallelism explicitly.
-func RunRepeated(cfg Config, seeds []uint64) ([]Result, Summary, error) {
-	return RunRepeatedWith(cfg, seeds, RunOptions{})
-}
-
-// RunRepeatedWith is RunRepeated with explicit execution options. Results
-// are ordered by seed regardless of completion order, so every
-// parallelism level returns bit-identical output.
-func RunRepeatedWith(cfg Config, seeds []uint64, opts RunOptions) ([]Result, Summary, error) {
+// parallel as opts allows. Results are ordered by seed regardless of
+// completion order, so every parallelism level returns bit-identical
+// output.
+func RunRepeated(cfg Config, seeds []uint64, opts RunOptions) ([]Result, Summary, error) {
 	// One cell: it completes only if every seed does.
 	cells, err := runGrid(cfg, make([]struct{}, 1), seeds, opts, nil, nil, nil)
 	if err != nil {

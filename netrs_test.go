@@ -34,7 +34,7 @@ func TestRunFacade(t *testing.T) {
 func TestRunRepeatedMerges(t *testing.T) {
 	cfg := testConfig()
 	cfg.Scheme = SchemeCliRS
-	runs, merged, err := RunRepeated(cfg, []uint64{1, 2, 3})
+	runs, merged, err := RunRepeated(cfg, []uint64{1, 2, 3}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRunRepeatedMerges(t *testing.T) {
 	if diff := merged.MeanMs - want; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("merged mean %v, want %v", merged.MeanMs, want)
 	}
-	if _, _, err := RunRepeated(cfg, nil); err == nil {
+	if _, _, err := RunRepeated(cfg, nil, RunOptions{}); err == nil {
 		t.Fatal("empty seeds accepted")
 	}
 }
@@ -137,7 +137,7 @@ func TestRunSweepAndTable(t *testing.T) {
 	}
 	// RunSweep calls progress from concurrent trials.
 	var cells atomic.Int32
-	res, err := RunSweep(base, sw, []uint64{1}, func(string, Scheme) { cells.Add(1) })
+	res, err := RunSweep(base, sw, []uint64{1}, func(string, Scheme) { cells.Add(1) }, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,11 @@ func TestSweepParallelismIsDeterministic(t *testing.T) {
 	cfg, sw := miniFig4()
 	seeds := []uint64{1, 2}
 
-	seq, err := RunSweepWith(cfg, sw, seeds, nil, RunOptions{Parallelism: 1})
+	seq, err := RunSweep(cfg, sw, seeds, nil, RunOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSweepWith(cfg, sw, seeds, nil, RunOptions{Parallelism: 8})
+	par, err := RunSweep(cfg, sw, seeds, nil, RunOptions{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestRunRepeatedParallelismIsDeterministic(t *testing.T) {
 	cfg.Scheme = SchemeNetRSToR
 	seeds := []uint64{3, 1, 2}
 
-	seqRuns, seqMerged, err := RunRepeatedWith(cfg, seeds, RunOptions{Parallelism: 1})
+	seqRuns, seqMerged, err := RunRepeated(cfg, seeds, RunOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRuns, parMerged, err := RunRepeatedWith(cfg, seeds, RunOptions{Parallelism: 4})
+	parRuns, parMerged, err := RunRepeated(cfg, seeds, RunOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRunSweepPartialResultOnError(t *testing.T) {
 		},
 		Schemes: []Scheme{SchemeCliRS},
 	}
-	res, err := RunSweepWith(cfg, sw, []uint64{1}, nil, RunOptions{Parallelism: 1})
+	res, err := RunSweep(cfg, sw, []uint64{1}, nil, RunOptions{Parallelism: 1})
 	if err == nil {
 		t.Fatal("invalid cell did not error")
 	}
@@ -103,7 +103,7 @@ func TestRunSweepPartialResultOnError(t *testing.T) {
 func TestRunRepeatedBadSeedError(t *testing.T) {
 	cfg := testConfig()
 	cfg.Utilization = -1
-	_, _, err := RunRepeated(cfg, []uint64{7})
+	_, _, err := RunRepeated(cfg, []uint64{7}, RunOptions{})
 	if err == nil {
 		t.Fatal("invalid config accepted")
 	}
@@ -129,7 +129,7 @@ func TestRunSweepProgressCoverage(t *testing.T) {
 	}
 	var mu sync.Mutex
 	seen := map[string]int{}
-	_, err := RunSweepWith(cfg, sw, []uint64{1, 2}, func(x string, s Scheme) {
+	_, err := RunSweep(cfg, sw, []uint64{1, 2}, func(x string, s Scheme) {
 		mu.Lock()
 		seen[x+"/"+s.String()]++
 		mu.Unlock()
