@@ -43,7 +43,6 @@ func run(args []string) (retErr error) {
 	seedsFlag := fs.String("seeds", "", "comma-separated seeds for repeated runs (overrides -seed; merged summary reported)")
 	trialPar := fs.Int("parallel", 0, "concurrent repeated runs: 0 = GOMAXPROCS, 1 = sequential (env NETRS_PARALLEL sets the default; not -parallelism, which is per-server capacity)")
 	shards := fs.Int("shards", def.Shards, "intra-run worker count for the pod-parallel sharded engine (0/1 = a single partition; every value above 1 gives the same result)")
-	statsCap := fs.Int("stats-cap", 0, "bound latency-recorder memory to this many exact samples (0 = exact mode)")
 	topoPreset := fs.String("topo", "", "topology preset: scale16 (k=16, 1024 hosts) or scale32 (k=32, 8192 hosts); conflicts with -k/-servers/-clients/-generators")
 	k := fs.Int("k", def.FatTreeK, "fat-tree arity (k=16 → 1024 hosts)")
 	servers := fs.Int("servers", def.Servers, "number of replica servers (Ns)")
@@ -144,7 +143,6 @@ func run(args []string) (retErr error) {
 	cfg.WarmupFraction = *warmup
 	cfg.RateControl = *rateControl
 	cfg.RackLevelGroups = *rackGroups
-	cfg.StatsSampleCap = *statsCap
 	cfg.ControllerInterval = sim.FromMs(*epochMs)
 	cfg.DemandShiftAt = *shiftAt
 	cfg.DemandShiftFraction = *shiftFraction

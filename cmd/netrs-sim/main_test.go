@@ -45,6 +45,10 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run(tinyArgs("-requests", "0")); err == nil {
 		t.Fatal("zero requests accepted")
 	}
+	// The retired recorder cap is an unknown flag.
+	if err := run(tinyArgs("-stats-cap", "100")); err == nil {
+		t.Fatal("retired -stats-cap accepted")
+	}
 }
 
 func TestRunRepeatedSeeds(t *testing.T) {
@@ -59,15 +63,6 @@ func TestRunRepeatedSeeds(t *testing.T) {
 	}
 	if err := run(tinyArgs("-seeds", "1,2", "-trace", "/tmp/should-not-happen.csv")); err == nil {
 		t.Fatal("trace with repeated seeds accepted")
-	}
-}
-
-func TestRunStatsCap(t *testing.T) {
-	if err := run(tinyArgs("-stats-cap", "100")); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(tinyArgs("-stats-cap", "-5")); err == nil {
-		t.Fatal("negative stats cap accepted")
 	}
 }
 

@@ -57,7 +57,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	in.TimelineBucket = 50 * Millisecond
 	in.ControllerInterval = 100 * Millisecond
 	in.KeepLatencyTrace = true
-	in.StatsSampleCap = 1000
 	scn, err := ScenarioByName("flash-crowd")
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +176,7 @@ func TestUnmarshalConfigErrors(t *testing.T) {
 		t.Fatal("bogus scheme accepted")
 	}
 	// Retired and misspelled keys fail loudly rather than being dropped.
-	for _, key := range []string{"failRSNodeAt", "replayTracePath", "faults", "meanServiceTimeUs", "sheme"} {
+	for _, key := range []string{"failRSNodeAt", "replayTracePath", "faults", "meanServiceTimeUs", "statsSampleCap", "sheme"} {
 		if _, err := UnmarshalConfig([]byte(`{"scheme":"CliRS","` + key + `":1}`)); err == nil {
 			t.Fatalf("unknown key %q accepted", key)
 		}

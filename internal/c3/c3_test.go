@@ -504,23 +504,24 @@ func TestReadsDoNotCreateState(t *testing.T) {
 			t.Fatal(err)
 		}
 		states, index := s.states, len(s.slotOf)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 1000; i++ {
-			server := i * 7 // never 3 or 9, the servers seen
+		i := 0
+		// AllocsPerRun makes one warm-up call, so 999 runs read servers
+		// 0, 7, ..., 6993: never 3 or 9, the servers seen.
+		allocs := testing.AllocsPerRun(999, func() {
+			server := i * 7
+			i++
 			s.OnAbandon(server)
 			if s.Outstanding(server) != 0 || s.Rate(server) != s.cfg.InitialRate {
 				t.Fatalf("rate=%v: unseen server %d reads %d outstanding, rate %v",
 					rateControl, server, s.Outstanding(server), s.Rate(server))
 			}
-		}
-		runtime.ReadMemStats(&after)
+		})
 		if s.states != states || len(s.slotOf) != index {
 			t.Errorf("rate=%v: reads took states %d → %d, index %d → %d",
 				rateControl, states, s.states, index, len(s.slotOf))
 		}
-		if d := after.TotalAlloc - before.TotalAlloc; d != 0 {
-			t.Errorf("rate=%v: reads of unseen servers allocated %d bytes", rateControl, d)
+		if allocs != 0 {
+			t.Errorf("rate=%v: a read of an unseen server allocates %v times, want 0", rateControl, allocs)
 		}
 	}
 }

@@ -15,6 +15,8 @@ package cache
 import (
 	"errors"
 	"fmt"
+
+	"netrs/internal/sim"
 )
 
 // ErrInvalidConfig reports a cache configured outside its domain.
@@ -137,9 +139,11 @@ func New(cfg Config) (*Cache, error) {
 // Enabled reports whether the cache can ever hit.
 func (c *Cache) Enabled() bool { return c.budget > 0 }
 
-// ItemSize returns the deterministic value size of a key in bytes.
+// ItemSize returns the deterministic value size of a key in bytes. The
+// bijective mix makes the sizes uniform over [MinItem, MaxItem] yet a
+// key's size a pure function of the key.
 func (c *Cache) ItemSize(key uint64) int64 {
-	return c.minItem + int64(mix64(key)%uint64(c.span))
+	return c.minItem + int64(sim.Mix64(key)%uint64(c.span))
 }
 
 // Lookup consults the cache on the request path. A hit refreshes the key's
@@ -276,14 +280,4 @@ func (c *Cache) moveToFront(e *entry) {
 	}
 	e.prev = nil
 	c.pushFront(e)
-}
-
-// mix64 is the SplitMix64 finalizer, a bijective 64-bit mixer; it decides
-// item sizes so the size distribution is uniform over [MinItem, MaxItem]
-// yet a key's size is a pure function of the key.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -246,14 +246,6 @@ type Config struct {
 	// for external analysis.
 	KeepLatencyTrace bool `json:"keepLatencyTrace,omitempty"`
 
-	// StatsSampleCap bounds the latency recorder's memory: the run keeps
-	// at most this many exact samples and spills into a log-bucketed
-	// histogram (relative quantile error < 0.2%) past it. Zero keeps the
-	// exact-sample recorder. Useful when many trials run concurrently —
-	// a parallel sweep otherwise holds every cell's full sample slice
-	// alive at once.
-	StatsSampleCap int `json:"statsSampleCap,omitempty"`
-
 	// Scenario declares the run's composite stress scenario — diurnal
 	// arrival-rate curve, flash-crowd key spike, persistently slow racks,
 	// heterogeneous server speed classes, trace replay, and the run's one
@@ -383,8 +375,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("redundant percentile %v: %w", c.RedundantPercentile, ErrInvalidParam)
 	case c.GroupMaxHosts < 0:
 		return fmt.Errorf("group max hosts %d: %w", c.GroupMaxHosts, ErrInvalidParam)
-	case c.StatsSampleCap < 0:
-		return fmt.Errorf("stats sample cap %d: %w", c.StatsSampleCap, ErrInvalidParam)
 	case c.TimelineBucket < 0:
 		return fmt.Errorf("timeline bucket %v: %w", c.TimelineBucket, ErrInvalidParam)
 	case c.ControllerInterval < 0:

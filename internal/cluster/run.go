@@ -52,8 +52,8 @@ type Result struct {
 	OperatorSelections uint64 `json:"operatorSelections"`
 	// FailedRSNode records the RSNode ID failed by injection (0 = none).
 	FailedRSNode uint16 `json:"failedRSNode,omitempty"`
-	// SimulatedSpanNs is the simulated duration of the run in
-	// nanoseconds.
+	// SimulatedSpan is the simulated duration of the run, the instant of
+	// its last completion; JSON carries it in nanoseconds.
 	SimulatedSpan sim.Time `json:"simulatedSpanNs"`
 	// MaxAccelUtilization is the busiest accelerator's utilization.
 	MaxAccelUtilization float64 `json:"maxAccelUtilization"`
@@ -612,11 +612,7 @@ func (r *runner) setup() error {
 		if i > 0 {
 			hint = measured/len(r.parts) + 1
 		}
-		if cfg.StatsSampleCap > 0 {
-			st.rec = stats.NewBoundedRecorder(hint, cfg.StatsSampleCap)
-		} else {
-			st.rec = stats.NewRecorder(hint)
-		}
+		st.rec = stats.NewRecorder(hint)
 		if cfg.TimelineBucket > 0 {
 			if st.timeline, err = stats.NewTimeline(cfg.TimelineBucket); err != nil {
 				return err
@@ -972,13 +968,11 @@ func (r *runner) result() (Result, error) {
 	// The partition recorders and timelines fold into the first: the
 	// merged multisets are the ones a single partition would hold, and the
 	// summaries are order-independent (count, integer-sum mean, sorted
-	// percentiles, or histogram buckets once StatsSampleCap is exceeded).
+	// percentiles).
 	rec, tl := r.parts[0].rec, r.parts[0].timeline
 	for i, st := range r.parts {
 		if i > 0 {
-			if err := rec.Merge(st.rec); err != nil {
-				return Result{}, err
-			}
+			rec.Merge(st.rec)
 			if tl != nil {
 				if err := tl.Merge(st.timeline); err != nil {
 					return Result{}, err

@@ -98,74 +98,6 @@ func TestShardedEpochsMatchSequential(t *testing.T) {
 	}
 }
 
-// runStages runs cfg as Run does and returns the finished runner before
-// result folds its partition recorders together.
-func runStages(t *testing.T, cfg Config) *runner {
-	t.Helper()
-	if err := cfg.validate(); err != nil {
-		t.Fatal(err)
-	}
-	r := &runner{cfg: cfg}
-	for _, stage := range []func() error{r.setup, r.start, r.drive} {
-		if err := stage(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return r
-}
-
-// TestShardedBoundedStatsMatchSequential runs a capped latency recorder at
-// P = 1 and P = 2 partitions. The partition recorders merge into one with
-// the same cap, and the spilled histogram does not depend on insertion
-// order, so both give the same Summary: with a cap every recording
-// partition exceeds, and with one only the merged total exceeds.
-func TestShardedBoundedStatsMatchSequential(t *testing.T) {
-	base := shardedTestConfig()
-	base.Seed = 1
-	for _, tc := range []struct {
-		name         string
-		cap          int
-		partsSpilled bool
-	}{
-		{"every partition spills", 100, true},
-		{"only the merge spills", 1500, false},
-	} {
-		cfg := base
-		cfg.StatsSampleCap = tc.cap
-		want, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Shards = 2
-		r := runStages(t, cfg)
-		recording := 0
-		for i, st := range r.parts {
-			if st.rec.Count() == 0 {
-				continue
-			}
-			recording++
-			if spilled := !st.rec.Exact(); spilled != tc.partsSpilled {
-				t.Fatalf("%s: partition %d spilled=%v with %d samples, want %v",
-					tc.name, i, spilled, st.rec.Count(), tc.partsSpilled)
-			}
-		}
-		if recording < 2 {
-			t.Fatalf("%s: %d recording partitions; the test merges nothing", tc.name, recording)
-		}
-		got, err := r.result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.parts[0].rec.Exact() {
-			t.Fatalf("%s: merged recorder of %d samples stayed exact under cap %d",
-				tc.name, r.parts[0].rec.Count(), tc.cap)
-		}
-		if got.Summary != want.Summary {
-			t.Errorf("%s: shards 2 summary %+v, want %+v", tc.name, got.Summary, want.Summary)
-		}
-	}
-}
-
 // TestShardedReplayMatchesSequential replays one recorded trace at
 // Shards 1, 2, and 4: the replayed arrivals take the same pre-generated
 // path as the sharded synthetic workload, so every partition count must

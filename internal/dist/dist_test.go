@@ -77,6 +77,17 @@ func TestPoissonRate(t *testing.T) {
 	if _, err := NewPoisson(0, rng()); err == nil {
 		t.Error("NewPoisson(0) accepted")
 	}
+	// At 10^12 arrivals/s the mean gap is 1 ps: every draw rounds below
+	// one tick and is clamped to 1, keeping arrivals strictly ordered.
+	fast, err := NewPoisson(1e12, rng())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if d := fast.NextInterarrival(); d != 1 {
+			t.Fatalf("sub-tick interarrival = %d, want 1", d)
+		}
+	}
 }
 
 func TestBimodalModes(t *testing.T) {

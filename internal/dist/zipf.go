@@ -113,7 +113,7 @@ func (z *Zipf) Draw() uint64 {
 		}
 	}
 	if z.scramble {
-		return mix64(rank) % z.n
+		return sim.Mix64(rank) % z.n
 	}
 	return rank
 }
@@ -219,12 +219,4 @@ func zetaEulerMaclaurin(a, b uint64, theta float64) float64 {
 	endpoints := (math.Pow(fb, -theta) - math.Pow(fa, -theta)) / 2
 	deriv := -theta * (math.Pow(fb, -theta-1) - math.Pow(fa, -theta-1)) / 12
 	return integral + endpoints + deriv
-}
-
-// mix64 is the SplitMix64 finalizer, a bijective 64-bit mixer.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

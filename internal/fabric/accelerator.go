@@ -37,7 +37,6 @@ type Accelerator struct {
 	svcLane  *sim.Lane
 
 	selections uint64
-	clones     uint64
 	busyNs     sim.Time
 	maxQueue   int
 }
@@ -66,9 +65,6 @@ func (a *Accelerator) Selector() Selector { return a.selector }
 
 // Selections returns the number of replica selections performed.
 func (a *Accelerator) Selections() uint64 { return a.selections }
-
-// CloneCount returns the number of response clones processed.
-func (a *Accelerator) CloneCount() uint64 { return a.clones }
 
 // BusyTime returns cumulative core-busy time.
 func (a *Accelerator) BusyTime() sim.Time { return a.busyNs }
@@ -147,7 +143,6 @@ func (a *Accelerator) finishService(p *Packet) {
 // yields the switch-to-switch response time with no per-request state
 // kept here.
 func (a *Accelerator) submitResponseClone(c *Packet) {
-	a.clones++
 	a.op.onCloneProcessed()
 	if c.SelectedAt == 0 {
 		return // no RSNode stamped the request; nothing to learn

@@ -5,6 +5,7 @@ package fabric
 // the ToR monitors.
 
 import (
+	"math"
 	"testing"
 
 	"netrs/internal/sim"
@@ -99,6 +100,35 @@ func TestMonitorResetWindowHonestRates(t *testing.T) {
 	}
 	if _, ok := mon.Snapshot(3 * sim.Second); ok {
 		t.Fatal("zero-width window after ResetMonitors reported ok")
+	}
+}
+
+// TestCollectTrafficDrainsMonitors checks the controller's collection
+// path: CollectTraffic turns every ToR monitor's window into per-group
+// rates that account for each delivered response, and restarts the
+// windows at the collection instant, so an immediate second call has
+// nothing to report.
+func TestCollectTrafficDrainsMonitors(t *testing.T) {
+	h := newHarness(t, nil)
+	if err := h.ctrl.InstallToRPlan(); err != nil {
+		t.Fatal(err)
+	}
+	const n = 10
+	for i := uint64(1); i <= n; i++ {
+		h.sendRequest(i)
+	}
+	h.eng.Run()
+	rates := h.ctrl.CollectTraffic()
+	r, ok := rates[0]
+	if len(rates) != 1 || !ok {
+		t.Fatalf("collected rates %v, want group 0 only", rates)
+	}
+	secs := float64(h.eng.Now()) / float64(sim.Second)
+	if got := (r[0] + r[1] + r[2]) * secs; math.Abs(got-n) > 1e-9 {
+		t.Fatalf("collected rates %v over %v s account for %v responses, want %d", r, secs, got, n)
+	}
+	if again := h.ctrl.CollectTraffic(); len(again) != 0 {
+		t.Fatalf("second collection at the same instant = %v, want none", again)
 	}
 }
 

@@ -728,9 +728,17 @@ func TestCloneDoesNotDelayResponse(t *testing.T) {
 	h.sendRequest(1)
 	h.eng.Run()
 	base := h.gotTime[1]
+	if clones := h.torOperator().Stats().ResponseClones; clones != 1 {
+		t.Fatalf("clones = %d", clones)
+	}
+	// The one selection is the accelerator's only busy time: the clone
+	// took no core.
 	accel := h.torOperator().Accelerator()
-	if accel.CloneCount() != 1 {
-		t.Fatalf("clones = %d", accel.CloneCount())
+	if busy, svc := accel.BusyTime(), NewDefaultConfig().AccelService; busy != svc {
+		t.Fatalf("accelerator busy %v, want one selection's %v", busy, svc)
+	}
+	if u, want := accel.Utilization(), accel.UtilizationAt(h.eng.Now()); u != want || u <= 0 || accel.UtilizationAt(0) != 0 {
+		t.Fatalf("utilization %v, want %v; at span 0 %v", u, want, accel.UtilizationAt(0))
 	}
 	// The clone path cost nothing: latency equals the handcomputed value
 	// from TestToRPlanEndToEndLatency.

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 
+	"netrs/internal/sim"
 	"netrs/internal/topo"
 )
 
@@ -91,7 +92,7 @@ func (n *Network) SendInvalidations(from topo.NodeID, reqID, key uint64, tors []
 	part := n.PartitionOf(from)
 	b := &n.builds[part]
 	b.trie = append(b.trie[:0], trieNode{id: from, parent: -1, first: -1, next: -1, last: -1})
-	hash := flowHash(reqID)
+	hash := sim.Mix64(reqID)
 	for _, tor := range tors {
 		if tor < 0 || int(tor) >= len(n.operators) || n.operators[tor] == nil {
 			return fmt.Errorf("invalidate at %d: %w", tor, ErrNoOperator)

@@ -119,7 +119,7 @@ func checkFanoutMatchesRoutes(t *testing.T, k, workers int) {
 			if op.Cache().Lookup(c.key) || !op.Cache().Admit(c.key) {
 				t.Fatalf("case %d: key %d not admitted at ToR %d", i, c.key, tor)
 			}
-			route, err := ft.RouteInto(nil, c.host, tor, flowHash(c.reqID))
+			route, err := ft.RouteInto(nil, c.host, tor, sim.Mix64(c.reqID))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -323,11 +323,12 @@ func (n *Network) AttachHost(host topo.NodeID, h HostHandler) error {
 // its first hop. Hosts inject with it (`to` is a host for direct flows, a
 // switch for RSNode-bound flows); an operator re-routes a packet with it
 // from its own switch, which forwards without re-running its pipeline.
-// The first hop leaves immediately; each link costs LinkLatency. The
+// The first hop leaves immediately; each link costs LinkLatency. ECMP
+// hashes the request ID, so all of a request's flows share one hash. The
 // packet's path buffer is reused, so a recycled packet routes without
 // allocating.
 func (n *Network) Launch(p *Packet, from, to topo.NodeID) error {
-	path, err := n.topo.RouteInto(p.path[:0], from, to, flowHash(p.ReqID))
+	path, err := n.topo.RouteInto(p.path[:0], from, to, sim.Mix64(p.ReqID))
 	if err != nil {
 		return fmt.Errorf("launch: %w", err)
 	}
@@ -543,12 +544,4 @@ func (n *Network) Stats() (forwards, delivered, dropped uint64) {
 		dropped += c.dropped
 	}
 	return forwards, delivered, dropped
-}
-
-// flowHash derives the ECMP hash for a request's flows.
-func flowHash(reqID uint64) uint64 {
-	x := reqID + 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

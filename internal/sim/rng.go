@@ -50,11 +50,18 @@ func DeriveSeed(base, trial uint64) uint64 {
 
 // splitMix64 advances a SplitMix64 state and returns (nextState, output).
 func splitMix64(state uint64) (uint64, uint64) {
-	state += 0x9e3779b97f4a7c15
-	z := state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return state, z ^ (z >> 31)
+	return state + 0x9e3779b97f4a7c15, Mix64(state)
+}
+
+// Mix64 is the SplitMix64 output function of state x: a bijective 64-bit
+// mixer, and the one the repository uses wherever a value must be a
+// well-spread pure function of an integer key (cache item sizes, Zipf
+// rank scrambling, ECMP flow hashes).
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -1,8 +1,8 @@
 // Package stats provides the measurement machinery for the NetRS
-// experiments: exact-sample latency recorders, log-bucketed histograms for
-// constant-memory recording, EWMAs (used by the C3 algorithm), and a
-// streaming P² quantile estimator (used by the CliRS-R95 scheme to track
-// its 95th-percentile reissue threshold).
+// experiments: the exact-sample latency recorder and the time-bucketed
+// timeline built from it, EWMAs (used by the C3 algorithm), Welford
+// running moments, and a streaming P² quantile estimator (used by the
+// CliRS-R95 scheme to track its 95th-percentile reissue threshold).
 package stats
 
 import (
@@ -17,34 +17,18 @@ import (
 // ErrNoSamples reports a query against an empty recorder.
 var ErrNoSamples = errors.New("stats: no samples")
 
-// boundedSigBits is the histogram precision of the recorder's
-// memory-bounded mode: 9 significant bits keep the relative quantile
-// error under 0.2% at 256 KiB per spilled recorder.
-const boundedSigBits = 9
-
 // Recorder accumulates latency samples and answers percentile queries.
 //
-// In its default (exact) mode it stores every sample; for the experiment
-// sizes in this repository (millions of requests) that is tens of
-// megabytes, which buys exact tail percentiles — the quantity the paper is
-// about. With a sample cap (NewBoundedRecorder) the recorder stays exact
-// up to the cap and then spills into a log-bucketed histogram, bounding
-// memory per trial so many sweep cells can run concurrently without
-// holding every cell's full sample slice alive at once.
+// It stores every sample, 8 bytes each; for the experiment sizes in this
+// repository (millions of requests) that is tens of megabytes, which buys
+// exact tail percentiles — the quantity the paper is about.
 type Recorder struct {
 	samples []sim.Time
 	sum     sim.Time
-	count   int
 	sorted  bool
-
-	// limit is the sample cap; 0 keeps the recorder exact forever.
-	limit int
-	// hist is non-nil once the recorder has spilled past its cap.
-	hist *Histogram
 }
 
-// NewRecorder returns an empty exact recorder with capacity for hint
-// samples.
+// NewRecorder returns an empty recorder with capacity for hint samples.
 func NewRecorder(hint int) *Recorder {
 	if hint < 0 {
 		hint = 0
@@ -52,84 +36,33 @@ func NewRecorder(hint int) *Recorder {
 	return &Recorder{samples: make([]sim.Time, 0, hint)}
 }
 
-// NewBoundedRecorder returns a recorder that keeps at most sampleCap exact
-// samples: up to the cap it behaves exactly like NewRecorder (bit-identical
-// percentiles), past it the samples spill into a log-bucketed histogram
-// (relative quantile error < 2^-9) and memory stays constant. A
-// non-positive cap means unbounded.
-func NewBoundedRecorder(hint, sampleCap int) *Recorder {
-	if sampleCap < 0 {
-		sampleCap = 0
-	}
-	if hint > sampleCap && sampleCap > 0 {
-		hint = sampleCap
-	}
-	r := NewRecorder(hint)
-	r.limit = sampleCap
-	return r
-}
-
 // Record adds one latency sample.
 func (r *Recorder) Record(v sim.Time) {
-	r.count++
-	r.sum += v
-	if r.hist != nil {
-		r.hist.Record(int64(v))
-		return
-	}
 	r.samples = append(r.samples, v)
-	r.sorted = false
-	if r.limit > 0 && len(r.samples) > r.limit {
-		r.spill()
-	}
-}
-
-// spill converts the recorder to histogram mode, folding the retained
-// samples into the histogram, then releasing the sample slice.
-func (r *Recorder) spill() {
-	hist, err := NewHistogram(boundedSigBits)
-	if err != nil {
-		// Unreachable: boundedSigBits is a valid constant precision.
-		panic(fmt.Sprintf("stats: bounded histogram: %v", err))
-	}
-	r.hist = hist
-	for _, v := range r.samples {
-		r.hist.Record(int64(v))
-	}
-	r.samples = nil
+	r.sum += v
 	r.sorted = false
 }
-
-// Exact reports whether percentile queries are still answered from the
-// full sample set (always true for unbounded recorders).
-func (r *Recorder) Exact() bool { return r.hist == nil }
 
 // Count returns the number of samples recorded.
-func (r *Recorder) Count() int { return r.count }
+func (r *Recorder) Count() int { return len(r.samples) }
 
-// Mean returns the average sample, or an error if empty. The mean is exact
-// in every mode: the running sum never spills.
+// Mean returns the average sample, or an error if empty.
 func (r *Recorder) Mean() (sim.Time, error) {
-	if r.count == 0 {
+	if len(r.samples) == 0 {
 		return 0, ErrNoSamples
 	}
-	return r.sum / sim.Time(r.count), nil
+	return r.sum / sim.Time(len(r.samples)), nil
 }
 
-// Percentile returns the p-th percentile (0 < p <= 100). Exact recorders
-// use the nearest-rank method on the sorted samples, sorting once and
-// caching the sorted state until the next Record or Merge invalidates it.
-// Spilled recorders answer from the log-bucketed histogram.
+// Percentile returns the p-th percentile (0 < p <= 100) by the
+// nearest-rank method on the sorted samples, sorting once and caching the
+// sorted state until the next Record or Merge invalidates it.
 func (r *Recorder) Percentile(p float64) (sim.Time, error) {
-	if r.count == 0 {
+	if len(r.samples) == 0 {
 		return 0, ErrNoSamples
 	}
 	if p <= 0 || p > 100 || math.IsNaN(p) {
 		return 0, fmt.Errorf("stats: percentile %v out of (0, 100]", p)
-	}
-	if r.hist != nil {
-		v, err := r.hist.Quantile(p / 100)
-		return sim.Time(v), err
 	}
 	if !r.sorted {
 		slices.Sort(r.samples)
@@ -144,49 +77,19 @@ func (r *Recorder) Percentile(p float64) (sim.Time, error) {
 	return r.samples[rank-1], nil
 }
 
-// Max returns the largest sample (exact in every mode: the histogram
-// tracks its true maximum).
-func (r *Recorder) Max() (sim.Time, error) {
-	if r.hist != nil {
-		v, err := r.hist.Max()
-		return sim.Time(v), err
-	}
-	return r.Percentile(100)
-}
+// Max returns the largest sample.
+func (r *Recorder) Max() (sim.Time, error) { return r.Percentile(100) }
 
-// Merge folds every sample of other into r. Two exact recorders stay
-// exact; if either side has spilled, both spill and the histograms merge.
-// Two recorders under one cap therefore merge into what a single recorder
-// with that cap, fed the same samples in any order, would hold: the merge
-// spills exactly when the combined count exceeds the cap, and the
-// histogram is per-bucket counts plus an exact maximum. other is left in
-// an unspecified state and must not be used afterwards.
-func (r *Recorder) Merge(other *Recorder) error {
-	if other == nil || other.count == 0 {
-		return nil
+// Merge folds every sample of other into r, so r ends up as the one
+// recorder fed both sample streams would be, in any merge order. A nil
+// other is a no-op.
+func (r *Recorder) Merge(other *Recorder) {
+	if other == nil || len(other.samples) == 0 {
+		return
 	}
-	if r.hist == nil && other.hist == nil {
-		r.samples = append(r.samples, other.samples...)
-		r.sum += other.sum
-		r.count += other.count
-		r.sorted = false
-		if r.limit > 0 && len(r.samples) > r.limit {
-			r.spill()
-		}
-		return nil
-	}
-	if r.hist == nil {
-		r.spill()
-	}
-	if other.hist == nil {
-		other.spill()
-	}
-	if err := r.hist.Merge(other.hist); err != nil {
-		return err
-	}
+	r.samples = append(r.samples, other.samples...)
 	r.sum += other.sum
-	r.count += other.count
-	return nil
+	r.sorted = false
 }
 
 // Summary condenses a recorder into the four statistics the paper's figures

@@ -135,161 +135,74 @@ func TestRecorderPercentileProperty(t *testing.T) {
 	}
 }
 
-func TestHistogramValidation(t *testing.T) {
-	for _, bits := range []uint{0, 13} {
-		if _, err := NewHistogram(bits); err == nil {
-			t.Errorf("NewHistogram(%d) accepted", bits)
+// TestRecorderMergeExact checks merging two recorders equals recording
+// their union.
+func TestRecorderMergeExact(t *testing.T) {
+	union := NewRecorder(0)
+	a := NewRecorder(0)
+	b := NewRecorder(0)
+	rng := sim.NewRNG(3)
+	for i := 0; i < 800; i++ {
+		v := sim.Time(rng.Intn(1 << 20))
+		union.Record(v)
+		if i%2 == 0 {
+			a.Record(v)
+		} else {
+			b.Record(v)
 		}
 	}
-	h, err := NewHistogram(7)
-	if err != nil {
+	// Query a first so its samples are in cached-sorted state; Merge must
+	// still produce correct results afterwards.
+	if _, err := a.Percentile(99); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Max(); !errors.Is(err, ErrNoSamples) {
-		t.Fatal("Max on empty histogram")
+	a.Merge(b)
+	if a.Count() != union.Count() {
+		t.Fatalf("merged count %d, want %d", a.Count(), union.Count())
 	}
-	if _, err := h.Quantile(0.5); !errors.Is(err, ErrNoSamples) {
-		t.Fatal("Quantile on empty histogram")
-	}
-	h.Record(1)
-	for _, q := range []float64{0, -1, 1.5, math.NaN()} {
-		if _, err := h.Quantile(q); err == nil {
-			t.Errorf("Quantile(%v) accepted", q)
+	for _, p := range []float64{10, 50, 95, 99.9, 100} {
+		got, _ := a.Percentile(p)
+		want, _ := union.Percentile(p)
+		if got != want {
+			t.Fatalf("p%v: merged %v, want %v", p, got, want)
 		}
+	}
+	gm, _ := a.Mean()
+	wm, _ := union.Mean()
+	if gm != wm {
+		t.Fatalf("merged mean %v, want %v", gm, wm)
 	}
 }
 
-func TestHistogramQuantileAccuracy(t *testing.T) {
-	h, err := NewHistogram(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := sim.NewRNG(5)
-	exp, err := dist.NewExponential(float64(4*sim.Millisecond), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := NewRecorder(0)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := exp.DrawTime()
-		h.Record(int64(v))
-		rec.Record(v)
-	}
-	if h.Count() != n {
-		t.Fatalf("count = %d", h.Count())
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99, 0.999} {
-		approx, err := h.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, err := rec.Percentile(q * 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel := math.Abs(float64(approx)-float64(exact)) / float64(exact)
-		if rel > 0.01 {
-			t.Fatalf("q=%v approx=%d exact=%d rel err %v > 1%%", q, approx, exact, rel)
-		}
-	}
-	hx, _ := h.Max()
-	rx, _ := rec.Max()
-	if hx != uint64(rx) {
-		t.Fatalf("max %d != %d", hx, rx)
+// TestRecorderMergeEmpty checks empty operands are no-ops.
+func TestRecorderMergeEmpty(t *testing.T) {
+	r := NewRecorder(0)
+	r.Record(5)
+	r.Merge(nil)
+	r.Merge(NewRecorder(0))
+	if r.Count() != 1 {
+		t.Fatalf("count %d after empty merges", r.Count())
 	}
 }
 
-func TestHistogramSmallValuesExact(t *testing.T) {
-	h, err := NewHistogram(7)
-	if err != nil {
-		t.Fatal(err)
+// TestSortCacheInvalidatedOnRecord guards the sorted-state cache: a
+// Record after a Percentile query must invalidate the cache so later
+// queries see the new sample.
+func TestSortCacheInvalidatedOnRecord(t *testing.T) {
+	r := NewRecorder(0)
+	for _, v := range []sim.Time{30, 10, 20} {
+		r.Record(v)
 	}
-	// Values below 2^sigBits land in unit-width buckets: exact quantiles.
-	for i := 1; i <= 100; i++ {
-		h.Record(int64(i))
+	if got, _ := r.Percentile(100); got != 30 {
+		t.Fatalf("max = %v", got)
 	}
-	q, err := h.Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
+	r.Record(5)
+	if got, _ := r.Percentile(25); got != 5 {
+		t.Fatalf("p25 after late insert = %v, want 5", got)
 	}
-	if q != 50 {
-		t.Fatalf("median of 1..100 = %d, want 50", q)
-	}
-}
-
-func TestHistogramNegativeClampsToZero(t *testing.T) {
-	h, _ := NewHistogram(7)
-	h.Record(-5)
-	q, err := h.Quantile(1)
-	if err != nil || q != 0 {
-		t.Fatalf("quantile after negative record = %d, %v", q, err)
-	}
-}
-
-func TestHistogramMergeAndReset(t *testing.T) {
-	a, _ := NewHistogram(7)
-	b, _ := NewHistogram(7)
-	for i := 1; i <= 50; i++ {
-		a.Record(int64(i))
-	}
-	for i := 51; i <= 100; i++ {
-		b.Record(int64(i))
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 100 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if q, _ := a.Quantile(0.5); q != 50 {
-		t.Fatalf("merged median = %d", q)
-	}
-	c, _ := NewHistogram(5)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merge with mismatched precision accepted")
-	}
-	a.Reset()
-	if a.Count() != 0 {
-		t.Fatal("reset did not clear count")
-	}
-	if _, err := a.Max(); !errors.Is(err, ErrNoSamples) {
-		t.Fatal("reset histogram should be empty")
-	}
-}
-
-// Property: histogram quantiles stay within the precision bound of exact
-// quantiles for arbitrary positive inputs.
-func TestHistogramQuantileProperty(t *testing.T) {
-	f := func(raw []uint32) bool {
-		if len(raw) < 10 {
-			return true
-		}
-		h, err := NewHistogram(7)
-		if err != nil {
-			return false
-		}
-		vals := make([]uint64, len(raw))
-		for i, v := range raw {
-			vals[i] = uint64(v) + 1
-			h.Record(int64(vals[i]))
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		for _, q := range []float64{0.5, 0.9, 0.99} {
-			rank := int(math.Ceil(q*float64(len(vals)))) - 1
-			exact := vals[rank]
-			approx, err := h.Quantile(q)
-			if err != nil {
-				return false
-			}
-			if math.Abs(float64(approx)-float64(exact)) > 0.01*float64(exact)+1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	r.Record(40)
+	if got, _ := r.Percentile(100); got != 40 {
+		t.Fatalf("max after late insert = %v, want 40", got)
 	}
 }
 
@@ -458,16 +371,6 @@ func BenchmarkRecorderRecord(b *testing.B) {
 	r := NewRecorder(b.N)
 	for i := 0; i < b.N; i++ {
 		r.Record(sim.Time(i))
-	}
-}
-
-func BenchmarkHistogramRecord(b *testing.B) {
-	h, err := NewHistogram(7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		h.Record(int64(i))
 	}
 }
 

@@ -2,33 +2,30 @@ package stats
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"strings"
 
 	"netrs/internal/sim"
 )
 
 // Timeline is a time-bucketed latency recorder: it splits the simulated
-// clock into fixed-width buckets and keeps, per bucket, the exact latency
-// samples of the requests that completed inside it plus the counts needed
+// clock into fixed-width buckets and keeps, per bucket, a Recorder of the
+// latencies of the requests that completed inside it plus the counts needed
 // for the resilience experiments — degraded (DRS) responses and timeout
 // expiries. Summarizing yields a latency-over-time series that shows when a
 // run degrades after a fault and when it re-converges after recovery,
 // rather than one steady-state number that averages the excursion away.
 //
-// Buckets are indexed by completion time. Width must be positive. Buckets
-// sorts each bucket's samples, so a summary does not depend on the order
-// samples were recorded or timelines merged.
+// Buckets are indexed by completion time. Width must be positive. A
+// summary does not depend on the order samples were recorded or timelines
+// merged.
 type Timeline struct {
 	width   sim.Time
 	buckets []timelineBucket
 }
 
-// timelineBucket accumulates one bucket's raw samples and counters.
+// timelineBucket accumulates one bucket's latencies and counters.
 type timelineBucket struct {
-	samples  []sim.Time
-	sum      sim.Time
+	rec      Recorder
 	degraded int
 	timeouts int
 }
@@ -79,8 +76,7 @@ func (t *Timeline) bucketAt(at sim.Time) *timelineBucket {
 // and whether it was answered under DRS.
 func (t *Timeline) Record(at sim.Time, latency sim.Time, degraded bool) {
 	b := t.bucketAt(at)
-	b.samples = append(b.samples, latency)
-	b.sum += latency
+	b.rec.Record(latency)
 	if degraded {
 		b.degraded++
 	}
@@ -92,9 +88,9 @@ func (t *Timeline) RecordTimeout(at sim.Time) {
 }
 
 // Merge folds other into t, which must have the same bucket width. The
-// fold is exact: each bucket's samples are appended and its sum and counts
-// added, so t ends up as the one timeline fed both sample streams would
-// be, in any merge order (Buckets sorts the samples it summarizes).
+// fold is exact: each bucket's recorders merge and its counts add, so t
+// ends up as the one timeline fed both sample streams would be, in any
+// merge order.
 func (t *Timeline) Merge(other *Timeline) error {
 	if other.width != t.width {
 		return fmt.Errorf("stats: merge timeline of bucket width %v into width %v", other.width, t.width)
@@ -104,8 +100,7 @@ func (t *Timeline) Merge(other *Timeline) error {
 	}
 	for i := range other.buckets {
 		b, o := &t.buckets[i], &other.buckets[i]
-		b.samples = append(b.samples, o.samples...)
-		b.sum += o.sum
+		b.rec.Merge(&o.rec)
 		b.degraded += o.degraded
 		b.timeouts += o.timeouts
 	}
@@ -122,22 +117,17 @@ func (t *Timeline) Buckets() []TimelineBucket {
 		tb := TimelineBucket{
 			StartMs:  (sim.Time(i) * t.width).Float64Ms(),
 			EndMs:    (sim.Time(i+1) * t.width).Float64Ms(),
-			Count:    len(b.samples),
+			Count:    b.rec.Count(),
 			Timeouts: b.timeouts,
 		}
-		if n := len(b.samples); n > 0 {
-			// The mean must be computed in float64: integer division of
-			// the tick-granular sum truncates toward zero, biasing every
-			// bucket mean low by up to one tick per sample.
-			tb.MeanMs = float64(b.sum) / float64(n) / float64(sim.Millisecond)
-			sorted := slices.Clone(b.samples)
-			slices.Sort(sorted)
-			// Nearest-rank p99, same epsilon guard as Recorder.Percentile.
-			rank := int(math.Ceil(0.99*float64(n) - 1e-9))
-			if rank < 1 {
-				rank = 1
-			}
-			tb.P99Ms = sorted[rank-1].Float64Ms()
+		if n := b.rec.Count(); n > 0 {
+			// The mean must be computed in float64: Recorder.Mean's
+			// integer division of the tick-granular sum truncates toward
+			// zero, biasing every bucket mean low by up to one tick per
+			// sample.
+			tb.MeanMs = float64(b.rec.sum) / float64(n) / float64(sim.Millisecond)
+			p99, _ := b.rec.Percentile(99) // n > 0 and 99 is in range
+			tb.P99Ms = p99.Float64Ms()
 			tb.DRSShare = float64(b.degraded) / float64(n)
 		}
 		out[i] = tb

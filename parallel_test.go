@@ -166,36 +166,3 @@ func TestDeriveSeeds(t *testing.T) {
 		t.Fatal("DeriveSeeds(base, 0) not empty")
 	}
 }
-
-// TestBoundedStatsRun checks an experiment with a stats sample cap runs
-// and reports tail statistics close to the exact-mode run.
-func TestBoundedStatsRun(t *testing.T) {
-	cfg := testConfig()
-	cfg.Scheme = SchemeCliRS
-	exact, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.StatsSampleCap = 200
-	bounded, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bounded.Summary.Count != exact.Summary.Count {
-		t.Fatalf("counts differ: %d vs %d", bounded.Summary.Count, exact.Summary.Count)
-	}
-	if exact.Summary.MeanMs <= 0 {
-		t.Fatal("degenerate exact mean")
-	}
-	// Mean is exact in bounded mode; percentiles within histogram error.
-	if d := bounded.Summary.MeanMs/exact.Summary.MeanMs - 1; d > 1e-9 || d < -1e-9 {
-		t.Fatalf("bounded mean %v, want %v", bounded.Summary.MeanMs, exact.Summary.MeanMs)
-	}
-	if d := bounded.Summary.P99Ms/exact.Summary.P99Ms - 1; d > 0.005 || d < -0.005 {
-		t.Fatalf("bounded p99 %v strays from exact %v", bounded.Summary.P99Ms, exact.Summary.P99Ms)
-	}
-	cfg.StatsSampleCap = -1
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("negative stats cap accepted")
-	}
-}
