@@ -43,8 +43,7 @@
 // depth for wall-clock time while preserving the comparisons' shape.
 //
 // Every (point, scheme, seed) trial is an independent simulation; -parallel
-// (or the NETRS_PARALLEL environment variable) fans them across a worker
-// pool. Results are bit-identical at every parallelism level.
+// fans them across a worker pool. Results are bit-identical at every parallelism level.
 package main
 
 import (
@@ -103,7 +102,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	scale := fs.String("scale", "medium", "cluster scale: paper, medium, small")
 	chart := fs.Bool("chart", false, "also draw bar charts for the Avg and 99th panels")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
-	parallel := fs.Int("parallel", 0, "concurrent trials: 0 = GOMAXPROCS, 1 = sequential (env NETRS_PARALLEL sets the default)")
+	parallel := fs.Int("parallel", 0, "concurrent trials: 0 = GOMAXPROCS, 1 = sequential")
 	selectorsFlag := fs.String("selectors", "c3,tars,lor,p2c", "-fig matrix: comma-separated replica-selection algorithms")
 	writeFraction := fs.Float64("write-fraction", 0.05, "-fig cache: workload write mix feeding cache invalidations")
 	scenariosFlag := fs.String("scenarios", "steady,diurnal,flash-crowd,slow-rack,heterogeneous", "-fig matrix: comma-separated scenario names or JSON files")
@@ -122,9 +121,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		}
 	}()
 
-	if err := cliutil.ApplyEnvParallel(fs, "parallel", parallel); err != nil {
-		return err
-	}
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel %d: want a nonnegative integer", *parallel)
 	}

@@ -29,6 +29,8 @@ func TestRunBadArgs(t *testing.T) {
 		{"-fig", "9"},
 		{"-seeds", "x"},
 		{"-scale", "bogus"},
+		{"-parallel", "-1"},
+		{"-cpuprofile", "/nonexistent/dir/cpu.out"},
 		{"-unknown"},
 	}
 	for _, args := range cases {
@@ -98,12 +100,5 @@ func TestRunMatrixBadArgs(t *testing.T) {
 		if err := run(args, io.Discard); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
-	}
-}
-
-func TestEnvParallelOverride(t *testing.T) {
-	t.Setenv("NETRS_PARALLEL", "zero")
-	if err := run([]string{"-fig", "4", "-scale", "small", "-quiet"}, io.Discard); err == nil {
-		t.Fatal("bad NETRS_PARALLEL accepted")
 	}
 }

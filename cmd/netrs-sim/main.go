@@ -1,8 +1,7 @@
 // Command netrs-sim runs a NetRS experiment and prints its latency
 // summary. With -seeds it repeats the experiment once per seed — in
-// parallel up to -parallel workers (or NETRS_PARALLEL) — and reports the
-// per-seed results plus the merged summary, mirroring the paper's three
-// repetitions.
+// parallel up to -parallel workers — and reports the per-seed results plus
+// the merged summary, mirroring the paper's three repetitions.
 //
 // Usage:
 //
@@ -41,7 +40,7 @@ func run(args []string) (retErr error) {
 	scheme := fs.String("scheme", "NetRS-ILP", "scheme: CliRS, CliRS-R95, NetRS-ToR, NetRS-ILP, NetCache, NetRS+Cache")
 	seed := fs.Uint64("seed", def.Seed, "random seed (deployment, workload, service times)")
 	seedsFlag := fs.String("seeds", "", "comma-separated seeds for repeated runs (overrides -seed; merged summary reported)")
-	trialPar := fs.Int("parallel", 0, "concurrent repeated runs: 0 = GOMAXPROCS, 1 = sequential (env NETRS_PARALLEL sets the default; not -parallelism, which is per-server capacity)")
+	trialPar := fs.Int("parallel", 0, "concurrent repeated runs: 0 = GOMAXPROCS, 1 = sequential (not -parallelism, which is per-server capacity)")
 	shards := fs.Int("shards", def.Shards, "intra-run worker count for the pod-parallel sharded engine (0/1 = a single partition; every value above 1 gives the same result)")
 	topoPreset := fs.String("topo", "", "topology preset: scale16 (k=16, 1024 hosts) or scale32 (k=32, 8192 hosts); conflicts with -k/-servers/-clients/-generators")
 	k := fs.Int("k", def.FatTreeK, "fat-tree arity (k=16 → 1024 hosts)")
@@ -103,9 +102,6 @@ func run(args []string) (retErr error) {
 			retErr = perr
 		}
 	}()
-	if err := cliutil.ApplyEnvParallel(fs, "parallel", trialPar); err != nil {
-		return err
-	}
 	if *trialPar < 0 {
 		return fmt.Errorf("-parallel %d: want a nonnegative integer", *trialPar)
 	}

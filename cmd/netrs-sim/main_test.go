@@ -72,21 +72,6 @@ func TestNegativeParallelRejected(t *testing.T) {
 	}
 }
 
-func TestEnvParallel(t *testing.T) {
-	t.Setenv("NETRS_PARALLEL", "2")
-	if err := run(tinyArgs("-seeds", "1,2")); err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv("NETRS_PARALLEL", "-1")
-	if err := run(tinyArgs()); err == nil {
-		t.Fatal("bad NETRS_PARALLEL accepted")
-	}
-	// An explicit flag outranks a bad environment value.
-	if err := run(tinyArgs("-parallel", "1")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunConfigRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cfg.json")
 	if err := run(tinyArgs("-save-config", path)); err != nil {

@@ -52,7 +52,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	in.RackLevelGroups = false
 	in.GroupMaxHosts = 3
 	in.PlacementMethod = placement.MethodHeuristic
-	in.RedundantPercentile = 0.9
 	in.CancelDuplicates = true
 	in.TimelineBucket = 50 * Millisecond
 	in.ControllerInterval = 100 * Millisecond
@@ -176,7 +175,7 @@ func TestUnmarshalConfigErrors(t *testing.T) {
 		t.Fatal("bogus scheme accepted")
 	}
 	// Retired and misspelled keys fail loudly rather than being dropped.
-	for _, key := range []string{"failRSNodeAt", "replayTracePath", "faults", "meanServiceTimeUs", "statsSampleCap", "sheme"} {
+	for _, key := range []string{"failRSNodeAt", "replayTracePath", "faults", "meanServiceTimeUs", "statsSampleCap", "redundantPercentile", "sheme"} {
 		if _, err := UnmarshalConfig([]byte(`{"scheme":"CliRS","` + key + `":1}`)); err == nil {
 			t.Fatalf("unknown key %q accepted", key)
 		}

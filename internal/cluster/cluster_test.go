@@ -87,7 +87,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Scheme = Scheme(99) },
 		func(c *Config) { c.AccelMaxUtilization = 0 },
 		func(c *Config) { c.ExtraHopBudgetFraction = -1 },
-		func(c *Config) { c.Scheme = SchemeCliRSR95; c.RedundantPercentile = 1.5 },
 		func(c *Config) { c.WriteFraction = 1 },
 		func(c *Config) { c.WriteFraction = -0.1 },
 		func(c *Config) { c.Scheme = SchemeNetCache; c.CacheBytes = -1 },

@@ -215,9 +215,6 @@ type Config struct {
 	// default).
 	PlacementMethod placement.Method `json:"placementMethod"`
 
-	// RedundantPercentile is CliRS-R95's reissue threshold quantile.
-	RedundantPercentile float64 `json:"redundantPercentile"`
-
 	// CancelDuplicates adds cross-server cancellation to CliRS-R95: when
 	// the first response of a duplicated request arrives, the loser is
 	// canceled at its server if still queued (Dean & Barroso's
@@ -321,7 +318,6 @@ func DefaultConfig() Config {
 		ExtraHopBudgetFraction: 0.2,
 		RackLevelGroups:        true,
 		PlacementMethod:        placement.MethodAuto,
-		RedundantPercentile:    0.95,
 	}
 }
 
@@ -371,8 +367,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("accel utilization cap %v: %w", c.AccelMaxUtilization, ErrInvalidParam)
 	case c.ExtraHopBudgetFraction < 0:
 		return fmt.Errorf("hop budget fraction %v: %w", c.ExtraHopBudgetFraction, ErrInvalidParam)
-	case c.Scheme == SchemeCliRSR95 && (c.RedundantPercentile <= 0 || c.RedundantPercentile >= 1):
-		return fmt.Errorf("redundant percentile %v: %w", c.RedundantPercentile, ErrInvalidParam)
 	case c.GroupMaxHosts < 0:
 		return fmt.Errorf("group max hosts %d: %w", c.GroupMaxHosts, ErrInvalidParam)
 	case c.TimelineBucket < 0:

@@ -130,12 +130,17 @@ type EpochRecord struct {
 	SolveWallMs float64 `json:"solveWallMs,omitempty" golden:"-"`
 }
 
+// redundantPercentile is CliRS-R95's reissue threshold quantile: a
+// request still unanswered at the client's 95th-percentile latency is
+// duplicated.
+const redundantPercentile = 0.95
+
 // client is one end-host issuing requests. Under CliRS it is a full
 // RSNode; under NetRS it only ranks replicas to provide the DRS backup.
 type client struct {
 	host topo.NodeID
 	part int // the host's partition
-	sel  selection.Selector
+	sel  *c3.Selector
 	p95  *stats.P2Quantile
 }
 
@@ -562,7 +567,7 @@ func (r *runner) setup() error {
 			return err
 		}
 		if cfg.Scheme == SchemeCliRSR95 {
-			if c.p95, err = stats.NewP2Quantile(cfg.RedundantPercentile); err != nil {
+			if c.p95, err = stats.NewP2Quantile(redundantPercentile); err != nil {
 				return err
 			}
 		}
@@ -591,8 +596,8 @@ func (r *runner) setup() error {
 			ShiftAt:       cfg.DemandShiftAt,
 			ShiftFraction: cfg.DemandShiftFraction,
 			WriteFraction: cfg.WriteFraction,
-			Modulation:    cfg.Scenario.RateModulation(),
-			Spike:         cfg.Scenario.KeySpike(),
+			Modulation:    cfg.Scenario.Diurnal,
+			Spike:         cfg.Scenario.FlashCrowd,
 		}
 		src, err := workload.NewSource(srcCfg, root.Stream(3))
 		if err != nil {
@@ -726,19 +731,19 @@ func (r *runner) operatorSelectorFactory(root *sim.RNG, aggregateRate float64) f
 		if cfg.MaxRate < 8*perServerPerInterval {
 			cfg.MaxRate = 8 * perServerPerInterval
 		}
-		return selection.NewC3(cfg, eng)
+		return c3.NewSelector(cfg, eng)
 	}
 }
 
 // clientSelector builds a client's local selection state on its
 // partition engine: the full C3 RSNode under CliRS, a feedback-fed ranker
 // for DRS backups under NetRS.
-func (r *runner) clientSelector(eng *sim.Engine) (selection.Selector, error) {
+func (r *runner) clientSelector(eng *sim.Engine) (*c3.Selector, error) {
 	cfg := c3.NewDefaultConfig()
 	cfg.ConcurrencyWeight = float64(r.cfg.Clients)
 	cfg.RateControl = r.cfg.RateControl && !r.netrs
 	cfg.Servers = r.cfg.Servers
-	return selection.NewC3(cfg, eng)
+	return c3.NewSelector(cfg, eng)
 }
 
 // setupControlPlane defines traffic groups, installs the initial (ToR)
@@ -1305,9 +1310,7 @@ func (r *runner) complete(st *shardState, p *pending, degraded bool, now sim.Tim
 				// server's partition is st, as cancellation runs at P = 1).
 				st.svcFree = append(st.svcFree, q.req)
 				st.cancelled++
-				if ab, ok := c.sel.(selection.Abandoner); ok && sibling.server >= 0 {
-					ab.OnAbandon(sibling.server)
-				}
+				c.sel.OnAbandon(sibling.server)
 				st.freeCtx(sibling)
 				p.refs--
 			}

@@ -8,6 +8,7 @@ import (
 	"netrs/internal/faults"
 	"netrs/internal/scenario"
 	"netrs/internal/sim"
+	"netrs/internal/workload"
 )
 
 // TestScenarioBuiltinsRun executes every built-in scenario end to end
@@ -106,7 +107,7 @@ func TestScenarioSlowdownShowsUp(t *testing.T) {
 
 func TestScenarioConfigValidation(t *testing.T) {
 	cfg := smallConfig(SchemeNetRSToR)
-	cfg.Scenario = scenario.Scenario{Diurnal: &scenario.Diurnal{Cycles: 0}}
+	cfg.Scenario = scenario.Scenario{Diurnal: &workload.RateModulation{Cycles: 0}}
 	if _, err := Run(cfg); !errors.Is(err, scenario.ErrInvalidScenario) {
 		t.Fatalf("invalid scenario accepted: %v", err)
 	}

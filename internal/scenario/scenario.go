@@ -10,10 +10,12 @@
 // Each section compiles into a deterministic hook on an existing
 // subsystem:
 //
-//   - Diurnal — a triangle-wave arrival-rate curve, applied inside
-//     workload.Source by rescaling drawn interarrivals (no extra RNG).
-//   - FlashCrowd — a hot-key window, applied inside workload.Source from
-//     the reserved stream 5 (base draw sequences stay bit-identical).
+//   - Diurnal — a triangle-wave arrival-rate curve (a
+//     workload.RateModulation), applied inside workload.Source by
+//     rescaling drawn interarrivals (no extra RNG).
+//   - FlashCrowd — a hot-key window (a workload.KeySpike), applied inside
+//     workload.Source from the reserved stream 5 (base draw sequences stay
+//     bit-identical).
 //   - SlowRacks — static extra latency on a rack's ToR-incident links,
 //     applied through fabric.Network.SetLinkExtra at setup.
 //   - Heterogeneous — per-class server service-time multipliers, applied
@@ -42,35 +44,6 @@ import (
 
 // ErrInvalidScenario reports a scenario that fails validation.
 var ErrInvalidScenario = errors.New("scenario: invalid scenario")
-
-// Diurnal is a periodic arrival-rate curve over the run: a piecewise-linear
-// triangle wave (bit-reproducible on every platform, unlike a sinusoid)
-// that starts at the trough and swings the rate between (1−Amplitude) and
-// (1+Amplitude) times the base, Cycles times over the run's emissions.
-type Diurnal struct {
-	// Cycles is the number of full waves over the run (> 0).
-	Cycles float64 `json:"cycles"`
-	// Amplitude is the peak rate deviation as a base-rate fraction, in
-	// [0, 1).
-	Amplitude float64 `json:"amplitude"`
-	// Phase offsets the wave's start as a cycle fraction in [0, 1).
-	Phase float64 `json:"phase,omitempty"`
-}
-
-// FlashCrowd is a hot-key spike: inside the emission-fraction window
-// [AtFraction, AtFraction+DurationFraction), each request redirects to Key
-// with probability Share.
-type FlashCrowd struct {
-	// AtFraction is the window start as an emission fraction in [0, 1).
-	AtFraction float64 `json:"atFraction"`
-	// DurationFraction is the window length as an emission fraction (> 0,
-	// with AtFraction+DurationFraction ≤ 1).
-	DurationFraction float64 `json:"durationFraction"`
-	// Share is the per-request redirect probability in (0, 1].
-	Share float64 `json:"share"`
-	// Key is the spiked key (validated against the key space at run setup).
-	Key uint64 `json:"key"`
-}
 
 // SlowRack adds static extra latency to every fabric edge incident to one
 // rack's ToR switch, for the whole run — a persistently congested or
@@ -103,9 +76,10 @@ type Scenario struct {
 	// Name identifies the scenario in tables and CLI flags.
 	Name string `json:"name,omitempty"`
 	// Diurnal, when non-nil, shapes the arrival rate over the run.
-	Diurnal *Diurnal `json:"diurnal,omitempty"`
-	// FlashCrowd, when non-nil, spikes one hot key inside a window.
-	FlashCrowd *FlashCrowd `json:"flashCrowd,omitempty"`
+	Diurnal *workload.RateModulation `json:"diurnal,omitempty"`
+	// FlashCrowd, when non-nil, spikes one hot key inside a window (the
+	// key is checked against the key space at run setup).
+	FlashCrowd *workload.KeySpike `json:"flashCrowd,omitempty"`
 	// SlowRacks lists racks with persistently slow ToR links.
 	SlowRacks []SlowRack `json:"slowRacks,omitempty"`
 	// Heterogeneous declares server speed classes.
@@ -120,27 +94,14 @@ type Scenario struct {
 // Validate checks the scenario's internal consistency. The zero value is
 // valid.
 func (s Scenario) Validate() error {
-	if d := s.Diurnal; d != nil {
-		if d.Cycles <= 0 {
-			return fmt.Errorf("diurnal cycles %v must be > 0: %w", d.Cycles, ErrInvalidScenario)
-		}
-		if d.Amplitude < 0 || d.Amplitude >= 1 {
-			return fmt.Errorf("diurnal amplitude %v outside [0, 1): %w", d.Amplitude, ErrInvalidScenario)
-		}
-		if d.Phase < 0 || d.Phase >= 1 {
-			return fmt.Errorf("diurnal phase %v outside [0, 1): %w", d.Phase, ErrInvalidScenario)
+	if s.Diurnal != nil {
+		if err := s.Diurnal.Validate(); err != nil {
+			return fmt.Errorf("diurnal: %v: %w", err, ErrInvalidScenario)
 		}
 	}
-	if f := s.FlashCrowd; f != nil {
-		if f.AtFraction < 0 || f.AtFraction >= 1 {
-			return fmt.Errorf("flash crowd atFraction %v outside [0, 1): %w", f.AtFraction, ErrInvalidScenario)
-		}
-		if f.DurationFraction <= 0 || f.AtFraction+f.DurationFraction > 1 {
-			return fmt.Errorf("flash crowd window [%v, %v) outside (0, 1]: %w",
-				f.AtFraction, f.AtFraction+f.DurationFraction, ErrInvalidScenario)
-		}
-		if f.Share <= 0 || f.Share > 1 {
-			return fmt.Errorf("flash crowd share %v outside (0, 1]: %w", f.Share, ErrInvalidScenario)
+	if s.FlashCrowd != nil {
+		if err := s.FlashCrowd.Validate(); err != nil {
+			return fmt.Errorf("flash crowd: %v: %w", err, ErrInvalidScenario)
 		}
 	}
 	seen := make(map[int]bool, len(s.SlowRacks))
@@ -197,33 +158,6 @@ func (s Scenario) Label() string {
 		return s.Name
 	}
 	return "custom"
-}
-
-// RateModulation compiles the diurnal section into the workload hook; nil
-// when the scenario has none.
-func (s Scenario) RateModulation() *workload.RateModulation {
-	if s.Diurnal == nil {
-		return nil
-	}
-	return &workload.RateModulation{
-		Cycles:    s.Diurnal.Cycles,
-		Amplitude: s.Diurnal.Amplitude,
-		Phase:     s.Diurnal.Phase,
-	}
-}
-
-// KeySpike compiles the flash-crowd section into the workload hook; nil
-// when the scenario has none.
-func (s Scenario) KeySpike() *workload.KeySpike {
-	if s.FlashCrowd == nil {
-		return nil
-	}
-	return &workload.KeySpike{
-		At:       s.FlashCrowd.AtFraction,
-		Duration: s.FlashCrowd.DurationFraction,
-		Share:    s.FlashCrowd.Share,
-		Key:      s.FlashCrowd.Key,
-	}
 }
 
 // ServerMultiplier returns the service-time multiplier for server index
@@ -288,11 +222,11 @@ func Builtins() []Scenario {
 	return []Scenario{
 		{
 			Name:    "diurnal",
-			Diurnal: &Diurnal{Cycles: 3, Amplitude: 0.4},
+			Diurnal: &workload.RateModulation{Cycles: 3, Amplitude: 0.4},
 		},
 		{
 			Name:       "flash-crowd",
-			FlashCrowd: &FlashCrowd{AtFraction: 0.4, DurationFraction: 0.2, Share: 0.5, Key: 1},
+			FlashCrowd: &workload.KeySpike{At: 0.4, Duration: 0.2, Share: 0.5, Key: 1},
 		},
 		{
 			Name: "heterogeneous",

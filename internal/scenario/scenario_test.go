@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"netrs/internal/faults"
+	"netrs/internal/workload"
 )
 
 func TestBuiltinsValidateAndResolve(t *testing.T) {
@@ -66,22 +67,22 @@ func TestValidateRejections(t *testing.T) {
 		name string
 		s    Scenario
 	}{
-		{"diurnal zero cycles", Scenario{Diurnal: &Diurnal{Cycles: 0, Amplitude: 0.5}}},
-		{"diurnal amplitude 1", Scenario{Diurnal: &Diurnal{Cycles: 1, Amplitude: 1}}},
-		{"diurnal negative amplitude", Scenario{Diurnal: &Diurnal{Cycles: 1, Amplitude: -0.1}}},
-		{"diurnal phase 1", Scenario{Diurnal: &Diurnal{Cycles: 1, Amplitude: 0.5, Phase: 1}}},
-		{"flash crowd at 1", Scenario{FlashCrowd: &FlashCrowd{AtFraction: 1, DurationFraction: 0.1, Share: 0.5}}},
-		{"flash crowd zero duration", Scenario{FlashCrowd: &FlashCrowd{AtFraction: 0.5, DurationFraction: 0, Share: 0.5}}},
-		{"flash crowd window overflow", Scenario{FlashCrowd: &FlashCrowd{AtFraction: 0.9, DurationFraction: 0.2, Share: 0.5}}},
-		{"flash crowd zero share", Scenario{FlashCrowd: &FlashCrowd{AtFraction: 0.1, DurationFraction: 0.1, Share: 0}}},
-		{"flash crowd share over 1", Scenario{FlashCrowd: &FlashCrowd{AtFraction: 0.1, DurationFraction: 0.1, Share: 1.1}}},
+		{"diurnal zero cycles", Scenario{Diurnal: &workload.RateModulation{Cycles: 0, Amplitude: 0.5}}},
+		{"diurnal amplitude 1", Scenario{Diurnal: &workload.RateModulation{Cycles: 1, Amplitude: 1}}},
+		{"diurnal negative amplitude", Scenario{Diurnal: &workload.RateModulation{Cycles: 1, Amplitude: -0.1}}},
+		{"diurnal phase 1", Scenario{Diurnal: &workload.RateModulation{Cycles: 1, Amplitude: 0.5, Phase: 1}}},
+		{"flash crowd at 1", Scenario{FlashCrowd: &workload.KeySpike{At: 1, Duration: 0.1, Share: 0.5}}},
+		{"flash crowd zero duration", Scenario{FlashCrowd: &workload.KeySpike{At: 0.5, Duration: 0, Share: 0.5}}},
+		{"flash crowd window overflow", Scenario{FlashCrowd: &workload.KeySpike{At: 0.9, Duration: 0.2, Share: 0.5}}},
+		{"flash crowd zero share", Scenario{FlashCrowd: &workload.KeySpike{At: 0.1, Duration: 0.1, Share: 0}}},
+		{"flash crowd share over 1", Scenario{FlashCrowd: &workload.KeySpike{At: 0.1, Duration: 0.1, Share: 1.1}}},
 		{"slow rack negative", Scenario{SlowRacks: []SlowRack{{Rack: -1, ExtraMs: 1}}}},
 		{"slow rack zero extra", Scenario{SlowRacks: []SlowRack{{Rack: 0, ExtraMs: 0}}}},
 		{"slow rack duplicate", Scenario{SlowRacks: []SlowRack{{Rack: 2, ExtraMs: 1}, {Rack: 2, ExtraMs: 2}}}},
 		{"class zero fraction", Scenario{Heterogeneous: []ServerClass{{Fraction: 0, Multiplier: 2}}}},
 		{"class zero multiplier", Scenario{Heterogeneous: []ServerClass{{Fraction: 0.5, Multiplier: 0}}}},
 		{"class fractions over 1", Scenario{Heterogeneous: []ServerClass{{Fraction: 0.7, Multiplier: 2}, {Fraction: 0.7, Multiplier: 0.5}}}},
-		{"shaping with replay", Scenario{ReplayTracePath: "t.csv", Diurnal: &Diurnal{Cycles: 1, Amplitude: 0.1}}},
+		{"shaping with replay", Scenario{ReplayTracePath: "t.csv", Diurnal: &workload.RateModulation{Cycles: 1, Amplitude: 0.1}}},
 		{"bad fault event", Scenario{Faults: []faults.Event{{Kind: "bogus", AtMs: 1}}}},
 	}
 	for _, tc := range cases {
@@ -160,22 +161,20 @@ func TestServerMultiplier(t *testing.T) {
 	}
 }
 
+// TestCompileHooks: the diurnal and flash-crowd sections decode straight
+// into the workload hooks the source consumes, under the scenario schema's
+// JSON keys.
 func TestCompileHooks(t *testing.T) {
-	var zero Scenario
-	if zero.RateModulation() != nil || zero.KeySpike() != nil {
-		t.Fatal("zero scenario compiled non-nil hooks")
+	s, err := Parse([]byte(`{"diurnal":{"cycles":3,"amplitude":0.4,"phase":0.25},` +
+		`"flashCrowd":{"atFraction":0.4,"durationFraction":0.2,"share":0.5,"key":7}}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := Scenario{
-		Diurnal:    &Diurnal{Cycles: 3, Amplitude: 0.4, Phase: 0.25},
-		FlashCrowd: &FlashCrowd{AtFraction: 0.4, DurationFraction: 0.2, Share: 0.5, Key: 7},
+	if m := s.Diurnal; *m != (workload.RateModulation{Cycles: 3, Amplitude: 0.4, Phase: 0.25}) {
+		t.Fatalf("diurnal decoded as %+v", m)
 	}
-	m := s.RateModulation()
-	if m == nil || m.Cycles != 3 || m.Amplitude != 0.4 || m.Phase != 0.25 {
-		t.Fatalf("RateModulation mapping wrong: %+v", m)
-	}
-	k := s.KeySpike()
-	if k == nil || k.At != 0.4 || k.Duration != 0.2 || k.Share != 0.5 || k.Key != 7 {
-		t.Fatalf("KeySpike mapping wrong: %+v", k)
+	if k := s.FlashCrowd; *k != (workload.KeySpike{At: 0.4, Duration: 0.2, Share: 0.5, Key: 7}) {
+		t.Fatalf("flash crowd decoded as %+v", k)
 	}
 }
 
@@ -199,7 +198,7 @@ func TestPredicates(t *testing.T) {
 	if withTrace.Empty() || withTrace.ShapesWorkload() {
 		t.Fatal("trace scenario must be non-empty and leave the synthetic workload alone")
 	}
-	shaped := Scenario{Diurnal: &Diurnal{Cycles: 1, Amplitude: 0.1}}
+	shaped := Scenario{Diurnal: &workload.RateModulation{Cycles: 1, Amplitude: 0.1}}
 	if !shaped.ShapesWorkload() || shaped.Empty() {
 		t.Fatal("diurnal scenario predicates wrong")
 	}

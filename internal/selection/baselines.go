@@ -69,23 +69,33 @@ func (r *RoundRobin) OnResponse(int, sim.Time, kv.Status) {}
 // Name returns "roundrobin".
 func (r *RoundRobin) Name() string { return AlgoRoundRobin }
 
-// LeastOutstanding picks the replica with the fewest locally outstanding
-// requests — the classic least-outstanding-requests policy.
-type LeastOutstanding struct {
+// loads is the in-flight pressure the load-aware baselines share: this
+// selector's own outstanding sends and the last piggybacked queue length
+// per server. Unseen servers read as zero in both maps.
+type loads struct {
 	outstanding map[int]int
+	queue       map[int]float64
 }
 
-var _ Selector = (*LeastOutstanding)(nil)
-
-// NewLeastOutstanding returns an initialized least-outstanding selector.
-func NewLeastOutstanding() *LeastOutstanding {
-	return &LeastOutstanding{outstanding: make(map[int]int)}
+func newLoads() loads {
+	return loads{outstanding: make(map[int]int), queue: make(map[int]float64)}
 }
 
-// Pick chooses the candidate with the fewest in-flight requests,
-// tie-broken by server ID.
-func (l *LeastOutstanding) Pick(candidates []int) (int, sim.Time, error) {
-	ranked := l.Rank(nil, candidates)
+// load is the server's queue estimate plus its outstanding sends.
+func (l *loads) load(server int) float64 {
+	return l.queue[server] + float64(l.outstanding[server])
+}
+
+// release frees one outstanding slot, clamped at zero so feedback about a
+// never-picked server is harmless.
+func (l *loads) release(server int) {
+	if l.outstanding[server] > 0 {
+		l.outstanding[server]--
+	}
+}
+
+// pickFirst returns the first server of a ranking and reserves its slot.
+func (l *loads) pickFirst(ranked []int) (int, sim.Time, error) {
 	if len(ranked) == 0 {
 		return 0, 0, ErrNoCandidates
 	}
@@ -93,64 +103,74 @@ func (l *LeastOutstanding) Pick(candidates []int) (int, sim.Time, error) {
 	return ranked[0], 0, nil
 }
 
-// Rank appends candidates by ascending outstanding count.
-func (l *LeastOutstanding) Rank(dst, candidates []int) []int {
+// rankBy appends candidates to dst ordered by (class, v, server ID), the
+// key of each server coming from key.
+func rankBy(dst, candidates []int, key func(server int) (class int, v float64)) []int {
 	dst = append(dst, candidates...)
 	out := dst[len(dst)-len(candidates):]
 	sort.SliceStable(out, func(i, j int) bool {
-		oi, oj := l.outstanding[out[i]], l.outstanding[out[j]]
-		if oi != oj {
-			return oi < oj
+		ci, vi := key(out[i])
+		cj, vj := key(out[j])
+		switch {
+		case ci != cj:
+			return ci < cj
+		case vi < vj:
+			return true
+		case vj < vi:
+			return false
 		}
 		return out[i] < out[j]
 	})
 	return dst
 }
 
-// OnResponse releases the in-flight slot.
-func (l *LeastOutstanding) OnResponse(server int, _ sim.Time, _ kv.Status) {
-	if l.outstanding[server] > 0 {
-		l.outstanding[server]--
-	}
+// LeastOutstanding picks the replica with the fewest locally outstanding
+// requests — the classic least-outstanding-requests policy.
+type LeastOutstanding struct {
+	loads
 }
+
+var _ Selector = (*LeastOutstanding)(nil)
+
+// NewLeastOutstanding returns an initialized least-outstanding selector.
+func NewLeastOutstanding() *LeastOutstanding {
+	return &LeastOutstanding{loads: newLoads()}
+}
+
+// Pick chooses the candidate with the fewest in-flight requests,
+// tie-broken by server ID.
+func (l *LeastOutstanding) Pick(candidates []int) (int, sim.Time, error) {
+	return l.pickFirst(l.Rank(nil, candidates))
+}
+
+// Rank appends candidates by ascending outstanding count.
+func (l *LeastOutstanding) Rank(dst, candidates []int) []int {
+	return rankBy(dst, candidates, func(s int) (int, float64) { return 0, float64(l.outstanding[s]) })
+}
+
+// OnResponse releases the in-flight slot.
+func (l *LeastOutstanding) OnResponse(server int, _ sim.Time, _ kv.Status) { l.release(server) }
 
 // Name returns "lor".
 func (l *LeastOutstanding) Name() string { return AlgoLeastOutstanding }
-
-var _ Abandoner = (*LeastOutstanding)(nil)
-
-// OnAbandon releases a never-answered request's slot.
-func (l *LeastOutstanding) OnAbandon(server int) {
-	if l.outstanding[server] > 0 {
-		l.outstanding[server]--
-	}
-}
 
 // TwoChoices implements Mitzenmacher's power of two choices: sample two
 // random candidates and send to the one with the shorter piggybacked queue
 // estimate (falling back to outstanding counts before feedback arrives).
 type TwoChoices struct {
-	rng         *sim.RNG
-	queueEst    map[int]float64
-	outstanding map[int]int
+	loads
+	rng *sim.RNG
 }
 
 var _ Selector = (*TwoChoices)(nil)
 
 // NewTwoChoices returns an initialized two-choices selector.
 func NewTwoChoices(rng *sim.RNG) *TwoChoices {
-	return &TwoChoices{
-		rng:         rng,
-		queueEst:    make(map[int]float64),
-		outstanding: make(map[int]int),
-	}
+	return &TwoChoices{loads: newLoads(), rng: rng}
 }
 
-func (t *TwoChoices) load(server int) float64 {
-	return t.queueEst[server] + float64(t.outstanding[server])
-}
-
-// Pick samples two distinct candidates and keeps the lighter one.
+// Pick samples two candidates, with replacement, and keeps the lighter
+// one.
 func (t *TwoChoices) Pick(candidates []int) (int, sim.Time, error) {
 	n := len(candidates)
 	if n == 0 {
@@ -168,59 +188,32 @@ func (t *TwoChoices) Pick(candidates []int) (int, sim.Time, error) {
 
 // Rank appends candidates by the load estimate.
 func (t *TwoChoices) Rank(dst, candidates []int) []int {
-	dst = append(dst, candidates...)
-	out := dst[len(dst)-len(candidates):]
-	sort.SliceStable(out, func(i, j int) bool {
-		li, lj := t.load(out[i]), t.load(out[j])
-		switch {
-		case li < lj:
-			return true
-		case lj < li:
-			return false
-		}
-		return out[i] < out[j]
-	})
-	return dst
+	return rankBy(dst, candidates, func(s int) (int, float64) { return 0, t.load(s) })
 }
 
 // OnResponse updates the queue estimate and releases the slot.
 func (t *TwoChoices) OnResponse(server int, _ sim.Time, status kv.Status) {
-	if t.outstanding[server] > 0 {
-		t.outstanding[server]--
-	}
-	t.queueEst[server] = float64(status.QueueSize)
+	t.release(server)
+	t.queue[server] = float64(status.QueueSize)
 }
 
 // Name returns "p2c".
 func (t *TwoChoices) Name() string { return AlgoTwoChoices }
 
-var _ Abandoner = (*TwoChoices)(nil)
-
-// OnAbandon releases a never-answered request's slot.
-func (t *TwoChoices) OnAbandon(server int) {
-	if t.outstanding[server] > 0 {
-		t.outstanding[server]--
-	}
-}
-
 // DynamicSnitch approximates Cassandra's dynamic snitching: an EWMA of
 // observed read latencies per server scaled by the in-flight load (the
 // snitch's "pending requests" severity factor), picking the lowest.
 type DynamicSnitch struct {
-	alpha       float64
-	latency     map[int]*stats.EWMA
-	outstanding map[int]int
+	loads
+	alpha   float64
+	latency map[int]*stats.EWMA
 }
 
 var _ Selector = (*DynamicSnitch)(nil)
 
 // NewDynamicSnitch returns a snitch with the conventional 0.75 smoothing.
 func NewDynamicSnitch() (*DynamicSnitch, error) {
-	return &DynamicSnitch{
-		alpha:       0.75,
-		latency:     make(map[int]*stats.EWMA),
-		outstanding: make(map[int]int),
-	}, nil
+	return &DynamicSnitch{loads: newLoads(), alpha: 0.75, latency: make(map[int]*stats.EWMA)}, nil
 }
 
 func (d *DynamicSnitch) score(server int) float64 {
@@ -233,37 +226,18 @@ func (d *DynamicSnitch) score(server int) float64 {
 
 // Pick chooses the lowest-scoring server and reserves an in-flight slot.
 func (d *DynamicSnitch) Pick(candidates []int) (int, sim.Time, error) {
-	ranked := d.Rank(nil, candidates)
-	if len(ranked) == 0 {
-		return 0, 0, ErrNoCandidates
-	}
-	d.outstanding[ranked[0]]++
-	return ranked[0], 0, nil
+	return d.pickFirst(d.Rank(nil, candidates))
 }
 
-// Rank appends candidates by ascending latency EWMA.
+// Rank appends candidates by ascending score.
 func (d *DynamicSnitch) Rank(dst, candidates []int) []int {
-	dst = append(dst, candidates...)
-	out := dst[len(dst)-len(candidates):]
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := d.score(out[i]), d.score(out[j])
-		switch {
-		case si < sj:
-			return true
-		case sj < si:
-			return false
-		}
-		return out[i] < out[j]
-	})
-	return dst
+	return rankBy(dst, candidates, func(s int) (int, float64) { return 0, d.score(s) })
 }
 
 // OnResponse folds the observed latency into the per-server EWMA and
 // releases the in-flight slot.
 func (d *DynamicSnitch) OnResponse(server int, latency sim.Time, _ kv.Status) {
-	if d.outstanding[server] > 0 {
-		d.outstanding[server]--
-	}
+	d.release(server)
 	e, ok := d.latency[server]
 	if !ok {
 		e, _ = stats.NewEWMA(d.alpha)
@@ -274,12 +248,3 @@ func (d *DynamicSnitch) OnResponse(server int, latency sim.Time, _ kv.Status) {
 
 // Name returns "snitch".
 func (d *DynamicSnitch) Name() string { return AlgoDynamicSnitch }
-
-var _ Abandoner = (*DynamicSnitch)(nil)
-
-// OnAbandon releases a never-answered request's slot.
-func (d *DynamicSnitch) OnAbandon(server int) {
-	if d.outstanding[server] > 0 {
-		d.outstanding[server]--
-	}
-}

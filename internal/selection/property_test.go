@@ -128,10 +128,6 @@ func TestPropertyUnseenFeedbackNeverPanics(t *testing.T) {
 			// elsewhere — must be absorbed, not crash.
 			for _, id := range []int{12345, 0, 999} {
 				s.OnResponse(id, 2*sim.Millisecond, kv.Status{QueueSize: 1, ServiceTimeNs: float64(sim.Millisecond)})
-				if a, ok := s.(Abandoner); ok {
-					a.OnAbandon(id)
-					a.OnAbandon(id) // double release must stay non-negative
-				}
 			}
 			srv, _, err := s.Pick([]int{5, 6})
 			if err != nil || (srv != 5 && srv != 6) {

@@ -5,7 +5,7 @@
 // compares against (§VI): random, round-robin, least-outstanding-requests,
 // the power of two choices, a Cassandra-style dynamic snitch, and the
 // timeliness-aware Tars. The C3 algorithm itself lives in package c3, and
-// *c3.Selector implements Selector and Abandoner directly.
+// *c3.Selector implements Selector directly.
 package selection
 
 import (
@@ -42,13 +42,6 @@ type Selector interface {
 	Name() string
 }
 
-// Abandoner is implemented by selectors that can release the in-flight
-// slot of a request that will never be answered — canceled duplicates and
-// requests lost to failed operators.
-type Abandoner interface {
-	OnAbandon(server int)
-}
-
 // Algorithm names accepted by New.
 const (
 	AlgoC3               = "c3"
@@ -73,12 +66,10 @@ func Algorithms() []string {
 // rate-control clock; rng feeds the randomized baselines.
 func New(name string, eng *sim.Engine, rng *sim.RNG) (Selector, error) {
 	switch name {
-	case AlgoC3:
-		return NewC3(c3.NewDefaultConfig(), eng)
-	case AlgoC3NoRate:
+	case AlgoC3, AlgoC3NoRate:
 		cfg := c3.NewDefaultConfig()
-		cfg.RateControl = false
-		return NewC3(cfg, eng)
+		cfg.RateControl = name == AlgoC3
+		return c3.NewSelector(cfg, eng)
 	case AlgoRandom:
 		if rng == nil {
 			return nil, fmt.Errorf("random selector needs an rng: %w", ErrInvalidParam)
@@ -101,16 +92,3 @@ func New(name string, eng *sim.Engine, rng *sim.RNG) (Selector, error) {
 		return nil, fmt.Errorf("unknown algorithm %q: %w", name, ErrInvalidParam)
 	}
 }
-
-// NewC3 builds a C3 selector with an explicit configuration — the
-// constructor the cluster wiring uses so it can set the concurrency weight
-// to the number of RSNodes. The dynamic type is *c3.Selector.
-func NewC3(cfg c3.Config, eng *sim.Engine) (Selector, error) {
-	s, err := c3.NewSelector(cfg, eng)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-var _ Abandoner = (*c3.Selector)(nil)

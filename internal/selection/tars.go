@@ -1,8 +1,6 @@
 package selection
 
 import (
-	"sort"
-
 	"netrs/internal/kv"
 	"netrs/internal/sim"
 	"netrs/internal/stats"
@@ -10,7 +8,7 @@ import (
 
 // Tars is a timeliness-aware replica selector in the spirit of "Tars:
 // Timeliness-aware Adaptive Replica Selection for Key-Value Stores"
-// (Jaiman et al., ICDCS 2017; see PAPERS.md), which beats C3 exactly when
+// (Jiang et al., ICDCS 2017; see PAPERS.md), which beats C3 exactly when
 // service capacity fluctuates. Instead of chasing the single
 // lowest-scoring server — the herd behavior C3's cubic penalty only
 // softens — Tars estimates each server's expected wait
@@ -28,13 +26,12 @@ import (
 // Tars draws no randomness — ties break by server ID — so it is fully
 // deterministic and needs no RNG stream.
 type Tars struct {
-	alpha       float64
-	slack       float64
-	latency     map[int]*stats.EWMA
-	service     map[int]*stats.EWMA
-	queue       map[int]float64
-	outstanding map[int]int
-	global      *stats.EWMA
+	loads
+	alpha   float64
+	slack   float64
+	latency map[int]*stats.EWMA
+	service map[int]*stats.EWMA
+	global  *stats.EWMA
 }
 
 var _ Selector = (*Tars)(nil)
@@ -47,20 +44,13 @@ func NewTars() (*Tars, error) {
 		return nil, err
 	}
 	return &Tars{
-		alpha:       0.75,
-		slack:       1.5,
-		latency:     make(map[int]*stats.EWMA),
-		service:     make(map[int]*stats.EWMA),
-		queue:       make(map[int]float64),
-		outstanding: make(map[int]int),
-		global:      global,
+		loads:   newLoads(),
+		alpha:   0.75,
+		slack:   1.5,
+		latency: make(map[int]*stats.EWMA),
+		service: make(map[int]*stats.EWMA),
+		global:  global,
 	}, nil
-}
-
-// load is the server's in-flight pressure: the last piggybacked queue
-// length plus this selector's own outstanding sends.
-func (t *Tars) load(server int) float64 {
-	return t.queue[server] + float64(t.outstanding[server])
 }
 
 // wait estimates the server's expected response time. Unobserved servers
@@ -91,53 +81,25 @@ func (t *Tars) deadline() float64 {
 
 // Pick chooses the best-ranked server and reserves an in-flight slot.
 func (t *Tars) Pick(candidates []int) (int, sim.Time, error) {
-	ranked := t.Rank(nil, candidates)
-	if len(ranked) == 0 {
-		return 0, 0, ErrNoCandidates
-	}
-	t.outstanding[ranked[0]]++
-	return ranked[0], 0, nil
+	return t.pickFirst(t.Rank(nil, candidates))
 }
 
 // Rank appends candidates timely-first: within the timely set by ascending
 // load, within the late set by ascending expected wait.
 func (t *Tars) Rank(dst, candidates []int) []int {
-	dst = append(dst, candidates...)
-	out := dst[len(dst)-len(candidates):]
 	d := t.deadline()
-	sort.SliceStable(out, func(i, j int) bool {
-		ti, tj := t.wait(out[i]) <= d, t.wait(out[j]) <= d
-		if ti != tj {
-			return ti
+	return rankBy(dst, candidates, func(s int) (int, float64) {
+		if w := t.wait(s); w > d {
+			return 1, w
 		}
-		if ti {
-			li, lj := t.load(out[i]), t.load(out[j])
-			switch {
-			case li < lj:
-				return true
-			case lj < li:
-				return false
-			}
-			return out[i] < out[j]
-		}
-		wi, wj := t.wait(out[i]), t.wait(out[j])
-		switch {
-		case wi < wj:
-			return true
-		case wj < wi:
-			return false
-		}
-		return out[i] < out[j]
+		return 0, t.load(s)
 	})
-	return dst
 }
 
 // OnResponse releases the in-flight slot and folds the observation into
 // the per-server and global estimators.
 func (t *Tars) OnResponse(server int, latency sim.Time, status kv.Status) {
-	if t.outstanding[server] > 0 {
-		t.outstanding[server]--
-	}
+	t.release(server)
 	e, ok := t.latency[server]
 	if !ok {
 		e, _ = stats.NewEWMA(t.alpha)
@@ -158,12 +120,3 @@ func (t *Tars) OnResponse(server int, latency sim.Time, status kv.Status) {
 
 // Name returns "tars".
 func (t *Tars) Name() string { return AlgoTars }
-
-var _ Abandoner = (*Tars)(nil)
-
-// OnAbandon releases a never-answered request's slot.
-func (t *Tars) OnAbandon(server int) {
-	if t.outstanding[server] > 0 {
-		t.outstanding[server]--
-	}
-}

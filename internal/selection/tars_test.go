@@ -77,22 +77,3 @@ func TestTarsTimelySetRanksByLoad(t *testing.T) {
 		t.Fatalf("both picks herded onto server %d", first)
 	}
 }
-
-func TestTarsAbandonReleasesSlot(t *testing.T) {
-	s := newTars(t)
-	srv, _, err := s.Pick([]int{7})
-	if err != nil || srv != 7 {
-		t.Fatalf("pick: %d, %v", srv, err)
-	}
-	if s.outstanding[7] != 1 {
-		t.Fatalf("outstanding %d after pick", s.outstanding[7])
-	}
-	s.OnAbandon(7)
-	if s.outstanding[7] != 0 {
-		t.Fatalf("outstanding %d after abandon", s.outstanding[7])
-	}
-	s.OnAbandon(7) // double release clamps at zero
-	if s.outstanding[7] != 0 {
-		t.Fatalf("outstanding %d after double abandon", s.outstanding[7])
-	}
-}

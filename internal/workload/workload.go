@@ -121,23 +121,25 @@ type SourceConfig struct {
 }
 
 // RateModulation is a periodic piecewise-linear (triangle) wave over the
-// run's emission progress, used for diurnal-style load curves. The wave
-// starts at the trough: with Phase 0 the rate ramps from (1−Amplitude)·A
-// up to (1+Amplitude)·A and back, Cycles times over the run. A triangle
-// wave needs only Floor, Abs, multiply, and add, so — unlike a sinusoid —
-// its values are bit-reproducible on every platform.
+// run's emission progress, used for diurnal-style load curves (a
+// scenario's diurnal section). The wave starts at the trough: with Phase 0
+// the rate ramps from (1−Amplitude)·A up to (1+Amplitude)·A and back,
+// Cycles times over the run. A triangle wave needs only Floor, Abs,
+// multiply, and add, so — unlike a sinusoid — its values are
+// bit-reproducible on every platform.
 type RateModulation struct {
 	// Cycles is the number of full waves over the run's emissions (> 0).
-	Cycles float64
+	Cycles float64 `json:"cycles"`
 	// Amplitude is the peak rate deviation as a fraction of the base rate,
 	// in [0, 1): the instantaneous rate swings between (1−A)·A₀ and
 	// (1+A)·A₀.
-	Amplitude float64
+	Amplitude float64 `json:"amplitude"`
 	// Phase offsets the wave's start position as a cycle fraction in [0, 1).
-	Phase float64
+	Phase float64 `json:"phase,omitempty"`
 }
 
-func (m *RateModulation) validate() error {
+// Validate checks the wave's parameters against their ranges.
+func (m *RateModulation) Validate() error {
 	if m.Cycles <= 0 {
 		return fmt.Errorf("modulation cycles %v: %w", m.Cycles, ErrInvalidParam)
 	}
@@ -158,22 +160,24 @@ func (m *RateModulation) factor(frac float64) float64 {
 	return 1 + m.Amplitude*(1-4*math.Abs(pos-0.5))
 }
 
-// KeySpike is a flash-crowd window: between emission fractions At and
-// At+Duration, each emitted request redirects to Key with probability
-// Share.
+// KeySpike is a flash-crowd window (a scenario's flashCrowd section):
+// between emission fractions At and At+Duration, each emitted request
+// redirects to Key with probability Share.
 type KeySpike struct {
 	// At is the window start as an emission fraction in [0, 1).
-	At float64
+	At float64 `json:"atFraction"`
 	// Duration is the window length as an emission fraction (> 0, with
 	// At+Duration ≤ 1).
-	Duration float64
+	Duration float64 `json:"durationFraction"`
 	// Share is the per-request redirect probability in (0, 1].
-	Share float64
-	// Key is the spiked key (< Keys).
-	Key uint64
+	Share float64 `json:"share"`
+	// Key is the spiked key (< Keys, checked by the source that knows the
+	// key space).
+	Key uint64 `json:"key"`
 }
 
-func (k *KeySpike) validate(keys uint64) error {
+// Validate checks the window and the share against their ranges.
+func (k *KeySpike) Validate() error {
 	if k.At < 0 || k.At >= 1 {
 		return fmt.Errorf("spike at %v outside [0, 1): %w", k.At, ErrInvalidParam)
 	}
@@ -182,9 +186,6 @@ func (k *KeySpike) validate(keys uint64) error {
 	}
 	if k.Share <= 0 || k.Share > 1 {
 		return fmt.Errorf("spike share %v outside (0, 1]: %w", k.Share, ErrInvalidParam)
-	}
-	if k.Key >= keys {
-		return fmt.Errorf("spike key %d outside key space %d: %w", k.Key, keys, ErrInvalidParam)
 	}
 	return nil
 }
@@ -212,13 +213,16 @@ func (c SourceConfig) validate() error {
 		return fmt.Errorf("shift fraction %v: %w", c.ShiftFraction, ErrInvalidParam)
 	}
 	if c.Modulation != nil {
-		if err := c.Modulation.validate(); err != nil {
+		if err := c.Modulation.Validate(); err != nil {
 			return err
 		}
 	}
 	if c.Spike != nil {
-		if err := c.Spike.validate(c.Keys); err != nil {
+		if err := c.Spike.Validate(); err != nil {
 			return err
+		}
+		if c.Spike.Key >= c.Keys {
+			return fmt.Errorf("spike key %d outside key space %d: %w", c.Spike.Key, c.Keys, ErrInvalidParam)
 		}
 	}
 	return nil
