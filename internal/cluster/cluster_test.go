@@ -93,6 +93,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Scheme = SchemeNetRSCache; c.CacheBytes = 1 << 20; c.CacheAdmitAfter = -1 },
 		func(c *Config) { c.Scheme = SchemeNetRSCache; c.CacheBytes = 1 << 20; c.CacheItemMinBytes = -1 },
 		func(c *Config) { c.CacheBytes = 1 << 20 }, // cache budget without a cache scheme
+		func(c *Config) { c.PlacementMethod = placement.MethodToR },
+		func(c *Config) { c.PlacementMethod = placement.MethodWarm },
+		func(c *Config) { c.PlacementMethod = placement.Method(9) },
 	}
 	for i, mod := range mods {
 		cfg := DefaultConfig()

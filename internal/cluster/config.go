@@ -212,7 +212,8 @@ type Config struct {
 	GroupMaxHosts int `json:"groupMaxHosts,omitempty"`
 
 	// PlacementMethod forwards to the placement solver (auto by
-	// default).
+	// default). It must name a solver: tor and warm-start only label
+	// plans.
 	PlacementMethod placement.Method `json:"placementMethod"`
 
 	// CancelDuplicates adds cross-server cancellation to CliRS-R95: when
@@ -367,6 +368,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("accel utilization cap %v: %w", c.AccelMaxUtilization, ErrInvalidParam)
 	case c.ExtraHopBudgetFraction < 0:
 		return fmt.Errorf("hop budget fraction %v: %w", c.ExtraHopBudgetFraction, ErrInvalidParam)
+	case !c.PlacementMethod.IsSolver():
+		return fmt.Errorf("placement method %v is not a solver: %w", c.PlacementMethod, ErrInvalidParam)
 	case c.GroupMaxHosts < 0:
 		return fmt.Errorf("group max hosts %d: %w", c.GroupMaxHosts, ErrInvalidParam)
 	case c.TimelineBucket < 0:

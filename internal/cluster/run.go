@@ -144,7 +144,10 @@ type client struct {
 	p95  *stats.P2Quantile
 }
 
-// pending tracks one logical request until its first response.
+// pending tracks one logical request from its arrival until nothing can
+// reach it any more. Each record owns one slot of its partition's table for
+// life; gen counts the slot's reuses, so a handle (gen << 32 | slot) names
+// one occupancy and goes stale when the record is freed.
 type pending struct {
 	logicalIdx int
 	client     *client
@@ -155,61 +158,24 @@ type pending struct {
 	created    sim.Time
 	done       bool
 	primary    int
-	// handles names the packet contexts so cancellation can reach the
-	// loser. A request sends at most two packets: the primary and one
-	// CliRS-R95 duplicate.
-	handles  [2]uint64
-	nhandles int
-	// refs counts what may still reach this record: live packetCtx
-	// records, an armed CliRS-R95 timer (until it fires), and the handler
-	// working on it. The record returns to its partition's free list when
-	// the count drops to zero.
-	refs int
+	// sent counts the packets sent for this request: the primary and at
+	// most one CliRS-R95 duplicate. packetID(p, k) names packet k.
+	sent int
+	// refs counts what may still reach this record: its packets until the
+	// client receives or withdraws them, an armed CliRS-R95 timer (until it
+	// fires), and the handler working on it. The record returns to its
+	// partition's free list when the count drops to zero.
+	refs      int
+	slot, gen uint32
 }
 
-// addHandle records the handle of a packet sent for p.
-func (p *pending) addHandle(h uint64) {
-	p.handles[p.nhandles] = h
-	p.nhandles++
-}
+// handle is the reference p's packets carry (fabric.Packet.Handle).
+func (p *pending) handle() uint64 { return uint64(p.gen)<<32 | uint64(p.slot) }
 
-// packetCtx ties an in-flight packet (primary or duplicate) to its logical
-// request. Each record owns one slot of its partition's table for life;
-// gen counts the slot's reuses, so a handle (gen << 32 | slot) names one
-// occupancy and goes stale when the record is freed.
-type packetCtx struct {
-	p      *pending
-	pid    uint64
-	server int
-	sentAt sim.Time
-	slot   uint32
-	gen    uint32
-}
-
-// handle is the reference the context's packet carries (fabric.Packet.Handle).
-func (ctx *packetCtx) handle() uint64 { return uint64(ctx.gen)<<32 | uint64(ctx.slot) }
-
-// svcReq carries one request's response fields through its server's queue
-// (kv.Request.Arg), recycled through the server partition's free list when
-// the request is served or withdrawn from the queue.
-type svcReq struct {
-	magic      wire.Magic
-	reqID      uint64
-	handle     uint64
-	rid        uint16
-	rgid       uint32
-	key        uint64
-	write      bool
-	client     topo.NodeID
-	created    sim.Time
-	selectedAt sim.Time
-}
-
-// queuedSvc is a CliRS-R95 request's server-queue ticket and the record
-// it carries.
+// queuedSvc is a CliRS-R95 packet's server-queue ticket and the packet.
 type queuedSvc struct {
 	ticket kv.Ticket
-	req    *svcReq
+	pkt    *fabric.Packet
 }
 
 // timedRequest is one workload arrival in the refill buffer.
@@ -235,109 +201,61 @@ type shardState struct {
 	lastDone                       sim.Time
 	degraded, redundant, cancelled uint64
 
-	// ctxs is the slot table of packet contexts: a response resolves its
-	// context from the handle it carries with one index and a generation
-	// check. ctxFree lists the free records; a context is freed only after
-	// its launch event has fired, so the steady-state request flow
-	// allocates no new ones.
-	ctxs    []*packetCtx
-	ctxFree []*packetCtx
-	// pendFree recycles pending records whose refs dropped to zero, and
-	// svcFree the records of requests served in this partition.
+	// pends is the slot table of pending records: a response resolves its
+	// record from the handle it carries with one index and a generation
+	// check. pendFree lists the free records, those whose refs dropped to
+	// zero, so the steady-state request flow allocates no new ones.
+	pends    []*pending
 	pendFree []*pending
-	svcFree  []*svcReq
 	// rank is the scratch a NetRS client ranks its DRS backup into, and
 	// dup the scratch a CliRS-R95 duplicate lists its candidates in.
 	rank []int
 	dup  []int
 
 	// launchFn is the shared handler for rate-control-delayed CliRS sends
-	// in this partition (closure-free scheduling; the packetCtx is the
+	// in this partition (closure-free scheduling; the packet is the
 	// argument).
 	launchFn sim.ArgHandler
 }
 
-// newCtx takes a packetCtx off the partition's free list, or adds one to
-// the slot table when the list is dry, and initializes it to v. Slots
-// start at generation 1, so the zero handle never resolves.
-func (st *shardState) newCtx(v packetCtx) *packetCtx {
-	var ctx *packetCtx
-	if n := len(st.ctxFree); n > 0 {
-		ctx = st.ctxFree[n-1]
-		st.ctxFree = st.ctxFree[:n-1]
-	} else {
-		ctx = &packetCtx{slot: uint32(len(st.ctxs)), gen: 1}
-		st.ctxs = append(st.ctxs, ctx)
-	}
-	v.slot, v.gen = ctx.slot, ctx.gen
-	*ctx = v
-	return ctx
-}
-
-// freeCtx returns a dead context to the free list, zeroed so a stale
-// reader trips over zero values instead of a previous request's state,
-// and with its generation bumped so its handle no longer resolves.
-func (st *shardState) freeCtx(ctx *packetCtx) {
-	*ctx = packetCtx{slot: ctx.slot, gen: ctx.gen + 1}
-	st.ctxFree = append(st.ctxFree, ctx)
-}
-
-// lookup resolves a handle to its live context, or nil once the context
-// has been freed.
-func (st *shardState) lookup(h uint64) *packetCtx {
-	slot := uint32(h)
-	if int(slot) >= len(st.ctxs) {
-		return nil
-	}
-	if ctx := st.ctxs[slot]; ctx.gen == uint32(h>>32) {
-		return ctx
-	}
-	return nil
-}
-
-// newPending takes a pending off the partition's free list, or allocates
-// one when the list is dry, and initializes it to v with one reference:
-// the caller's.
+// newPending takes a pending off the partition's free list, or adds one to
+// the slot table when the list is dry, and initializes it to v with one
+// reference: the caller's. Slots start at generation 1, so the zero handle
+// never resolves.
 func (st *shardState) newPending(v pending) *pending {
 	var p *pending
 	if n := len(st.pendFree); n > 0 {
 		p = st.pendFree[n-1]
 		st.pendFree = st.pendFree[:n-1]
 	} else {
-		p = new(pending)
+		p = &pending{slot: uint32(len(st.pends)), gen: 1}
+		st.pends = append(st.pends, p)
 	}
+	v.slot, v.gen, v.refs = p.slot, p.gen, 1
 	*p = v
-	p.refs = 1
 	return p
 }
 
 // release drops one reference to p, recycling the record with the last.
-// The record is zeroed, so stale readers see zero values, not old state.
+// The record is zeroed, so a stale reader trips over zero values instead
+// of old state, and its generation is bumped, so its handle no longer
+// resolves.
 func (st *shardState) release(p *pending) {
 	p.refs--
 	if p.refs > 0 {
 		return
 	}
-	*p = pending{}
+	*p = pending{slot: p.slot, gen: p.gen + 1}
 	st.pendFree = append(st.pendFree, p)
 }
 
-// newSvc takes a svcReq off the partition's free list, or allocates one
-// when the list is dry.
-func (st *shardState) newSvc() *svcReq {
-	if n := len(st.svcFree); n > 0 {
-		req := st.svcFree[n-1]
-		st.svcFree = st.svcFree[:n-1]
-		return req
+// lookup resolves a handle to its live record, or nil once the record has
+// been freed.
+func (st *shardState) lookup(h uint64) *pending {
+	if slot := uint32(h); int(slot) < len(st.pends) && st.pends[slot].gen == uint32(h>>32) {
+		return st.pends[slot]
 	}
-	return new(svcReq)
-}
-
-// drop retires a context whose packet will never be answered.
-func (st *shardState) drop(ctx *packetCtx) {
-	p := ctx.p
-	st.freeCtx(ctx)
-	st.release(p)
+	return nil
 }
 
 // runner holds one experiment's live state over the P partitions of a
@@ -370,7 +288,7 @@ type runner struct {
 	more  bool
 
 	// tickets holds the server queue entries of CliRS-R95 packets, with
-	// their records, for cross-server cancellation, and is nil unless that
+	// the packets, for cross-server cancellation, and is nil unless that
 	// is enabled. validate refuses cancellation at Shards > 1, so no two
 	// partitions share it.
 	tickets map[uint64]queuedSvc
@@ -530,7 +448,7 @@ func (r *runner) setup() error {
 	r.eng = r.net.Engine()
 	for p := range parts {
 		st := &shardState{part: p, eng: r.set.Engine(p)}
-		st.launchFn = func(arg any) { r.launchPick(st, arg.(*packetCtx)) }
+		st.launchFn = func(arg any) { r.launchPick(st, arg.(*fabric.Packet)) }
 		r.parts = append(r.parts, st)
 	}
 
@@ -1077,11 +995,31 @@ func (r *runner) onArrival(req workload.Request) {
 	st.release(p) // this handler's reference
 }
 
-// packetID names a new packet of p from its arrival index, so no partition
-// reads a shared counter: a primary gets Index+1 and a CliRS-R95 duplicate
-// Index+1+total, which keeps IDs unique across the run.
-func (r *runner) packetID(p *pending) uint64 {
-	return uint64(p.logicalIdx) + 1 + uint64(p.nhandles)*uint64(r.total)
+// packetID names packet k of p from its arrival index, so no partition
+// reads a shared counter: the primary (k = 0) gets Index+1 and a CliRS-R95
+// duplicate Index+1+total, which keeps IDs unique across the run.
+func (r *runner) packetID(p *pending, k int) uint64 {
+	return uint64(p.logicalIdx) + 1 + uint64(k)*uint64(r.total)
+}
+
+// newPacket takes a packet for p's next send off the partition's pool and
+// counts it as one of p's references.
+func (r *runner) newPacket(st *shardState, p *pending) *fabric.Packet {
+	pkt := r.net.NewPacketIn(st.part)
+	pkt.ReqID = r.packetID(p, p.sent)
+	pkt.Handle = p.handle()
+	pkt.RGID = uint32(p.rgid)
+	pkt.Key = p.key
+	pkt.Write = p.write
+	p.sent++
+	p.refs++
+	return pkt
+}
+
+// drop retires a packet of p that will never be answered.
+func (r *runner) drop(st *shardState, p *pending, pkt *fabric.Packet) {
+	r.net.Release(pkt)
+	st.release(p)
 }
 
 // sendClientPick realizes the CliRS flow: the client's own C3 instance
@@ -1092,13 +1030,13 @@ func (r *runner) sendClientPick(st *shardState, p *pending, candidates []int, pr
 	if err != nil {
 		return
 	}
-	ctx := st.newCtx(packetCtx{p: p, pid: r.packetID(p), server: server})
-	p.refs++
-	p.addHandle(ctx.handle())
+	pkt := r.newPacket(st, p)
+	pkt.Dst = r.serverHostOf[server]
+	pkt.Server = server
 	if delay > 0 {
-		st.eng.MustScheduleArg(delay, st.launchFn, ctx)
+		st.eng.MustScheduleArg(delay, st.launchFn, pkt)
 	} else {
-		r.launchPick(st, ctx)
+		r.launchPick(st, pkt)
 	}
 	if primary {
 		p.primary = server
@@ -1110,22 +1048,14 @@ func (r *runner) sendClientPick(st *shardState, p *pending, candidates []int, pr
 
 // launchPick puts a CliRS request on the wire once any rate-control delay
 // has elapsed.
-func (r *runner) launchPick(st *shardState, ctx *packetCtx) {
-	p := ctx.p
+func (r *runner) launchPick(st *shardState, pkt *fabric.Packet) {
+	p := st.lookup(pkt.Handle)
 	if p.done {
-		st.drop(ctx)
+		r.drop(st, p, pkt)
 		return
 	}
-	ctx.sentAt = st.eng.Now()
-	pkt := r.net.NewPacketIn(st.part)
-	pkt.ReqID = ctx.pid
-	pkt.Handle = ctx.handle()
-	pkt.Dst = r.serverHostOf[ctx.server]
-	pkt.Server = ctx.server
-	pkt.RGID = uint32(p.rgid)
-	pkt.CreatedAt = p.created
 	if err := r.net.SendDirect(pkt, p.client.host); err != nil {
-		st.drop(ctx)
+		r.drop(st, p, pkt)
 	}
 }
 
@@ -1176,108 +1106,71 @@ func (r *runner) sendNetRS(st *shardState, p *pending) {
 	c := p.client
 	st.rank = c.sel.Rank(st.rank[:0], p.replicas)
 	backup := st.rank[0]
-	ctx := st.newCtx(packetCtx{p: p, pid: r.packetID(p), server: -1, sentAt: st.eng.Now()})
-	p.refs++
-	p.addHandle(ctx.handle())
-	pkt := r.net.NewPacketIn(st.part)
-	pkt.ReqID = ctx.pid
-	pkt.Handle = ctx.handle()
-	pkt.RGID = uint32(p.rgid)
+	pkt := r.newPacket(st, p)
 	pkt.Dst = topo.InvalidNode
 	pkt.Backup = r.serverHostOf[backup]
 	pkt.BackupServer = backup
-	pkt.Key = p.key
-	pkt.Write = p.write
-	pkt.CreatedAt = p.created
 	if err := r.net.SendNetRSRequest(pkt, c.host); err != nil {
-		st.drop(ctx)
+		r.drop(st, p, pkt)
 	}
 }
 
 // serverHandler services requests at a replica server's host (that host's
-// partition). The request's response fields ride through the server's
-// queue in a pooled svcReq, answered by one stored completion handler.
+// partition). The request packet waits in the server's queue
+// (kv.Request.Arg) and turns into the response, answered by one stored
+// completion handler.
 func (r *runner) serverHandler(sid int) fabric.HostHandler {
 	srv := r.servers[sid]
 	host := r.serverHostOf[sid]
-	st := r.parts[r.net.PartitionOf(host)]
-	done := func(arg any, _ sim.Time) { r.respond(st, sid, host, arg.(*svcReq)) }
+	done := func(arg any, _ sim.Time) { r.respond(sid, host, arg.(*fabric.Packet)) }
 	return func(pkt *fabric.Packet) {
-		req := st.newSvc()
-		*req = svcReq{
-			magic:      pkt.Magic,
-			reqID:      pkt.ReqID,
-			handle:     pkt.Handle,
-			rid:        pkt.RID,
-			rgid:       pkt.RGID,
-			key:        pkt.Key,
-			write:      pkt.Write,
-			client:     pkt.Src,
-			created:    pkt.CreatedAt,
-			selectedAt: pkt.SelectedAt,
-		}
-		ticket := srv.Submit(kv.Request{Done: done, Arg: req})
+		ticket := srv.Submit(kv.Request{Done: done, Arg: pkt})
 		if r.tickets != nil {
-			r.tickets[req.reqID] = queuedSvc{ticket, req}
+			r.tickets[pkt.ReqID] = queuedSvc{ticket, pkt}
 		}
 	}
 }
 
-// respond sends server sid's response to a served request and recycles
-// the request's record.
-func (r *runner) respond(st *shardState, sid int, host topo.NodeID, req *svcReq) {
-	v := *req
-	st.svcFree = append(st.svcFree, req)
+// respond turns a request server sid has served into its response, then
+// sends a write's cache invalidations.
+func (r *runner) respond(sid int, host topo.NodeID, pkt *fabric.Packet) {
+	reqID, key, write := pkt.ReqID, pkt.Key, pkt.Write
 	if r.tickets != nil {
-		delete(r.tickets, v.reqID)
+		delete(r.tickets, reqID)
 	}
-	respMagic := wire.Magic(0)
-	if v.magic != 0 {
-		respMagic = wire.InverseTransform(v.magic)
-	}
-	resp := r.net.NewPacketIn(st.part)
-	resp.ReqID = v.reqID
-	resp.Handle = v.handle
-	resp.Magic = respMagic
-	resp.RID = v.rid
-	resp.RGID = v.rgid
-	resp.Dst = v.client
-	resp.Server = sid
-	resp.Status = r.servers[sid].Status()
-	resp.Key = v.key
-	resp.Write = v.write
-	resp.CreatedAt = v.created
-	resp.SelectedAt = v.selectedAt
-	if err := r.net.SendResponse(resp, host); err != nil {
+	pkt.Server = sid
+	pkt.Status = r.servers[sid].Status()
+	if err := r.net.SendResponse(pkt, host); err != nil {
+		r.net.Release(pkt)
 		return
 	}
-	if v.write {
+	if write {
 		// One multicast to every enabled ToR cache, in topology order; with
 		// none enabled it sends nothing. Host→switch routes always exist, so
 		// an error would be a topology bug.
-		_ = r.net.SendInvalidations(host, v.reqID, v.key, r.invalidationToRs)
+		_ = r.net.SendInvalidations(host, reqID, key, r.invalidationToRs)
 	}
 }
 
 // clientHandler receives responses at a client host (that host's
-// partition).
+// partition) and releases every packet it gets.
 func (r *runner) clientHandler(c *client) fabric.HostHandler {
 	st := r.parts[c.part]
 	return func(pkt *fabric.Packet) {
-		ctx := st.lookup(pkt.Handle)
-		if ctx == nil {
-			return // stray (e.g. duplicate answered after completion cleanup)
+		p := st.lookup(pkt.Handle)
+		if p == nil {
+			r.net.Release(pkt)
+			return // stray: its record is gone
 		}
 		now := st.eng.Now()
-		// The context's reference to p passes to this handler.
-		p, sentAt := ctx.p, ctx.sentAt
-		st.freeCtx(ctx) // answered and launched: dead from here on
 		// Cache hits carry the -1 server sentinel: no replica served them,
 		// so there is no feedback to fold into the selector.
 		if pkt.Server >= 0 {
-			c.sel.OnResponse(pkt.Server, now-sentAt, pkt.Status)
+			c.sel.OnResponse(pkt.Server, now-pkt.SentAt, pkt.Status)
 		}
 		degraded := pkt.RID == wire.DegradedRID
+		// The packet's reference to p passes to this handler.
+		r.net.Release(pkt)
 		if degraded {
 			st.degraded++
 		}
@@ -1289,29 +1182,24 @@ func (r *runner) clientHandler(c *client) fabric.HostHandler {
 	}
 }
 
-// complete records p's first response, whose context the caller has
-// already freed. The caller holds a reference to p, so none released here
-// is the last.
+// complete records p's first response. The caller holds a reference to
+// p, so none released here is the last.
 func (r *runner) complete(st *shardState, p *pending, degraded bool, now sim.Time) {
 	c := p.client
 	p.done = true
 	// Cross-server cancellation: the race is decided, withdraw any
-	// sibling still queued at its server. The winner's context is already
-	// freed, so its handle no longer resolves.
+	// sibling still queued at its server. The winner was served, so its
+	// ticket is already gone.
 	if r.tickets != nil {
-		for _, h := range p.handles[:p.nhandles] {
-			sibling := st.lookup(h)
-			if sibling == nil {
-				continue
-			}
-			if q, ok := r.tickets[sibling.pid]; ok && q.ticket.Cancel() {
-				delete(r.tickets, sibling.pid)
-				// Never served: the record returns to its pool here (the
-				// server's partition is st, as cancellation runs at P = 1).
-				st.svcFree = append(st.svcFree, q.req)
+		for k := range p.sent {
+			id := r.packetID(p, k)
+			if q, ok := r.tickets[id]; ok && q.ticket.Cancel() {
+				delete(r.tickets, id)
 				st.cancelled++
-				c.sel.OnAbandon(sibling.server)
-				st.freeCtx(sibling)
+				c.sel.OnAbandon(q.pkt.Server)
+				// Never served: the packet returns to its pool here (the
+				// server's partition is st, as cancellation runs at P = 1).
+				r.net.Release(q.pkt)
 				p.refs--
 			}
 		}

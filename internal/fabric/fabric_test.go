@@ -147,22 +147,11 @@ func newHarness(t *testing.T, factory func(uint16, *sim.Engine) (Selector, error
 	return h
 }
 
-// serveEcho responds immediately with the magic algebra of §IV-C.
+// serveEcho responds immediately, turning the request around.
 func (h *harness) serveEcho(sid int, host topo.NodeID, p *Packet) {
-	resp := &Packet{
-		ReqID:  p.ReqID,
-		Magic:  wire.InverseTransform(p.Magic),
-		RID:    p.RID,
-		RGID:   p.RGID,
-		Dst:    p.Src,
-		Server: sid,
-		Status: kv.Status{QueueSize: 3, ServiceTimeNs: float64(sim.Millisecond)},
-		Key:    p.Key,
-		Write:  p.Write,
-
-		SelectedAt: p.SelectedAt,
-	}
-	if err := h.net.SendResponse(resp, host); err != nil {
+	p.Server = sid
+	p.Status = kv.Status{QueueSize: 3, ServiceTimeNs: float64(sim.Millisecond)}
+	if err := h.net.SendResponse(p, host); err != nil {
 		h.t.Errorf("send response: %v", err)
 	}
 }
@@ -179,7 +168,6 @@ func (h *harness) sendKeyed(reqID, key uint64, write bool) {
 		Dst:          topo.InvalidNode,
 		Backup:       h.servers[2],
 		BackupServer: 2,
-		CreatedAt:    h.eng.Now(),
 	}
 	if err := h.net.SendNetRSRequest(p, h.client); err != nil {
 		h.t.Fatal(err)
@@ -385,6 +373,53 @@ func TestDegradedReplicaSelection(t *testing.T) {
 	rates, ok := h.torOperator().Monitor().Snapshot(h.eng.Now())
 	if !ok || rates[0][topo.TierToR] == 0 {
 		t.Fatalf("DRS response not monitor-counted as tier-2: %v", rates)
+	}
+}
+
+// TestSendResponseTurnsRequestAround turns a degraded request, stamped
+// with its client ToR's source marker, into its response: the packet heads
+// back to its source with the inverted magic and no marker, so the
+// server's ToR stamps its own, and the handle and both timestamps ride
+// along to the client.
+func TestSendResponseTurnsRequestAround(t *testing.T) {
+	h := newHarness(t, nil)
+	server := h.servers[1] // another pod
+	p := h.net.NewPacketIn(0)
+	p.ReqID = 7
+	p.Magic = wire.Transform(wire.MagicMonitor)
+	p.RID = wire.DegradedRID
+	p.Src, p.Dst = h.client, server
+	p.SM, p.HasSM = wire.SourceMarker{Pod: 0, Rack: 0}, true
+	p.Handle = 42<<32 | 3
+	p.SentAt, p.SelectedAt = 5*sim.Microsecond, 9*sim.Microsecond
+	if err := h.net.SendResponse(p, server); err != nil {
+		t.Fatal(err)
+	}
+	if p.Src != server || p.Dst != h.client || p.Magic != wire.MagicMonitor || p.HasSM {
+		t.Fatalf("turned around to src %d dst %d magic %x SM %v, want %d→%d, Mmon, no SM",
+			p.Src, p.Dst, uint64(p.Magic), p.HasSM, server, h.client)
+	}
+	h.eng.Run()
+	got := h.got[7]
+	if got != p {
+		t.Fatal("the response is not the request's packet")
+	}
+	node, err := h.ft.Node(server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (wire.SourceMarker{Pod: uint16(node.Pod), Rack: uint16(node.Rack)}); !got.HasSM || got.SM != want {
+		t.Errorf("source marker %+v (stamped %v), want the server ToR's %+v", got.SM, got.HasSM, want)
+	}
+	if got.Handle != 42<<32|3 || got.SentAt != 5*sim.Microsecond || got.SelectedAt != 9*sim.Microsecond {
+		t.Errorf("handle %x, sent %v, selected %v did not ride along", got.Handle, got.SentAt, got.SelectedAt)
+	}
+	if n := h.net.PacketsInUse(); n != 1 {
+		t.Errorf("%d packets in use before the client releases, want 1", n)
+	}
+	h.net.Release(got)
+	if n := h.net.PacketsInUse(); n != 0 {
+		t.Errorf("%d packets in use after the client releases, want 0", n)
 	}
 }
 
@@ -917,7 +952,7 @@ func BenchmarkForwardHop(b *testing.B) {
 	}
 	hosts := ft.Hosts()
 	src, dst := hosts[0], hosts[len(hosts)-1]
-	if err := net.AttachHost(dst, func(*Packet) {}); err != nil {
+	if err := net.AttachHost(dst, net.Release); err != nil {
 		b.Fatal(err)
 	}
 	send := func(id uint64) {

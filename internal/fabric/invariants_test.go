@@ -60,18 +60,9 @@ func newInvariantWorld(t *testing.T, seed uint64, schemeILP bool) *invariantWorl
 	for sid, host := range w.servers {
 		sid, host := sid, host
 		if err := net.AttachHost(host, func(p *Packet) {
-			resp := &Packet{
-				ReqID:  p.ReqID,
-				Magic:  wire.InverseTransform(p.Magic),
-				RID:    p.RID,
-				RGID:   p.RGID,
-				Dst:    p.Src,
-				Server: sid,
-				Status: kv.Status{QueueSize: 1, ServiceTimeNs: 1000},
-
-				SelectedAt: p.SelectedAt,
-			}
-			if err := w.net.SendResponse(resp, host); err != nil {
+			p.Server = sid
+			p.Status = kv.Status{QueueSize: 1, ServiceTimeNs: 1000}
+			if err := w.net.SendResponse(p, host); err != nil {
 				w.t.Errorf("respond: %v", err)
 			}
 		}); err != nil {
@@ -134,7 +125,6 @@ func (w *invariantWorld) sendAll(n int) {
 			Dst:          topo.InvalidNode,
 			Backup:       w.servers[backup],
 			BackupServer: backup,
-			CreatedAt:    w.eng.Now(),
 		}
 		if err := w.net.SendNetRSRequest(p, client); err != nil {
 			w.t.Fatal(err)

@@ -370,6 +370,12 @@ func TestSolveValidation(t *testing.T) {
 	if _, err := Solve(noOps, Options{}); !errors.Is(err, ErrInvalidParam) {
 		t.Error("no operators accepted")
 	}
+	// Plan labels and out-of-range values name no solver.
+	for _, m := range []Method{MethodToR, MethodWarm, Method(9), Method(-1)} {
+		if _, err := Solve(p, Options{Method: m}); !errors.Is(err, ErrInvalidParam) {
+			t.Errorf("method %v accepted", m)
+		}
+	}
 }
 
 func TestValidateRejectsBadPlans(t *testing.T) {

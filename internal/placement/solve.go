@@ -43,6 +43,10 @@ func (m Method) String() string {
 	}
 }
 
+// IsSolver reports whether Solve accepts m: zero (auto), auto, exact-ilp
+// or heuristic. MethodToR and MethodWarm only label plans.
+func (m Method) IsSolver() bool { return m >= 0 && m <= MethodHeuristic }
+
 // ParseMethod resolves a method name as String prints it.
 func ParseMethod(name string) (Method, error) {
 	for m := MethodAuto; m <= MethodWarm; m++ {
@@ -104,8 +108,12 @@ func (o Options) withDefaults() Options {
 // and AllowDRS is set, it repeatedly moves the highest-traffic remaining
 // group to Degraded Replica Selection and retries (§III-C: "the NetRS
 // controller turns DRS on for groups with the highest traffic"); otherwise
-// it returns ErrInfeasible.
+// it returns ErrInfeasible. A method that only labels plans (MethodToR,
+// MethodWarm) is refused with ErrInvalidParam.
 func Solve(p Problem, opts Options) (Plan, error) {
+	if !opts.Method.IsSolver() {
+		return Plan{}, fmt.Errorf("placement method %v is not a solver: %w", opts.Method, ErrInvalidParam)
+	}
 	opts = opts.withDefaults()
 	if len(p.Groups) == 0 {
 		return Plan{}, fmt.Errorf("no traffic groups: %w", ErrInvalidParam)
@@ -174,22 +182,11 @@ func solveActive(p Problem, active []bool, opts Options) (Plan, error) {
 				gi, p.Groups[gi].Total(), ErrInfeasible)
 		}
 	}
-	method := opts.Method
-	if method == MethodAuto || method == MethodToR {
-		if pVars <= opts.ExactLimit {
-			method = MethodExact
-		} else {
-			method = MethodHeuristic
-		}
-	}
-	switch method {
-	case MethodExact:
+	// Auto solves exactly up to the size threshold.
+	if opts.Method == MethodExact || opts.Method == MethodAuto && pVars <= opts.ExactLimit {
 		return solveExact(p, active, candidates, opts)
-	case MethodHeuristic:
-		return solveHeuristic(p, active, candidates)
-	default:
-		return Plan{}, fmt.Errorf("method %v: %w", method, ErrInvalidParam)
 	}
+	return solveHeuristic(p, active, candidates)
 }
 
 // candidateSets computes, per active group, the eligible operator indices
