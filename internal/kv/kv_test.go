@@ -2,6 +2,7 @@ package kv
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -538,8 +539,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 // TestGroupOfKeyMatchesSearch checks the bucket index against a binary
 // search over the sorted points, on every point's exact position and its
 // neighbours (bucket edges, ties) plus both ends of the hash space (the
-// wrap past the last point). The rf = 9 ring takes NewRing's string-key
-// enumeration path.
+// wrap past the last point). The rf = 9 ring walks past eight members.
 func TestGroupOfKeyMatchesSearch(t *testing.T) {
 	rings := []struct{ servers, rf, vnodes int }{
 		{1, 1, 1}, {17, 3, 16}, {100, 3, 64}, {800, 3, 64}, {20, 9, 8},
@@ -554,7 +554,7 @@ func TestGroupOfKeyMatchesSearch(t *testing.T) {
 			if i == len(r.points) {
 				i = 0
 			}
-			return r.groupOf[i]
+			return int(r.groupOf[i])
 		}
 		hashes := []uint64{0, math.MaxUint64}
 		for _, p := range r.points {
@@ -564,6 +564,112 @@ func TestGroupOfKeyMatchesSearch(t *testing.T) {
 			if got, want := r.groupOfHash(h), search(h); got != want {
 				t.Fatalf("ring %+v: groupOfHash(%#x) = %d, binary search = %d", c, h, got, want)
 			}
+		}
+	}
+}
+
+// referenceRing is NewRing's group enumeration as it was before the ring
+// became flat arrays: points sorted with sort.Slice, and a map from each
+// point's member list to its group ID, assigned in first-encounter order.
+// (The old code keyed rf ≤ 8 by a zero-padded [8]int32 and longer lists
+// by a string; both give the same IDs, so one string key stands for
+// both.)
+func referenceRing(servers, rf, vnodes int, seed uint64) (points []ringPoint, groups [][]int, groupOf []int) {
+	for s := 0; s < servers; s++ {
+		for v := 0; v < vnodes; v++ {
+			points = append(points, ringPoint{pos: pointHash(seed, uint64(s), uint64(v)), server: s})
+		}
+	}
+	sort.Slice(points, func(i, j int) bool {
+		if points[i].pos != points[j].pos {
+			return points[i].pos < points[j].pos
+		}
+		return points[i].server < points[j].server
+	})
+	ids := make(map[string]int)
+	for i := range points {
+		var members []int
+		for j := 0; len(members) < rf; j++ {
+			if s := points[(i+j)%len(points)].server; !slices.Contains(members, s) {
+				members = append(members, s)
+			}
+		}
+		key := fmt.Sprint(members)
+		id, ok := ids[key]
+		if !ok {
+			id = len(groups)
+			groups = append(groups, members)
+			ids[key] = id
+		}
+		groupOf = append(groupOf, id)
+	}
+	return points, groups, groupOf
+}
+
+// TestRingMatchesReference checks the flat ring against the map-based
+// enumeration: the same sorted points, the same group count, the same
+// group at every point and from groupOfHash at every point's position,
+// and the same replica list for every group ID. The k=32 preset's ring
+// (800 servers) is here because no golden run builds it, and the rf = 9
+// and rf = 12 rings because the old code enumerated them on a separate
+// path.
+func TestRingMatchesReference(t *testing.T) {
+	rings := []struct{ servers, rf, vnodes int }{
+		{1, 1, 1}, {17, 3, 16}, {100, 3, 64}, {800, 3, 64}, {20, 9, 8}, {12, 12, 4},
+	}
+	for _, c := range rings {
+		r, err := NewRing(c.servers, c.rf, c.vnodes, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points, groups, groupOf := referenceRing(c.servers, c.rf, c.vnodes, 42)
+		if !slices.Equal(r.points, points) {
+			t.Fatalf("ring %+v: points differ from the reference", c)
+		}
+		if r.Groups() != len(groups) {
+			t.Fatalf("ring %+v: %d groups, reference %d", c, r.Groups(), len(groups))
+		}
+		for i, p := range points {
+			first := sort.Search(len(points), func(j int) bool { return points[j].pos >= p.pos })
+			if got := int(r.groupOf[i]); got != groupOf[i] {
+				t.Fatalf("ring %+v: point %d in group %d, reference %d", c, i, got, groupOf[i])
+			}
+			if got := r.groupOfHash(p.pos); got != groupOf[first] {
+				t.Fatalf("ring %+v: groupOfHash(%#x) = %d, reference %d", c, p.pos, got, groupOf[first])
+			}
+		}
+		for g, want := range groups {
+			got, err := r.Replicas(g)
+			if err != nil || !slices.Equal(got, want) || cap(got) != c.rf {
+				t.Fatalf("ring %+v: Replicas(%d) = %v (cap %d, err %v), reference %v", c, g, got, cap(got), err, want)
+			}
+		}
+	}
+}
+
+// TestNewRingAllocs pins the ring's flat layout: building one costs the
+// same handful of allocations at the paper's size and at the k=32
+// preset's, whatever the number of points and groups.
+func TestNewRingAllocs(t *testing.T) {
+	for _, servers := range []int{100, 800} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := NewRing(servers, 3, 64, 42); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Errorf("NewRing(%d, 3, 64) allocates %v times, want at most 8", servers, allocs)
+		}
+	}
+}
+
+// BenchmarkNewRing times building the k=32 preset's ring (800 servers,
+// rf 3, 64 virtual nodes); B/op is the ring.
+func BenchmarkNewRing(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewRing(800, 3, 64, 42); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -7,12 +7,14 @@
 package kv
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"strconv"
+	"slices"
+
+	"netrs/internal/sim"
 )
 
 // ErrInvalidParam reports a construction parameter outside its domain.
@@ -28,9 +30,9 @@ var ErrInvalidParam = errors.New("kv: invalid parameter")
 type Ring struct {
 	servers int
 	rf      int
-	points  []ringPoint // sorted by position
-	groups  [][]int     // group id -> replica server ids
-	groupOf []int       // point index -> group id
+	points  []ringPoint // sorted by (position, server)
+	groupOf []uint32    // point index -> group id
+	members []int       // group g's replicas are members[g*rf : (g+1)*rf]
 
 	// index maps the top bits of a hash to the first point at or past
 	// that bucket's start, so a lookup is one table load and a short
@@ -40,11 +42,6 @@ type Ring struct {
 	index []uint32
 	shift uint // 64 − log2(len(index)); a hash's bucket is h >> shift
 }
-
-// memberArenaBlock is how many server IDs one replica-group arena block
-// holds: group member lists are carved out of shared blocks so a ring
-// costs O(groups/block) allocations instead of one per group.
-const memberArenaBlock = 4096
 
 type ringPoint struct {
 	pos    uint64
@@ -58,82 +55,50 @@ func NewRing(servers, rf, vnodes int, seed uint64) (*Ring, error) {
 	if servers < 1 || rf < 1 || rf > servers || vnodes < 1 || servers > math.MaxUint32/vnodes {
 		return nil, fmt.Errorf("ring servers=%d rf=%d vnodes=%d: %w", servers, rf, vnodes, ErrInvalidParam)
 	}
-	r := &Ring{servers: servers, rf: rf}
-	r.points = make([]ringPoint, 0, servers*vnodes)
+	n := servers * vnodes
+	r := &Ring{servers: servers, rf: rf, points: make([]ringPoint, n)}
 	for s := 0; s < servers; s++ {
 		for v := 0; v < vnodes; v++ {
-			pos := pointHash(seed, uint64(s), uint64(v))
-			r.points = append(r.points, ringPoint{pos: pos, server: s})
+			r.points[s*vnodes+v] = ringPoint{pos: pointHash(seed, uint64(s), uint64(v)), server: s}
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].pos != r.points[j].pos {
-			return r.points[i].pos < r.points[j].pos
-		}
-		return r.points[i].server < r.points[j].server
+	slices.SortFunc(r.points, func(a, b ringPoint) int {
+		return cmp.Or(cmp.Compare(a.pos, b.pos), cmp.Compare(a.server, b.server))
 	})
 	r.buildIndex()
 
-	// Enumerate the distinct replica groups, one per ring segment. A ring
-	// is built per run over servers×vnodes points, and at hyperscale most
-	// segments carry a distinct group, so this loop must not allocate per
-	// point or per group: the walk reuses one scratch slice, member lists
-	// are carved from shared arena blocks, and the dedup key is a
-	// comparable fixed-size array (a map insert allocates nothing beyond
-	// buckets).
-	// Every member list has exactly rf entries, so the zero-padded array
-	// key collides exactly when the ordered lists are equal and group IDs
-	// are assigned in the same first-encounter order as ever.
-	r.groupOf = make([]int, len(r.points))
-	scratch := make([]int, 0, rf)
-	var arena []int
-	carve := func(src []int) []int {
-		if len(arena)+len(src) > cap(arena) {
-			n := memberArenaBlock
-			if len(src) > n {
-				n = len(src)
-			}
-			arena = make([]int, 0, n)
-		}
-		start := len(arena)
-		arena = append(arena, src...)
-		return arena[start:len(arena):len(arena)]
-	}
-	if rf <= 8 && servers <= math.MaxInt32 {
-		ids := make(map[[8]int32]int)
-		for i := range r.points {
-			scratch = r.walk(scratch[:0], i)
-			var key [8]int32
-			for j, m := range scratch {
-				key[j] = int32(m)
-			}
-			id, ok := ids[key]
-			if !ok {
-				id = len(r.groups)
-				r.groups = append(r.groups, carve(scratch))
-				ids[key] = id
-			}
-			r.groupOf[i] = id
-		}
-		return r, nil
-	}
-	// rf > 8 (far beyond the paper's 3): string keys, same enumeration.
-	ids := make(map[string]int)
-	keyBuf := make([]byte, 0, 16*rf)
+	// Enumerate the distinct replica groups, one per ring segment, in
+	// first-encounter order along the ring. Each point's walk is appended
+	// to members as a tentative new group and dropped again when an
+	// open-addressing table (group ID + 1 per slot, 0 for empty, at least
+	// twice as many slots as points) already holds an equal member list.
+	// There are at most n groups, so members never outgrows its n×rf
+	// capacity and the ring costs the same few allocations at any size.
+	r.groupOf = make([]uint32, n)
+	r.members = make([]int, 0, n*rf)
+	table := make([]uint32, 1<<bits.Len(uint(2*n-1)))
+	mask := uint64(len(table) - 1)
 	for i := range r.points {
-		scratch = r.walk(scratch[:0], i)
-		keyBuf = keyBuf[:0]
-		for _, m := range scratch {
-			keyBuf = strconv.AppendInt(keyBuf, int64(m), 10)
-			keyBuf = append(keyBuf, ',')
+		r.members = r.walk(r.members, i)
+		walked := r.members[len(r.members)-rf:]
+		h := uint64(0)
+		for _, m := range walked {
+			h = sim.Mix64(h ^ uint64(m))
 		}
-		id, ok := ids[string(keyBuf)]
-		if !ok {
-			id = len(r.groups)
-			r.groups = append(r.groups, carve(scratch))
-			ids[string(keyBuf)] = id
+		slot := h & mask
+		for table[slot] != 0 {
+			g := int(table[slot]-1) * rf
+			if slices.Equal(r.members[g:g+rf], walked) {
+				break
+			}
+			slot = (slot + 1) & mask
 		}
-		r.groupOf[i] = id
+		if table[slot] == 0 {
+			table[slot] = uint32(len(r.members) / rf) // the new group's ID + 1
+		} else {
+			r.members = r.members[:len(r.members)-rf]
+		}
+		r.groupOf[i] = table[slot] - 1
 	}
 	return r, nil
 }
@@ -153,24 +118,16 @@ func (r *Ring) buildIndex() {
 	}
 }
 
-// walk collects rf distinct servers clockwise from point index i into the
-// scratch slice. rf is small (3 in the paper), so duplicate detection is a
-// linear scan.
-func (r *Ring) walk(scratch []int, i int) []int {
-	for j := 0; len(scratch) < r.rf; j++ {
-		s := r.points[(i+j)%len(r.points)].server
-		dup := false
-		for _, m := range scratch {
-			if m == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			scratch = append(scratch, s)
+// walk appends rf distinct servers clockwise from point index i to dst.
+// rf is small (3 in the paper), so duplicate detection is a linear scan.
+func (r *Ring) walk(dst []int, i int) []int {
+	start := len(dst)
+	for j := 0; len(dst)-start < r.rf; j++ {
+		if s := r.points[(i+j)%len(r.points)].server; !slices.Contains(dst[start:], s) {
+			dst = append(dst, s)
 		}
 	}
-	return scratch
+	return dst
 }
 
 // Servers returns the number of servers on the ring.
@@ -180,7 +137,7 @@ func (r *Ring) Servers() int { return r.servers }
 func (r *Ring) RF() int { return r.rf }
 
 // Groups returns the number of distinct replica groups.
-func (r *Ring) Groups() int { return len(r.groups) }
+func (r *Ring) Groups() int { return len(r.members) / r.rf }
 
 // GroupOfKey returns the replica group ID owning a key.
 func (r *Ring) GroupOfKey(key uint64) int {
@@ -199,16 +156,17 @@ func (r *Ring) groupOfHash(h uint64) int {
 	if i == len(r.points) {
 		i = 0
 	}
-	return r.groupOf[i]
+	return int(r.groupOf[i])
 }
 
 // Replicas returns the server IDs of a replica group. The slice must not
 // be modified.
 func (r *Ring) Replicas(group int) ([]int, error) {
-	if group < 0 || group >= len(r.groups) {
-		return nil, fmt.Errorf("group %d of %d: %w", group, len(r.groups), ErrInvalidParam)
+	if group < 0 || group >= r.Groups() {
+		return nil, fmt.Errorf("group %d of %d: %w", group, r.Groups(), ErrInvalidParam)
 	}
-	return r.groups[group], nil
+	end := (group + 1) * r.rf
+	return r.members[group*r.rf : end : end], nil
 }
 
 // ReplicasOfKey is the composition of GroupOfKey and Replicas.

@@ -108,7 +108,7 @@ func referenceGreedyPack(p Problem, active []bool, candidates [][]int) ([]int, [
 // left, or both infeasible.
 func checkGreedyMatchesReference(t *testing.T, name string, p Problem, active []bool) {
 	t.Helper()
-	candidates, _ := candidateSets(p, active)
+	candidates := candidateSets(p)
 	wa, wl, wo, wh, werr := referenceGreedyPack(p, active, candidates)
 	ga, gl, gopen, gh, gerr := greedyPack(p, active, candidates)
 	if (werr != nil) != (gerr != nil) {

@@ -126,10 +126,11 @@ func Solve(p Problem, opts Options) (Plan, error) {
 	for i := range active {
 		active[i] = true
 	}
+	candidates := candidateSets(p)
 
 	// DRS loop: drop the heaviest group on each failure.
 	for {
-		plan, err := solveActive(p, active, opts)
+		plan, err := solveActive(p, active, candidates, opts)
 		if err == nil {
 			p.finishPlan(&plan)
 			if verr := p.Validate(plan); verr != nil {
@@ -159,12 +160,13 @@ func Solve(p Problem, opts Options) (Plan, error) {
 
 // solveActive solves the placement restricted to active groups; inactive
 // groups come back assigned -1.
-func solveActive(p Problem, active []bool, opts Options) (Plan, error) {
-	candidates, pVars := candidateSets(p, active)
+func solveActive(p Problem, active []bool, candidates [][]int, opts Options) (Plan, error) {
+	pVars := 0
 	for gi, a := range active {
 		if !a {
 			continue
 		}
+		pVars += len(candidates[gi])
 		if len(candidates[gi]) == 0 {
 			return Plan{}, fmt.Errorf("group %d has no eligible operator: %w", gi, ErrInfeasible)
 		}
@@ -189,23 +191,36 @@ func solveActive(p Problem, active []bool, opts Options) (Plan, error) {
 	return solveHeuristic(p, active, candidates)
 }
 
-// candidateSets computes, per active group, the eligible operator indices
-// (the R matrix restricted to R_ij = 1), and the total candidate count.
-func candidateSets(p Problem, active []bool) ([][]int, int) {
-	out := make([][]int, len(p.Groups))
+// candidateSets computes, per group, the eligible operator indices (the R
+// matrix restricted to R_ij = 1). Solve computes them once and every DRS
+// round masks them by its active groups. The lists are carved from one
+// backing array of exactly their total: a first pass records R as a
+// bitset and counts it, so no list grows by copying.
+func candidateSets(p Problem) [][]int {
+	nOps := len(p.Operators)
+	eligible := make([]uint64, (len(p.Groups)*nOps+63)/64)
 	total := 0
 	for gi, g := range p.Groups {
-		if !active[gi] {
-			continue
-		}
 		for oi, op := range p.Operators {
 			if p.Eligible(g, op) {
-				out[gi] = append(out[gi], oi)
+				i := gi*nOps + oi
+				eligible[i/64] |= 1 << (i % 64)
+				total++
 			}
 		}
-		total += len(out[gi])
 	}
-	return out, total
+	flat := make([]int, 0, total)
+	out := make([][]int, len(p.Groups))
+	for gi := range out {
+		start := len(flat)
+		for oi := range nOps {
+			if i := gi*nOps + oi; eligible[i/64]&(1<<(i%64)) != 0 {
+				flat = append(flat, oi)
+			}
+		}
+		out[gi] = flat[start:len(flat):len(flat)]
+	}
+	return out
 }
 
 // solveExact builds the §III-B ILP and solves it with branch and bound.
@@ -466,9 +481,30 @@ func greedyPack(p Problem, active []bool, candidates [][]int) (assignment []int,
 	// traffic to fill capacity efficiently, then group index. That key is
 	// a total order that never changes between rounds, so each list is
 	// sorted once, with its costs precomputed, and a round only filters
-	// it by unassigned.
-	groupsPerOp := make([][]heurCand, len(p.Operators))
+	// it by unassigned. The lists are carved from one array holding
+	// exactly the active groups' candidates.
+	counts := make([]int, len(p.Operators))
+	total := 0
 	for gi, cands := range candidates {
+		if !active[gi] {
+			continue
+		}
+		for _, oi := range cands {
+			counts[oi]++
+		}
+		total += len(cands)
+	}
+	flat := make([]heurCand, total)
+	groupsPerOp := make([][]heurCand, len(p.Operators))
+	start := 0
+	for oi, n := range counts {
+		groupsPerOp[oi] = flat[start : start : start+n]
+		start += n
+	}
+	for gi, cands := range candidates {
+		if !active[gi] {
+			continue
+		}
 		for _, oi := range cands {
 			groupsPerOp[oi] = append(groupsPerOp[oi], heurCand{
 				gi: gi, cost: p.ExtraHopCost(p.Groups[gi], p.Operators[oi]), tot: p.Groups[gi].Total(),

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Kind distinguishes hosts from switches.
@@ -107,9 +106,8 @@ func (t *Topology) addLink(a, b NodeID) {
 // finish sorts adjacency lists and derives the routing tables. It must be
 // called once by constructors after all links are added.
 func (t *Topology) finish() {
-	for i := range t.neighbors {
-		ids := t.neighbors[i]
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	for _, ids := range t.neighbors {
+		slices.Sort(ids)
 	}
 	t.up = make([][]NodeID, len(t.nodes))
 	for i, node := range t.nodes {
